@@ -8,10 +8,8 @@
 //! semantic check of the operation caches, producing an [`AuditReport`]
 //! that lists every violation found. Under `debug_assertions` the audit
 //! runs automatically after every structural mutation batch
-//! ([`Manager::sift`], [`Manager::collect_garbage`],
-//! [`Manager::import_many`], [`Manager::import_substitute`]), so the
-//! property suites exercise it on every maintenance cycle — a hard
-//! oracle for upcoming concurrent unique-table work.
+//! ([`Manager::sift`], [`Manager::collect_garbage`]), so the property
+//! suites exercise it on every maintenance cycle.
 //!
 //! The checks:
 //!
@@ -31,12 +29,6 @@
 //! 6. **cache soundness** — sampled entries of the and/or/xor, ite and
 //!    not caches are re-checked *semantically*: the cached result must
 //!    agree with the operands under pseudo-random assignments.
-//!
-//! Cross-arena imports need no dedicated check: an import is closed
-//! exactly when the destination passes checks 2–4 afterwards (every
-//! copied child resolves to an in-bounds destination node respecting
-//! the destination order), which is what the post-import debug hook
-//! asserts.
 
 use std::fmt;
 
@@ -344,7 +336,7 @@ impl Manager {
     }
 
     /// Runs [`Manager::audit`] and panics with the full report on any
-    /// violation. The debug hooks after sift/GC/import call this.
+    /// violation. The debug hooks after sift/GC call this.
     ///
     /// # Panics
     ///
@@ -572,15 +564,6 @@ mod tests {
         assert_eq!(report.violations.len(), MAX_REPORTED);
         let rendered = report.to_string();
         assert!(rendered.contains("more"), "{rendered}");
-    }
-
-    #[test]
-    fn import_leaves_both_arenas_auditable() {
-        let (worker, roots) = sample_manager();
-        let mut parent = Manager::new(6);
-        let _ = parent.import_many(&worker, &roots);
-        assert!(parent.audit_with(usize::MAX).is_ok());
-        assert!(worker.audit_with(usize::MAX).is_ok());
     }
 
     #[test]

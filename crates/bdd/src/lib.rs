@@ -23,13 +23,6 @@
 //! * the subset/superset vector relations of the paper's Algorithm 1
 //!   ([`strict_subset`](Manager::strict_subset),
 //!   [`strict_superset`](Manager::strict_superset));
-//! * **cross-arena stitching**: [`import`](Manager::import),
-//!   [`import_many`](Manager::import_many) and
-//!   [`import_substitute`](Manager::import_substitute) copy diagrams
-//!   between managers — hash-consed into the destination's unique table
-//!   and order-checked, so per-worker arenas can compile fault-tree
-//!   modules in parallel and stitch the results into a parent manager
-//!   with node-for-node identical diagrams;
 //! * **dynamic maintenance**: Rudell-style sifting reordering
 //!   ([`sift`](Manager::sift), built on the in-place
 //!   [`swap_adjacent_levels`](Manager::swap_adjacent_levels) primitive)
@@ -40,8 +33,7 @@
 //! * **self-auditing**: [`Manager::audit`] verifies the whole arena
 //!   (unique-table canonicity, reduction, order, var↔level bijectivity,
 //!   sampled cache soundness) and returns an [`AuditReport`]; debug
-//!   builds run it automatically after every sift, collection and
-//!   import.
+//!   builds run it automatically after every sift and collection.
 //!
 //! Variables are identified by a stable id: a fresh manager places
 //! [`Var(k)`](Var) at level `k`, and dynamic reordering moves variables
@@ -71,7 +63,6 @@
 mod audit;
 mod dot;
 mod gc;
-mod import;
 mod manager;
 mod ops;
 mod prob;

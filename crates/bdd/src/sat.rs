@@ -242,16 +242,22 @@ impl<'a> Iterator for SatPaths<'a> {
 pub struct SatVectors<'a> {
     paths: SatPaths<'a>,
     vars: Vec<Var>,
-    /// Expansion state for the current path: fixed template plus the
-    /// indices of free (don't-care) positions and a counter.
+    /// Expansion state for the current path.
     current: Option<Expansion>,
 }
 
+/// The don't-care completions of one path, produced lazily by a binary
+/// odometer over the free positions, so any number of free variables
+/// is fine and `take(n)` costs `n` steps.
 #[derive(Debug)]
 struct Expansion {
-    template: Vec<bool>,
+    /// The next vector to yield: the path's fixed values plus the
+    /// current digits at the free positions; `None` once every
+    /// completion was yielded.
+    next: Option<Vec<bool>>,
+    /// Indices of the free (don't-care) positions, least significant
+    /// digit first.
     free: Vec<usize>,
-    counter: u64,
 }
 
 impl<'a> Iterator for SatVectors<'a> {
@@ -260,13 +266,16 @@ impl<'a> Iterator for SatVectors<'a> {
     fn next(&mut self) -> Option<Vec<bool>> {
         loop {
             if let Some(exp) = &mut self.current {
-                let total = 1u64 << exp.free.len();
-                if exp.counter < total {
-                    let mut vec = exp.template.clone();
-                    for (bit, &idx) in exp.free.iter().enumerate() {
-                        vec[idx] = (exp.counter >> bit) & 1 == 1;
-                    }
-                    exp.counter += 1;
+                if let Some(vec) = exp.next.take() {
+                    // Increment: flip digits from the least significant
+                    // up to and including the first 0; all 1s wrap around
+                    // to the first completion, which ends the path.
+                    let mut succ = vec.clone();
+                    let wrapped = exp.free.iter().all(|&idx| {
+                        succ[idx] = !succ[idx];
+                        !succ[idx]
+                    });
+                    exp.next = (!wrapped).then_some(succ);
                     return Some(vec);
                 }
                 self.current = None;
@@ -281,11 +290,9 @@ impl<'a> Iterator for SatVectors<'a> {
                 }
             }
             let free: Vec<usize> = (0..self.vars.len()).filter(|&i| !fixed[i]).collect();
-            assert!(free.len() < 63, "don't-care expansion too large");
             self.current = Some(Expansion {
-                template,
+                next: Some(template),
                 free,
-                counter: 0,
             });
         }
     }
@@ -378,6 +385,49 @@ mod tests {
         let m = Manager::new(2);
         let vecs: Vec<Vec<bool>> = m.sat_vectors(m.top(), &[Var(0), Var(1)]).collect();
         assert_eq!(vecs.len(), 4);
+    }
+
+    #[test]
+    fn sat_vectors_count_in_binary_over_free_positions() {
+        // a ∧ ¬c over (a, b, c, d): b and d are free, b the low digit.
+        let mut m = Manager::new(4);
+        let a = m.var(Var(0));
+        let c = m.var(Var(2));
+        let nc = m.not(c);
+        let f = m.and(a, nc);
+        let vecs: Vec<Vec<bool>> = m
+            .sat_vectors(f, &[Var(0), Var(1), Var(2), Var(3)])
+            .collect();
+        assert_eq!(
+            vecs,
+            vec![
+                vec![true, false, false, false],
+                vec![true, true, false, false],
+                vec![true, false, false, true],
+                vec![true, true, false, true],
+            ]
+        );
+    }
+
+    #[test]
+    fn sat_vectors_take_is_lazy_beyond_64_free_variables() {
+        // One fixed variable and 79 don't-cares: 2^79 completions, of
+        // which `take` materialises only the first few.
+        let n: u32 = 80;
+        let mut m = Manager::new(n);
+        let f = m.var(Var(0));
+        let universe: Vec<Var> = (0..n).map(Var).collect();
+        let vecs: Vec<Vec<bool>> = m.sat_vectors(f, &universe).take(3).collect();
+        assert_eq!(vecs.len(), 3);
+        for (k, v) in vecs.iter().enumerate() {
+            assert_eq!(v.len(), n as usize);
+            assert!(v[0], "the fixed variable keeps its value");
+            assert!(m.eval(f, |x| v[x.index() as usize]));
+            // Completion k carries k in binary over the free positions.
+            assert_eq!(v[1], k & 1 == 1);
+            assert_eq!(v[2], k & 2 == 2);
+            assert!(v[3..].iter().all(|&b| !b));
+        }
     }
 
     #[test]

@@ -28,12 +28,11 @@
 //! per-event what-if scenarios and writes `BENCH_cause.json` (causes/sec
 //! cold vs warm plan via the scenario memo, and witness counts vs tree
 //! size), and the `scale` artifact compiles the industrial-scale corpus
-//! (1k–10k basic events) sequentially and with modular-parallel
-//! construction at 1..=4 workers, cross-checks that every diagram is
-//! node-for-node identical with bit-identical verdicts and top-event
-//! probabilities, and writes `BENCH_scale.json` (nodes/sec and
-//! speedup-vs-workers curves plus stitch overhead); `--smoke` restricts
-//! all six to small configurations for CI.
+//! (1k–10k basic events) sequentially, cross-checks the top-event
+//! diagram against the tree's structure function on 20 seeded status
+//! vectors, and writes `BENCH_scale.json` (compile time, live nodes,
+//! nodes/sec and `P(top)` per size); `--smoke` restricts all six to
+//! small configurations for CI.
 
 // A reproduction harness, not a library: every `expect` is an assertion
 // that the paper's artifact can be rebuilt — failing loudly with the
@@ -1423,159 +1422,82 @@ fn reorder(smoke: bool) {
     }
 }
 
-/// SCALE: the industrial corpus (1k–10k basic events) compiled
-/// sequentially vs with modular-parallel construction at 1..=4 workers.
-/// Every parallel compile is cross-checked against the sequential one:
-/// node-for-node identical diagrams for every element, bit-identical
-/// verdicts on sampled status vectors and bit-identical top-event
-/// probability. Writes the `BENCH_scale.json` artifact.
+/// SCALE: the industrial corpus (1k–10k basic events) compiled by the
+/// sequential `element_bdd` translation. The top-event diagram is
+/// cross-checked against the tree's own structure function
+/// (`FaultTree::evaluate`) on 20 seeded status vectors. Writes the
+/// `BENCH_scale.json` artifact.
 fn scale_bench(smoke: bool) {
     use bfl_fault_tree::prob;
 
-    banner("SCALE — industrial corpus: modular parallel BDD construction");
+    banner("SCALE — industrial corpus: sequential BDD construction");
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("host parallelism: {host} (wall-clock speedup needs real cores)");
+    println!("host parallelism: {host}");
     let sizes: &[usize] = if smoke {
         &[1_000, 5_000]
     } else {
         &[1_000, 2_000, 5_000, 10_000]
     };
-    let max_workers = 4usize;
+    const VECTORS: u64 = 20;
+    println!(
+        "\n{:<12} {:>9} {:>11} {:>10} {:>9} {:>13}",
+        "tree", "elements", "live nodes", "total ms", "nodes/s", "P(top)"
+    );
     let mut rows = String::new();
     for &n in sizes {
         let model = corpus::scaled_model(n);
         let tree = &model.tree;
         let probs: Vec<f64> = model.probabilities.iter().map(|p| p.unwrap()).collect();
 
-        // Sequential baseline: the lazy single-threaded compile.
         let t0 = std::time::Instant::now();
-        let mut seq = TreeBdd::new(tree, VariableOrdering::DfsPreorder);
-        let top_seq = seq.element_bdd(tree, tree.top());
+        let mut tb = TreeBdd::new(tree, VariableOrdering::DfsPreorder);
+        let top = tb.element_bdd(tree, tree.top());
         let t_seq = t0.elapsed();
-        let live_seq = seq.live_node_count(&[]);
-        let p_seq = prob::bdd_probability(tree, &seq, top_seq, &probs).expect("probability");
-        let nodes_per_sec = live_seq as f64 / t_seq.as_secs_f64().max(1e-9);
-        println!(
-            "\ntree scaled-{n}: {} elements, {} live nodes, P(top) = {p_seq:.6e}",
-            tree.len(),
-            live_seq
-        );
-        println!(
-            "{:<10} {:>10} {:>10} {:>9} {:>8} {:>9}",
-            "workers", "total ms", "stitch ms", "speedup", "modules", "nodes/s"
-        );
-        println!(
-            "{:<10} {:>10.1} {:>10} {:>9} {:>8} {:>9.2e}",
-            "seq",
-            t_seq.as_secs_f64() * 1e3,
-            "-",
-            "1.00",
-            "-",
-            nodes_per_sec
-        );
+        let live = tb.live_node_count(&[]);
+        let p_top = prob::bdd_probability(tree, &tb, top, &probs).expect("probability");
+        let nodes_per_sec = live as f64 / t_seq.as_secs_f64().max(1e-9);
 
-        let mut wrows = String::new();
-        let mut modules_detected = 0usize;
-        let mut speedup_at_max = 1.0f64;
-        for workers in 1..=max_workers {
-            let t0 = std::time::Instant::now();
-            let mut par = TreeBdd::new(tree, VariableOrdering::DfsPreorder);
-            let stats = par.compile_parallel(tree, workers);
-            let t_par = t0.elapsed();
-            modules_detected = modules_detected.max(stats.modules_detected);
-
-            // Cross-checks: parallel construction is a strategy, not a
-            // semantics change. Node-for-node identical diagrams ...
-            let top_par = par.element_bdd(tree, tree.top());
+        // The compiled top event agrees with the structure function.
+        for seed in 0..VECTORS {
+            let bits: Vec<bool> = (0..n)
+                .map(|i| {
+                    (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                        ^ (i as u64).wrapping_mul(0xD134_2543_DE82_EF95))
+                    .count_ones()
+                    .is_multiple_of(2)
+                })
+                .collect();
+            let b = StatusVector::from_bits(bits);
             assert_eq!(
-                par.manager().node_count(top_par),
-                seq.manager().node_count(top_seq),
-                "scaled-{n}: top node count diverged at {workers} workers"
+                tb.eval_vector(tree, top, &b),
+                tree.evaluate(&b, tree.top()),
+                "scaled-{n}: BDD verdict differs from the structure function"
             );
-            assert_eq!(
-                par.live_node_count(&[]),
-                live_seq,
-                "scaled-{n}: live node count diverged at {workers} workers"
-            );
-            for e in tree.iter() {
-                let fp = par.element_bdd(tree, e);
-                let fs = seq.element_bdd(tree, e);
-                assert_eq!(
-                    par.manager().node_count(fp),
-                    seq.manager().node_count(fs),
-                    "scaled-{n}: node count of {} diverged",
-                    tree.name(e)
-                );
-            }
-            // ... identical verdicts on sampled vectors ...
-            for seed in 0..20u64 {
-                let bits: Vec<bool> = (0..n)
-                    .map(|i| {
-                        (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                            ^ (i as u64).wrapping_mul(0xD134_2543_DE82_EF95))
-                        .count_ones()
-                        .is_multiple_of(2)
-                    })
-                    .collect();
-                let b = StatusVector::from_bits(bits);
-                assert_eq!(
-                    par.eval_vector(tree, top_par, &b),
-                    seq.eval_vector(tree, top_seq, &b),
-                    "scaled-{n}: verdict diverged at {workers} workers"
-                );
-            }
-            // ... and a bit-identical probability (same diagram, same walk).
-            let p_par = prob::bdd_probability(tree, &par, top_par, &probs).expect("probability");
-            assert_eq!(
-                p_par.to_bits(),
-                p_seq.to_bits(),
-                "scaled-{n}: probability diverged at {workers} workers"
-            );
-
-            let speedup = t_seq.as_secs_f64() / t_par.as_secs_f64().max(1e-9);
-            if workers == max_workers {
-                speedup_at_max = speedup;
-            }
-            println!(
-                "{:<10} {:>10.1} {:>10.1} {:>9.2} {:>8} {:>9.2e}",
-                workers,
-                t_par.as_secs_f64() * 1e3,
-                stats.stitch_micros as f64 / 1e3,
-                speedup,
-                stats.modules_detected,
-                live_seq as f64 / t_par.as_secs_f64().max(1e-9)
-            );
-            if !wrows.is_empty() {
-                wrows.push(',');
-            }
-            wrows.push_str(&format!(
-                "{{\"workers\":{workers},\"total_ms\":{:.3},\"stitch_ms\":{:.3},\
-                 \"speedup\":{speedup:.3},\"nodes_per_sec\":{:.0},\
-                 \"modules_detected\":{}}}",
-                t_par.as_secs_f64() * 1e3,
-                stats.stitch_micros as f64 / 1e3,
-                live_seq as f64 / t_par.as_secs_f64().max(1e-9),
-                stats.modules_detected,
-            ));
         }
+        println!(
+            "{:<12} {:>9} {:>11} {:>10.1} {:>9.2e} {:>13.6e}",
+            format!("scaled-{n}"),
+            tree.len(),
+            live,
+            t_seq.as_secs_f64() * 1e3,
+            nodes_per_sec,
+            p_top
+        );
         if !rows.is_empty() {
             rows.push(',');
         }
         rows.push_str(&format!(
             "{{\"tree\":\"scaled-{n}\",\"basic_events\":{n},\"elements\":{},\
-             \"modules\":{modules_detected},\"live_nodes\":{live_seq},\
-             \"probability\":{p_seq:e},\"seq_ms\":{:.3},\
+             \"live_nodes\":{live},\"probability\":{p_top:e},\"seq_ms\":{:.3},\
              \"seq_nodes_per_sec\":{nodes_per_sec:.0},\
-             \"speedup_at_{max_workers}_workers\":{speedup_at_max:.3},\
-             \"identical_node_counts\":true,\"identical_verdicts\":true,\
-             \"identical_probabilities\":true,\"workers\":[{wrows}]}}",
+             \"vectors_checked\":{VECTORS},\"verdicts_match_evaluate\":true}}",
             tree.len(),
             t_seq.as_secs_f64() * 1e3,
         ));
     }
     let json = format!(
         "{{\"artifact\":\"scale\",\"mode\":\"{}\",\"host_parallelism\":{host},\
-         \"baseline\":\"sequential element_bdd\",\"trees\":[{rows}]}}\n",
+         \"compile\":\"sequential element_bdd\",\"trees\":[{rows}]}}\n",
         if smoke { "smoke" } else { "full" }
     );
     let path = "BENCH_scale.json";

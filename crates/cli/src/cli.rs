@@ -77,11 +77,6 @@ OPTIONS:
                        (sift when the BDD arena grows FACTOR-fold, default 2)
     --gc               mark-and-sweep BDD garbage collection at maintenance
                        points (on by default whenever --reorder is active)
-    --parallelism <N>  worker threads for the initial BDD construction
-                       (default 1 = lazy sequential compile); independent
-                       fault-tree modules compile in parallel arenas and
-                       stitch into the session — results are identical,
-                       `explain` reports the module/stitch breakdown
     --engine <E>       mcs/mps backend: minsol (default), paper, zdd
     --json             structured JSON output (check, run, sweep, explain,
                        sat, count, mcs, mps, ibe, prob, importance)
@@ -240,7 +235,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut json = false;
     let mut reorder: Option<ReorderPolicy> = None;
     let mut gc: Option<bool> = None;
-    let mut parallelism: Option<usize> = None;
     let mut method_name: Option<String> = None;
     let mut samples: Option<u64> = None;
     let mut seed: Option<u64> = None;
@@ -283,17 +277,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--gc" => gc = Some(true),
             "--no-gc" => gc = Some(false),
-            "--parallelism" => {
-                i += 1;
-                let n = args.get(i).ok_or("--parallelism requires a number")?;
-                let n: usize = n
-                    .parse()
-                    .map_err(|_| format!("invalid parallelism `{n}`"))?;
-                if n == 0 {
-                    return Err("--parallelism must be at least 1".to_string());
-                }
-                parallelism = Some(n);
-            }
             "--method" => {
                 i += 1;
                 let name = args.get(i).ok_or("--method requires an argument")?;
@@ -356,9 +339,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     }
     if let Some(enabled) = gc {
         builder = builder.gc(enabled);
-    }
-    if let Some(n) = parallelism {
-        builder = builder.parallelism(n);
     }
     let session = builder.build(model.tree);
     Ok(Options {
@@ -1764,31 +1744,6 @@ mod tests {
             args.extend(extra.iter().copied());
             args.push("forall A & B => T");
             assert_eq!(run_ok(&args), base, "{extra:?}");
-        }
-    }
-
-    #[test]
-    fn parallelism_flag_is_accepted_and_answers_agree() {
-        let f = write_model();
-        let ft = f.arg();
-        let base = run_ok(&["check", "--ft", &ft, "forall A & B => T"]);
-        for n in ["1", "2", "4"] {
-            let out = run_ok(&[
-                "check",
-                "--ft",
-                &ft,
-                "--parallelism",
-                n,
-                "forall A & B => T",
-            ]);
-            assert_eq!(out, base, "parallelism {n}");
-        }
-        for bad in ["0", "x"] {
-            let args: Vec<String> = ["check", "--ft", &ft, "--parallelism", bad, "exists T"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-            assert!(run(&args).is_err(), "parallelism {bad} accepted");
         }
     }
 

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use bfl_bdd::{Bdd, GcStats, Manager, SiftStats, Var};
 use bfl_fault_tree::analysis::{mcs_bdd_paper, mps_bdd_paper};
-use bfl_fault_tree::bdd::{vot_threshold, ParallelCompileStats, TreeBdd};
+use bfl_fault_tree::bdd::{vot_threshold, TreeBdd};
 use bfl_fault_tree::{FaultTree, StatusVector, VariableOrdering};
 
 use crate::ast::{CmpOp, Formula, Query};
@@ -156,17 +156,6 @@ impl ModelChecker {
     /// The underlying BDD manager (for statistics and rendering).
     pub fn manager(&self) -> &Manager {
         self.tb.manager()
-    }
-
-    /// Compiles every element translation of the tree up front, farming
-    /// independent modules out to `workers` threads and stitching the
-    /// results into the checker's arena (see
-    /// [`TreeBdd::compile_parallel`]). The resulting diagrams are
-    /// node-for-node identical to the lazy sequential compile; later
-    /// queries find every element already cached.
-    pub fn compile_parallel(&mut self, workers: usize) -> ParallelCompileStats {
-        let tree = Arc::clone(&self.tree);
-        self.tb.compile_parallel(&tree, workers)
     }
 
     /// Dynamic variable reordering: Rudell sifting over glued

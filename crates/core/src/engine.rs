@@ -76,7 +76,7 @@ use crate::checker::{MinimalityScope, ModelChecker};
 use crate::counterexample::{counterexample, Counterexample, CounterexampleSet};
 use crate::error::BflError;
 use crate::lint;
-use crate::plan::{ConstructionReport, PlanRoots, PreparedQuery};
+use crate::plan::{PlanRoots, PreparedQuery};
 use crate::quant;
 use crate::report::{EvalStats, Outcome, Report, Spec, SpecItem, SpecKind};
 use crate::uncertainty::{self, Method, ProbInterval, ProbValue};
@@ -200,9 +200,8 @@ struct MaintenanceState {
 /// dwarf the gain).
 const AUTO_MIN_ARENA: usize = 1 << 12;
 
-/// Worker threads for Monte Carlo estimation started from session-level
-/// entry points (sweep workers sample single-threaded instead — the
-/// sweep already owns the cores).
+/// Worker threads for Monte Carlo estimation: one per available core.
+/// Estimates are byte-identical at any thread count.
 pub(crate) fn default_mc_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -237,7 +236,6 @@ pub struct SessionBuilder {
     reorder: Option<ReorderPolicy>,
     /// `None` = enable GC exactly when the reorder policy is active.
     gc: Option<bool>,
-    parallelism: usize,
 }
 
 impl Default for SessionBuilder {
@@ -252,7 +250,6 @@ impl Default for SessionBuilder {
             method: Method::Exact,
             reorder: None,
             gc: None,
-            parallelism: 1,
         }
     }
 }
@@ -359,27 +356,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Worker threads for the initial BDD construction (default 1).
-    ///
-    /// With `n > 1` the session compiles every element translation
-    /// eagerly at build time, farming the tree's independent modules out
-    /// to up to `n` threads with private arenas and stitching the results
-    /// into the session arena
-    /// (see [`ModelChecker::compile_parallel`]). ROBDD canonicity makes
-    /// the result node-for-node identical to the lazy sequential compile;
-    /// the construction record surfaces via
-    /// [`AnalysisSession::construction_report`] and in every
-    /// [`Plan`](crate::plan::Plan).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn parallelism(mut self, n: usize) -> Self {
-        assert!(n >= 1, "parallelism must be at least 1");
-        self.parallelism = n;
-        self
-    }
-
     /// Builds the session. Accepts a `FaultTree` by value or an existing
     /// `Arc<FaultTree>`.
     ///
@@ -405,12 +381,6 @@ impl SessionBuilder {
         }
         let mut checker = ModelChecker::from_arc(Arc::clone(&tree), self.ordering);
         checker.set_minimality_scope(self.scope);
-        let construction = if self.parallelism > 1 {
-            let stats = checker.compile_parallel(self.parallelism);
-            Some(ConstructionReport::from_stats(&tree, &stats))
-        } else {
-            None
-        };
         let reorder = self.reorder.unwrap_or(if self.ordering.is_dynamic() {
             ReorderPolicy::auto()
         } else {
@@ -431,7 +401,6 @@ impl SessionBuilder {
                 reorder,
                 gc,
                 sampler: SamplerCounters::default(),
-                construction,
                 checker: Mutex::new(checker),
                 maintenance: Mutex::new(MaintenanceState {
                     last_arena,
@@ -462,9 +431,6 @@ pub(crate) struct SessionInner {
     /// Cumulative Monte Carlo counters (lock-free: estimation runs
     /// outside the checker lock).
     pub(crate) sampler: SamplerCounters,
-    /// The parallel-construction record when the session was built with
-    /// `parallelism > 1`; `None` for sequential (lazy) builds.
-    pub(crate) construction: Option<ConstructionReport>,
     pub(crate) checker: Mutex<ModelChecker>,
     maintenance: Mutex<MaintenanceState>,
     /// Every live prepared query registers its compiled roots here so a
@@ -723,7 +689,6 @@ impl SessionInner {
         given: Option<&Formula>,
         method: Method,
         pins: &[(usize, bool)],
-        threads: usize,
     ) -> Result<Option<ProbValue>, BflError> {
         match method {
             Method::Exact => {
@@ -749,7 +714,15 @@ impl SessionInner {
             } => {
                 let probs = self.full_probabilities()?;
                 let est = uncertainty::estimate_probability(
-                    &self.tree, &probs, phi, given, pins, samples, seed, confidence, threads,
+                    &self.tree,
+                    &probs,
+                    phi,
+                    given,
+                    pins,
+                    samples,
+                    seed,
+                    confidence,
+                    default_mc_threads(),
                 )?;
                 self.sampler.record(samples);
                 Ok(est.map(ProbValue::Estimate))
@@ -839,14 +812,6 @@ impl AnalysisSession {
         self.inner.gc
     }
 
-    /// The parallel-construction record, when the session was built with
-    /// [`SessionBuilder::parallelism`] `> 1`: detected module count,
-    /// per-module node counts and stitch time. `None` for sequential
-    /// (lazy) builds.
-    pub fn construction_report(&self) -> Option<&ConstructionReport> {
-        self.inner.construction.as_ref()
-    }
-
     /// Runs maintenance **now** — garbage collection and sifting over
     /// every root the session tracks (element/formula caches and live
     /// prepared queries) — regardless of the configured policy.
@@ -915,8 +880,8 @@ impl AnalysisSession {
     /// answers each what-if [`Scenario`](crate::scenario::Scenario) by
     /// *restricting* the compiled diagram (BDD cofactoring) instead of
     /// rewriting the AST and recompiling, and
-    /// [`PreparedQuery::sweep`](crate::plan::PreparedQuery::sweep) fans a
-    /// whole scenario set across threads.
+    /// [`PreparedQuery::sweep`](crate::plan::PreparedQuery::sweep) runs a
+    /// whole scenario set over the shared caches.
     ///
     /// # Errors
     ///
@@ -1298,7 +1263,7 @@ impl AnalysisSession {
         let method = method.unwrap_or(self.inner.method);
         let mut mc = self.lock();
         self.inner
-            .probability_value(&mut mc, phi, given, method, &[], default_mc_threads())
+            .probability_value(&mut mc, phi, given, method, &[])
     }
 
     /// Birnbaum importance of basic event `be` for `ϕ`:
@@ -1394,14 +1359,9 @@ impl AnalysisSession {
                 bound,
             } => {
                 let method = self.inner.method;
-                let value = self.inner.probability_value(
-                    mc,
-                    formula,
-                    given.as_ref(),
-                    method,
-                    &[],
-                    default_mc_threads(),
-                )?;
+                let value =
+                    self.inner
+                        .probability_value(mc, formula, given.as_ref(), method, &[])?;
                 // An undecidable interval judgement (the bounds straddle
                 // the threshold) conservatively does not hold, like a
                 // zero-probability condition.

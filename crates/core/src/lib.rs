@@ -136,8 +136,8 @@ pub use error::BflError;
 pub use lint::{Diagnostic, Severity};
 pub use patterns::{Pattern, Table1Row};
 pub use plan::{
-    ConstructionReport, ModuleReport, Plan, PreparedQuery, PreparedStats, ProbOutcome,
-    ProbSweepReport, ProbSweepStats, SweepReport, SweepStats,
+    Plan, PreparedQuery, PreparedStats, ProbOutcome, ProbSweepReport, ProbSweepStats, SweepReport,
+    SweepStats,
 };
 pub use quant::{EventImportance, ProbQuery};
 pub use report::{EvalStats, Outcome, Report, Spec, SpecItem, SpecKind};

@@ -16,9 +16,8 @@
 //!   (cofactoring) of the compiled diagram — the cheap operation on an
 //!   already-built BDD — and memoises the result, so repeated scenarios
 //!   are pure cache lookups;
-//! * [`PreparedQuery::sweep`] fans a whole [`ScenarioSet`] across
-//!   `std::thread::scope` workers over the shared caches and returns a
-//!   [`SweepReport`];
+//! * [`PreparedQuery::sweep`] evaluates a whole [`ScenarioSet`] in
+//!   order over the shared caches and returns a [`SweepReport`];
 //! * [`PreparedQuery::explain`] exposes the [`Plan`]: pass-by-pass
 //!   formula sizes, compiled BDD node counts and whether the minimality
 //!   machinery was needed, rendered as text or JSON.
@@ -72,7 +71,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -135,86 +134,6 @@ pub struct OperandPlan {
     pub constant: Option<bool>,
 }
 
-/// One module compiled during parallel construction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ModuleReport {
-    /// Name of the module's root gate.
-    pub root: String,
-    /// Elements in the module's cone (root included).
-    pub cone: usize,
-    /// BDD nodes of the module root's diagram.
-    pub nodes: usize,
-    /// Worker-side compile time, µs.
-    pub micros: u64,
-    /// Index of the worker thread that compiled it.
-    pub worker: usize,
-}
-
-/// The record of a parallel session build: how the tree's independent
-/// modules were farmed out to worker arenas and stitched back (see
-/// [`SessionBuilder::parallelism`](crate::engine::SessionBuilder::parallelism)).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConstructionReport {
-    /// Worker threads actually used.
-    pub workers: usize,
-    /// Independent modules that met the parallelisation threshold.
-    pub modules_detected: usize,
-    /// Per-module compile statistics.
-    pub modules: Vec<ModuleReport>,
-    /// Time spent importing worker diagrams into the session arena, µs.
-    pub stitch_micros: u64,
-    /// End-to-end wall-clock of the construction, µs.
-    pub total_micros: u64,
-}
-
-impl ConstructionReport {
-    pub(crate) fn from_stats(
-        tree: &bfl_fault_tree::FaultTree,
-        stats: &bfl_fault_tree::bdd::ParallelCompileStats,
-    ) -> Self {
-        ConstructionReport {
-            workers: stats.workers,
-            modules_detected: stats.modules_detected,
-            modules: stats
-                .modules
-                .iter()
-                .map(|m| ModuleReport {
-                    root: tree.name(m.root).to_string(),
-                    cone: m.cone,
-                    nodes: m.nodes,
-                    micros: m.micros,
-                    worker: m.worker,
-                })
-                .collect(),
-            stitch_micros: stats.stitch_micros,
-            total_micros: stats.total_micros,
-        }
-    }
-
-    /// Serialises the report as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"workers\":{},\"modules_detected\":{},\"stitch_micros\":{},\"total_micros\":{},\"modules\":[",
-            self.workers, self.modules_detected, self.stitch_micros, self.total_micros
-        );
-        for (i, m) in self.modules.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"root\":{},\"cone\":{},\"nodes\":{},\"micros\":{},\"worker\":{}}}",
-                json_str(&m.root),
-                m.cone,
-                m.nodes,
-                m.micros,
-                m.worker
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
 /// The compiled query plan: pass-by-pass formula sizes, BDD statistics
 /// and build cost. Rendered human-readably by [`fmt::Display`] and
 /// machine-readably by [`Plan::to_json`].
@@ -238,11 +157,6 @@ pub struct Plan {
     /// before/after plus the GC and sifting statistics. `None` when no
     /// maintenance was due.
     pub maintenance: Option<MaintenanceReport>,
-    /// The session's parallel-construction record, when the session was
-    /// built with [`SessionBuilder::parallelism`](crate::engine::SessionBuilder::parallelism)
-    /// `> 1`: module count, per-module node counts and stitch time.
-    /// `None` for sequentially built sessions.
-    pub construction: Option<ConstructionReport>,
 }
 
 impl Plan {
@@ -309,10 +223,6 @@ impl Plan {
                 out.push('}');
             }
         }
-        match &self.construction {
-            None => out.push_str(",\"construction\":null"),
-            Some(c) => out.push_str(&format!(",\"construction\":{}", c.to_json())),
-        }
         out.push('}');
         out
     }
@@ -370,20 +280,6 @@ impl fmt::Display for Plan {
                 write!(f, " · gc reclaimed {}", gc.collected)?;
             }
             writeln!(f)?;
-        }
-        if let Some(c) = &self.construction {
-            writeln!(
-                f,
-                "  construction: {} modules on {} workers · stitch {} µs · total {} µs",
-                c.modules_detected, c.workers, c.stitch_micros, c.total_micros
-            )?;
-            for m in &c.modules {
-                writeln!(
-                    f,
-                    "    module {:<20} cone {:<5} {} nodes · {} µs · worker {}",
-                    m.root, m.cone, m.nodes, m.micros, m.worker
-                )?;
-            }
         }
         Ok(())
     }
@@ -715,7 +611,6 @@ impl PreparedQuery {
             operands,
             prepare,
             maintenance,
-            construction: inner.construction.clone(),
         };
         drop(mc);
         Ok(PreparedQuery {
@@ -1126,24 +1021,23 @@ impl PreparedQuery {
     }
 
     /// **Sweeps** a whole scenario set: validates every scenario up
-    /// front, then fans the evaluations across `std::thread::scope`
-    /// workers sharing this query's memo and the session's caches.
+    /// front, then evaluates them in order on the caller's thread,
+    /// sharing this query's memo and the session's caches.
     ///
-    /// Fresh restrictions mutate the session's shared BDD manager, so
-    /// those computes serialise on its lock (as all session queries do —
-    /// see [`AnalysisSession`](crate::engine::AnalysisSession)); the
-    /// fan-out overlaps memoised lookups, outcome assembly and witness
-    /// rendering, which run outside it. For parallelism across the
-    /// *compute* itself, use one session per shard of scenarios.
+    /// Fresh restrictions mutate the session's shared BDD manager under
+    /// its lock (as all session queries do — see
+    /// [`AnalysisSession`](crate::engine::AnalysisSession)); memoised
+    /// scenarios are lookups. To spread work over cores, run sweeps of
+    /// different sessions on different threads.
     ///
     /// # Errors
     ///
     /// The first scenario whose bindings fail to resolve aborts the sweep
-    /// before any worker starts.
+    /// before any scenario is evaluated.
     pub fn sweep(&self, set: &ScenarioSet) -> Result<SweepReport, BflError> {
-        // Validate everything first so workers cannot fail; the resolved
-        // keys (and, for probabilistic plans, the probability vector)
-        // are handed through so nothing is resolved twice.
+        // Validate everything first; the resolved keys (and, for
+        // probabilistic plans, the probability vector) are handed through
+        // so nothing is resolved twice.
         let keys: Vec<Vec<(usize, bool)>> = set
             .iter()
             .map(|s| self.resolve(s))
@@ -1155,27 +1049,16 @@ impl PreparedQuery {
             (mc.manager().arena_size(), mc.cache_misses())
         };
 
-        let n = set.len();
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(n)
-            .max(1);
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Outcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let o =
-                        self.eval_resolved(&set.scenarios[i], keys[i].clone(), probs.as_deref());
-                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(o);
-                });
-            }
-        });
+        let mut totals = EvalStats::default();
+        let outcomes: Vec<Outcome> = set
+            .iter()
+            .zip(keys)
+            .map(|(scenario, key)| {
+                let outcome = self.eval_resolved(scenario, key, probs.as_deref());
+                totals.absorb(&outcome.stats);
+                outcome
+            })
+            .collect();
 
         let after = self.stats();
         let (translation_misses, arena_after) = {
@@ -1185,35 +1068,20 @@ impl PreparedQuery {
                 mc.manager().arena_size(),
             )
         };
-        let mut report = SweepReport {
+        Ok(SweepReport {
             tree: Arc::clone(&self.inner.tree),
             query: self.source.clone(),
-            outcomes: Vec::with_capacity(n),
-            totals: EvalStats::default(),
+            outcomes,
+            totals,
             stats: SweepStats {
-                scenarios: n,
-                workers,
+                scenarios: set.len(),
                 memo_hits: after.memo_hits - before.memo_hits,
                 memo_misses: after.memo_misses - before.memo_misses,
                 translation_misses,
                 arena_before,
                 arena_after,
             },
-        };
-        for (i, slot) in slots.into_iter().enumerate() {
-            let outcome = slot
-                .into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .ok_or_else(|| BflError::Internal {
-                    context: format!(
-                        "sweep worker left scenario {i} of `{}` unfilled",
-                        self.source
-                    ),
-                })?;
-            report.totals.absorb(&outcome.stats);
-            report.outcomes.push(outcome);
-        }
-        Ok(report)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -1251,9 +1119,9 @@ impl PreparedQuery {
     }
 
     /// **Sweeps causes**: [`PreparedQuery::cause`] for every scenario of
-    /// the set, fanned across the same `std::thread::scope` workers and
-    /// scenario memo as [`PreparedQuery::sweep`] — a warm sweep over seen
-    /// observations is pure cache lookups.
+    /// the set, sharing the scenario memo exactly as
+    /// [`PreparedQuery::sweep`] does — a warm sweep over seen observations
+    /// is pure cache lookups.
     ///
     /// # Errors
     ///
@@ -1351,7 +1219,7 @@ impl PreparedQuery {
         }
         let method = method.unwrap_or(self.inner.method);
         let key = self.resolve(scenario)?;
-        self.probability_value_resolved(&key, method, default_mc_threads())
+        self.probability_value_resolved(&key, method)
     }
 
     /// The prepared query's operand formulae for per-sample Monte Carlo
@@ -1370,13 +1238,11 @@ impl PreparedQuery {
     }
 
     /// The post-resolution method dispatch behind
-    /// [`PreparedQuery::probability_value`] and the method-aware sweeps
-    /// (which pass `threads = 1` — the sweep already owns the cores).
+    /// [`PreparedQuery::probability_value`] and the method-aware sweeps.
     fn probability_value_resolved(
         &self,
         key: &[(usize, bool)],
         method: Method,
-        threads: usize,
     ) -> Result<Option<ProbValue>, BflError> {
         match method {
             Method::Exact => {
@@ -1452,7 +1318,7 @@ impl PreparedQuery {
                     samples,
                     seed,
                     confidence,
-                    threads,
+                    default_mc_threads(),
                 )?;
                 self.inner.sampler.record(samples);
                 self.prob_misses.fetch_add(1, Ordering::Relaxed);
@@ -1542,8 +1408,8 @@ impl PreparedQuery {
     }
 
     /// **Sweeps probabilities**: `P(ϕ | scenario)` for every scenario of
-    /// the set, fanned across `std::thread::scope` workers sharing the
-    /// plan's scenario memo and node-keyed Shannon memo. A warm sweep
+    /// the set, in order on the caller's thread, sharing the plan's
+    /// scenario memo and node-keyed Shannon memo. A warm sweep
     /// (every scenario seen before) is pure cache lookups — the
     /// `reproduce -- quant` artifact benchmarks this against the
     /// recompute-per-scenario path.
@@ -1559,11 +1425,10 @@ impl PreparedQuery {
 
     /// [`PreparedQuery::sweep_probabilities`] under an explicit
     /// [`Method`] (`None` = the session's default). Interval sweeps
-    /// share the plan's node-keyed interval memo across workers; Monte
-    /// Carlo sweeps sample **single-threaded per scenario** (the sweep
-    /// already owns the cores) with the scenario's bindings pinning the
-    /// sampled bits — results are byte-identical to evaluating each
-    /// scenario alone.
+    /// share the plan's node-keyed interval memo; Monte Carlo sweeps
+    /// sample each scenario on every core, with the scenario's bindings
+    /// pinning the sampled bits — results are byte-identical to
+    /// evaluating each scenario alone.
     ///
     /// # Errors
     ///
@@ -1588,7 +1453,7 @@ impl PreparedQuery {
             .map(|s| self.resolve(s))
             .collect::<Result<_, _>>()?;
         // Validate the annotations and (for Monte Carlo) the query shape
-        // once, before any worker starts.
+        // once, before any scenario is evaluated.
         match method {
             Method::Exact => {
                 self.inner.full_probabilities()?;
@@ -1613,76 +1478,43 @@ impl PreparedQuery {
         let memo_len = |m: &ProbMemo| m.nodes.len() + m.interval_nodes.len();
         let fresh0 = memo_len(&self.prob_memo.lock().unwrap_or_else(|e| e.into_inner()));
 
-        let n = set.len();
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(n)
-            .max(1);
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<ProbOutcome, BflError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let r = self
-                        .probability_value_resolved(&keys[i], method, 1)
-                        .map(|value| {
-                            let s = &set.scenarios[i];
-                            // Impossible conditions satisfy no bound;
-                            // interval judgements straddling the bound
-                            // stay undecided (`None`).
-                            let holds = match (&judgement, &value) {
-                                (Some((op, bound)), Some(v)) => v.judge(*op, *bound),
-                                (Some(_), None) => Some(false),
-                                (None, _) => None,
-                            };
-                            let mut o = ProbOutcome {
-                                label: s.name().map(str::to_string),
-                                bindings: s.bindings_string(),
-                                probability: None,
-                                interval: None,
-                                estimate: None,
-                                holds,
-                            };
-                            match value {
-                                Some(ProbValue::Exact(p)) => o.probability = Some(p),
-                                Some(ProbValue::Interval(iv)) => o.interval = Some(iv),
-                                Some(ProbValue::Estimate(e)) => o.estimate = Some(e),
-                                None => {}
-                            }
-                            o
-                        });
-                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
-                });
-            }
-        });
+        let outcomes = set
+            .iter()
+            .zip(&keys)
+            .map(|(s, key)| {
+                let value = self.probability_value_resolved(key, method)?;
+                // Impossible conditions satisfy no bound; interval
+                // judgements straddling the bound stay undecided (`None`).
+                let holds = match (&judgement, &value) {
+                    (Some((op, bound)), Some(v)) => v.judge(*op, *bound),
+                    (Some(_), None) => Some(false),
+                    (None, _) => None,
+                };
+                let mut o = ProbOutcome {
+                    label: s.name().map(str::to_string),
+                    bindings: s.bindings_string(),
+                    probability: None,
+                    interval: None,
+                    estimate: None,
+                    holds,
+                };
+                match value {
+                    Some(ProbValue::Exact(p)) => o.probability = Some(p),
+                    Some(ProbValue::Interval(iv)) => o.interval = Some(iv),
+                    Some(ProbValue::Estimate(e)) => o.estimate = Some(e),
+                    None => {}
+                }
+                Ok(o)
+            })
+            .collect::<Result<Vec<_>, BflError>>()?;
 
         let fresh1 = memo_len(&self.prob_memo.lock().unwrap_or_else(|e| e.into_inner()));
         let stats = ProbSweepStats {
-            scenarios: n,
-            workers,
+            scenarios: set.len(),
             memo_hits: self.prob_hits.load(Ordering::Relaxed) - hits0,
             memo_misses: self.prob_misses.load(Ordering::Relaxed) - misses0,
             fresh_nodes: fresh1.saturating_sub(fresh0),
         };
-        let mut outcomes = Vec::with_capacity(n);
-        for (i, slot) in slots.into_iter().enumerate() {
-            outcomes.push(
-                slot.into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .ok_or_else(|| BflError::Internal {
-                        context: format!(
-                            "probability sweep worker left scenario {i} of `{}` unfilled",
-                            self.source
-                        ),
-                    })??,
-            );
-        }
         Ok(ProbSweepReport {
             query: self.source.clone(),
             method,
@@ -1802,10 +1634,6 @@ fn truncate(s: &str) -> String {
 pub struct SweepStats {
     /// Number of scenarios evaluated.
     pub scenarios: usize,
-    /// Number of `std::thread::scope` workers spawned (fresh restrictions
-    /// still serialise on the session's shared BDD manager; see
-    /// [`PreparedQuery::sweep`]).
-    pub workers: usize,
     /// Evaluations answered from the scenario memo.
     pub memo_hits: u64,
     /// Evaluations that computed a fresh restriction.
@@ -1875,8 +1703,8 @@ impl SweepReport {
         out.push_str(&format!("],\"totals\":{}", json_stats(&self.totals)));
         let s = &self.stats;
         out.push_str(&format!(
-            ",\"sweep\":{{\"scenarios\":{},\"workers\":{},\"memo_hits\":{},\"memo_misses\":{},\"translation_misses\":{},\"arena_before\":{},\"arena_after\":{}}}",
-            s.scenarios, s.workers, s.memo_hits, s.memo_misses, s.translation_misses,
+            ",\"sweep\":{{\"scenarios\":{},\"memo_hits\":{},\"memo_misses\":{},\"translation_misses\":{},\"arena_before\":{},\"arena_after\":{}}}",
+            s.scenarios, s.memo_hits, s.memo_misses, s.translation_misses,
             s.arena_before, s.arena_after
         ));
         out.push('}');
@@ -1888,8 +1716,8 @@ impl fmt::Display for SweepReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "sweep `{}` over {} scenarios ({} workers)",
-            self.query, self.stats.scenarios, self.stats.workers
+            "sweep `{}` over {} scenarios",
+            self.query, self.stats.scenarios
         )?;
         let failed_names = |v: &StatusVector| v.failed_names(&self.tree).join(", ");
         for o in &self.outcomes {
@@ -1970,8 +1798,6 @@ impl ProbOutcome {
 pub struct ProbSweepStats {
     /// Number of scenarios evaluated.
     pub scenarios: usize,
-    /// Number of `std::thread::scope` workers spawned.
-    pub workers: usize,
     /// Scenarios answered from the scenario memo (pure lookups — a warm
     /// sweep is all hits).
     pub memo_hits: u64,
@@ -2036,8 +1862,8 @@ impl ProbSweepReport {
         }
         let s = &self.stats;
         out.push_str(&format!(
-            "],\"sweep\":{{\"scenarios\":{},\"workers\":{},\"memo_hits\":{},\"memo_misses\":{},\"fresh_nodes\":{}}}",
-            s.scenarios, s.workers, s.memo_hits, s.memo_misses, s.fresh_nodes
+            "],\"sweep\":{{\"scenarios\":{},\"memo_hits\":{},\"memo_misses\":{},\"fresh_nodes\":{}}}",
+            s.scenarios, s.memo_hits, s.memo_misses, s.fresh_nodes
         ));
         out.push('}');
         out
@@ -2048,8 +1874,8 @@ impl fmt::Display for ProbSweepReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "probability sweep `{}` over {} scenarios ({} workers, method {})",
-            self.query, self.stats.scenarios, self.stats.workers, self.method
+            "probability sweep `{}` over {} scenarios (method {})",
+            self.query, self.stats.scenarios, self.method
         )?;
         for o in &self.outcomes {
             let verdict = match o.holds {

@@ -17,45 +17,12 @@
 //! sweep.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use bfl_bdd::{Bdd, GcStats, Manager, SiftOptions, SiftStats, Var};
 
 use crate::model::{ElementId, FaultTree, GateType};
-use crate::modules;
 use crate::order::VariableOrdering;
 use crate::status::StatusVector;
-
-/// Statistics of one module compiled by [`TreeBdd::compile_parallel`].
-#[derive(Debug, Clone)]
-pub struct ModuleCompileStat {
-    /// The module's root gate.
-    pub root: ElementId,
-    /// Elements in the module's cone (root included).
-    pub cone: usize,
-    /// Reachable BDD nodes of the module root's diagram (terminals
-    /// included), measured in the worker arena before stitching.
-    pub nodes: usize,
-    /// Worker-side compile time for this module, in microseconds.
-    pub micros: u64,
-    /// Index of the worker that compiled it.
-    pub worker: usize,
-}
-
-/// Statistics returned by [`TreeBdd::compile_parallel`].
-#[derive(Debug, Clone)]
-pub struct ParallelCompileStats {
-    /// Worker threads actually used (1 on the sequential fallback).
-    pub workers: usize,
-    /// Independent modules that met the cone-size threshold.
-    pub modules_detected: usize,
-    /// Per-module compile statistics, in module discovery order.
-    pub modules: Vec<ModuleCompileStat>,
-    /// Time spent importing worker diagrams into the parent arena, µs.
-    pub stitch_micros: u64,
-    /// End-to-end wall-clock of the whole compile, µs.
-    pub total_micros: u64,
-}
 
 /// A fault tree compiled to BDDs: one diagram per element, sharing one
 /// manager.
@@ -237,158 +204,6 @@ impl TreeBdd {
             self.cache.insert(x.index() as u32, b);
         }
         self.cache[&(e.index() as u32)]
-    }
-
-    /// Compiles the whole tree, farming independent modules out to
-    /// `workers` threads.
-    ///
-    /// The tree's *maximal proper modules* (per
-    /// [`modules::top_modules`]) partition into per-worker batches by
-    /// longest-processing-time order; each worker compiles its batch in a
-    /// private arena over **the same variable order**, and the resulting
-    /// diagrams are stitched into this manager with
-    /// [`Manager::import_many`]. Because ROBDDs are canonical per order,
-    /// the stitched diagrams are node-for-node identical to a sequential
-    /// [`TreeBdd::element_bdd`] compile — parallelism is a construction
-    /// strategy, not a semantics change. The remainder of the tree (the
-    /// spine above the modules) compiles sequentially on the caller
-    /// thread, reusing the stitched module diagrams from the cache.
-    ///
-    /// With `workers <= 1`, or fewer than two sizeable modules, this
-    /// falls back to the sequential compile (same result, `workers: 1`
-    /// in the stats).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tree` is not the tree this `TreeBdd` was created for.
-    pub fn compile_parallel(&mut self, tree: &FaultTree, workers: usize) -> ParallelCompileStats {
-        assert_eq!(
-            tree.len(),
-            self.tree_len,
-            "TreeBdd used with a different tree"
-        );
-        // Below this cone size the thread hand-off costs more than the
-        // compile; such modules ride along with the sequential spine.
-        const MIN_CONE: usize = 16;
-        let start = Instant::now();
-        let candidates: Vec<ElementId> = modules::top_modules(tree, MIN_CONE)
-            .into_iter()
-            .filter(|m| !self.cache.contains_key(&(m.index() as u32)))
-            .collect();
-        if workers <= 1 || candidates.len() < 2 {
-            let modules_detected = candidates.len();
-            self.element_bdd(tree, tree.top());
-            return ParallelCompileStats {
-                workers: 1,
-                modules_detected,
-                modules: Vec::new(),
-                stitch_micros: 0,
-                total_micros: start.elapsed().as_micros() as u64,
-            };
-        }
-
-        // Longest-processing-time partition: largest cones first, each to
-        // the currently least-loaded worker.
-        let cones: Vec<usize> = candidates
-            .iter()
-            .map(|&m| modules::cone(tree, m).len())
-            .collect();
-        let nworkers = workers.min(candidates.len());
-        let mut by_size: Vec<usize> = (0..candidates.len()).collect();
-        by_size.sort_by_key(|&i| std::cmp::Reverse(cones[i]));
-        let mut batches: Vec<Vec<ElementId>> = vec![Vec::new(); nworkers];
-        let mut load = vec![0usize; nworkers];
-        for i in by_size {
-            let w = (0..nworkers)
-                .min_by_key(|&w| load[w])
-                .unwrap_or_else(|| unreachable!("nonempty"));
-            batches[w].push(candidates[i]);
-            load[w] += cones[i];
-        }
-
-        // Per-worker compiles in private arenas, same variable order.
-        let order = self.order.clone();
-        type WorkerOut = (TreeBdd, Vec<(ElementId, usize, u64)>);
-        let results: Vec<WorkerOut> = std::thread::scope(|s| {
-            let handles: Vec<_> = batches
-                .iter()
-                .map(|batch| {
-                    let order = order.clone();
-                    s.spawn(move || {
-                        let mut wtb = TreeBdd::with_order(tree, order);
-                        let mut per_module = Vec::with_capacity(batch.len());
-                        for &root in batch {
-                            let t0 = Instant::now();
-                            let f = wtb.element_bdd(tree, root);
-                            let micros = t0.elapsed().as_micros() as u64;
-                            per_module.push((root, wtb.manager().node_count(f), micros));
-                        }
-                        (wtb, per_module)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|_| unreachable!("module compile worker panicked"))
-                })
-                .collect()
-        });
-
-        // Stitch: import every worker's cached element translation into
-        // the parent arena. Module cones are disjoint, so entries never
-        // collide across workers; hash-consing deduplicates any shared
-        // structure anyway.
-        let stitch_start = Instant::now();
-        let mut module_stats = Vec::with_capacity(candidates.len());
-        for (w, (wtb, per_module)) in results.iter().enumerate() {
-            let mut entries: Vec<(u32, Bdd)> = wtb.cache.iter().map(|(&k, &b)| (k, b)).collect();
-            entries.sort_unstable_by_key(|&(k, _)| k);
-            let roots: Vec<Bdd> = entries.iter().map(|&(_, b)| b).collect();
-            let imported = self.manager.import_many(wtb.manager(), &roots);
-            for (&(k, _), &b) in entries.iter().zip(&imported) {
-                self.cache.insert(k, b);
-            }
-            for &(root, nodes, micros) in per_module {
-                let cone = cones[candidates
-                    .iter()
-                    .position(|&c| c == root)
-                    .unwrap_or_else(|| unreachable!("candidate"))];
-                module_stats.push(ModuleCompileStat {
-                    root,
-                    cone,
-                    nodes,
-                    micros,
-                    worker: w,
-                });
-            }
-        }
-        let stitch_micros = stitch_start.elapsed().as_micros() as u64;
-        module_stats.sort_by_key(|m| m.root.index());
-
-        // The spine above the modules compiles sequentially, hitting the
-        // freshly stitched cache at every module root.
-        self.element_bdd(tree, tree.top());
-        // The stitched arena must satisfy every invariant the workers'
-        // private arenas did: canonical unique table, sound caches,
-        // children below parents (debug builds only — `audit` walks the
-        // whole arena).
-        #[cfg(debug_assertions)]
-        {
-            let report = self.manager.audit();
-            assert!(
-                report.is_ok(),
-                "post-parallel-compile arena audit failed: {report}"
-            );
-        }
-        ParallelCompileStats {
-            workers: nworkers,
-            modules_detected: candidates.len(),
-            modules: module_stats,
-            stitch_micros,
-            total_micros: start.elapsed().as_micros() as u64,
-        }
     }
 
     /// Evaluates a BDD under a status vector (basic-index aligned).
@@ -746,63 +561,6 @@ mod tests {
         let stats = tb.sift();
         tb.collect_garbage();
         assert_eq!(tb.manager().arena_size(), stats.live_after);
-    }
-
-    #[test]
-    fn parallel_compile_is_node_for_node_sequential() {
-        let tree = crate::generator::industrial_tree(&crate::generator::IndustrialConfig {
-            num_basic: 300,
-            num_modules: 6,
-            ..Default::default()
-        });
-        let mut seq = TreeBdd::new(&tree, VariableOrdering::DfsPreorder);
-        let _ = seq.element_bdd(&tree, tree.top());
-        for workers in [1, 2, 4] {
-            let mut par = TreeBdd::new(&tree, VariableOrdering::DfsPreorder);
-            let stats = par.compile_parallel(&tree, workers);
-            assert!(stats.workers >= 1);
-            if workers >= 2 {
-                assert!(stats.modules_detected >= 2, "corpus tree has modules");
-                assert_eq!(stats.modules.len(), stats.modules_detected);
-            }
-            for e in tree.iter() {
-                let fs = seq.element_bdd(&tree, e);
-                let fp = par.element_bdd(&tree, e);
-                assert_eq!(
-                    seq.manager().node_count(fs),
-                    par.manager().node_count(fp),
-                    "node count of {} with {workers} workers",
-                    tree.name(e)
-                );
-            }
-            // Spot-check semantics on random vectors.
-            let top_s = seq.element_bdd(&tree, tree.top());
-            let top_p = par.element_bdd(&tree, tree.top());
-            for seed in 0..20u64 {
-                let bits: Vec<bool> = (0..tree.num_basic_events())
-                    .map(|i| (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (i % 61)) & 1 == 1)
-                    .collect();
-                let b = StatusVector::from_bits(bits);
-                assert_eq!(
-                    seq.eval_vector(&tree, top_s, &b),
-                    par.eval_vector(&tree, top_p, &b)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_compile_falls_back_without_modules() {
-        // covid has no proper modules of cone >= 16: sequential fallback.
-        let tree = corpus::covid();
-        let mut tb = TreeBdd::new(&tree, VariableOrdering::DfsPreorder);
-        let stats = tb.compile_parallel(&tree, 4);
-        assert_eq!(stats.workers, 1);
-        assert!(stats.modules.is_empty());
-        let top = tb.element_bdd(&tree, tree.top());
-        let mut seq = TreeBdd::new(&tree, VariableOrdering::DfsPreorder);
-        let tops = seq.element_bdd(&tree, tree.top());
-        assert_eq!(tb.manager().node_count(top), seq.manager().node_count(tops));
     }
 
     #[test]

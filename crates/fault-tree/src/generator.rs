@@ -10,9 +10,9 @@
 //!   trees in the style of the "BDDs Strike Back" corpus: a configurable
 //!   number of *independent modules* built bottom-up in layers, with
 //!   tunable fan-in, AND/OR mix, VOT density, intra-module DAG sharing
-//!   and log-uniform probability annotations. The module structure is by
-//!   construction what `modules::top_modules` detects, which makes these
-//!   trees the natural corpus for parallel (per-module) BDD compilation.
+//!   and log-uniform probability annotations. By construction every
+//!   module root is a module in the sense of [`crate::modules`], which
+//!   makes these trees the corpus for modular decomposition.
 
 // The generators mint their own `g{i}`/`b{i}` names from counters, so
 // every builder insert is fresh and every `expect` documents an

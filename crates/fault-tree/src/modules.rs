@@ -5,11 +5,7 @@
 //! (Dutuit & Rauzy, 1996): a module can be analysed in isolation and its
 //! result substituted as a virtual basic event. They also connect to the
 //! paper's `IDP` operator — a module is independent (shares no
-//! influencing basic events) of every disjoint part of the tree — and
-//! they are the unit of parallel BDD construction
-//! ([`bdd::TreeBdd::compile_parallel`](crate::bdd::TreeBdd::compile_parallel)):
-//! disjoint modules compile into per-worker arenas and stitch back into
-//! the parent diagram.
+//! influencing basic events) of every disjoint part of the tree.
 //!
 //! Detection runs the Dutuit–Rauzy linear-time algorithm: one DFS from
 //! the top stamps every element with its first visit, last visit and
@@ -165,68 +161,6 @@ pub fn is_module(tree: &FaultTree, gate: ElementId) -> bool {
     Decomposition::new(tree).is_module(gate)
 }
 
-/// The *maximal proper* modules of `tree` with at least `min_cone`
-/// elements in their cone (the module root included): every returned
-/// gate is a module, none is the top, none is contained in another
-/// returned module, and their cones are pairwise disjoint — the work
-/// units of parallel construction.
-///
-/// Modules form a laminar family (two modules are nested or disjoint),
-/// so greedily taking outermost modules in DFS-discovery order yields
-/// the unique maximal antichain.
-pub fn top_modules(tree: &FaultTree, min_cone: usize) -> Vec<ElementId> {
-    let d = Decomposition::new(tree);
-    let mut covered = vec![false; tree.len()];
-    covered[tree.top().index()] = true;
-    // Gates in ascending first-visit order: outermost candidates first.
-    let mut gates: Vec<ElementId> = tree.gates().filter(|&g| d.first[g.index()] > 0).collect();
-    gates.sort_by_key(|&g| d.first[g.index()]);
-    let mut out = Vec::new();
-    for g in gates {
-        if covered[g.index()] || !d.is_module(g) {
-            continue;
-        }
-        let cone = cone_size_and_mark(tree, g, &mut covered);
-        if cone >= min_cone {
-            out.push(g);
-        }
-    }
-    out.sort_by_key(|&g| g.index());
-    out
-}
-
-/// Number of elements in the cone rooted at `g` (inclusive), marking
-/// every one as covered.
-fn cone_size_and_mark(tree: &FaultTree, g: ElementId, covered: &mut [bool]) -> usize {
-    let mut count = 0usize;
-    let mut stack = vec![g];
-    while let Some(x) = stack.pop() {
-        if covered[x.index()] {
-            continue;
-        }
-        covered[x.index()] = true;
-        count += 1;
-        stack.extend(tree.children(x).iter().copied());
-    }
-    count
-}
-
-/// All elements of the cone rooted at `g`, the root included.
-pub fn cone(tree: &FaultTree, g: ElementId) -> Vec<ElementId> {
-    let mut seen = vec![false; tree.len()];
-    let mut out = Vec::new();
-    let mut stack = vec![g];
-    while let Some(x) = stack.pop() {
-        if seen[x.index()] {
-            continue;
-        }
-        seen[x.index()] = true;
-        out.push(x);
-        stack.extend(tree.children(x).iter().copied());
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,26 +276,6 @@ mod tests {
                     tree.name(g),
                     tree.name(tree.top())
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn top_modules_are_disjoint_and_maximal() {
-        let tree = corpus::pressure_tank();
-        // Every gate is a module; the maximal proper ones are the direct
-        // children of the top that are gates.
-        let tops = top_modules(&tree, 1);
-        let top_names = names(&tree, &tops);
-        assert_eq!(top_names, vec!["Overpressure"]);
-        // Cones of returned modules never overlap.
-        let covid = corpus::covid();
-        let tops = top_modules(&covid, 1);
-        let mut seen = vec![false; covid.len()];
-        for &m in &tops {
-            for e in cone(&covid, m) {
-                assert!(!seen[e.index()], "overlapping cones at {}", covid.name(e));
-                seen[e.index()] = true;
             }
         }
     }

@@ -17,6 +17,8 @@ use std::sync::Barrier;
 use bfl_fault_tree::{corpus, galileo, StatusVector};
 use bfl_server::{Client, ErrorCode, Response, ResponseBody, Server, ServerConfig, ServerHandle};
 
+mod support;
+
 const MODEL: &str = "toplevel T;\nT and A B;\nA prob=0.1;\nB prob=0.2;\n";
 
 fn start_server(workers: usize, queue: usize) -> ServerHandle {
@@ -189,65 +191,66 @@ fn unload_during_in_flight_sweep_completes_safely() {
 
 #[test]
 fn full_queue_answers_busy_instead_of_buffering() {
-    // One worker, one queue slot: occupy the worker with a slow sweep,
-    // fill the slot, and watch backpressure answer immediately.
-    let handle = start_server(1, 1);
+    // One worker, one queue slot. A gate sweep holds the worker, so the
+    // queue's state is known exactly: the first request of a burst
+    // takes the free slot and every later one bounces.
+    let handle = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        queue_capacity: 1,
+        write_high_water: 64 << 10,
+        ..ServerConfig::default()
+    })
+    .expect("binds");
     let addr = handle.addr();
     let mut setup = Client::connect(addr).expect("connects");
-    let session = setup.load(MODEL).expect("loads");
-    let plan = setup.prepare(&session, "exists MCS(T)").expect("prepares");
+    let (session, plan) = support::gate_session(&mut setup);
+    // The queue is empty (setup's requests were all answered), so the
+    // gate sweep is accepted.
+    let gate = support::WorkerGate::hold(addr, &session, &plan).expect("gate admitted");
 
-    let scenarios: String = (0..2000)
-        .map(|i| format!("s{i}: A = {}, B = {}\n", i % 2, (i / 2) % 2))
-        .collect();
     let mut stream = TcpStream::connect(addr).expect("connects");
     stream.set_nodelay(true).expect("nodelay");
-    let sweep = format!(
-        "{{\"id\":1,\"op\":\"sweep\",\"session\":{},\"plan\":{},\"scenarios\":{}}}\n",
-        bfl_core::report::json_str(&session),
-        bfl_core::report::json_str(&plan),
-        bfl_core::report::json_str(&scenarios)
-    );
-    // Pipeline: the sweep occupies the worker, then a burst of stats
-    // requests — the first fills the queue slot, the rest must bounce.
     let burst: String = (2..8)
         .map(|i| format!("{{\"id\":{i},\"op\":\"stats\"}}\n"))
         .collect();
-    stream.write_all(sweep.as_bytes()).expect("write");
     stream.write_all(burst.as_bytes()).expect("write");
     stream.flush().expect("flush");
 
+    // The bounces come back at once, while the worker is still held.
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut ok = 0usize;
-    let mut busy = 0usize;
-    let mut seen_ids = Vec::new();
-    for _ in 0..7 {
+    let mut read_response = || {
         let mut line = String::new();
         reader.read_line(&mut line).expect("read");
-        let response = Response::parse(line.trim_end()).expect("parses");
-        seen_ids.push(response.id.expect("echoed id"));
+        Response::parse(line.trim_end()).expect("parses")
+    };
+    let mut busy_ids = Vec::new();
+    for _ in 3..8 {
+        let response = read_response();
         match response.body {
-            ResponseBody::Result(_) => ok += 1,
-            ResponseBody::Error { code, .. } => {
-                assert_eq!(code, ErrorCode::Busy, "{line}");
-                busy += 1;
-            }
+            ResponseBody::Error { code, .. } => assert_eq!(code, ErrorCode::Busy),
+            ResponseBody::Result(r) => panic!("served while the worker is held: {r}"),
         }
+        busy_ids.push(response.id.expect("echoed id"));
     }
-    // No response lost, and the bounded queue pushed back at least once.
-    seen_ids.sort_unstable();
-    assert_eq!(seen_ids, (1..=7).collect::<Vec<u64>>());
-    assert!(busy >= 1, "expected backpressure (ok {ok}, busy {busy})");
-    assert!(ok >= 2, "the sweep and at least one stats must run");
+    busy_ids.sort_unstable();
+    assert_eq!(busy_ids, (3..8).collect::<Vec<u64>>(), "lost responses");
+
+    // Draining the gate frees the worker, which then serves the request
+    // queued behind it.
+    gate.release();
+    let queued = read_response();
+    assert_eq!(queued.id, Some(2));
+    assert!(queued.is_ok(), "the queued request must be served");
 
     // After the storm the connection still serves.
-    let mut line = String::new();
     stream
         .write_all(b"{\"id\":99,\"op\":\"stats\"}\n")
         .expect("write");
     stream.flush().expect("flush");
-    reader.read_line(&mut line).expect("read");
-    assert!(Response::parse(line.trim_end()).expect("parses").is_ok());
+    let after = read_response();
+    assert_eq!(after.id, Some(99));
+    assert!(after.is_ok());
     handle.shutdown();
 }
 
@@ -418,6 +421,45 @@ fn cause_on_a_scaled_tree_reports_the_exact_model_count() {
         reference.total,
         "server and engine agree"
     );
+    client.unload(&session).expect("unloads");
+    handle.shutdown();
+}
+
+#[test]
+fn scaled_tree_witnesses_at_the_default_limit_keep_the_session() {
+    // `exists top` on a 1000-event tree at the default witness limit:
+    // every BDD path leaves hundreds of don't-care events, and the
+    // bounded witness list must still come back as an ok answer with
+    // the session left loaded.
+    let model = corpus::scaled_model(1_000);
+    let text = galileo::to_galileo(&model.tree, Some(&model.probabilities));
+    let handle = start_server(1, 16);
+    let mut client = Client::connect(handle.addr()).expect("connects");
+    let session = client.load(&text).expect("loads the scaled model");
+    let plan = client.prepare(&session, "exists top").expect("prepares");
+    let outcome = client.eval(&session, &plan, "").expect("evals");
+    assert_eq!(outcome.get("holds").and_then(|v| v.as_bool()), Some(true));
+    let witnesses = outcome
+        .get("witnesses")
+        .and_then(|w| w.as_array())
+        .expect("witnesses");
+    assert!((1..=3).contains(&witnesses.len()), "{outcome}");
+    for w in witnesses {
+        let failed: Vec<&str> = w
+            .as_array()
+            .expect("witness")
+            .iter()
+            .map(|n| n.as_str().expect("event name"))
+            .collect();
+        let vector = StatusVector::from_failed_names(&model.tree, &failed);
+        assert!(model.tree.evaluate(&vector, model.tree.top()), "{failed:?}");
+    }
+    // The session is still loaded and answers.
+    let p = client
+        .prob_plan(&session, &plan, None)
+        .expect("prob")
+        .expect("defined");
+    assert!(p > 0.0 && p <= 1.0, "{p}");
     client.unload(&session).expect("unloads");
     handle.shutdown();
 }

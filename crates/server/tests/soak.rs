@@ -16,6 +16,8 @@ use std::time::Duration;
 use bfl_core::report::json_str;
 use bfl_server::{Client, ErrorCode, Response, ResponseBody, Server, ServerConfig, ServerHandle};
 
+mod support;
+
 const MODEL: &str = "toplevel T;\nT and A B;\nA prob=0.1;\nB prob=0.2;\n";
 
 fn start_server(config: ServerConfig) -> ServerHandle {
@@ -173,66 +175,91 @@ fn lru_eviction_is_observable_over_the_wire() {
 
 #[test]
 fn session_inflight_cap_answers_busy_at_admission() {
-    // One slot per session: a pipelined burst of slow sweeps on one
-    // session must get exactly its admitted share served and the rest
-    // bounced with `busy` — before they ever touch the worker queue.
+    // One slot per session. A gate sweep holds the session's slot (its
+    // worker cannot finish until the gate is drained), so a pipelined
+    // burst on that session bounces with `busy` at admission, before it
+    // ever touches the worker queue, even though a second worker is idle.
     let handle = start_server(ServerConfig {
         workers: 2,
         shards: 1,
         queue_capacity: 256,
         session_inflight: Some(1),
+        write_high_water: 64 << 10,
         ..ServerConfig::default()
     });
     let addr = handle.addr();
     let mut setup = Client::connect(addr).expect("connects");
-    let session = setup.load(MODEL).expect("loads");
-    let plan = setup.prepare(&session, "exists MCS(T)").expect("prepares");
+    let (session, plan) = support::gate_session(&mut setup);
+    let admission_rejects = |client: &mut Client| {
+        let stats = client.stats(None).expect("stats");
+        stats
+            .get("counters")
+            .and_then(|c| c.get("admission_rejects"))
+            .and_then(|v| v.as_u64())
+            .expect("counter") as usize
+    };
+    // A job frees its slot just after its answer is buffered, so a
+    // request sent right after an answer may still find the slot taken.
+    let mut retries = 0usize;
+    let gate = loop {
+        match support::WorkerGate::hold(addr, &session, &plan) {
+            Ok(gate) => break gate,
+            Err(code) => {
+                assert_eq!(code, ErrorCode::Busy);
+                retries += 1;
+                assert!(retries < 1_000, "the session's slot never freed");
+            }
+        }
+    };
 
-    let scenarios: String = (0..2000)
-        .map(|i| format!("s{i}: A = {}, B = {}\n", i % 2, (i / 2) % 2))
-        .collect();
-    let burst: String = (1..=8)
-        .map(|i| {
-            format!(
-                "{{\"id\":{i},\"op\":\"sweep\",\"session\":{},\"plan\":{},\"scenarios\":{}}}\n",
-                json_str(&session),
-                json_str(&plan),
-                json_str(&scenarios)
-            )
-        })
-        .collect();
+    let sweep = |id: u64| {
+        format!(
+            "{{\"id\":{id},\"op\":\"sweep\",\"session\":{},\"plan\":{},\"scenarios\":\"s0:\\n\"}}\n",
+            json_str(&session),
+            json_str(&plan)
+        )
+    };
+    let burst: String = (1..=8).map(sweep).collect();
     let mut stream = TcpStream::connect(addr).expect("connects");
     stream.set_nodelay(true).expect("nodelay");
     stream.write_all(burst.as_bytes()).expect("write");
     stream.flush().expect("flush");
 
-    let mut reader = BufReader::new(stream);
-    let (mut ok, mut busy) = (0usize, 0usize);
-    let mut seen_ids = Vec::new();
-    for _ in 0..8 {
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut read_response = || {
         let mut line = String::new();
         reader.read_line(&mut line).expect("read");
-        let response = Response::parse(line.trim_end()).expect("parses");
-        seen_ids.push(response.id.expect("echoed id"));
+        Response::parse(line.trim_end()).expect("parses")
+    };
+    let mut seen_ids = Vec::new();
+    for _ in 0..8 {
+        let response = read_response();
         match response.body {
-            ResponseBody::Result(_) => ok += 1,
-            ResponseBody::Error { code, .. } => {
-                assert_eq!(code, ErrorCode::Busy, "{line}");
-                busy += 1;
-            }
+            ResponseBody::Error { code, .. } => assert_eq!(code, ErrorCode::Busy),
+            ResponseBody::Result(_) => panic!("admitted past the session's cap"),
         }
+        seen_ids.push(response.id.expect("echoed id"));
     }
     seen_ids.sort_unstable();
     assert_eq!(seen_ids, (1..=8).collect::<Vec<u64>>(), "lost responses");
-    assert!(ok >= 1, "at least the first sweep is admitted");
-    assert!(busy >= 1, "the cap must bounce part of the burst");
-    let stats = setup.stats(None).expect("stats");
-    let rejects = stats
-        .get("counters")
-        .and_then(|c| c.get("admission_rejects"))
-        .and_then(|v| v.as_u64())
-        .expect("counter");
-    assert_eq!(rejects as usize, busy, "{stats}");
+    // Every bounce was an admission reject: none reached the queue.
+    assert_eq!(admission_rejects(&mut setup), retries + 8);
+
+    // Once the gate drains, the slot frees and the session serves again.
+    gate.release();
+    let mut id = 9;
+    loop {
+        stream.write_all(sweep(id).as_bytes()).expect("write");
+        stream.flush().expect("flush");
+        let response = read_response();
+        assert_eq!(response.id, Some(id));
+        match response.body {
+            ResponseBody::Result(_) => break,
+            ResponseBody::Error { code, .. } => assert_eq!(code, ErrorCode::Busy),
+        }
+        id += 1;
+        assert!(id < 1_009, "the session's slot never freed");
+    }
     handle.shutdown();
 }
 

@@ -75,8 +75,8 @@ pub mod prelude {
     };
     pub use bfl_core::parser::{parse_formula, parse_query, parse_spec};
     pub use bfl_core::plan::{
-        ConstructionReport, ModuleReport, Plan, PreparedQuery, PreparedStats, ProbOutcome,
-        ProbSweepReport, ProbSweepStats, SweepReport, SweepStats,
+        Plan, PreparedQuery, PreparedStats, ProbOutcome, ProbSweepReport, ProbSweepStats,
+        SweepReport, SweepStats,
     };
     pub use bfl_core::quant::{EventImportance, ProbQuery};
     pub use bfl_core::report::{EvalStats, Outcome, Report, Spec, SpecItem, SpecKind};
