@@ -54,7 +54,7 @@
 //! let f = m.or(x, y);
 //!
 //! assert!(m.eval(f, |v| v == Var(1)));
-//! assert_eq!(m.sat_count(f, 2), 3); // 01, 10, 11
+//! assert_eq!(m.sat_count(f, 2), Some(3)); // 01, 10, 11
 //! ```
 
 #![forbid(unsafe_code)]

@@ -140,7 +140,7 @@ impl Manager {
     /// let a = m.var(Var(0));
     /// let b = m.var(Var(1));
     /// let ab = m.and(a, b);
-    /// assert_eq!(m.sat_count(ab, 2), 1);
+    /// assert_eq!(m.sat_count(ab, 2), Some(1));
     /// assert_eq!(m.and(ab, a), ab); // absorption, for free via canonicity
     /// ```
     pub fn and(&mut self, f: Bdd, g: Bdd) -> Bdd {
@@ -157,7 +157,7 @@ impl Manager {
     /// let a = m.var(Var(0));
     /// let b = m.var(Var(1));
     /// let f = m.or(a, b);
-    /// assert_eq!(m.sat_count(f, 2), 3); // 01, 10, 11
+    /// assert_eq!(m.sat_count(f, 2), Some(3)); // 01, 10, 11
     /// ```
     pub fn or(&mut self, f: Bdd, g: Bdd) -> Bdd {
         self.apply(Op::Or, f, g)

@@ -450,7 +450,7 @@ mod tests {
         let f = m.and(a, c);
         let g = m.restrict(f, Var(2), true);
         assert_eq!(g, a);
-        assert_eq!(m.sat_count(f, 3), 2);
+        assert_eq!(m.sat_count(f, 3), Some(2));
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl Manager {
     }
 
     /// Number of satisfying assignments of `f` over the variable universe
-    /// `Var(0) .. Var(num_vars)`.
+    /// `Var(0) .. Var(num_vars)`, or `None` when it exceeds `u128::MAX`.
     ///
     /// The count is a property of the represented *function*: it does not
     /// change when the variable order does (e.g. after
@@ -83,32 +83,36 @@ impl Manager {
     /// # Panics
     ///
     /// Panics if `num_vars` is smaller than a variable in the support of
-    /// `f`, or if the count overflows `u128`.
-    pub fn sat_count(&self, f: Bdd, num_vars: u32) -> u128 {
+    /// `f`.
+    pub fn sat_count(&self, f: Bdd, num_vars: u32) -> Option<u128> {
         let universe: Vec<Var> = (0..num_vars).map(Var).collect();
         self.sat_count_over(f, &universe)
     }
 
     /// Number of satisfying assignments of `f` over an explicit variable
-    /// `universe` (strictly ascending variable ids). Unlike
-    /// [`Manager::sat_count`], variables outside the universe are ignored
-    /// entirely, so managers hosting auxiliary (e.g. primed) variables can
-    /// count over just their primary variables.
+    /// `universe` (strictly ascending variable ids), or `None` when it
+    /// exceeds `u128::MAX`. Unlike [`Manager::sat_count`], variables
+    /// outside the universe are ignored entirely, so managers hosting
+    /// auxiliary (e.g. primed) variables can count over just their
+    /// primary variables.
     ///
     /// The walk follows the *current* variable order internally, so the
     /// count stays correct after dynamic reordering.
     ///
     /// # Panics
     ///
-    /// Panics if the support of `f` is not contained in `universe`, if
-    /// `universe` is not strictly ascending, or on `u128` overflow.
-    pub fn sat_count_over(&self, f: Bdd, universe: &[Var]) -> u128 {
+    /// Panics if the support of `f` is not contained in `universe`, or if
+    /// `universe` is not strictly ascending.
+    pub fn sat_count_over(&self, f: Bdd, universe: &[Var]) -> Option<u128> {
         assert!(
             universe.windows(2).all(|w| w[0] < w[1]),
             "universe must be strictly ascending"
         );
         for v in self.support(f) {
-            assert!(universe.contains(&v), "support {v} outside universe");
+            assert!(
+                universe.binary_search(&v).is_ok(),
+                "support {v} outside universe"
+            );
         }
         // The recursion consumes the universe top level first; sort a copy
         // by the current order so the walk matches the diagram.
@@ -124,38 +128,34 @@ impl Manager {
         universe: &[Var],
         idx: usize,
         memo: &mut std::collections::HashMap<(u32, usize), u128>,
-    ) -> u128 {
+    ) -> Option<u128> {
         if f.is_false() {
-            return 0;
+            return Some(0);
         }
         let remaining = (universe.len() - idx) as u32;
         if f.is_true() {
-            return 1u128.checked_shl(remaining).unwrap_or_else(|| {
-                panic!("sat count overflow: universe wider than 128 variables")
-            });
+            return 1u128.checked_shl(remaining);
         }
         debug_assert!(idx < universe.len(), "support outside universe");
         if let Some(&c) = memo.get(&(f.id(), idx)) {
-            return c;
+            return Some(c);
         }
         let v = universe[idx];
         let node = self.node(f);
         let total = if node.var == v {
-            let lo = self.sat_count_over_rec(node.low, universe, idx + 1, memo);
-            let hi = self.sat_count_over_rec(node.high, universe, idx + 1, memo);
-            lo.checked_add(hi)
-                .unwrap_or_else(|| panic!("sat count overflow: universe wider than 128 variables"))
+            let lo = self.sat_count_over_rec(node.low, universe, idx + 1, memo)?;
+            let hi = self.sat_count_over_rec(node.high, universe, idx + 1, memo)?;
+            lo.checked_add(hi)?
         } else {
             debug_assert!(
                 self.level_of(node.var) > self.level_of(v),
                 "universe must cover the support in order"
             );
-            let sub = self.sat_count_over_rec(f, universe, idx + 1, memo);
-            sub.checked_mul(2)
-                .unwrap_or_else(|| panic!("sat count overflow: universe wider than 128 variables"))
+            self.sat_count_over_rec(f, universe, idx + 1, memo)?
+                .checked_mul(2)?
         };
         memo.insert((f.id(), idx), total);
-        total
+        Some(total)
     }
 
     /// Iterates over all satisfying *paths* of `f` (the classical `AllSat`).
@@ -177,16 +177,23 @@ impl Manager {
     ///
     /// Panics if the support of `f` is not contained in `vars`.
     pub fn sat_vectors<'a>(&'a self, f: Bdd, vars: &[Var]) -> SatVectors<'a> {
-        let support = self.support(f);
-        for v in &support {
+        // Variable id -> position in `vars`, so placing a decided
+        // variable costs O(1) instead of a scan of the universe.
+        let width = vars.iter().map(|v| v.index() as usize + 1).max();
+        let mut slot = vec![None; width.unwrap_or(0)];
+        for (i, v) in vars.iter().enumerate() {
+            slot[v.index() as usize] = Some(i);
+        }
+        for v in self.support(f) {
             assert!(
-                vars.contains(v),
+                slot.get(v.index() as usize).is_some_and(Option::is_some),
                 "support variable {v} missing from universe"
             );
         }
         SatVectors {
             paths: SatPaths::new(self, f),
-            vars: vars.to_vec(),
+            len: vars.len(),
+            slot,
             current: None,
         }
     }
@@ -194,18 +201,45 @@ impl Manager {
 
 /// Iterator over the satisfying paths of a BDD (see
 /// [`Manager::sat_paths`]).
+///
+/// A backtracking depth-first search over one shared path: every stack
+/// entry records the path length to cut back to and the decision to
+/// append, and `⊥` children are never pushed. `N` paths of depth `d`
+/// therefore cost `O(N·d)`, the copy of each yielded path included.
 #[derive(Debug)]
 pub struct SatPaths<'a> {
     manager: &'a Manager,
-    /// DFS stack of (node, path-so-far).
-    stack: Vec<(Bdd, SatPath)>,
+    /// The decisions from the root to the node being expanded.
+    path: SatPath,
+    /// Pending DFS steps, the next on top.
+    stack: Vec<Step>,
+}
+
+/// A pending step of the [`SatPaths`] search: cut the shared path back
+/// to `depth` decisions, append `decision` (absent only at the root) and
+/// visit `node`.
+#[derive(Debug)]
+struct Step {
+    node: Bdd,
+    depth: usize,
+    decision: Option<(Var, bool)>,
 }
 
 impl<'a> SatPaths<'a> {
     fn new(manager: &'a Manager, f: Bdd) -> Self {
+        let stack = if f.is_false() {
+            Vec::new()
+        } else {
+            vec![Step {
+                node: f,
+                depth: 0,
+                decision: None,
+            }]
+        };
         SatPaths {
             manager,
-            stack: vec![(f, Vec::new())],
+            path: Vec::new(),
+            stack,
         }
     }
 }
@@ -214,22 +248,25 @@ impl<'a> Iterator for SatPaths<'a> {
     type Item = SatPath;
 
     fn next(&mut self) -> Option<SatPath> {
-        while let Some((n, path)) = self.stack.pop() {
-            if n.is_false() {
-                continue;
+        while let Some(step) = self.stack.pop() {
+            self.path.truncate(step.depth);
+            self.path.extend(step.decision);
+            if step.node.is_true() {
+                return Some(self.path.clone());
             }
-            if n.is_true() {
-                return Some(path);
-            }
-            let node = self.manager.node(n);
+            let node = self.manager.node(step.node);
+            let depth = self.path.len();
             // Push high first so low-branch paths are yielded first
             // (lexicographic order with 0 < 1).
-            let mut high_path = path.clone();
-            high_path.push((node.var, true));
-            self.stack.push((node.high, high_path));
-            let mut low_path = path;
-            low_path.push((node.var, false));
-            self.stack.push((node.low, low_path));
+            for (child, value) in [(node.high, true), (node.low, false)] {
+                if !child.is_false() {
+                    self.stack.push(Step {
+                        node: child,
+                        depth,
+                        decision: Some((node.var, value)),
+                    });
+                }
+            }
         }
         None
     }
@@ -241,7 +278,10 @@ impl<'a> Iterator for SatPaths<'a> {
 #[derive(Debug)]
 pub struct SatVectors<'a> {
     paths: SatPaths<'a>,
-    vars: Vec<Var>,
+    /// Length of the universe (and of every yielded vector).
+    len: usize,
+    /// Variable id -> position in the universe.
+    slot: Vec<Option<usize>>,
     /// Expansion state for the current path.
     current: Option<Expansion>,
 }
@@ -281,15 +321,15 @@ impl<'a> Iterator for SatVectors<'a> {
                 self.current = None;
             }
             let path = self.paths.next()?;
-            let mut template = vec![false; self.vars.len()];
-            let mut fixed = vec![false; self.vars.len()];
+            let mut template = vec![false; self.len];
+            let mut fixed = vec![false; self.len];
             for (v, val) in path {
-                if let Some(idx) = self.vars.iter().position(|&u| u == v) {
+                if let Some(&Some(idx)) = self.slot.get(v.index() as usize) {
                     template[idx] = val;
                     fixed[idx] = true;
                 }
             }
-            let free: Vec<usize> = (0..self.vars.len()).filter(|&i| !fixed[i]).collect();
+            let free: Vec<usize> = (0..self.len).filter(|&i| !fixed[i]).collect();
             self.current = Some(Expansion {
                 next: Some(template),
                 free,
@@ -345,12 +385,23 @@ mod tests {
         let a = m.var(Var(0));
         let b = m.var(Var(1));
         let f = m.or(a, b);
-        assert_eq!(m.sat_count(f, 2), 3);
-        assert_eq!(m.sat_count(f, 3), 6);
-        assert_eq!(m.sat_count(m.top(), 3), 8);
-        assert_eq!(m.sat_count(m.bot(), 3), 0);
+        assert_eq!(m.sat_count(f, 2), Some(3));
+        assert_eq!(m.sat_count(f, 3), Some(6));
+        assert_eq!(m.sat_count(m.top(), 3), Some(8));
+        assert_eq!(m.sat_count(m.bot(), 3), Some(0));
         let lit = m.var(Var(2));
-        assert_eq!(m.sat_count(lit, 3), 4);
+        assert_eq!(m.sat_count(lit, 3), Some(4));
+    }
+
+    #[test]
+    fn sat_count_past_u128_is_none() {
+        let mut m = Manager::new(130);
+        assert_eq!(m.sat_count(m.top(), 127), Some(1u128 << 127));
+        assert_eq!(m.sat_count(m.top(), 128), None);
+        let a = m.var(Var(0));
+        assert_eq!(m.sat_count(a, 128), Some(1u128 << 127));
+        assert_eq!(m.sat_count(a, 129), None);
+        assert_eq!(m.sat_count(m.bot(), 130), Some(0));
     }
 
     #[test]

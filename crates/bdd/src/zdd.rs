@@ -79,8 +79,6 @@ struct ZNode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum ZOp {
     Union,
-    Intersection,
-    Difference,
     Product,
     NoSupersets,
 }
@@ -196,64 +194,6 @@ impl ZddManager {
         r
     }
 
-    /// Family intersection `a ∩ b`.
-    pub fn intersection(&mut self, a: Zdd, b: Zdd) -> Zdd {
-        if a == b {
-            return a;
-        }
-        if a.is_empty_family() || b.is_empty_family() {
-            return self.empty();
-        }
-        if a.is_unit_family() {
-            return if self.contains_empty(b) {
-                a
-            } else {
-                self.empty()
-            };
-        }
-        if b.is_unit_family() {
-            return if self.contains_empty(a) {
-                b
-            } else {
-                self.empty()
-            };
-        }
-        let (a, b) = if a.0 <= b.0 { (a, b) } else { (b, a) };
-        if let Some(r) = self.cached(ZOp::Intersection, a, b) {
-            return r;
-        }
-        let (top, (a0, a1), (b0, b1)) = self.align(a, b);
-        let lo = self.intersection(a0, b0);
-        let hi = self.intersection(a1, b1);
-        let r = self.mk(top, lo, hi);
-        self.put(ZOp::Intersection, a, b, r);
-        r
-    }
-
-    /// Family difference `a \ b`.
-    pub fn difference(&mut self, a: Zdd, b: Zdd) -> Zdd {
-        if a.is_empty_family() || a == b {
-            return self.empty();
-        }
-        if b.is_empty_family() {
-            return a;
-        }
-        if let Some(r) = self.cached(ZOp::Difference, a, b) {
-            return r;
-        }
-        let (top, (a0, a1), (b0, b1)) = self.align(a, b);
-        let r = if a1.is_empty_family() && self.level(a) > top.0 {
-            // `a` does not mention `top`: only b0 can intersect it.
-            self.difference(a0, b0)
-        } else {
-            let lo = self.difference(a0, b0);
-            let hi = self.difference(a1, b1);
-            self.mk(top, lo, hi)
-        };
-        self.put(ZOp::Difference, a, b, r);
-        r
-    }
-
     /// Family product `{ s ∪ t | s ∈ a, t ∈ b }` (Minato's multiply) —
     /// the AND-gate composition of cut-set families.
     pub fn product(&mut self, a: Zdd, b: Zdd) -> Zdd {
@@ -335,7 +275,7 @@ impl ZddManager {
     }
 
     /// The minimal sets of `a`: members with no proper subset in `a`
-    /// (Rauzy's `minsol` on families).
+    /// (Rauzy's minimal-solutions operator on families).
     pub fn minimal(&mut self, a: Zdd) -> Zdd {
         if a.is_terminal() {
             return a;
@@ -478,7 +418,7 @@ mod tests {
     }
 
     #[test]
-    fn union_intersection_difference() {
+    fn union_of_families() {
         let mut z = ZddManager::new(4);
         let a = from_family(&mut z, &[&[0], &[1, 2], &[3]]);
         let b = from_family(&mut z, &[&[1, 2], &[0, 3]]);
@@ -487,10 +427,6 @@ mod tests {
             to_family(&z, u),
             Family::from([vec![0], vec![1, 2], vec![3], vec![0, 3]])
         );
-        let i = z.intersection(a, b);
-        assert_eq!(to_family(&z, i), Family::from([vec![1, 2]]));
-        let d = z.difference(a, b);
-        assert_eq!(to_family(&z, d), Family::from([vec![0], vec![3]]));
     }
 
     #[test]
@@ -562,16 +498,6 @@ mod tests {
 
             let u = z.union(a, b);
             assert_eq!(to_family(&z, u), sa.union(&sb).cloned().collect::<Family>());
-            let i = z.intersection(a, b);
-            assert_eq!(
-                to_family(&z, i),
-                sa.intersection(&sb).cloned().collect::<Family>()
-            );
-            let d = z.difference(a, b);
-            assert_eq!(
-                to_family(&z, d),
-                sa.difference(&sb).cloned().collect::<Family>()
-            );
 
             let p = z.product(a, b);
             let mut expect_p = Family::new();

@@ -81,8 +81,8 @@ fn sat_count_handles_wide_universes() {
     let mut m = Manager::new(100);
     let a = m.var(Var(0));
     // One fixed variable, 99 free: 2^99 models.
-    assert_eq!(m.sat_count(a, 100), 1u128 << 99);
-    assert_eq!(m.sat_count(m.top(), 100), 1u128 << 100);
+    assert_eq!(m.sat_count(a, 100), Some(1u128 << 99));
+    assert_eq!(m.sat_count(m.top(), 100), Some(1u128 << 100));
 }
 
 #[test]
@@ -113,7 +113,7 @@ fn deep_chain_is_linear() {
     let vars: Vec<_> = (0..n).map(|i| m.var(Var(i))).collect();
     let f = m.and_all(vars);
     assert_eq!(m.node_count(f), n as usize + 2);
-    assert_eq!(m.sat_count(f, n), 1);
+    assert_eq!(m.sat_count(f, n), Some(1));
 }
 
 #[test]
@@ -127,7 +127,7 @@ fn xor_chain_is_linear_not_exponential() {
         acc = m.xor(acc, v);
     }
     assert!(m.node_count(acc) <= 2 * n as usize + 2);
-    assert_eq!(m.sat_count(acc, n), 1u128 << (n - 1));
+    assert_eq!(m.sat_count(acc, n), Some(1u128 << (n - 1)));
 }
 
 #[test]

@@ -1,8 +1,11 @@
-//! Property-based tests: the BDD engine against a brute-force truth-table
-//! oracle on randomly generated Boolean expressions.
+//! Randomised tests: the BDD engine against a brute-force truth-table
+//! oracle on seeded random Boolean expressions.
+
+// Test-support helpers outside `#[test]` fns: panicking is the
+// correct failure mode here, same as in the tests themselves.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use bfl_bdd::{Manager, Var};
-use proptest::prelude::*;
 
 /// A small Boolean expression AST for oracle testing.
 #[derive(Debug, Clone)]
@@ -18,24 +21,53 @@ enum Expr {
 
 const NVARS: u32 = 6;
 
-fn arb_expr() -> impl Strategy<Value = Expr> {
-    let leaf = prop_oneof![
-        (0..NVARS).prop_map(Expr::Var),
-        any::<bool>().prop_map(Expr::Const),
-    ];
-    leaf.prop_recursive(5, 64, 3, |inner| {
-        prop_oneof![
-            inner.clone().prop_map(|e| Expr::Not(Box::new(e))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| Expr::And(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| Expr::Or(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| Expr::Xor(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone(), inner)
-                .prop_map(|(a, b, c)| Expr::Ite(Box::new(a), Box::new(b), Box::new(c))),
-        ]
-    })
+/// Random cases per property.
+const CASES: u64 = 256;
+
+/// SplitMix64, inlined because this crate sits below `bfl-fault-tree`
+/// and its shared generator.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u32) -> u32 {
+        (self.next() % u64::from(n)) as u32
+    }
+}
+
+/// One seeded generator per case.
+fn cases() -> impl Iterator<Item = Rng> {
+    (0..CASES).map(Rng)
+}
+
+/// A random expression at most `depth` operators deep.
+fn random_expr(rng: &mut Rng, depth: u32) -> Expr {
+    if depth == 0 || rng.below(4) == 0 {
+        return if rng.below(8) == 0 {
+            Expr::Const(rng.below(2) == 1)
+        } else {
+            Expr::Var(rng.below(NVARS))
+        };
+    }
+    let sub = |rng: &mut Rng| Box::new(random_expr(rng, depth - 1));
+    match rng.below(5) {
+        0 => Expr::Not(sub(rng)),
+        1 => Expr::And(sub(rng), sub(rng)),
+        2 => Expr::Or(sub(rng), sub(rng)),
+        3 => Expr::Xor(sub(rng), sub(rng)),
+        _ => Expr::Ite(sub(rng), sub(rng), sub(rng)),
+    }
+}
+
+fn arb_expr(rng: &mut Rng) -> Expr {
+    random_expr(rng, 5)
 }
 
 fn eval_expr(e: &Expr, bits: u32) -> bool {
@@ -88,108 +120,159 @@ fn build_bdd(m: &mut Manager, e: &Expr) -> bfl_bdd::Bdd {
     }
 }
 
-proptest! {
-    /// The BDD agrees with direct expression evaluation on every input.
-    #[test]
-    fn bdd_matches_truth_table(e in arb_expr()) {
+/// The BDD agrees with direct expression evaluation on every input.
+#[test]
+fn bdd_matches_truth_table() {
+    for mut rng in cases() {
+        let e = arb_expr(&mut rng);
         let mut m = Manager::new(NVARS);
         let f = build_bdd(&mut m, &e);
         for bits in 0..(1u32 << NVARS) {
             let expect = eval_expr(&e, bits);
             let got = m.eval(f, |v| (bits >> v.index()) & 1 == 1);
-            prop_assert_eq!(got, expect, "bits={:b}", bits);
+            assert_eq!(got, expect, "{e:?} at bits={bits:b}");
         }
     }
+}
 
-    /// Canonicity: two expressions with equal truth tables get equal handles.
-    #[test]
-    fn canonicity(e1 in arb_expr(), e2 in arb_expr()) {
-        let table = |e: &Expr| -> u64 {
-            let mut t = 0u64;
-            for bits in 0..(1u32 << NVARS) {
-                if eval_expr(e, bits) {
-                    t |= 1 << bits;
-                }
+/// Canonicity: two expressions with equal truth tables get equal handles.
+#[test]
+fn canonicity() {
+    let table = |e: &Expr| -> u64 {
+        let mut t = 0u64;
+        for bits in 0..(1u32 << NVARS) {
+            if eval_expr(e, bits) {
+                t |= 1 << bits;
             }
-            t
-        };
+        }
+        t
+    };
+    for mut rng in cases() {
+        let e1 = arb_expr(&mut rng);
+        let e2 = arb_expr(&mut rng);
         let mut m = Manager::new(NVARS);
         let f1 = build_bdd(&mut m, &e1);
         let f2 = build_bdd(&mut m, &e2);
-        prop_assert_eq!(table(&e1) == table(&e2), f1 == f2);
+        assert_eq!(table(&e1) == table(&e2), f1 == f2, "{e1:?} vs {e2:?}");
     }
+}
 
-    /// sat_count equals the number of true rows of the truth table.
-    #[test]
-    fn sat_count_matches(e in arb_expr()) {
+/// sat_count equals the number of true rows of the truth table.
+#[test]
+fn sat_count_matches() {
+    for mut rng in cases() {
+        let e = arb_expr(&mut rng);
         let mut m = Manager::new(NVARS);
         let f = build_bdd(&mut m, &e);
         let expect = (0..(1u32 << NVARS)).filter(|&b| eval_expr(&e, b)).count() as u128;
-        prop_assert_eq!(m.sat_count(f, NVARS), expect);
+        assert_eq!(m.sat_count(f, NVARS), Some(expect), "{e:?}");
     }
+}
 
-    /// sat_vectors yields exactly the satisfying rows.
-    #[test]
-    fn sat_vectors_match(e in arb_expr()) {
+/// sat_vectors yields exactly the satisfying rows, each once, and
+/// sat_paths the disjoint cubes that cover them, low branch first.
+#[test]
+fn sat_vectors_match() {
+    for mut rng in cases() {
+        let e = arb_expr(&mut rng);
         let mut m = Manager::new(NVARS);
         let f = build_bdd(&mut m, &e);
         let vars: Vec<Var> = (0..NVARS).map(Var).collect();
         let mut got: Vec<Vec<bool>> = m.sat_vectors(f, &vars).collect();
+        let yielded = got.len();
         got.sort();
         got.dedup();
+        assert_eq!(got.len(), yielded, "{e:?}: a vector was yielded twice");
         let mut expect = Vec::new();
         for bits in 0..(1u32 << NVARS) {
             if eval_expr(&e, bits) {
-                expect.push((0..NVARS).map(|v| (bits >> v) & 1 == 1).collect::<Vec<bool>>());
+                expect.push(
+                    (0..NVARS)
+                        .map(|v| (bits >> v) & 1 == 1)
+                        .collect::<Vec<bool>>(),
+                );
             }
         }
         expect.sort();
-        prop_assert_eq!(got, expect);
+        assert_eq!(got, expect, "{e:?}");
+        let paths: Vec<_> = m.sat_paths(f).collect();
+        let covered: u32 = paths.iter().map(|p| 1 << (NVARS - p.len() as u32)).sum();
+        assert_eq!(covered as usize, expect.len(), "{e:?}");
+        for pair in paths.windows(2) {
+            // Consecutive paths part where the first takes the low edge.
+            let split = pair[0]
+                .iter()
+                .zip(&pair[1])
+                .position(|(a, b)| a != b)
+                .expect("distinct paths differ at a decision");
+            assert_eq!(pair[0][split].0, pair[1][split].0, "{e:?}");
+            assert!(!pair[0][split].1 && pair[1][split].1, "{e:?}");
+        }
     }
+}
 
-    /// Shannon expansion: f = ite(v, f[v↦1], f[v↦0]).
-    #[test]
-    fn restrict_shannon(e in arb_expr(), v in 0..NVARS) {
+/// Shannon expansion: f = ite(v, f[v↦1], f[v↦0]).
+#[test]
+fn restrict_shannon() {
+    for mut rng in cases() {
+        let e = arb_expr(&mut rng);
+        let v = rng.below(NVARS);
         let mut m = Manager::new(NVARS);
         let f = build_bdd(&mut m, &e);
         let f1 = m.restrict(f, Var(v), true);
         let f0 = m.restrict(f, Var(v), false);
         let lit = m.var(Var(v));
         let back = m.ite(lit, f1, f0);
-        prop_assert_eq!(back, f);
+        assert_eq!(back, f, "{e:?} on x{v}");
     }
+}
 
-    /// Quantification: ∃v.f is the or of cofactors; ∀v.f the and.
-    #[test]
-    fn quantification(e in arb_expr(), v in 0..NVARS) {
+/// Quantification: ∃v.f is the or of cofactors; ∀v.f the and.
+#[test]
+fn quantification() {
+    for mut rng in cases() {
+        let e = arb_expr(&mut rng);
+        let v = rng.below(NVARS);
         let mut m = Manager::new(NVARS);
         let f = build_bdd(&mut m, &e);
         let f1 = m.restrict(f, Var(v), true);
         let f0 = m.restrict(f, Var(v), false);
         let ex = m.exists(f, &[Var(v)]);
         let expect_ex = m.or(f0, f1);
-        prop_assert_eq!(ex, expect_ex);
+        assert_eq!(ex, expect_ex, "{e:?} on x{v}");
         let fa = m.forall(f, &[Var(v)]);
         let expect_fa = m.and(f0, f1);
-        prop_assert_eq!(fa, expect_fa);
+        assert_eq!(fa, expect_fa, "{e:?} on x{v}");
     }
+}
 
-    /// and_exists(f, g, V) = ∃V.(f ∧ g).
-    #[test]
-    fn relational_product(e1 in arb_expr(), e2 in arb_expr(), v1 in 0..NVARS, v2 in 0..NVARS) {
+/// and_exists(f, g, V) = ∃V.(f ∧ g).
+#[test]
+fn relational_product() {
+    for mut rng in cases() {
+        let e1 = arb_expr(&mut rng);
+        let e2 = arb_expr(&mut rng);
+        let (v1, v2) = (rng.below(NVARS), rng.below(NVARS));
         let mut m = Manager::new(NVARS);
         let f = build_bdd(&mut m, &e1);
         let g = build_bdd(&mut m, &e2);
-        let vars = if v1 == v2 { vec![Var(v1)] } else { vec![Var(v1), Var(v2)] };
+        let vars = if v1 == v2 {
+            vec![Var(v1)]
+        } else {
+            vec![Var(v1), Var(v2)]
+        };
         let fused = m.and_exists(f, g, &vars);
         let conj = m.and(f, g);
         let naive = m.exists(conj, &vars);
-        prop_assert_eq!(fused, naive);
+        assert_eq!(fused, naive, "{e1:?} and {e2:?} over {vars:?}");
     }
+}
 
-    /// support() returns exactly the variables the function depends on.
-    #[test]
-    fn support_semantic(e in arb_expr()) {
+/// support() returns exactly the variables the function depends on.
+#[test]
+fn support_semantic() {
+    for mut rng in cases() {
+        let e = arb_expr(&mut rng);
         let mut m = Manager::new(NVARS);
         let f = build_bdd(&mut m, &e);
         let support = m.support(f);
@@ -197,14 +280,17 @@ proptest! {
             let f1 = m.restrict(f, Var(v), true);
             let f0 = m.restrict(f, Var(v), false);
             let depends = f1 != f0;
-            prop_assert_eq!(support.contains(&Var(v)), depends, "var {}", v);
+            assert_eq!(support.contains(&Var(v)), depends, "{e:?}: var {v}");
         }
     }
+}
 
-    /// Renaming by an order-preserving shift preserves semantics modulo the
-    /// variable map.
-    #[test]
-    fn rename_shift(e in arb_expr()) {
+/// Renaming by an order-preserving shift preserves semantics modulo the
+/// variable map.
+#[test]
+fn rename_shift() {
+    for mut rng in cases() {
+        let e = arb_expr(&mut rng);
         let mut m = Manager::new(2 * NVARS);
         let f = build_bdd(&mut m, &e);
         let g = m.rename(f, &|v| Var(v.index() + NVARS));
@@ -214,23 +300,32 @@ proptest! {
                 assert!(v.index() >= NVARS);
                 (bits >> (v.index() - NVARS)) & 1 == 1
             });
-            prop_assert_eq!(ef, eg);
+            assert_eq!(ef, eg, "{e:?}");
         }
     }
+}
 
-    /// compose(f, v, g) equals substitution in the truth table.
-    #[test]
-    fn compose_matches(e1 in arb_expr(), e2 in arb_expr(), v in 0..NVARS) {
+/// compose(f, v, g) equals substitution in the truth table.
+#[test]
+fn compose_matches() {
+    for mut rng in cases() {
+        let e1 = arb_expr(&mut rng);
+        let e2 = arb_expr(&mut rng);
+        let v = rng.below(NVARS);
         let mut m = Manager::new(NVARS);
         let f = build_bdd(&mut m, &e1);
         let g = build_bdd(&mut m, &e2);
         let h = m.compose(f, Var(v), g);
         for bits in 0..(1u32 << NVARS) {
             let gv = eval_expr(&e2, bits);
-            let newbits = if gv { bits | (1 << v) } else { bits & !(1 << v) };
+            let newbits = if gv {
+                bits | (1 << v)
+            } else {
+                bits & !(1 << v)
+            };
             let expect = eval_expr(&e1, newbits);
             let got = m.eval(h, |u| (bits >> u.index()) & 1 == 1);
-            prop_assert_eq!(got, expect);
+            assert_eq!(got, expect, "{e1:?}[x{v} := {e2:?}]");
         }
     }
 }

@@ -1354,10 +1354,15 @@ fn reorder(smoke: bool) {
         let top = tb.element_bdd(tree, tree.top());
         let nodes_dfs = tb.manager().node_count(top);
         let universe = tb.unprimed_vars();
-        // MCS counting (minsol + model count) before sifting…
+        let pairs = tb.var_pairs();
+        // MCS counting (the primed construction + model count) before
+        // sifting…
         let t = std::time::Instant::now();
-        let ms_static = analysis::minsol(tb.manager_mut(), top, &universe);
-        let count_static = tb.manager().sat_count_over(ms_static, &universe);
+        let ms_static = analysis::mcs_bdd_paper(&mut tb, top, &pairs);
+        let count_static = tb
+            .manager()
+            .sat_count_over(ms_static, &universe)
+            .expect("MCS count fits u128");
         let mcs_ms_static = t.elapsed().as_secs_f64() * 1000.0;
         // …then sift + collect and measure the same query again. Only the
         // top cone stays rooted: it is the "live BDD" the artifact tracks.
@@ -1369,8 +1374,11 @@ fn reorder(smoke: bool) {
         let top = tb.element_bdd(tree, tree.top()); // remapped handle
         let nodes_sifted = tb.manager().node_count(top);
         let t = std::time::Instant::now();
-        let ms_sifted = analysis::minsol(tb.manager_mut(), top, &universe);
-        let count_sifted = tb.manager().sat_count_over(ms_sifted, &universe);
+        let ms_sifted = analysis::mcs_bdd_paper(&mut tb, top, &pairs);
+        let count_sifted = tb
+            .manager()
+            .sat_count_over(ms_sifted, &universe)
+            .expect("MCS count fits u128");
         let mcs_ms_sifted = t.elapsed().as_secs_f64() * 1000.0;
         assert_eq!(
             count_static, count_sifted,

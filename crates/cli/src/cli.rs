@@ -1,8 +1,8 @@
 //! Argument parsing and command dispatch (no external dependencies).
 //!
 //! Every command is a thin veneer over one [`AnalysisSession`]: options
-//! configure the session once (ordering, minimality scope, cut-set
-//! backend, probabilities from the model's `prob=` annotations) and the
+//! configure the session once (ordering, minimality scope,
+//! probabilities from the model's `prob=` annotations) and the
 //! command methods map 1:1 onto session methods. `--json` switches any
 //! query command to the structured [`Report`](bfl_core::Report) schema.
 //! The `sweep` and `explain` commands go through
@@ -12,7 +12,7 @@
 
 use std::fmt::Write as _;
 
-use bfl_core::engine::{AnalysisSession, Backend, ReorderPolicy};
+use bfl_core::engine::{AnalysisSession, ReorderPolicy};
 use bfl_core::parser::{parse_formula, parse_spec};
 use bfl_core::report::{json_estimate, json_interval, json_name_sets, Spec, SpecItem};
 use bfl_core::scenario::ScenarioSet;
@@ -77,7 +77,6 @@ OPTIONS:
                        (sift when the BDD arena grows FACTOR-fold, default 2)
     --gc               mark-and-sweep BDD garbage collection at maintenance
                        points (on by default whenever --reorder is active)
-    --engine <E>       mcs/mps backend: minsol (default), paper, zdd
     --json             structured JSON output (check, run, sweep, explain,
                        sat, count, mcs, mps, ibe, prob, importance)
 
@@ -151,7 +150,7 @@ SCENARIO FILES (sweep):
     a label with no bindings is the baseline; `#` comments are skipped
 
 EXAMPLES:
-    bfl mcs --ft covid.dft --engine zdd
+    bfl mcs --ft covid.dft
     bfl explain --ft covid.dft --ordering sifted 'exists MCS(IWoS)'
     bfl sweep --ft covid.dft --reorder prepare --gc 'exists IWoS' whatif.scenarios
     bfl check --ft covid.dft 'forall IS => MoT'
@@ -231,7 +230,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut failed = Vec::new();
     let mut support_scope = false;
     let mut ordering = VariableOrdering::DfsPreorder;
-    let mut backend = Backend::Minsol;
     let mut json = false;
     let mut reorder: Option<ReorderPolicy> = None;
     let mut gc: Option<bool> = None;
@@ -300,11 +298,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 let x = args.get(i).ok_or("--confidence requires a number")?;
                 confidence = Some(x.parse().map_err(|_| format!("invalid confidence `{x}`"))?);
             }
-            "--engine" | "--backend" => {
-                i += 1;
-                let name = args.get(i).ok_or("--engine requires an argument")?;
-                backend = name.parse::<Backend>()?;
-            }
             other if other.starts_with("--") => {
                 return Err(format!("unknown option `{other}`"));
             }
@@ -326,7 +319,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut builder = AnalysisSession::builder()
         .ordering(ordering)
         .minimality_scope(scope)
-        .backend(backend)
         .probabilities(model.probabilities);
     if has_intervals {
         builder = builder.intervals(model.intervals);
@@ -1394,19 +1386,21 @@ mod tests {
     }
 
     #[test]
-    fn support_scope_is_backend_independent() {
+    fn support_scope_is_ordering_independent() {
         let f = write_model();
-        let base = run_ok(&["mcs", "--ft", &f.arg(), "--support-scope"]);
-        for engine in ["minsol", "paper", "zdd"] {
-            let out = run_ok(&[
-                "mcs",
-                "--ft",
-                &f.arg(),
-                "--support-scope",
-                "--engine",
-                engine,
-            ]);
-            assert_eq!(out, base, "{engine}");
+        for cmd in ["mcs", "mps"] {
+            let base = run_ok(&[cmd, "--ft", &f.arg(), "--support-scope"]);
+            for ordering in ["bfs", "declaration", "bouissou", "sifted"] {
+                let out = run_ok(&[
+                    cmd,
+                    "--ft",
+                    &f.arg(),
+                    "--support-scope",
+                    "--ordering",
+                    ordering,
+                ]);
+                assert_eq!(out, base, "{cmd} {ordering}");
+            }
         }
     }
 
@@ -1706,23 +1700,17 @@ mod tests {
         let f = write_model();
         let base_mcs = run_ok(&["mcs", "--ft", &f.arg()]);
         let base_mps = run_ok(&["mps", "--ft", &f.arg()]);
-        // Every backend now supports BOTH mcs and mps (zdd included —
-        // path sets run on the dual tree).
-        for engine in ["minsol", "paper", "zdd"] {
-            let out = run_ok(&["mcs", "--ft", &f.arg(), "--engine", engine]);
-            assert_eq!(out, base_mcs, "{engine}");
-            let out = run_ok(&["mps", "--ft", &f.arg(), "--engine", engine]);
-            assert_eq!(out, base_mps, "{engine}");
-        }
+        // The top event depends on every basic event, so the support
+        // scope (the primed construction in the checker) must reproduce
+        // the global scope (the ZDD engine).
+        let out = run_ok(&["mcs", "--ft", &f.arg(), "--support-scope"]);
+        assert_eq!(out, base_mcs);
+        let out = run_ok(&["mps", "--ft", &f.arg(), "--support-scope"]);
+        assert_eq!(out, base_mps);
         for ordering in ["dfs", "bfs", "declaration", "bouissou", "sifted"] {
             let out = run_ok(&["mcs", "--ft", &f.arg(), "--ordering", ordering]);
             assert_eq!(out, base_mcs, "{ordering}");
         }
-        let args: Vec<String> = ["mcs", "--ft", &f.arg(), "--engine", "bogus"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(run(&args).unwrap_err().contains("bogus"));
     }
 
     #[test]

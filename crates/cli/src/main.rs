@@ -5,8 +5,8 @@
 //! bfl run    --ft FILE SPECFILE [--json]
 //! bfl sat    --ft FILE 'FORMULA'
 //! bfl count  --ft FILE 'FORMULA'
-//! bfl mcs    --ft FILE [ELEMENT] [--engine minsol|paper|zdd]
-//! bfl mps    --ft FILE [ELEMENT] [--engine minsol|paper|zdd]
+//! bfl mcs    --ft FILE [ELEMENT]
+//! bfl mps    --ft FILE [ELEMENT]
 //! bfl cex    --ft FILE --failed A,B,C 'FORMULA'
 //! bfl ibe    --ft FILE 'FORMULA'
 //! bfl render --ft FILE --failed A,B,C
@@ -23,6 +23,7 @@
 //! Fault trees are read in the Galileo dialect (see the `bfl-fault-tree`
 //! documentation); formulas/queries in the BFL DSL (see `bfl-core`).
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 mod cli;
@@ -31,8 +32,20 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match cli::run(&args) {
         Ok(output) => {
-            print!("{output}");
-            ExitCode::SUCCESS
+            let mut stdout = std::io::stdout().lock();
+            match stdout
+                .write_all(output.as_bytes())
+                .and_then(|()| stdout.flush())
+            {
+                // A reader that stops early (`bfl mcs … | head -1`)
+                // closes the pipe; that ends the output, not the run.
+                Ok(()) => ExitCode::SUCCESS,
+                Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+                Err(e) => {
+                    eprintln!("error: cannot write output: {e}");
+                    ExitCode::FAILURE
+                }
+            }
         }
         Err(e) => {
             eprintln!("error: {e}");

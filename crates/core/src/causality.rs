@@ -92,7 +92,9 @@ impl CauseReport {
 /// * [`BflError::UnknownElement`] if an atom or bound name is not in the
 ///   tree;
 /// * [`BflError::EvidenceOnGate`] if a binding targets an intermediate
-///   event.
+///   event;
+/// * [`BflError::CountOverflow`] if there are more than `u128::MAX`
+///   minimal causes.
 pub fn actual_causes(
     mc: &mut ModelChecker,
     phi: &Formula,
@@ -101,11 +103,16 @@ pub fn actual_causes(
 ) -> Result<CauseReport, BflError> {
     let b = observation_vector(mc.tree(), evidence)?;
     let root = mc.formula_bdd(phi)?;
-    Ok(causes_from_bdd(mc, root, &b, limit))
+    causes_from_bdd(mc, root, &b, limit)
 }
 
 /// The handle-level core shared with the prepared-query evaluator: causes
 /// of an already-compiled diagram under an already-resolved observation.
+///
+/// # Errors
+///
+/// [`BflError::CountOverflow`] if there are more than `u128::MAX` minimal
+/// causes.
 ///
 /// # Panics
 ///
@@ -115,7 +122,7 @@ pub(crate) fn causes_from_bdd(
     root: Bdd,
     observation: &StatusVector,
     limit: usize,
-) -> CauseReport {
+) -> Result<CauseReport, BflError> {
     let tree = mc.tree_arc();
     let n = tree.num_basic_events();
     assert_eq!(observation.len(), n, "vector length");
@@ -127,13 +134,13 @@ pub(crate) fn causes_from_bdd(
         })
     };
     if !failing {
-        return CauseReport {
+        return Ok(CauseReport {
             observation: observation.clone(),
             failing: false,
             causes: Vec::new(),
             total: 0,
             truncated: false,
-        };
+        });
     }
     // Pin every non-failed event operational; `g` then depends only on
     // the failed events, and g(x) = ϕ(b[failed(b) ∖ x ↦ 0]).
@@ -146,9 +153,13 @@ pub(crate) fn causes_from_bdd(
     // Maximal zeros of g = minimal but-for causes. The all-ones vector is
     // never among them (g(1⃗) is the failing verdict itself), so S = ∅ is
     // excluded for free.
-    let mps = mps_bdd_paper(tb, g);
-    let universe = tb.unprimed_vars();
-    let total = mc.manager().sat_count_over(mps, &universe);
+    let pairs = tb.var_pairs();
+    let mps = mps_bdd_paper(tb, g, &pairs);
+    let total = mc
+        .count_vectors_of_bdd(mps)
+        .ok_or_else(|| BflError::CountOverflow {
+            what: "minimal causes".to_string(),
+        })?;
     let mut causes: Vec<ActualCause> = mc
         .vectors_of_bdd(mps, limit)
         .iter()
@@ -172,13 +183,13 @@ pub(crate) fn causes_from_bdd(
             .then_with(|| a.events.cmp(&b.events))
     });
     let truncated = total > causes.len() as u128;
-    CauseReport {
+    Ok(CauseReport {
         observation: observation.clone(),
         failing: true,
         causes,
         total,
         truncated,
-    }
+    })
 }
 
 #[cfg(test)]

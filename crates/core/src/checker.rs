@@ -339,34 +339,21 @@ impl ModelChecker {
     }
 
     /// `MCS` (`minimal = true`) / `MPS` (`minimal = false`) translation:
-    /// the primed-vector construction of Algorithm 1 restricted to the
-    /// variable pairs selected by the minimality scope.
+    /// the primed-vector construction of Algorithm 1 over the variable
+    /// pairs selected by the minimality scope.
     fn minimality_bdd(&mut self, x: Bdd, minimal: bool) -> Bdd {
-        match self.scope {
-            MinimalityScope::GlobalUniverse => {
-                if minimal {
-                    mcs_bdd_paper(&mut self.tb, x)
-                } else {
-                    mps_bdd_paper(&mut self.tb, x)
-                }
-            }
+        let pairs: Vec<(Var, Var)> = match self.scope {
+            MinimalityScope::GlobalUniverse => self.tb.var_pairs(),
             MinimalityScope::FormulaSupport => {
+                let prime = self.tb.prime_map();
                 let support = self.tb.manager().support(x);
-                let pairs: Vec<(Var, Var)> =
-                    support.iter().map(|&v| (v, Var(v.index() + 1))).collect();
-                let primed: Vec<Var> = pairs.iter().map(|&(_, p)| p).collect();
-                let m = self.tb.manager_mut();
-                let (base, relation) = if minimal {
-                    (x, m.strict_subset(&pairs))
-                } else {
-                    let nx = m.not(x);
-                    (nx, m.strict_superset(&pairs))
-                };
-                let renamed = m.rename(base, &|v| Var(v.index() + 1));
-                let exists_other = m.and_exists(relation, renamed, &primed);
-                let not_other = m.not(exists_other);
-                m.and(base, not_other)
+                support.into_iter().map(|v| (v, prime(v))).collect()
             }
+        };
+        if minimal {
+            mcs_bdd_paper(&mut self.tb, x, &pairs)
+        } else {
+            mps_bdd_paper(&mut self.tb, x, &pairs)
         }
     }
 
@@ -459,13 +446,23 @@ impl ModelChecker {
     ///
     /// # Errors
     ///
-    /// As for [`ModelChecker::formula_bdd`].
+    /// As for [`ModelChecker::formula_bdd`], plus
+    /// [`BflError::CountOverflow`] when the count exceeds `u128::MAX`.
     pub fn count_satisfying(&mut self, phi: &Formula) -> Result<u128, BflError> {
         let f = self.formula_bdd(phi)?;
-        // Count over the unprimed universe only; the manager also hosts
-        // the primed variables, which never occur in query BDDs.
+        self.count_vectors_of_bdd(f)
+            .ok_or_else(|| BflError::CountOverflow {
+                what: format!("satisfying vectors of `{phi}`"),
+            })
+    }
+
+    /// Number of satisfying vectors of an already-compiled diagram, or
+    /// `None` past `u128::MAX`. Counts over the unprimed universe only;
+    /// the manager also hosts the primed variables, which never occur in
+    /// query BDDs.
+    pub(crate) fn count_vectors_of_bdd(&self, f: Bdd) -> Option<u128> {
         let universe = self.tb.unprimed_vars();
-        Ok(self.tb.manager().sat_count_over(f, &universe))
+        self.tb.manager().sat_count_over(f, &universe)
     }
 
     /// Evaluates a layer-2 query `T ⊨ ψ`.

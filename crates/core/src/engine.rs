@@ -12,15 +12,15 @@
 //! * **thread-safe** — `AnalysisSession: Send + Sync`; interior
 //!   mutability of the shared BDD caches is a private [`Mutex`];
 //! * **configurable** — [`SessionBuilder`] selects the BDD variable
-//!   ordering, the `MCS`/`MPS` minimality scope, the cut-set
-//!   [`Backend`] and probability annotations up front;
+//!   ordering, the `MCS`/`MPS` minimality scope and probability
+//!   annotations up front;
 //! * **batch-first** — [`AnalysisSession::run`] evaluates a whole
 //!   [`Spec`] in one pass over shared caches, and every question returns
 //!   a structured [`Outcome`] (verdict, witness vectors, counterexample,
 //!   [`EvalStats`]) instead of a bare `bool`.
 //!
 //! [`ModelChecker`] remains the internal workhorse (Algorithms 1–3); the
-//! session wraps one and layers batch evaluation, backend dispatch,
+//! session wraps one and layers batch evaluation, cut-set enumeration,
 //! statistics and probability on top.
 //!
 //! # Migration from `ModelChecker`
@@ -31,21 +31,19 @@
 //! | `mc.check_query(&q)? -> bool`       | `s.check_query(&q)?.holds` + stats     |
 //! | `mc.holds(&b, &phi)?`               | `s.check_vector(&b, &phi)?.holds`      |
 //! | `counterexample(&mut mc, &b, &phi)` | `s.counterexample(&b, &phi)?`          |
-//! | `mc.minimal_cut_sets("Top")`        | `s.minimal_cut_sets("Top")?` (backend) |
-//! | `zdd_engine::minimal_cut_sets_zdd`  | `.backend(Backend::Zdd)` at build time |
+//! | `mc.minimal_cut_sets("Top")`        | `s.minimal_cut_sets("Top")?` (ZDD)     |
 //! | per-query loops                     | `s.run(&spec)? -> Report`              |
 //!
 //! # Example
 //!
 //! ```
-//! use bfl_core::engine::{AnalysisSession, Backend};
+//! use bfl_core::engine::AnalysisSession;
 //! use bfl_core::report::Spec;
 //! use bfl_fault_tree::corpus;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let session = AnalysisSession::builder()
-//!     .backend(Backend::Zdd)
-//!     .build(corpus::covid());
+//! let session = AnalysisSession::new(corpus::covid());
+//! assert_eq!(session.minimal_cut_sets("IWoS")?.len(), 12);
 //!
 //! // One question, structured result:
 //! let q = bfl_core::parser::parse_query("forall IS => MoT")?;
@@ -68,8 +66,6 @@ use std::time::Instant;
 
 use bfl_bdd::{GcStats, SiftStats};
 use bfl_fault_tree::{prob, FaultTree, StatusVector, VariableOrdering};
-
-pub use bfl_fault_tree::backend::{Backend, CutSetEngine};
 
 use crate::ast::{Formula, Query};
 use crate::checker::{MinimalityScope, ModelChecker};
@@ -211,23 +207,21 @@ pub(crate) fn default_mc_threads() -> usize {
 /// Every knob has a sensible default; `build` is infallible.
 ///
 /// ```
-/// use bfl_core::engine::{AnalysisSession, Backend};
+/// use bfl_core::engine::AnalysisSession;
 /// use bfl_core::MinimalityScope;
 /// use bfl_fault_tree::{corpus, VariableOrdering};
 ///
 /// let session = AnalysisSession::builder()
 ///     .ordering(VariableOrdering::BouissouWeight)
 ///     .minimality_scope(MinimalityScope::FormulaSupport)
-///     .backend(Backend::Paper)
 ///     .witness_limit(5)
 ///     .build(corpus::fig1());
-/// assert_eq!(session.backend(), Backend::Paper);
+/// assert_eq!(session.minimality_scope(), MinimalityScope::FormulaSupport);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SessionBuilder {
     ordering: VariableOrdering,
     scope: MinimalityScope,
-    backend: Backend,
     witness_limit: usize,
     probabilities: Option<Vec<Option<f64>>>,
     intervals: Option<Vec<Option<ProbInterval>>>,
@@ -243,7 +237,6 @@ impl Default for SessionBuilder {
         SessionBuilder {
             ordering: VariableOrdering::DfsPreorder,
             scope: MinimalityScope::default(),
-            backend: Backend::default(),
             witness_limit: 3,
             probabilities: None,
             intervals: None,
@@ -256,7 +249,7 @@ impl Default for SessionBuilder {
 
 impl SessionBuilder {
     /// A builder with all defaults (DFS ordering, global-universe scope,
-    /// `minsol` backend, witness limit 3, no probabilities).
+    /// witness limit 3, no probabilities).
     pub fn new() -> Self {
         SessionBuilder::default()
     }
@@ -270,13 +263,6 @@ impl SessionBuilder {
     /// The `MCS`/`MPS` minimality scope (see [`MinimalityScope`]).
     pub fn minimality_scope(mut self, scope: MinimalityScope) -> Self {
         self.scope = scope;
-        self
-    }
-
-    /// The cut-set backend used by [`AnalysisSession::minimal_cut_sets`]
-    /// and [`AnalysisSession::minimal_path_sets`].
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -393,7 +379,6 @@ impl SessionBuilder {
                 tree,
                 ordering: self.ordering,
                 scope: self.scope,
-                backend: self.backend,
                 witness_limit: self.witness_limit,
                 probabilities: self.probabilities,
                 intervals: self.intervals,
@@ -421,7 +406,6 @@ pub(crate) struct SessionInner {
     pub(crate) tree: Arc<FaultTree>,
     pub(crate) ordering: VariableOrdering,
     pub(crate) scope: MinimalityScope,
-    pub(crate) backend: Backend,
     pub(crate) witness_limit: usize,
     pub(crate) probabilities: Option<Vec<Option<f64>>>,
     pub(crate) intervals: Option<Vec<Option<ProbInterval>>>,
@@ -775,11 +759,6 @@ impl AnalysisSession {
         self.inner.scope
     }
 
-    /// The configured cut-set backend.
-    pub fn backend(&self) -> Backend {
-        self.inner.backend
-    }
-
     /// The configured probability annotations, if any.
     pub fn probabilities(&self) -> Option<&[Option<f64>]> {
         self.inner.probabilities.as_deref()
@@ -967,7 +946,8 @@ impl AnalysisSession {
     /// # Errors
     ///
     /// As [`ModelChecker::formula_bdd`]; bad evidence bindings surface as
-    /// [`BflError::UnknownElement`] / [`BflError::EvidenceOnGate`].
+    /// [`BflError::UnknownElement`] / [`BflError::EvidenceOnGate`], and
+    /// more than `u128::MAX` minimal causes as [`BflError::CountOverflow`].
     pub fn cause(&self, phi: &Formula, evidence: &[(String, bool)]) -> Result<Outcome, BflError> {
         self.check_query(&Query::cause(phi.clone(), evidence.iter().cloned()))
     }
@@ -1037,13 +1017,12 @@ impl AnalysisSession {
         self.lock().influencing_basic_events(phi)
     }
 
-    /// Minimal cut sets of `element` as sorted name lists, via the
-    /// configured [`Backend`].
+    /// Minimal cut sets of `element` as sorted name lists.
     ///
-    /// Under [`MinimalityScope::FormulaSupport`] every backend routes
-    /// through the shared checker (the dedicated engines implement the
-    /// default global-universe semantics only), so results depend on the
-    /// configured scope but never on the backend.
+    /// Under the default [`MinimalityScope::GlobalUniverse`] the ZDD
+    /// engine enumerates them; under [`MinimalityScope::FormulaSupport`]
+    /// the shared checker computes `⟦MCS(element)⟧`, whose events outside
+    /// the cone are don't-cares.
     ///
     /// # Errors
     ///
@@ -1053,8 +1032,8 @@ impl AnalysisSession {
     }
 
     /// Minimal path sets of `element` as sorted name lists of the
-    /// *operational* events, via the configured [`Backend`] (the ZDD
-    /// backend computes them on the dual tree).
+    /// *operational* events, scoped as [`AnalysisSession::minimal_cut_sets`]
+    /// (the ZDD engine computes them on the dual tree).
     ///
     /// # Errors
     ///
@@ -1064,43 +1043,27 @@ impl AnalysisSession {
     }
 
     fn cut_or_path_sets(&self, element: &str, cuts: bool) -> Result<Vec<Vec<String>>, BflError> {
-        // The dedicated Paper/Zdd engines implement the default
-        // global-universe minimality only; under the Table-I support
-        // scope every backend routes through the checker so the session's
-        // configured semantics always wins over the backend knob.
-        let backend = if self.inner.scope == MinimalityScope::FormulaSupport {
-            Backend::Minsol
-        } else {
-            self.inner.backend
-        };
-        match backend {
-            // The minsol engine shares the session's compiled BDDs.
-            Backend::Minsol => {
-                let mut mc = self.lock();
-                if cuts {
-                    mc.minimal_cut_sets(element)
-                } else {
-                    mc.minimal_path_sets(element)
-                }
-            }
-            other => {
-                let e = self
-                    .inner
-                    .tree
-                    .element(element)
-                    .ok_or_else(|| BflError::UnknownElement(element.to_string()))?;
-                let engine = other.engine();
-                let sets = if cuts {
-                    engine.minimal_cut_sets(&self.inner.tree, e)
-                } else {
-                    engine.minimal_path_sets(&self.inner.tree, e)
-                };
-                Ok(bfl_fault_tree::analysis::index_sets_to_names(
-                    &self.inner.tree,
-                    &sets,
-                ))
-            }
+        use bfl_fault_tree::analysis;
+        // The branch is semantic: the ZDD engine implements the formal
+        // global-universe minimality only.
+        if self.inner.scope == MinimalityScope::FormulaSupport {
+            let mut mc = self.lock();
+            return if cuts {
+                mc.minimal_cut_sets(element)
+            } else {
+                mc.minimal_path_sets(element)
+            };
         }
+        let tree = &self.inner.tree;
+        let e = tree
+            .element(element)
+            .ok_or_else(|| BflError::UnknownElement(element.to_string()))?;
+        let sets = if cuts {
+            analysis::minimal_cut_sets(tree, e)
+        } else {
+            analysis::minimal_path_sets(tree, e)
+        };
+        Ok(analysis::index_sets_to_names(tree, &sets))
     }
 
     /// Algorithm 4: a Definition-7 counterexample for a vector that fails
@@ -1571,40 +1534,51 @@ mod tests {
         assert!(report.outcomes[1].holds == report.outcomes[0].holds);
     }
 
-    #[test]
-    fn backend_dispatch_agrees() {
-        let tree = Arc::new(corpus::covid());
-        let base = AnalysisSession::new(Arc::clone(&tree));
-        let mcs = base.minimal_cut_sets("IWoS").unwrap();
-        let mps = base.minimal_path_sets("IWoS").unwrap();
-        for backend in Backend::ALL {
-            let s = AnalysisSession::builder()
-                .backend(backend)
-                .build(Arc::clone(&tree));
-            assert_eq!(s.minimal_cut_sets("IWoS").unwrap(), mcs, "{backend}");
-            assert_eq!(s.minimal_path_sets("IWoS").unwrap(), mps, "{backend}");
+    /// The session's scope-dependent enumeration agrees with `⟦MCS(e)⟧` /
+    /// `⟦MPS(e)⟧` through the checker under the same scope.
+    fn assert_sets_match_checker(tree: FaultTree, scope: MinimalityScope) {
+        let tree = Arc::new(tree);
+        let session = AnalysisSession::builder()
+            .minimality_scope(scope)
+            .build(Arc::clone(&tree));
+        let mut mc = ModelChecker::new(&tree);
+        mc.set_minimality_scope(scope);
+        for e in tree.iter() {
+            let name = tree.name(e);
+            assert_eq!(
+                session.minimal_cut_sets(name).unwrap(),
+                mc.minimal_cut_sets(name).unwrap(),
+                "mcs of {name} under {scope:?}"
+            );
+            assert_eq!(
+                session.minimal_path_sets(name).unwrap(),
+                mc.minimal_path_sets(name).unwrap(),
+                "mps of {name} under {scope:?}"
+            );
         }
     }
 
     #[test]
-    fn support_scope_overrides_backend_choice() {
+    fn global_scope_equals_checker() {
+        assert_sets_match_checker(corpus::covid(), MinimalityScope::GlobalUniverse);
+        assert_sets_match_checker(corpus::table1_tree(), MinimalityScope::GlobalUniverse);
+    }
+
+    #[test]
+    fn support_scope_equals_checker() {
+        assert_sets_match_checker(corpus::covid(), MinimalityScope::FormulaSupport);
+        assert_sets_match_checker(corpus::table1_tree(), MinimalityScope::FormulaSupport);
+        // e3 = OR(e4, e5) does not depend on e2: only the support scope
+        // leaves it free, so the two scopes give different sets.
         let tree = Arc::new(corpus::table1_tree());
-        let reference = AnalysisSession::builder()
+        let global = AnalysisSession::new(Arc::clone(&tree));
+        let support = AnalysisSession::builder()
             .minimality_scope(MinimalityScope::FormulaSupport)
-            .build(Arc::clone(&tree));
-        let mcs = reference.minimal_cut_sets("e3").unwrap();
-        for backend in Backend::ALL {
-            let s = AnalysisSession::builder()
-                .minimality_scope(MinimalityScope::FormulaSupport)
-                .backend(backend)
-                .build(Arc::clone(&tree));
-            assert_eq!(s.minimal_cut_sets("e3").unwrap(), mcs, "{backend}");
-            assert_eq!(
-                s.minimal_path_sets("e3").unwrap(),
-                reference.minimal_path_sets("e3").unwrap(),
-                "{backend}"
-            );
-        }
+            .build(tree);
+        assert_ne!(
+            global.minimal_cut_sets("e3").unwrap(),
+            support.minimal_cut_sets("e3").unwrap()
+        );
     }
 
     #[test]

@@ -83,6 +83,14 @@ pub enum BflError {
         /// Concrete syntax of the offending query.
         query: String,
     },
+    /// An exact count (satisfying vectors, minimal causes) exceeds
+    /// `u128::MAX`, the range of the BDD model counter: 2^128 − 1, e.g.
+    /// the 7.5·10³⁸ minimal causes of a 67-of-133 vote with every event
+    /// failed.
+    CountOverflow {
+        /// What was counted, e.g. "satisfying vectors of `top`".
+        what: String,
+    },
     /// An engine invariant was violated (a worker thread died without
     /// delivering its result, a poisoned lock left shared state
     /// unreadable). Replaces the `expect`/panic paths the sweep
@@ -136,6 +144,9 @@ impl fmt::Display for BflError {
             }
             BflError::PlanShapeMismatch { expected, query } => {
                 write!(f, "`{query}` is not a `{expected}` plan")
+            }
+            BflError::CountOverflow { what } => {
+                write!(f, "too many {what} to count: more than 2^128 - 1")
             }
             BflError::Internal { context } => {
                 write!(f, "internal engine error: {context}")
@@ -198,6 +209,11 @@ mod tests {
             query: "exists Top".into(),
         };
         assert!(e.to_string().contains("exists Top"));
+        assert!(BflError::CountOverflow {
+            what: "satisfying vectors of `top`".into()
+        }
+        .to_string()
+        .contains("2^128"));
         assert!(e.to_string().contains("`cause`"));
         let e = BflError::UnsupportedMethod {
             method: "mc".into(),

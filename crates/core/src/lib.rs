@@ -93,8 +93,8 @@
 //! available as the session's internal workhorse, but the public face is
 //! now [`AnalysisSession`]: owned tree (`Arc<FaultTree>`, no lifetime
 //! parameter), `Send + Sync`, structured [`report::Outcome`]s with
-//! witnesses/counterexamples/statistics, cut-set [`Backend`] selection as
-//! configuration, and batch evaluation via
+//! witnesses/counterexamples/statistics, ZDD cut-set enumeration, and
+//! batch evaluation via
 //! [`AnalysisSession::run`](engine::AnalysisSession::run). See the
 //! migration table in the [`engine`] module docs.
 
@@ -129,7 +129,7 @@ pub use counterexample::{
     CounterexampleSet,
 };
 pub use engine::{
-    AnalysisSession, Backend, MaintenanceReport, MaintenanceStats, ReorderPolicy, SamplerStats,
+    AnalysisSession, MaintenanceReport, MaintenanceStats, ReorderPolicy, SamplerStats,
     SessionBuilder,
 };
 pub use error::BflError;

@@ -708,11 +708,12 @@ impl PreparedQuery {
     /// [`BflError::MissingProbabilities`] /
     /// [`BflError::InvalidProbability`] when a probabilistic plan
     /// (`P(…) ▷◁ p`, `importance(…)`) runs on a session without valid
-    /// annotations.
+    /// annotations; [`BflError::CountOverflow`] when a `cause` plan has
+    /// more than `u128::MAX` minimal causes.
     pub fn eval(&self, scenario: &Scenario) -> Result<Outcome, BflError> {
         let key = self.resolve(scenario)?;
         let probs = self.probabilities_if_needed()?;
-        Ok(self.eval_resolved(scenario, key, probs.as_deref()))
+        self.eval_resolved(scenario, key, probs.as_deref())
     }
 
     /// Whether the plan compiles a `P(…) ▷◁ p` judgement — the shape
@@ -754,7 +755,7 @@ impl PreparedQuery {
         scenario: &Scenario,
         key: Vec<(usize, bool)>,
         probs: Option<&[f64]>,
-    ) -> Outcome {
+    ) -> Result<Outcome, BflError> {
         let start = Instant::now();
         let cached = self.lookup(&key);
         let (cached, memo_hit) = match cached {
@@ -763,7 +764,7 @@ impl PreparedQuery {
                 (c, true)
             }
             None => {
-                let computed = self.restrict_and_judge(&key, probs);
+                let computed = self.restrict_and_judge(&key, probs)?;
                 self.memo_misses.fetch_add(1, Ordering::Relaxed);
                 self.memo
                     .lock()
@@ -793,7 +794,7 @@ impl PreparedQuery {
             cache_misses: u64::from(!memo_hit),
             duration_micros: start.elapsed().as_micros(),
         };
-        o
+        Ok(o)
     }
 
     fn lookup(&self, key: &[(usize, bool)]) -> Option<CachedEval> {
@@ -807,8 +808,13 @@ impl PreparedQuery {
     /// The restriction core: specialises the compiled diagram(s) to the
     /// resolved bindings in one traversal each and judges the result.
     /// `probs` is `Some` exactly for probabilistic shapes (the callers
-    /// fetch and validate it up front).
-    fn restrict_and_judge(&self, key: &[(usize, bool)], probs: Option<&[f64]>) -> CachedEval {
+    /// fetch and validate it up front). Fails only with
+    /// [`BflError::CountOverflow`] from a `cause` plan.
+    fn restrict_and_judge(
+        &self,
+        key: &[(usize, bool)],
+        probs: Option<&[f64]>,
+    ) -> Result<CachedEval, BflError> {
         let limit = self.inner.witness_limit;
         let mut mc = self.inner.lock();
         // Snapshot the roots only while holding the checker lock: the
@@ -912,11 +918,22 @@ impl PreparedQuery {
                     Query::Cause { limit: Some(k), .. } => *k as usize,
                     _ => limit,
                 };
-                let report = crate::causality::causes_from_bdd(&mut mc, root, &b, cap);
-                let mut c =
-                    CachedEval::bare(report.holds(), mc.bdd_size(root), mc.manager().arena_size());
-                c.causes = Some(report);
-                c
+                match crate::causality::causes_from_bdd(&mut mc, root, &b, cap) {
+                    Ok(report) => {
+                        let mut c = CachedEval::bare(
+                            report.holds(),
+                            mc.bdd_size(root),
+                            mc.manager().arena_size(),
+                        );
+                        c.causes = Some(report);
+                        c
+                    }
+                    Err(e) => {
+                        // The failed attempt grew the arena too.
+                        self.inner.maybe_maintain(&mut mc);
+                        return Err(e);
+                    }
+                }
             }
             Compiled::Importance { root } => match probs {
                 Some(probs) => {
@@ -943,7 +960,7 @@ impl PreparedQuery {
         // The restriction result is fully extracted (vectors, counts);
         // maintenance may now reorder/compact freely.
         self.inner.maybe_maintain(&mut mc);
-        cached
+        Ok(cached)
     }
 
     /// Runs `f` over the node-keyed probability memo, clearing it first
@@ -1033,7 +1050,8 @@ impl PreparedQuery {
     /// # Errors
     ///
     /// The first scenario whose bindings fail to resolve aborts the sweep
-    /// before any scenario is evaluated.
+    /// before any scenario is evaluated; a [`BflError::CountOverflow`]
+    /// from a `cause` plan aborts it at that scenario.
     pub fn sweep(&self, set: &ScenarioSet) -> Result<SweepReport, BflError> {
         // Validate everything first; the resolved keys (and, for
         // probabilistic plans, the probability vector) are handed through
@@ -1050,15 +1068,12 @@ impl PreparedQuery {
         };
 
         let mut totals = EvalStats::default();
-        let outcomes: Vec<Outcome> = set
-            .iter()
-            .zip(keys)
-            .map(|(scenario, key)| {
-                let outcome = self.eval_resolved(scenario, key, probs.as_deref());
-                totals.absorb(&outcome.stats);
-                outcome
-            })
-            .collect();
+        let mut outcomes: Vec<Outcome> = Vec::with_capacity(set.len());
+        for (scenario, key) in set.iter().zip(keys) {
+            let outcome = self.eval_resolved(scenario, key, probs.as_deref())?;
+            totals.absorb(&outcome.stats);
+            outcomes.push(outcome);
+        }
 
         let after = self.stats();
         let (translation_misses, arena_after) = {

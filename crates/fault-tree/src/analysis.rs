@@ -1,24 +1,23 @@
 //! Qualitative fault-tree analysis: cut sets and path sets
-//! (Definitions 3–4), and their minimal variants computed by two
-//! independent engines:
+//! (Definitions 3–4) and their minimal variants.
 //!
-//! 1. the paper's primed-variable BDD construction (the `MCS` case of
-//!    Algorithm 1), and
-//! 2. Rauzy's minimal-solutions algorithm (`minsol`), together with the
-//!    dual construction for minimal path sets.
-//!
-//! Both engines return identical canonical results; the test-suite
-//! cross-checks them against each other and against an exhaustive
-//! reference on small trees.
+//! [`minimal_cut_sets`], [`minimal_path_sets`] and their count and name
+//! variants run the bottom-up ZDD engine ([`zdd_engine`]); path sets are
+//! the cut sets of the [`dual_tree`]. The paper's primed-variable BDD
+//! construction (the `MCS`/`MPS` case of Algorithm 1) lives here too, in
+//! [`mcs_bdd_paper`] and [`mps_bdd_paper`]: it is what the logic's
+//! `MCS(ϕ)`/`MPS(ϕ)` compile to, and [`minimal_cut_sets_paper`] /
+//! [`minimal_path_sets_paper`] run it on a fresh diagram as the
+//! reference the test-suite compares the ZDD engine against, alongside
+//! the exhaustive `*_naive` references on small trees.
 
-use std::collections::HashMap;
-
-use bfl_bdd::{Bdd, Manager, Var};
+use bfl_bdd::{Bdd, Var};
 
 use crate::bdd::TreeBdd;
 use crate::model::{ElementId, FaultTree};
 use crate::order::VariableOrdering;
 use crate::status::StatusVector;
+use crate::zdd_engine::{self, dual_tree};
 
 impl FaultTree {
     /// Is `b` a cut set for `e` (Definition 3): `Φ_T(b, e) = 1`?
@@ -71,7 +70,7 @@ fn canonicalise(mut sets: Vec<Vec<usize>>) -> Vec<Vec<usize>> {
 
 /// Renders index sets as sorted name lists in the canonical order (each
 /// set's names ascending; sets by cardinality, then lexicographically) —
-/// the shared presentation used by every backend and the session layer.
+/// the presentation shared with the session layer.
 pub fn index_sets_to_names(tree: &FaultTree, sets: &[Vec<usize>]) -> Vec<Vec<String>> {
     let mut out: Vec<Vec<String>> = sets
         .iter()
@@ -89,8 +88,7 @@ pub fn index_sets_to_names(tree: &FaultTree, sets: &[Vec<usize>]) -> Vec<Vec<Str
 }
 
 /// Minimal cut sets of element `e`, as sets of basic-event indices
-/// (canonically ordered). Uses the `minsol` engine with the default DFS
-/// ordering.
+/// (canonically ordered), by the ZDD engine.
 ///
 /// # Example
 ///
@@ -101,8 +99,7 @@ pub fn index_sets_to_names(tree: &FaultTree, sets: &[Vec<usize>]) -> Vec<Vec<Str
 /// assert_eq!(mcs.len(), 2); // {IW,H3} and {IT,H2}
 /// ```
 pub fn minimal_cut_sets(tree: &FaultTree, e: ElementId) -> Vec<Vec<usize>> {
-    let mut tb = TreeBdd::new(tree, VariableOrdering::DfsPreorder);
-    minimal_cut_sets_with(tree, &mut tb, e)
+    canonicalise(zdd_engine::cut_set_families(tree, e).sets(tree, e))
 }
 
 /// Minimal cut sets as sorted name lists.
@@ -111,7 +108,8 @@ pub fn minimal_cut_sets_names(tree: &FaultTree, e: ElementId) -> Vec<Vec<String>
 }
 
 /// Minimal path sets of element `e`, as sets of basic-event indices of the
-/// *operational* events (canonically ordered).
+/// *operational* events (canonically ordered): the minimal cut sets of
+/// `e` in the [`dual_tree`], which keeps ids and basic indices.
 ///
 /// # Example
 ///
@@ -122,36 +120,12 @@ pub fn minimal_cut_sets_names(tree: &FaultTree, e: ElementId) -> Vec<Vec<String>
 /// assert_eq!(mps.len(), 4); // {IW,IT} {IW,H2} {H3,IT} {H3,H2}
 /// ```
 pub fn minimal_path_sets(tree: &FaultTree, e: ElementId) -> Vec<Vec<usize>> {
-    let mut tb = TreeBdd::new(tree, VariableOrdering::DfsPreorder);
-    minimal_path_sets_with(tree, &mut tb, e)
+    minimal_cut_sets(&dual_tree(tree), e)
 }
 
 /// Minimal path sets as sorted name lists.
 pub fn minimal_path_sets_names(tree: &FaultTree, e: ElementId) -> Vec<Vec<String>> {
     index_sets_to_names(tree, &minimal_path_sets(tree, e))
-}
-
-/// `minsol`-engine minimal cut sets using an existing [`TreeBdd`].
-pub fn minimal_cut_sets_with(tree: &FaultTree, tb: &mut TreeBdd, e: ElementId) -> Vec<Vec<usize>> {
-    let f = tb.element_bdd(tree, e);
-    let universe = tb.unprimed_vars();
-    let ms = minsol(tb.manager_mut(), f, &universe);
-    extract_one_sets(tree, tb, ms)
-}
-
-/// `minsol`-engine minimal path sets using an existing [`TreeBdd`].
-///
-/// A minimal path set of `Φ` is a minimal solution of the *dual* function
-/// `Φ^d(b) = ¬Φ(¬b)`; the ones of each solution are the operational
-/// events.
-pub fn minimal_path_sets_with(tree: &FaultTree, tb: &mut TreeBdd, e: ElementId) -> Vec<Vec<usize>> {
-    let f = tb.element_bdd(tree, e);
-    let universe = tb.unprimed_vars();
-    let m = tb.manager_mut();
-    let nf = m.not(f);
-    let dual = flip_polarity(m, nf);
-    let ms = minsol(m, dual, &universe);
-    extract_one_sets(tree, tb, ms)
 }
 
 /// Reads off the satisfying vectors of a minimal-solutions BDD as sets of
@@ -166,145 +140,52 @@ fn extract_one_sets(tree: &FaultTree, tb: &TreeBdd, ms: Bdd) -> Vec<Vec<usize>> 
     canonicalise(sets)
 }
 
-/// Rauzy-style minimal solutions of a *monotone* function `f` over the
-/// variable `universe` (ascending levels): returns the BDD whose
-/// satisfying vectors are exactly the minimal satisfying vectors of `f`.
-///
-/// Variables of the universe on which `f` does not depend are forced to
-/// `0` in every solution.
-///
-/// # Panics
-///
-/// Panics if the support of `f` is not contained in `universe`.
-pub fn minsol(m: &mut Manager, f: Bdd, universe: &[Var]) -> Bdd {
-    for v in m.support(f) {
-        assert!(universe.contains(&v), "support {v} outside universe");
-    }
-    // Walk the universe in the manager's *current* level order so the
-    // recursion stays aligned with the diagram after dynamic reordering.
-    let mut by_level: Vec<Var> = universe.to_vec();
-    by_level.sort_unstable_by_key(|&v| m.level_of(v));
-    let mut memo = HashMap::new();
-    minsol_rec(m, f, &by_level, 0, &mut memo)
-}
-
-fn minsol_rec(
-    m: &mut Manager,
-    f: Bdd,
-    universe: &[Var],
-    idx: usize,
-    memo: &mut HashMap<(u32, usize), Bdd>,
-) -> Bdd {
-    if f.is_false() {
-        return m.bot();
-    }
-    if idx == universe.len() {
-        debug_assert!(f.is_true(), "support outside universe");
-        return m.top();
-    }
-    if f.is_true() {
-        // The empty extension is the unique minimal solution: all
-        // remaining variables must be 0.
-        let mut acc = m.top();
-        for &v in universe[idx..].iter().rev() {
-            let lit = m.nvar(v);
-            acc = m.and(lit, acc);
-        }
-        return acc;
-    }
-    if let Some(&r) = memo.get(&(f.id(), idx)) {
-        return r;
-    }
-    let v = universe[idx];
-    let (f0, f1) = {
-        let node = m.node(f);
-        if node.var == v {
-            (node.low, node.high)
-        } else {
-            debug_assert!(
-                m.level_of(node.var) > m.level_of(v),
-                "universe must be ascending levels"
-            );
-            (f, f)
-        }
-    };
-    let m0 = minsol_rec(m, f0, universe, idx + 1, memo);
-    let m1 = minsol_rec(m, f1, universe, idx + 1, memo);
-    // A vector with v = 1 is minimal iff it is minimal for f1 and does not
-    // already satisfy f0 (else clearing v would give a smaller solution).
-    let nf0 = m.not(f0);
-    let high = m.and(m1, nf0);
-    let lit = m.var(v);
-    let r = m.ite(lit, high, m0);
-    memo.insert((f.id(), idx), r);
-    r
-}
-
-/// Swaps the polarity of every variable: the result satisfies exactly the
-/// complemented vectors of `f` (`flip(f)(b) = f(¬b)`).
-pub fn flip_polarity(m: &mut Manager, f: Bdd) -> Bdd {
-    let mut memo = HashMap::new();
-    flip_rec(m, f, &mut memo)
-}
-
-fn flip_rec(m: &mut Manager, f: Bdd, memo: &mut HashMap<u32, Bdd>) -> Bdd {
-    if f.is_terminal() {
-        return f;
-    }
-    if let Some(&r) = memo.get(&f.id()) {
-        return r;
-    }
-    let node = m.node(f);
-    let low = flip_rec(m, node.low, memo);
-    let high = flip_rec(m, node.high, memo);
-    // Swap the children: the flipped node takes `high` when the variable
-    // is 0 and `low` when it is 1.
-    let lit = m.var(node.var);
-    let r = m.ite(lit, low, high);
-    memo.insert(f.id(), r);
-    r
-}
-
 /// The paper's primed-variable construction of the minimal cut sets
-/// (`MCS` case of Algorithm 1):
+/// (`MCS` case of Algorithm 1), minimal over the `(unprimed, primed)`
+/// variable `pairs`:
 ///
 /// `B_mcs = B ∧ ¬∃V′. (V′ ⊂ V ∧ B[V ↷ V′])`.
 ///
-/// Returns the BDD over unprimed variables whose satisfying vectors are
-/// the MCS vectors. This is the construction benchmarked against
-/// [`minsol`] in `ablation: mcs engines`.
-pub fn mcs_bdd_paper(tb: &mut TreeBdd, f: Bdd) -> Bdd {
-    let pairs = tb.var_pairs();
-    let primed: Vec<Var> = tb.primed_vars();
-    let m = tb.manager_mut();
-    let subset = m.strict_subset(&pairs);
-    let f_primed = m.rename(f, &|v| Var(v.index() + 1));
-    let exists_smaller = m.and_exists(subset, f_primed, &primed);
-    let not_smaller = m.not(exists_smaller);
-    m.and(f, not_smaller)
+/// [`TreeBdd::var_pairs`] gives the paper's formal semantics (minimality
+/// over every basic event); the pairs of the support of `f` alone leave
+/// the other events unconstrained (the Table-I reading). Returns the BDD
+/// over unprimed variables whose satisfying vectors are the MCS vectors.
+pub fn mcs_bdd_paper(tb: &mut TreeBdd, f: Bdd, pairs: &[(Var, Var)]) -> Bdd {
+    let subset = tb.manager_mut().strict_subset(pairs);
+    primed_minimality(tb, f, subset, pairs)
 }
 
 /// The dual construction for minimal path sets (maximal vectors satisfying
-/// `¬f`; see `DESIGN.md` §4):
+/// `¬f`; see `DESIGN.md` §4), maximal over the variable `pairs`:
 ///
 /// `B_mps = ¬B ∧ ¬∃V′. (V′ ⊃ V ∧ ¬B[V ↷ V′])`.
-pub fn mps_bdd_paper(tb: &mut TreeBdd, f: Bdd) -> Bdd {
-    let pairs = tb.var_pairs();
-    let primed: Vec<Var> = tb.primed_vars();
+pub fn mps_bdd_paper(tb: &mut TreeBdd, f: Bdd, pairs: &[(Var, Var)]) -> Bdd {
     let m = tb.manager_mut();
-    let superset = m.strict_superset(&pairs);
+    let superset = m.strict_superset(pairs);
     let nf = m.not(f);
-    let nf_primed = m.rename(nf, &|v| Var(v.index() + 1));
-    let exists_bigger = m.and_exists(superset, nf_primed, &primed);
-    let not_bigger = m.not(exists_bigger);
-    m.and(nf, not_bigger)
+    primed_minimality(tb, nf, superset, pairs)
 }
 
-/// Paper-construction minimal cut sets (for cross-checks and ablation).
+/// `base ∧ ¬∃V′. (relation(V, V′) ∧ base[V ↷ V′])`, quantifying the
+/// primed halves of `pairs`: the vectors of `base` that no other vector
+/// of `base` precedes under `relation`.
+fn primed_minimality(tb: &mut TreeBdd, base: Bdd, relation: Bdd, pairs: &[(Var, Var)]) -> Bdd {
+    let primed: Vec<Var> = pairs.iter().map(|&(_, p)| p).collect();
+    let prime = tb.prime_map();
+    let m = tb.manager_mut();
+    let renamed = m.rename(base, &prime);
+    let exists_other = m.and_exists(relation, renamed, &primed);
+    let not_other = m.not(exists_other);
+    m.and(base, not_other)
+}
+
+/// Paper-construction minimal cut sets over the global universe, on a
+/// fresh diagram: the reference the ZDD engine is checked against.
 pub fn minimal_cut_sets_paper(tree: &FaultTree, e: ElementId) -> Vec<Vec<usize>> {
     let mut tb = TreeBdd::new(tree, VariableOrdering::DfsPreorder);
     let f = tb.element_bdd(tree, e);
-    let ms = mcs_bdd_paper(&mut tb, f);
+    let pairs = tb.var_pairs();
+    let ms = mcs_bdd_paper(&mut tb, f, &pairs);
     extract_one_sets(tree, &tb, ms)
 }
 
@@ -313,7 +194,8 @@ pub fn minimal_cut_sets_paper(tree: &FaultTree, e: ElementId) -> Vec<Vec<usize>>
 pub fn minimal_path_sets_paper(tree: &FaultTree, e: ElementId) -> Vec<Vec<usize>> {
     let mut tb = TreeBdd::new(tree, VariableOrdering::DfsPreorder);
     let f = tb.element_bdd(tree, e);
-    let ms = mps_bdd_paper(&mut tb, f);
+    let pairs = tb.var_pairs();
+    let ms = mps_bdd_paper(&mut tb, f, &pairs);
     let universe = tb.unprimed_vars();
     let mut sets = Vec::new();
     for vector in tb.manager().sat_vectors(ms, &universe) {
@@ -324,10 +206,9 @@ pub fn minimal_path_sets_paper(tree: &FaultTree, e: ElementId) -> Vec<Vec<usize>
     canonicalise(sets)
 }
 
-/// Number of minimal cut sets of `e`, computed on the `minsol` BDD by
-/// model counting — no enumeration, so it stays cheap even when the
-/// number of cut sets is astronomically large (e.g. deep alternating
-/// AND/OR trees).
+/// Number of minimal cut sets of `e`, by counting the ZDD family — no
+/// enumeration, so it stays cheap even when the number of cut sets is
+/// astronomically large (e.g. deep alternating AND/OR trees).
 ///
 /// # Example
 ///
@@ -337,23 +218,12 @@ pub fn minimal_path_sets_paper(tree: &FaultTree, e: ElementId) -> Vec<Vec<usize>
 /// assert_eq!(analysis::count_minimal_cut_sets(&tree, tree.top()), 12);
 /// ```
 pub fn count_minimal_cut_sets(tree: &FaultTree, e: ElementId) -> u128 {
-    let mut tb = TreeBdd::new(tree, VariableOrdering::DfsPreorder);
-    let f = tb.element_bdd(tree, e);
-    let universe = tb.unprimed_vars();
-    let ms = minsol(tb.manager_mut(), f, &universe);
-    tb.manager().sat_count_over(ms, &universe)
+    zdd_engine::cut_set_families(tree, e).count(e)
 }
 
 /// Number of minimal path sets of `e` (see [`count_minimal_cut_sets`]).
 pub fn count_minimal_path_sets(tree: &FaultTree, e: ElementId) -> u128 {
-    let mut tb = TreeBdd::new(tree, VariableOrdering::DfsPreorder);
-    let f = tb.element_bdd(tree, e);
-    let universe = tb.unprimed_vars();
-    let m = tb.manager_mut();
-    let nf = m.not(f);
-    let dual = flip_polarity(m, nf);
-    let ms = minsol(m, dual, &universe);
-    tb.manager().sat_count_over(ms, &universe)
+    count_minimal_cut_sets(&dual_tree(tree), e)
 }
 
 /// Exhaustive reference implementation of minimal cut sets (all `2^n`
@@ -516,30 +386,5 @@ mod tests {
         let tree = corpus::chain(10);
         let count = count_minimal_cut_sets(&tree, tree.top());
         assert!(count > 1_000_000_000, "{count}");
-    }
-
-    #[test]
-    fn flip_polarity_involution() {
-        let tree = corpus::covid();
-        let mut tb = TreeBdd::new(&tree, VariableOrdering::DfsPreorder);
-        let f = tb.element_bdd(&tree, tree.top());
-        let m = tb.manager_mut();
-        let g = flip_polarity(m, f);
-        let h = flip_polarity(m, g);
-        assert_eq!(f, h);
-    }
-
-    #[test]
-    fn minsol_of_or_gate() {
-        let tree = corpus::or2();
-        let mut tb = TreeBdd::new(&tree, VariableOrdering::DfsPreorder);
-        let f = tb.element_bdd(&tree, tree.top());
-        let universe = tb.unprimed_vars();
-        let ms = minsol(tb.manager_mut(), f, &universe);
-        // Minimal solutions: exactly (1,0) and (0,1) over the two unprimed
-        // variables; the two primed variables are don't-cares (2 models × 4).
-        assert_eq!(tb.manager().sat_count(ms, 4), 8);
-        let sets = extract_one_sets(&tree, &tb, ms);
-        assert_eq!(sets, vec![vec![0], vec![1]]);
     }
 }

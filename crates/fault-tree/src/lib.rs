@@ -8,10 +8,10 @@
 //!   `VOT(k/N)` gates, shared subtrees and repeated basic events
 //!   ([`FaultTree`], [`FaultTreeBuilder`]);
 //! * the structure function `Φ_T` of Definition 2 ([`FaultTree::evaluate`]);
-//! * cut sets, path sets and their minimal variants (Definitions 3 and 4),
-//!   computed by two independent engines: the paper's primed-variable BDD
-//!   construction and Rauzy's `minsol` algorithm
-//!   ([`analysis`]);
+//! * cut sets, path sets and their minimal variants (Definitions 3 and 4):
+//!   bottom-up ZDD cut-set families answer the enumeration
+//!   ([`zdd_engine`]), and the paper's primed-variable BDD construction
+//!   serves the logic and the cross-checks ([`analysis`]);
 //! * the `Ψ_FT` BDD translation of Definition 6 ([`bdd`]);
 //! * variable-ordering heuristics for the translation ([`order`]);
 //! * a Galileo-style textual format ([`galileo`]);
@@ -49,7 +49,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod backend;
 pub mod bdd;
 pub mod builder;
 pub mod corpus;
@@ -65,7 +64,6 @@ pub mod status;
 pub mod structure;
 pub mod zdd_engine;
 
-pub use backend::{Backend, CutSetEngine};
 pub use builder::FaultTreeBuilder;
 pub use model::{ElementId, FaultTree, FaultTreeError, GateType};
 pub use order::VariableOrdering;

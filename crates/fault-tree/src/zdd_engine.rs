@@ -1,7 +1,9 @@
 //! Bottom-up minimal-cut-set computation on zero-suppressed decision
 //! diagrams — Rauzy's classical algorithm ("New algorithms for fault
-//! trees analysis", reference \[5\] of the paper), our third independent
-//! MCS engine.
+//! trees analysis", reference \[5\] of the paper). It is the engine
+//! behind [`analysis::minimal_cut_sets`](crate::analysis::minimal_cut_sets)
+//! and its path-set, count and name variants; path sets run on the
+//! [`dual_tree`].
 //!
 //! Cut-set families are composed structurally: a basic event contributes
 //! the singleton family `{{e}}`, an OR gate the minimised union of its
@@ -10,60 +12,58 @@
 //! every step is sound for coherent (monotone) trees: a dominated set
 //! can only ever produce dominated compositions.
 //!
-//! The engine cross-checks against the `minsol` BDD engine and the
-//! paper's primed construction in the test-suite, and is compared against
-//! them in the `ablation_mcs_engine` benchmark.
+//! The test-suite cross-checks the engine against the paper's
+//! primed-variable construction
+//! ([`minimal_cut_sets_paper`](crate::analysis::minimal_cut_sets_paper))
+//! and the exhaustive references.
 
 use bfl_bdd::{Var, Zdd, ZddManager};
 
+use crate::builder::FaultTreeBuilder;
 use crate::model::{ElementId, FaultTree, GateType};
 use crate::order::VariableOrdering;
 
-/// Minimal cut sets of `e` computed bottom-up on ZDDs, as canonically
-/// ordered sets of basic-event indices (same contract as
-/// [`minimal_cut_sets`](crate::analysis::minimal_cut_sets)).
-pub fn minimal_cut_sets_zdd(tree: &FaultTree, e: ElementId) -> Vec<Vec<usize>> {
-    let families = cut_set_families(tree, e);
-    extract(tree, &families.manager, families.family_of(e))
-}
-
-/// Number of minimal cut sets of `e`, by ZDD counting.
-pub fn count_minimal_cut_sets_zdd(tree: &FaultTree, e: ElementId) -> u128 {
-    let families = cut_set_families(tree, e);
-    families.manager.count(families.family_of(e))
-}
-
-/// The cut-set families of every element in the cone of `e`.
-pub struct CutSetFamilies {
-    /// The ZDD manager holding all families.
-    pub manager: ZddManager,
-    /// Per element index: the family handle (unset elements map to the
-    /// empty family).
+/// The cut-set families of every element in the cone of one element.
+pub(crate) struct CutSetFamilies {
+    manager: ZddManager,
+    /// Per element index: the family handle (`None` outside the cone).
     families: Vec<Option<Zdd>>,
-    /// basic index -> ZDD variable position.
-    position: Vec<usize>,
+    /// ZDD variable position -> basic event.
+    order: Vec<ElementId>,
 }
 
 impl CutSetFamilies {
-    /// The family computed for `e`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` was outside the requested cone.
-    pub fn family_of(&self, e: ElementId) -> Zdd {
+    fn family_of(&self, e: ElementId) -> Zdd {
         self.families[e.index()]
             .unwrap_or_else(|| unreachable!("element outside the computed cone"))
     }
 
-    /// The ZDD variable encoding basic index `bi`.
-    pub fn var_of_basic(&self, bi: usize) -> Var {
-        Var(self.position[bi] as u32)
+    /// Number of minimal cut sets of `e`, by ZDD counting.
+    pub(crate) fn count(&self, e: ElementId) -> u128 {
+        self.manager.count(self.family_of(e))
+    }
+
+    /// The minimal cut sets of `e` as sets of basic-event indices, in no
+    /// particular order.
+    pub(crate) fn sets(&self, tree: &FaultTree, e: ElementId) -> Vec<Vec<usize>> {
+        self.manager
+            .sets(self.family_of(e))
+            .into_iter()
+            .map(|vars| {
+                vars.into_iter()
+                    .map(|v| {
+                        tree.basic_index(self.order[v.0 as usize])
+                            .unwrap_or_else(|| unreachable!("basic"))
+                    })
+                    .collect()
+            })
+            .collect()
     }
 }
 
-/// Computes cut-set families bottom-up for the cone of `e`, using the DFS
-/// variable ordering (shared with the BDD engines).
-pub fn cut_set_families(tree: &FaultTree, e: ElementId) -> CutSetFamilies {
+/// Computes cut-set families bottom-up for the cone of `e`, with the ZDD
+/// variables in DFS order.
+pub(crate) fn cut_set_families(tree: &FaultTree, e: ElementId) -> CutSetFamilies {
     let order = VariableOrdering::DfsPreorder.order(tree);
     let mut position = vec![usize::MAX; tree.num_basic_events()];
     for (pos, &be) in order.iter().enumerate() {
@@ -120,7 +120,7 @@ pub fn cut_set_families(tree: &FaultTree, e: ElementId) -> CutSetFamilies {
     CutSetFamilies {
         manager,
         families,
-        position,
+        order,
     }
 }
 
@@ -146,37 +146,59 @@ fn vot_family(m: &mut ZddManager, children: &[Zdd], k: u32) -> Zdd {
     row[k]
 }
 
-fn extract(tree: &FaultTree, manager: &ZddManager, family: Zdd) -> Vec<Vec<usize>> {
-    // Invert position -> basic index.
-    let order = VariableOrdering::DfsPreorder.order(tree);
-    let mut sets: Vec<Vec<usize>> = manager
-        .sets(family)
-        .into_iter()
-        .map(|vars| {
-            let mut s: Vec<usize> = vars
-                .into_iter()
-                .map(|v| {
-                    tree.basic_index(order[v.0 as usize])
-                        .unwrap_or_else(|| unreachable!("basic"))
-                })
-                .collect();
-            s.sort_unstable();
-            s
-        })
-        .collect();
-    sets.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
-    sets.dedup();
-    sets
+/// The dual fault tree: `AND ↔ OR`, `VOT(k/N) ↦ VOT(N−k+1/N)`.
+///
+/// Element names, declaration order (hence [`ElementId`]s and basic
+/// indices) and the top element are preserved, and the dual's structure
+/// function is `Φ^d(b) = ¬Φ(¬b)` element-wise — so the cut sets of the
+/// dual are exactly the path sets of the original (and vice versa).
+///
+/// # Example
+///
+/// ```
+/// use bfl_fault_tree::{analysis, corpus, zdd_engine::dual_tree};
+/// let tree = corpus::fig1();
+/// let dual = dual_tree(&tree);
+/// assert_eq!(
+///     analysis::minimal_cut_sets_paper(&dual, dual.top()),
+///     analysis::minimal_path_sets_paper(&tree, tree.top()),
+/// );
+/// ```
+pub fn dual_tree(tree: &FaultTree) -> FaultTree {
+    let mut b = FaultTreeBuilder::new();
+    for e in tree.iter() {
+        let name = tree.name(e);
+        match tree.gate_type(e) {
+            None => {
+                b.basic_event(name)
+                    .unwrap_or_else(|_| unreachable!("names are unique in a well-formed tree"));
+            }
+            Some(t) => {
+                let n = tree.children(e).len() as u32;
+                let dual_type = match t {
+                    GateType::And => GateType::Or,
+                    GateType::Or => GateType::And,
+                    GateType::Vot { k } => GateType::Vot { k: n - k + 1 },
+                };
+                let children = tree.children(e).iter().map(|&c| tree.name(c));
+                b.gate(name, dual_type, children)
+                    .unwrap_or_else(|_| unreachable!("names are unique"));
+            }
+        }
+    }
+    b.build(tree.name(tree.top()))
+        .unwrap_or_else(|_| unreachable!("dual of a well-formed tree is well-formed"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bdd::TreeBdd;
     use crate::{analysis, corpus};
 
-    #[test]
-    fn agrees_with_minsol_on_corpus() {
-        for tree in [
+    fn corpus_trees() -> Vec<FaultTree> {
+        vec![
+            corpus::or2(),
             corpus::fig1(),
             corpus::covid(),
             corpus::table1_tree(),
@@ -184,12 +206,23 @@ mod tests {
             corpus::attack_tree(),
             corpus::kofn(2, 4),
             corpus::kofn(3, 5),
-        ] {
+        ]
+    }
+
+    #[test]
+    fn agrees_with_paper_on_corpus() {
+        for tree in corpus_trees() {
+            let top = tree.top();
+            let name = tree.name(top);
             assert_eq!(
-                minimal_cut_sets_zdd(&tree, tree.top()),
-                analysis::minimal_cut_sets(&tree, tree.top()),
-                "{}",
-                tree.name(tree.top())
+                analysis::minimal_cut_sets(&tree, top),
+                analysis::minimal_cut_sets_paper(&tree, top),
+                "mcs of {name}"
+            );
+            assert_eq!(
+                analysis::minimal_path_sets(&tree, top),
+                analysis::minimal_path_sets_paper(&tree, top),
+                "mps of {name}"
             );
         }
     }
@@ -200,8 +233,8 @@ mod tests {
         for name in ["MoT", "CT", "CIS", "SH", "CP/R"] {
             let e = tree.element(name).unwrap();
             assert_eq!(
-                minimal_cut_sets_zdd(&tree, e),
                 analysis::minimal_cut_sets(&tree, e),
+                analysis::minimal_cut_sets_paper(&tree, e),
                 "{name}"
             );
         }
@@ -210,20 +243,24 @@ mod tests {
     #[test]
     fn count_matches_enumeration() {
         let tree = corpus::covid();
-        assert_eq!(count_minimal_cut_sets_zdd(&tree, tree.top()), 12);
-        assert_eq!(
-            count_minimal_cut_sets_zdd(&tree, tree.top()),
-            analysis::count_minimal_cut_sets(&tree, tree.top())
-        );
+        let families = cut_set_families(&tree, tree.top());
+        assert_eq!(families.count(tree.top()), 12);
+        assert_eq!(families.sets(&tree, tree.top()).len(), 12);
     }
 
     #[test]
     fn counting_scales_on_deep_chains() {
+        // Depth-10 alternating AND/OR chain: ~10^9 minimal cut sets,
+        // counted without enumeration by both engines.
         let tree = corpus::chain(10);
-        let zdd_count = count_minimal_cut_sets_zdd(&tree, tree.top());
-        let bdd_count = analysis::count_minimal_cut_sets(&tree, tree.top());
-        assert_eq!(zdd_count, bdd_count);
-        assert!(zdd_count > 1_000_000_000);
+        let count = cut_set_families(&tree, tree.top()).count(tree.top());
+        assert!(count > 1_000_000_000, "{count}");
+        let mut tb = TreeBdd::new(&tree, VariableOrdering::DfsPreorder);
+        let f = tb.element_bdd(&tree, tree.top());
+        let pairs = tb.var_pairs();
+        let mcs = analysis::mcs_bdd_paper(&mut tb, f, &pairs);
+        let universe = tb.unprimed_vars();
+        assert_eq!(tb.manager().sat_count_over(mcs, &universe), Some(count));
     }
 
     #[test]
@@ -234,6 +271,41 @@ mod tests {
         b.gate("g", crate::GateType::Or, ["x", "y"]).unwrap();
         b.gate("top", crate::GateType::And, ["g", "x"]).unwrap();
         let tree = b.build("top").unwrap();
-        assert_eq!(minimal_cut_sets_zdd(&tree, tree.top()), vec![vec![0]]);
+        assert_eq!(analysis::minimal_cut_sets(&tree, tree.top()), vec![vec![0]]);
+    }
+
+    #[test]
+    fn dual_preserves_ids_and_top() {
+        let tree = corpus::covid();
+        let dual = dual_tree(&tree);
+        assert_eq!(dual.len(), tree.len());
+        assert_eq!(dual.top(), tree.top());
+        for e in tree.iter() {
+            assert_eq!(dual.name(e), tree.name(e));
+            assert_eq!(dual.basic_index(e), tree.basic_index(e));
+        }
+    }
+
+    #[test]
+    fn dual_is_involutive() {
+        for tree in corpus_trees() {
+            let twice = dual_tree(&dual_tree(&tree));
+            for e in tree.iter() {
+                assert_eq!(twice.gate_type(e), tree.gate_type(e), "{}", tree.name(e));
+                assert_eq!(twice.children(e), tree.children(e));
+            }
+        }
+    }
+
+    #[test]
+    fn vot_dual_threshold() {
+        // 2-of-3 fails iff 2 fail; its dual must fail iff 2 are... failed
+        // under complemented inputs: VOT(2/3)^d = VOT(2/3) here (n−k+1 = 2).
+        let tree = corpus::kofn(2, 3);
+        let dual = dual_tree(&tree);
+        assert_eq!(dual.gate_type(dual.top()), Some(GateType::Vot { k: 2 }));
+        let tree = corpus::kofn(1, 3); // OR-like: dual is AND-like VOT(3/3)
+        let dual = dual_tree(&tree);
+        assert_eq!(dual.gate_type(dual.top()), Some(GateType::Vot { k: 3 }));
     }
 }

@@ -148,8 +148,6 @@ pub struct SessionOptions {
     pub ordering: Option<VariableOrdering>,
     /// Minimality scope: `global` or `support`.
     pub scope: Option<MinimalityScope>,
-    /// Cut-set backend: `minsol` `paper` `zdd`.
-    pub backend: Option<bfl_core::engine::Backend>,
     /// Witness/counterexample cap per outcome.
     pub witness_limit: Option<u64>,
     /// Dynamic reordering policy: `none` `prepare` `auto` `auto:F`.
@@ -421,9 +419,6 @@ impl Request {
                 if let Some(s) = options.scope {
                     field(&mut out, "scope", scope_name(s));
                 }
-                if let Some(b) = options.backend {
-                    field(&mut out, "backend", backend_name(b));
-                }
                 if let Some(w) = options.witness_limit {
                     out.push_str(&format!(",\"witness_limit\":{w}"));
                 }
@@ -604,13 +599,6 @@ impl Request {
                         .map(|s| {
                             parse_scope(&s).ok_or_else(|| {
                                 fail(ErrorCode::BadField, format!("unknown scope `{s}`"))
-                            })
-                        })
-                        .transpose()?,
-                    backend: optional("backend")?
-                        .map(|s| {
-                            parse_backend(&s).ok_or_else(|| {
-                                fail(ErrorCode::BadField, format!("unknown backend `{s}`"))
                             })
                         })
                         .transpose()?,
@@ -951,23 +939,6 @@ pub(crate) fn parse_scope(name: &str) -> Option<MinimalityScope> {
     })
 }
 
-pub(crate) fn backend_name(b: bfl_core::engine::Backend) -> &'static str {
-    match b {
-        bfl_core::engine::Backend::Minsol => "minsol",
-        bfl_core::engine::Backend::Paper => "paper",
-        bfl_core::engine::Backend::Zdd => "zdd",
-    }
-}
-
-pub(crate) fn parse_backend(name: &str) -> Option<bfl_core::engine::Backend> {
-    Some(match name {
-        "minsol" => bfl_core::engine::Backend::Minsol,
-        "paper" => bfl_core::engine::Backend::Paper,
-        "zdd" => bfl_core::engine::Backend::Zdd,
-        _ => return None,
-    })
-}
-
 pub(crate) fn reorder_name(r: ReorderPolicy) -> String {
     match r {
         ReorderPolicy::None => "none".to_string(),
@@ -1024,7 +995,7 @@ mod tests {
 
     #[test]
     fn load_options_round_trip_typed() {
-        let line = r#"{"op":"load","model":"toplevel T;","ordering":"sifted","scope":"support","backend":"zdd","witness_limit":5,"reorder":"auto:2.5","gc":false}"#;
+        let line = r#"{"op":"load","model":"toplevel T;","ordering":"sifted","scope":"support","witness_limit":5,"reorder":"auto:2.5","gc":false}"#;
         let req = Request::parse(line).unwrap();
         let Op::Load { options, .. } = &req.op else {
             panic!("{req:?}");
@@ -1038,6 +1009,9 @@ mod tests {
         );
         assert_eq!(options.gc, Some(false));
         assert_eq!(req.to_json_line(), line);
+        // A key `load` does not read, such as `backend`, is ignored.
+        let req = Request::parse(r#"{"op":"load","model":"m","backend":"zdd"}"#).unwrap();
+        assert_eq!(req.to_json_line(), r#"{"op":"load","model":"m"}"#);
     }
 
     #[test]
@@ -1045,7 +1019,6 @@ mod tests {
         for line in [
             r#"{"op":"load","model":"m","ordering":"alphabetical"}"#,
             r#"{"op":"load","model":"m","scope":"galactic"}"#,
-            r#"{"op":"load","model":"m","backend":"sat"}"#,
             r#"{"op":"load","model":"m","reorder":"auto:0.5"}"#,
             r#"{"op":"load","model":"m","gc":"yes"}"#,
             r#"{"op":"load","model":"m","witness_limit":-1}"#,

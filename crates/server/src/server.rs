@@ -832,9 +832,6 @@ fn handle_load(shared: &Shared, model: &str, options: &SessionOptions) -> Result
     if let Some(scope) = options.scope {
         builder = builder.minimality_scope(scope);
     }
-    if let Some(backend) = options.backend {
-        builder = builder.backend(backend);
-    }
     if let Some(limit) = options.witness_limit {
         builder = builder.witness_limit(limit as usize);
     }

@@ -23,7 +23,6 @@ fn request_corpus() -> Vec<Request> {
     let full_options = SessionOptions {
         ordering: Some(VariableOrdering::Sifted),
         scope: Some(MinimalityScope::FormulaSupport),
-        backend: Some(bfl_core::engine::Backend::Zdd),
         witness_limit: Some(5),
         reorder: Some(ReorderPolicy::Auto { growth_factor: 2.5 }),
         gc: Some(false),
@@ -555,5 +554,46 @@ fn truncated_final_line_is_answered_before_eof() {
         }
         other => panic!("{other:?}"),
     }
+    handle.shutdown();
+}
+
+#[test]
+fn cause_past_the_count_range_is_an_eval_error_and_the_session_stays_loaded() {
+    // VOT(67/133) with every event failed: C(133, 67) ≈ 7.5·10³⁸ minimal
+    // causes, more than `u128::MAX`.
+    let names: Vec<String> = (0..133).map(|i| format!("e{i}")).collect();
+    let model = format!("toplevel top;\ntop 67of133 {};\n", names.join(" "));
+    let observation: Vec<String> = names.iter().map(|n| format!("{n} = 1")).collect();
+    let handle = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("binds");
+    let mut client = Client::connect(handle.addr()).expect("connects");
+    let session = client.load(&model).expect("loads");
+    let plan = client
+        .prepare(&session, "causes(top, 2)")
+        .expect("prepares");
+    let err = client
+        .cause(&session, &plan, &observation.join(", "))
+        .unwrap_err();
+    assert_eq!(err.code(), Some(ErrorCode::EvalError), "{err}");
+    assert!(err.to_string().contains("2^128"), "{err}");
+
+    // Not quarantined: still listed, and still answering.
+    let stats = client.stats(None).expect("stats");
+    let sessions = stats
+        .get("sessions")
+        .and_then(|s| s.as_array())
+        .expect("sessions");
+    assert!(
+        sessions
+            .iter()
+            .any(|s| s.as_str() == Some(session.as_str())),
+        "{stats}"
+    );
+    let outcome = client.check(&session, "exists top").expect("checks");
+    assert!(outcome.to_string().contains("\"holds\":true"), "{outcome}");
     handle.shutdown();
 }

@@ -35,8 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         session.check_vector(&b, &phi)?.holds
     );
 
-    // Enumerate all minimal cut sets and path sets (the configured
-    // backend computes these; see `SessionBuilder::backend`).
+    // Enumerate all minimal cut sets and path sets (bottom-up ZDD
+    // families; path sets on the dual tree).
     println!(
         "minimal cut sets           : {:?}",
         session.minimal_cut_sets("CP/R")?

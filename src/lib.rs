@@ -6,7 +6,7 @@
 //!
 //! * [`bdd`] ([`bfl_bdd`]) — the reduced ordered BDD engine;
 //! * [`ft`] ([`bfl_fault_tree`]) — fault trees: model, structure function,
-//!   Galileo parser, BDD translation, cut-set backends, probability;
+//!   Galileo parser, BDD translation, ZDD cut-set engine, probability;
 //! * [`logic`] ([`bfl_core`]) — the BFL logic: syntax, DSL, semantics,
 //!   model checking, counterexamples, patterns, synthesis, and the
 //!   [`AnalysisSession`](bfl_core::engine::AnalysisSession) engine.
@@ -56,9 +56,9 @@
 //! [`AnalysisSession`](bfl_core::engine::AnalysisSession): it owns its
 //! tree (`Arc<FaultTree>`, no lifetime), is `Send + Sync`, returns
 //! structured [`Outcome`](bfl_core::report::Outcome)s instead of bare
-//! `bool`s, and selects the cut-set [`Backend`](bfl_core::engine::Backend)
-//! (`minsol`/`paper`/`zdd`) as configuration rather than as different
-//! entry points. See the migration table in [`bfl_core::engine`].
+//! `bool`s, and answers cut-set questions through the same session
+//! methods as every other query. See the migration table in
+//! [`bfl_core::engine`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -70,8 +70,7 @@ pub use bfl_fault_tree as ft;
 /// One-stop imports for applications using the suite.
 pub mod prelude {
     pub use bfl_core::engine::{
-        AnalysisSession, Backend, MaintenanceReport, MaintenanceStats, ReorderPolicy,
-        SessionBuilder,
+        AnalysisSession, MaintenanceReport, MaintenanceStats, ReorderPolicy, SessionBuilder,
     };
     pub use bfl_core::parser::{parse_formula, parse_query, parse_spec};
     pub use bfl_core::plan::{

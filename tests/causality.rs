@@ -257,3 +257,38 @@ fn cause_entry_points_reject_mismatched_plans() {
         .unwrap_err();
     assert!(matches!(err, BflError::PlanShapeMismatch { .. }), "{err}");
 }
+
+/// `VOT(67/133)` over `e0..e132`: with every event failed, each 67-subset
+/// is a minimal cause, and C(133, 67) ≈ 7.5·10³⁸ exceeds `u128::MAX`.
+fn wide_vote() -> (FaultTree, Vec<(String, bool)>) {
+    let names: Vec<String> = (0..133).map(|i| format!("e{i}")).collect();
+    let mut b = FaultTreeBuilder::new();
+    b.basic_events(names.iter().map(String::as_str)).unwrap();
+    b.gate(
+        "top",
+        GateType::Vot { k: 67 },
+        names.iter().map(String::as_str),
+    )
+    .unwrap();
+    let evidence = names.into_iter().map(|n| (n, true)).collect();
+    (b.build("top").unwrap(), evidence)
+}
+
+#[test]
+fn too_many_causes_is_an_error_and_the_session_stays_usable() {
+    let (tree, evidence) = wide_vote();
+    let session = AnalysisSession::new(tree);
+    let q = Query::causes(Formula::atom("top"), evidence.clone(), 2);
+    let spec = Spec::from_items([SpecItem::query(q.clone())]);
+    let err = session.run(&spec).unwrap_err();
+    assert!(matches!(err, BflError::CountOverflow { .. }), "{err}");
+    let plan = session.prepare(&q).unwrap();
+    let err = plan.cause(&Scenario::new()).unwrap_err();
+    assert!(matches!(err, BflError::CountOverflow { .. }), "{err}");
+    // Nothing was memoised, and the session still answers.
+    assert_eq!(plan.stats().distinct_scenarios, 0);
+    let outcome = session
+        .check_query(&parse_query("exists top").unwrap())
+        .unwrap();
+    assert!(outcome.holds);
+}

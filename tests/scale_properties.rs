@@ -13,13 +13,16 @@
 //! * **idempotent maintenance** — after compiling a module-rich tree,
 //!   a second GC collects nothing and a second sift changes nothing;
 //! * **witnesses at scale** — `exists top` on a 1000-event tree returns
-//!   its bounded witness list, each a genuine failure vector.
+//!   its bounded witness list, each a genuine failure vector;
+//! * **one answer from two constructions** — on the shipped 400-event
+//!   model the ZDD engine and the logic's `⟦MCS(top)⟧` (the primed
+//!   construction of Algorithm 1) list the same 30,922 minimal cut sets.
 
 // Test-support helpers outside `#[test]` fns: panicking is the
 // correct failure mode here, same as in the tests themselves.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use bfl_core::engine::AnalysisSession;
-use bfl_core::{parser, Scenario};
+use bfl_core::{parser, ModelChecker, Scenario};
 use bfl_fault_tree::bdd::TreeBdd;
 use bfl_fault_tree::rng::Prng;
 use bfl_fault_tree::{corpus, modules, prob};
@@ -163,4 +166,20 @@ fn exists_top_returns_bounded_witnesses_on_scaled_1000() {
     for w in &outcome.witnesses {
         assert!(tree.evaluate(w, tree.top()), "witness does not fail top");
     }
+}
+
+#[test]
+fn zdd_and_primed_construction_agree_on_industrial_400() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/models/industrial-400.dft"
+    );
+    let text = std::fs::read_to_string(path).unwrap();
+    let tree = bfl_fault_tree::galileo::parse(&text).unwrap().tree;
+    let zdd = AnalysisSession::new(tree.clone())
+        .minimal_cut_sets("top")
+        .unwrap();
+    assert_eq!(zdd.len(), 30_922);
+    let primed = ModelChecker::new(&tree).minimal_cut_sets("top").unwrap();
+    assert_eq!(zdd, primed);
 }

@@ -98,7 +98,7 @@ fn concurrent_batches_agree() {
 }
 
 // ---------------------------------------------------------------------
-// Builder permutations: orderings × scopes × backends.
+// Builder permutations: orderings × scopes.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -128,40 +128,37 @@ fn builder_permutations_agree_on_verdicts_and_sets() {
     ];
     for ordering in orderings {
         for scope in scopes {
-            for backend in Backend::ALL {
-                let session = AnalysisSession::builder()
-                    .ordering(ordering)
-                    .minimality_scope(scope)
-                    .backend(backend)
-                    .build(Arc::clone(&tree));
-                assert_eq!(session.ordering(), ordering);
-                assert_eq!(session.minimality_scope(), scope);
-                assert_eq!(session.backend(), backend);
+            let session = AnalysisSession::builder()
+                .ordering(ordering)
+                .minimality_scope(scope)
+                .build(Arc::clone(&tree));
+            assert_eq!(session.ordering(), ordering);
+            assert_eq!(session.minimality_scope(), scope);
 
-                // Backend/ordering choices never change cut/path sets.
-                assert_eq!(
-                    session.minimal_cut_sets("IWoS").unwrap(),
-                    ref_mcs,
-                    "{ordering:?}/{scope:?}/{backend}"
-                );
-                assert_eq!(
-                    session.minimal_path_sets("IWoS").unwrap(),
-                    ref_mps,
-                    "{ordering:?}/{scope:?}/{backend}"
-                );
+            // Neither the ordering nor, on the top event (whose support
+            // is every basic event), the scope changes cut/path sets.
+            assert_eq!(
+                session.minimal_cut_sets("IWoS").unwrap(),
+                ref_mcs,
+                "{ordering:?}/{scope:?}"
+            );
+            assert_eq!(
+                session.minimal_path_sets("IWoS").unwrap(),
+                ref_mps,
+                "{ordering:?}/{scope:?}"
+            );
 
-                // The case-study verdicts are scope-insensitive (none of
-                // the seven probe the Table-I corner): all configurations
-                // reproduce the paper.
-                let verdicts: Vec<bool> = session
-                    .run(&spec)
-                    .unwrap()
-                    .outcomes
-                    .iter()
-                    .map(|o| o.holds)
-                    .collect();
-                assert_eq!(verdicts, ref_verdicts, "{ordering:?}/{scope:?}/{backend}");
-            }
+            // The case-study verdicts are scope-insensitive (none of
+            // the seven probe the Table-I corner): all configurations
+            // reproduce the paper.
+            let verdicts: Vec<bool> = session
+                .run(&spec)
+                .unwrap()
+                .outcomes
+                .iter()
+                .map(|o| o.holds)
+                .collect();
+            assert_eq!(verdicts, ref_verdicts, "{ordering:?}/{scope:?}");
         }
     }
 }
