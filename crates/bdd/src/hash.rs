@@ -1,0 +1,49 @@
+//! The hasher of the manager's unique table and operation caches.
+//!
+//! Their keys are small tuples of arena indices the manager hands out
+//! itself, never outside input, so SipHash's defence against crafted
+//! collisions buys nothing while its per-lookup cost shows in every
+//! `apply` step. This is the multiply-add word hash of rustc-hash 2.
+//! Keys are still compared in full on lookup: a poor spread can only
+//! slow a probe, never change an answer. A model shapes the indices
+//! only through its structure, and a hostile model can already ask
+//! for an exponential diagram, which the node limit bounds.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Odd multiplier of rustc-hash 2 (64-bit).
+const K: u64 = 0xf135_7aea_2e62_a9c5;
+
+/// One multiply-add per hashed word.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.write_u64(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0 = self.0.wrapping_add(i).wrapping_mul(K);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's best-mixed bits are its high ones, but hashbrown
+        // takes the bucket index from the low bits: rotate them down.
+        self.0.rotate_left(26)
+    }
+}
+
+/// A `HashMap` hashed with [`WordHasher`].
+pub(crate) type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;

@@ -63,6 +63,7 @@
 mod audit;
 mod dot;
 mod gc;
+mod hash;
 mod manager;
 mod ops;
 mod prob;

@@ -1,7 +1,8 @@
 //! The BDD manager: node arena, unique table and operation caches.
 
-use std::collections::HashMap;
 use std::fmt;
+
+use crate::hash::WordMap;
 
 /// A BDD variable, identified by a stable numeric id.
 ///
@@ -133,10 +134,10 @@ pub(crate) enum Op {
 #[derive(Debug, Clone)]
 pub struct Manager {
     pub(crate) nodes: Vec<Node>,
-    pub(crate) unique: HashMap<(u32, u32, u32), u32>,
-    pub(crate) op_cache: HashMap<(Op, u32, u32), u32>,
-    pub(crate) ite_cache: HashMap<(u32, u32, u32), u32>,
-    pub(crate) not_cache: HashMap<u32, u32>,
+    pub(crate) unique: WordMap<(u32, u32, u32), u32>,
+    pub(crate) op_cache: WordMap<(Op, u32, u32), u32>,
+    pub(crate) ite_cache: WordMap<(u32, u32, u32), u32>,
+    pub(crate) not_cache: WordMap<u32, u32>,
     num_vars: u32,
     node_limit: usize,
     /// variable id -> current level (index by `Var::index`).
@@ -174,10 +175,10 @@ impl Manager {
         };
         Manager {
             nodes: vec![terminal(0), terminal(1)],
-            unique: HashMap::new(),
-            op_cache: HashMap::new(),
-            ite_cache: HashMap::new(),
-            not_cache: HashMap::new(),
+            unique: WordMap::default(),
+            op_cache: WordMap::default(),
+            ite_cache: WordMap::default(),
+            not_cache: WordMap::default(),
             num_vars,
             node_limit: Self::DEFAULT_NODE_LIMIT,
             var2level: (0..num_vars).collect(),

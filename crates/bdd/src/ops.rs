@@ -180,22 +180,55 @@ impl Manager {
         self.not(x)
     }
 
-    /// Conjunction of all operands (`⊤` for an empty iterator).
+    /// Conjunction of all operands (`⊤` for an empty iterator), combined
+    /// pairwise as described at [`Manager::or_all`].
     pub fn and_all<I: IntoIterator<Item = Bdd>>(&mut self, fs: I) -> Bdd {
-        let mut acc = self.top();
-        for f in fs {
-            acc = self.and(acc, f);
-        }
-        acc
+        let top = self.top();
+        self.apply_balanced(Op::And, fs.into_iter().collect(), top)
     }
 
     /// Disjunction of all operands (`⊥` for an empty iterator).
+    ///
+    /// Adjacent operands are combined pairwise, level by level, in a
+    /// balanced tree. A left fold would apply every operand against an
+    /// accumulator that grows with each step and leave each intermediate
+    /// accumulator behind as garbage. Operand order is kept, so
+    /// neighbours (siblings whose events sit next to each other in the
+    /// variable order) meet first. Canonicity makes the result the same
+    /// node as the left fold's.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use bfl_bdd::{Manager, Var};
+    /// let mut m = Manager::new(3);
+    /// let xs: Vec<_> = (0..3).map(|i| m.var(Var(i))).collect();
+    /// let ab = m.or(xs[0], xs[1]);
+    /// let left_fold = m.or(ab, xs[2]);
+    /// assert_eq!(m.or_all(xs), left_fold);
+    /// assert_eq!(m.or_all([]), m.bot());
+    /// ```
     pub fn or_all<I: IntoIterator<Item = Bdd>>(&mut self, fs: I) -> Bdd {
-        let mut acc = self.bot();
-        for f in fs {
-            acc = self.or(acc, f);
+        let bot = self.bot();
+        self.apply_balanced(Op::Or, fs.into_iter().collect(), bot)
+    }
+
+    /// Reduces `fs` with `op` by halving rounds over adjacent pairs, in
+    /// place; `unit` answers an empty list.
+    fn apply_balanced(&mut self, op: Op, mut fs: Vec<Bdd>, unit: Bdd) -> Bdd {
+        let mut n = fs.len();
+        while n > 1 {
+            // Slot i takes pair (2i, 2i+1): every read is at or ahead of
+            // the write, so one buffer suffices.
+            for i in 0..n / 2 {
+                fs[i] = self.apply(op, fs[2 * i], fs[2 * i + 1]);
+            }
+            if n % 2 == 1 {
+                fs[n / 2] = fs[n - 1];
+            }
+            n = n.div_ceil(2);
         }
-        acc
+        fs.first().copied().unwrap_or(unit)
     }
 
     /// Restriction (cofactor) `f[v ↦ value]`: Algorithm 5.20 of Ben-Ari.

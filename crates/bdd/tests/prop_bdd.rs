@@ -329,3 +329,31 @@ fn compose_matches() {
         }
     }
 }
+
+/// and_all/or_all equal the sequential and/or fold for every operand
+/// count from 0 to 9, odd counts included, and leave an arena that
+/// audits clean.
+#[test]
+fn n_ary_folds_match_sequential_folds() {
+    for mut rng in cases() {
+        let mut m = Manager::new(NVARS);
+        for len in 0..=9 {
+            let fs: Vec<_> = (0..len)
+                .map(|_| {
+                    let e = arb_expr(&mut rng);
+                    build_bdd(&mut m, &e)
+                })
+                .collect();
+            // The n-ary forms run first, so the caches cannot hand them
+            // the sequential fold's answers.
+            let and_all = m.and_all(fs.iter().copied());
+            let or_all = m.or_all(fs.iter().copied());
+            let and_seq = fs.iter().fold(m.top(), |acc, &f| m.and(acc, f));
+            let or_seq = fs.iter().fold(m.bot(), |acc, &f| m.or(acc, f));
+            assert_eq!(and_all, and_seq, "and_all over {len} operands");
+            assert_eq!(or_all, or_seq, "or_all over {len} operands");
+        }
+        let audit = m.audit();
+        assert!(audit.is_ok(), "{audit}");
+    }
+}

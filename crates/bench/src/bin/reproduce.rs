@@ -30,9 +30,9 @@
 //! size), and the `scale` artifact compiles the industrial-scale corpus
 //! (1k–10k basic events) sequentially, cross-checks the top-event
 //! diagram against the tree's structure function on 20 seeded status
-//! vectors, and writes `BENCH_scale.json` (compile time, live nodes,
-//! nodes/sec and `P(top)` per size); `--smoke` restricts all six to
-//! small configurations for CI.
+//! vectors, and writes `BENCH_scale.json` (min and median compile time
+//! over 3 compiles, live and allocated arena nodes, and `P(top)` per
+//! size); `--smoke` restricts all six to small configurations for CI.
 
 // A reproduction harness, not a library: every `expect` is an assertion
 // that the paper's artifact can be rebuilt — failing loudly with the
@@ -352,8 +352,7 @@ fn scaling() {
 }
 
 /// PREP: prepared queries vs per-scenario recompilation (the Section VI
-/// what-if workload, timed offline — the criterion version lives in
-/// `benches/prepared_sweep.rs`).
+/// what-if workload, timed offline).
 fn sweep() {
     use bfl_core::scenario::{Scenario, ScenarioSet};
     use bfl_core::AnalysisSession;
@@ -1431,7 +1430,10 @@ fn reorder(smoke: bool) {
 }
 
 /// SCALE: the industrial corpus (1k–10k basic events) compiled by the
-/// sequential `element_bdd` translation. The top-event diagram is
+/// sequential `element_bdd` translation, timed over `COMPILES` fresh
+/// compiles (min and median). Next to the live diagram it reports the
+/// arena the compile allocated: a live count alone hides the garbage
+/// that intermediate results leave behind. The top-event diagram is
 /// cross-checked against the tree's own structure function
 /// (`FaultTree::evaluate`) on 20 seeded status vectors. Writes the
 /// `BENCH_scale.json` artifact.
@@ -1447,9 +1449,10 @@ fn scale_bench(smoke: bool) {
         &[1_000, 2_000, 5_000, 10_000]
     };
     const VECTORS: u64 = 20;
+    const COMPILES: usize = 3;
     println!(
-        "\n{:<12} {:>9} {:>11} {:>10} {:>9} {:>13}",
-        "tree", "elements", "live nodes", "total ms", "nodes/s", "P(top)"
+        "\n{:<12} {:>9} {:>11} {:>11} {:>10} {:>9} {:>9} {:>13}",
+        "tree", "elements", "live nodes", "arena nodes", "alloc/live", "min ms", "med ms", "P(top)"
     );
     let mut rows = String::new();
     for &n in sizes {
@@ -1457,13 +1460,22 @@ fn scale_bench(smoke: bool) {
         let tree = &model.tree;
         let probs: Vec<f64> = model.probabilities.iter().map(|p| p.unwrap()).collect();
 
-        let t0 = std::time::Instant::now();
-        let mut tb = TreeBdd::new(tree, VariableOrdering::DfsPreorder);
-        let top = tb.element_bdd(tree, tree.top());
-        let t_seq = t0.elapsed();
+        let mut times_ms = Vec::with_capacity(COMPILES);
+        let mut compiled = None;
+        for _ in 0..COMPILES {
+            let t0 = std::time::Instant::now();
+            let mut tb = TreeBdd::new(tree, VariableOrdering::DfsPreorder);
+            let top = tb.element_bdd(tree, tree.top());
+            times_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+            compiled = Some((tb, top));
+        }
+        let (tb, top) = compiled.expect("at least one compile");
+        times_ms.sort_by(f64::total_cmp);
+        let (min_ms, median_ms) = (times_ms[0], times_ms[COMPILES / 2]);
         let live = tb.live_node_count(&[]);
+        let arena = tb.manager().arena_size();
+        let alloc_per_live = arena as f64 / live as f64;
         let p_top = prob::bdd_probability(tree, &tb, top, &probs).expect("probability");
-        let nodes_per_sec = live as f64 / t_seq.as_secs_f64().max(1e-9);
 
         // The compiled top event agrees with the structure function.
         for seed in 0..VECTORS {
@@ -1483,12 +1495,14 @@ fn scale_bench(smoke: bool) {
             );
         }
         println!(
-            "{:<12} {:>9} {:>11} {:>10.1} {:>9.2e} {:>13.6e}",
+            "{:<12} {:>9} {:>11} {:>11} {:>10.2} {:>9.1} {:>9.1} {:>13.6e}",
             format!("scaled-{n}"),
             tree.len(),
             live,
-            t_seq.as_secs_f64() * 1e3,
-            nodes_per_sec,
+            arena,
+            alloc_per_live,
+            min_ms,
+            median_ms,
             p_top
         );
         if !rows.is_empty() {
@@ -1496,11 +1510,11 @@ fn scale_bench(smoke: bool) {
         }
         rows.push_str(&format!(
             "{{\"tree\":\"scaled-{n}\",\"basic_events\":{n},\"elements\":{},\
-             \"live_nodes\":{live},\"probability\":{p_top:e},\"seq_ms\":{:.3},\
-             \"seq_nodes_per_sec\":{nodes_per_sec:.0},\
+             \"live_nodes\":{live},\"arena_nodes\":{arena},\
+             \"alloc_per_live\":{alloc_per_live:.3},\"probability\":{p_top:e},\
+             \"compiles\":{COMPILES},\"seq_ms_min\":{min_ms:.3},\"seq_ms_median\":{median_ms:.3},\
              \"vectors_checked\":{VECTORS},\"verdicts_match_evaluate\":true}}",
             tree.len(),
-            t_seq.as_secs_f64() * 1e3,
         ));
     }
     let json = format!(

@@ -70,8 +70,6 @@ pub struct ModelChecker {
     tb: TreeBdd,
     cache: HashMap<(Formula, MinimalityScope), Bdd>,
     scope: MinimalityScope,
-    /// ordering position -> basic index (inverse of the TreeBdd map).
-    basic_of_position: Vec<usize>,
     /// Formula-translation cache hits/misses since the last reset, over
     /// every recursive `formula_bdd` step.
     cache_hits: u64,
@@ -97,17 +95,11 @@ impl ModelChecker {
     /// Creates a checker sharing ownership of an existing tree.
     pub fn from_arc(tree: Arc<FaultTree>, ordering: VariableOrdering) -> Self {
         let tb = TreeBdd::new(&tree, ordering);
-        let basic_of_position = tb
-            .order()
-            .iter()
-            .map(|&e| tree.basic_index(e).unwrap_or_else(|| unreachable!("basic")))
-            .collect();
         ModelChecker {
             tree,
             tb,
             cache: HashMap::new(),
             scope: MinimalityScope::default(),
-            basic_of_position,
             cache_hits: 0,
             cache_misses: 0,
         }
@@ -370,7 +362,7 @@ impl ModelChecker {
     pub fn holds(&mut self, b: &StatusVector, phi: &Formula) -> Result<bool, BflError> {
         assert_eq!(b.len(), self.tree.num_basic_events(), "vector length");
         let f = self.formula_bdd(phi)?;
-        let basic_of_position = &self.basic_of_position;
+        let basic_of_position = self.tb.basic_of_position();
         Ok(self.tb.manager().eval(f, |v| {
             debug_assert_eq!(v.index() % 2, 0, "primed variable in query BDD");
             b.get(basic_of_position[(v.index() / 2) as usize])
@@ -432,7 +424,7 @@ impl ModelChecker {
             .into_iter()
             .map(|v| {
                 debug_assert_eq!(v.index() % 2, 0, "primed variable in query BDD");
-                self.basic_of_position[(v.index() / 2) as usize]
+                self.tb.basic_of_position()[(v.index() / 2) as usize]
             })
             .collect();
         indices.sort_unstable();
@@ -594,7 +586,7 @@ impl ModelChecker {
 
     /// Position-to-basic-index mapping shared with the walk of Algorithm 4.
     pub(crate) fn basic_of_position(&self) -> &[usize] {
-        &self.basic_of_position
+        self.tb.basic_of_position()
     }
 }
 

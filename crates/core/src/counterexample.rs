@@ -212,9 +212,8 @@ pub fn some_counterexamples(
 }
 
 /// Exhaustive baseline: all satisfying vectors at minimal Hamming distance
-/// from `b`. Exponential; used by tests and the `ablation_counterexample`
-/// bench to contextualise Algorithm 4 (which minimises per-bit necessity,
-/// not distance).
+/// from `b`. Exponential; used by tests to contextualise Algorithm 4
+/// (which minimises per-bit necessity, not distance).
 ///
 /// # Errors
 ///

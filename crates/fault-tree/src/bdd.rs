@@ -45,6 +45,8 @@ pub struct TreeBdd {
     order: Vec<ElementId>,
     /// basic index -> ordering position.
     position: Vec<usize>,
+    /// ordering position -> basic index (inverse of `position`).
+    basic_of_position: Vec<usize>,
     /// element index -> translated BDD (lazily filled).
     cache: HashMap<u32, Bdd>,
     /// Identity check: number of elements of the tree this was built for.
@@ -66,12 +68,14 @@ impl TreeBdd {
     pub fn with_order(tree: &FaultTree, order: Vec<ElementId>) -> Self {
         assert_eq!(order.len(), tree.num_basic_events(), "order length");
         let mut position = vec![usize::MAX; tree.num_basic_events()];
+        let mut basic_of_position = Vec::with_capacity(order.len());
         for (pos, &e) in order.iter().enumerate() {
             let bi = tree
                 .basic_index(e)
                 .unwrap_or_else(|| panic!("{} is not a basic event", tree.name(e)));
             assert_eq!(position[bi], usize::MAX, "duplicate event in order");
             position[bi] = pos;
+            basic_of_position.push(bi);
         }
         assert!(
             position.iter().all(|&p| p != usize::MAX),
@@ -82,6 +86,7 @@ impl TreeBdd {
             manager,
             order,
             position,
+            basic_of_position,
             cache: HashMap::new(),
             tree_len: tree.len(),
         }
@@ -119,14 +124,15 @@ impl TreeBdd {
         if !v.index().is_multiple_of(2) {
             return None;
         }
-        let pos = (v.index() / 2) as usize;
-        self.order.get(pos).map(|&_e| {
-            // position -> basic index: invert `position`.
-            self.position
-                .iter()
-                .position(|&p| p == pos)
-                .unwrap_or_else(|| unreachable!("bijection"))
-        })
+        self.basic_of_position
+            .get((v.index() / 2) as usize)
+            .copied()
+    }
+
+    /// Ordering position -> basic index: entry `p` is the basic index
+    /// of the event encoded by `Var(2p)`.
+    pub fn basic_of_position(&self) -> &[usize] {
+        &self.basic_of_position
     }
 
     /// All unprimed variables, in order.
@@ -216,9 +222,7 @@ impl TreeBdd {
             if v.index() % 2 != 0 {
                 return false;
             }
-            let pos = (v.index() / 2) as usize;
-            let e = self.order[pos];
-            b.get(tree.basic_index(e).unwrap_or_else(|| unreachable!("basic")))
+            b.get(self.basic_of_position[(v.index() / 2) as usize])
         })
     }
 
@@ -324,12 +328,8 @@ impl TreeBdd {
     pub fn vector_from_positions(&self, tree: &FaultTree, assignment: &[bool]) -> StatusVector {
         assert_eq!(assignment.len(), self.order.len(), "assignment length");
         let mut v = StatusVector::all_operational(tree.num_basic_events());
-        for (pos, &val) in assignment.iter().enumerate() {
-            let e = self.order[pos];
-            v.set(
-                tree.basic_index(e).unwrap_or_else(|| unreachable!("basic")),
-                val,
-            );
+        for (&bi, &val) in self.basic_of_position.iter().zip(assignment) {
+            v.set(bi, val);
         }
         v
     }
@@ -361,8 +361,7 @@ pub fn vot_threshold(m: &mut Manager, children: &[Bdd], k: u32) -> Bdd {
 /// The literal `VOT(k/N)` expansion of Definition 6:
 /// `⋁_{n1<…<nk} ⋀_{i=1..k} Ψ(e_ni)` — an OR over all `k`-subsets.
 ///
-/// Exponential in `N`; retained for the `ablation_vot` benchmark and as a
-/// cross-check of [`vot_threshold`].
+/// Exponential in `N`; retained as a cross-check of [`vot_threshold`].
 pub fn vot_naive(m: &mut Manager, children: &[Bdd], k: u32) -> Bdd {
     let k = k as usize;
     if k == 0 {
@@ -487,9 +486,12 @@ mod tests {
         for bi in 0..tree.num_basic_events() {
             let v = tb.var_of_basic(bi);
             assert_eq!(tb.basic_of_var(v), Some(bi));
+            assert_eq!(tb.basic_of_position()[(v.index() / 2) as usize], bi);
             assert_eq!(tb.primed_var_of_basic(bi).index(), v.index() + 1);
         }
         assert_eq!(tb.basic_of_var(Var(1)), None);
+        let past_end = 2 * tree.num_basic_events() as u32;
+        assert_eq!(tb.basic_of_var(Var(past_end)), None);
     }
 
     #[test]

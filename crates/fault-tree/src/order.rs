@@ -2,7 +2,7 @@
 //!
 //! BDD sizes are notoriously sensitive to the variable order (Section V-A
 //! of the paper). This module provides the orderings compared in the
-//! `ablation_ordering` benchmark and the `reproduce -- reorder` artifact:
+//! `reproduce -- reorder` artifact:
 //! four *static* heuristics — [`Declaration`](VariableOrdering::Declaration),
 //! [`DfsPreorder`](VariableOrdering::DfsPreorder),
 //! [`BfsLevel`](VariableOrdering::BfsLevel) and a weight-based
