@@ -31,8 +31,9 @@
 //! (1k–10k basic events) sequentially, cross-checks the top-event
 //! diagram against the tree's structure function on 20 seeded status
 //! vectors, and writes `BENCH_scale.json` (min and median compile time
-//! over 3 compiles, live and allocated arena nodes, and `P(top)` per
-//! size); `--smoke` restricts all six to small configurations for CI.
+//! over 3 compiles, live and allocated arena nodes, `P(top)`, and the
+//! min and median time to parse the model's Galileo text per size);
+//! `--smoke` restricts all six to small configurations for CI.
 
 // A reproduction harness, not a library: every `expect` is an assertion
 // that the paper's artifact can be rebuilt — failing loudly with the
@@ -1435,10 +1436,13 @@ fn reorder(smoke: bool) {
 /// arena the compile allocated: a live count alone hides the garbage
 /// that intermediate results leave behind. The top-event diagram is
 /// cross-checked against the tree's own structure function
-/// (`FaultTree::evaluate`) on 20 seeded status vectors. Writes the
-/// `BENCH_scale.json` artifact.
+/// (`FaultTree::evaluate`) on 20 seeded status vectors. Each model's
+/// Galileo text with probabilities, what a served `load` carries, is
+/// parsed `COMPILES` times (min and median), and the reparsed tree must
+/// compile to the same `P(top)` bits. Writes the `BENCH_scale.json`
+/// artifact.
 fn scale_bench(smoke: bool) {
-    use bfl_fault_tree::prob;
+    use bfl_fault_tree::{galileo, prob};
 
     banner("SCALE — industrial corpus: sequential BDD construction");
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -1451,8 +1455,17 @@ fn scale_bench(smoke: bool) {
     const VECTORS: u64 = 20;
     const COMPILES: usize = 3;
     println!(
-        "\n{:<12} {:>9} {:>11} {:>11} {:>10} {:>9} {:>9} {:>13}",
-        "tree", "elements", "live nodes", "arena nodes", "alloc/live", "min ms", "med ms", "P(top)"
+        "\n{:<12} {:>9} {:>11} {:>11} {:>10} {:>9} {:>9} {:>9} {:>9} {:>13}",
+        "tree",
+        "elements",
+        "live nodes",
+        "arena nodes",
+        "alloc/live",
+        "min ms",
+        "med ms",
+        "parse min",
+        "parse med",
+        "P(top)"
     );
     let mut rows = String::new();
     for &n in sizes {
@@ -1494,8 +1507,32 @@ fn scale_bench(smoke: bool) {
                 "scaled-{n}: BDD verdict differs from the structure function"
             );
         }
+
+        let text = galileo::to_galileo(tree, Some(&model.probabilities));
+        let mut parse_ms = Vec::with_capacity(COMPILES);
+        let mut reparsed = None;
+        for _ in 0..COMPILES {
+            let t0 = std::time::Instant::now();
+            let parsed = galileo::parse(&text).expect("emitted model parses");
+            parse_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+            reparsed = Some(parsed);
+        }
+        parse_ms.sort_by(f64::total_cmp);
+        let (parse_min, parse_median) = (parse_ms[0], parse_ms[COMPILES / 2]);
+        let reparsed = reparsed.expect("at least one parse");
+        let reprobs: Vec<f64> = reparsed.probabilities.iter().map(|p| p.unwrap()).collect();
+        let mut retb = TreeBdd::new(&reparsed.tree, VariableOrdering::DfsPreorder);
+        let retop = retb.element_bdd(&reparsed.tree, reparsed.tree.top());
+        let p_reparsed =
+            prob::bdd_probability(&reparsed.tree, &retb, retop, &reprobs).expect("probability");
+        assert_eq!(
+            p_reparsed.to_bits(),
+            p_top.to_bits(),
+            "scaled-{n}: the reparsed model's P(top) differs"
+        );
+
         println!(
-            "{:<12} {:>9} {:>11} {:>11} {:>10.2} {:>9.1} {:>9.1} {:>13.6e}",
+            "{:<12} {:>9} {:>11} {:>11} {:>10.2} {:>9.1} {:>9.1} {:>9.2} {:>9.2} {:>13.6e}",
             format!("scaled-{n}"),
             tree.len(),
             live,
@@ -1503,6 +1540,8 @@ fn scale_bench(smoke: bool) {
             alloc_per_live,
             min_ms,
             median_ms,
+            parse_min,
+            parse_median,
             p_top
         );
         if !rows.is_empty() {
@@ -1513,8 +1552,11 @@ fn scale_bench(smoke: bool) {
              \"live_nodes\":{live},\"arena_nodes\":{arena},\
              \"alloc_per_live\":{alloc_per_live:.3},\"probability\":{p_top:e},\
              \"compiles\":{COMPILES},\"seq_ms_min\":{min_ms:.3},\"seq_ms_median\":{median_ms:.3},\
+             \"model_bytes\":{},\"parse_ms_min\":{parse_min:.3},\"parse_ms_median\":{parse_median:.3},\
+             \"reparsed_probability_matches\":true,\
              \"vectors_checked\":{VECTORS},\"verdicts_match_evaluate\":true}}",
             tree.len(),
+            text.len(),
         ));
     }
     let json = format!(

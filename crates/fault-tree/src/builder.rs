@@ -109,54 +109,32 @@ impl FaultTreeBuilder {
     /// top names, duplicate names, empty gates, bad VOT arity, cycles, or
     /// elements unreachable from `top`.
     pub fn build(&self, top: &str) -> Result<FaultTree, FaultTreeError> {
+        let id = |name: &str| {
+            self.names
+                .get(name)
+                .map(|&i| ElementId(i as u32))
+                .ok_or_else(|| FaultTreeError::UnknownElement(name.to_string()))
+        };
         let mut elements = Vec::with_capacity(self.declared.len());
-        let mut by_name = HashMap::new();
-        for (i, (name, body)) in self.declared.iter().enumerate() {
-            let kind = match body {
-                None => ElementKind::Basic,
-                Some((t, _)) => ElementKind::Gate(*t),
+        for (name, body) in &self.declared {
+            let (kind, children) = match body {
+                None => (ElementKind::Basic, Vec::new()),
+                Some((t, child_names)) => (
+                    ElementKind::Gate(*t),
+                    child_names
+                        .iter()
+                        .map(|c| id(c))
+                        .collect::<Result<_, _>>()?,
+                ),
             };
-            let children = match body {
-                None => Vec::new(),
-                Some((_, child_names)) => {
-                    let mut ids = Vec::with_capacity(child_names.len());
-                    for c in child_names {
-                        let idx = self
-                            .names
-                            .get(c)
-                            .ok_or_else(|| FaultTreeError::UnknownElement(c.clone()))?;
-                        ids.push(ElementId(*idx as u32));
-                    }
-                    ids
-                }
-            };
-            by_name.insert(name.clone(), ElementId(i as u32));
             elements.push(Element {
                 name: name.clone(),
                 kind,
                 children,
             });
         }
-        let top_id = *by_name
-            .get(top)
-            .ok_or_else(|| FaultTreeError::UnknownElement(top.to_string()))?;
-        let mut basic = Vec::new();
-        let mut basic_index = vec![None; elements.len()];
-        for (i, el) in elements.iter().enumerate() {
-            if matches!(el.kind, ElementKind::Basic) {
-                basic_index[i] = Some(basic.len());
-                basic.push(ElementId(i as u32));
-            }
-        }
-        let tree = FaultTree {
-            elements,
-            by_name,
-            top: top_id,
-            basic,
-            basic_index,
-        };
-        tree.validate()?;
-        Ok(tree)
+        let top = id(top)?;
+        FaultTree::new(elements, top)
     }
 }
 

@@ -15,15 +15,18 @@
 //! ```
 //!
 //! Names may be quoted (any characters except `"`) or bare identifiers.
-//! Comments run from `//` to the end of the line. Events that are
-//! referenced but never declared are implicitly basic events.
+//! A `//` outside a quoted name starts a comment that runs to the end of
+//! the line; inside quotes it is part of the name, so `"http://x"` is a
+//! name. Events that are referenced but never declared are implicitly
+//! basic events. Elements are numbered explicit basic events first (in
+//! declaration order), then implicit ones (in first-reference order),
+//! then gates (in declaration order).
 
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use crate::builder::FaultTreeBuilder;
-use crate::model::{FaultTree, FaultTreeError, GateType};
+use crate::model::{Element, ElementId, ElementKind, FaultTree, FaultTreeError, GateType};
 use crate::prob::ProbInterval;
 
 /// A parsed Galileo model: the tree plus any `prob=` annotations.
@@ -96,117 +99,489 @@ impl From<FaultTreeError> for GalileoError {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
-    Name(String),
-    Keyword(String),
+/// A token of one line. Error messages quote its `Debug` form, as in
+/// `expected child name, found Vot(2, 3)`.
+#[derive(Debug, Clone, Copy)]
+enum Token<'a> {
+    Name(&'a str),
+    Keyword(&'static str),
     Prob(f64),
     ProbRange(f64, f64),
     Vot(u32, u32),
     Semicolon,
 }
 
-/// A token plus its 1-based character column on the source line.
-type SpannedToken = (Token, usize);
+/// [`char::is_whitespace`] on the ASCII range.
+fn is_ascii_space(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ')
+}
 
-fn tokenize_line(line: &str, lineno: usize) -> Result<Vec<SpannedToken>, GalileoError> {
-    let line = match line.find("//") {
-        Some(i) => &line[..i],
-        None => line,
-    };
-    let mut tokens = Vec::new();
-    let mut chars = line.char_indices().peekable();
-    // 1-based character column of byte offset `i` (lines are short; the
-    // rescan only happens per token/error, not per character).
-    let col_at = |i: usize| line[..i].chars().count() + 1;
-    let err = |i: usize, msg: String| GalileoError {
-        line: lineno,
-        col: col_at(i),
-        message: msg,
-    };
-    while let Some(&(i, c)) = chars.peek() {
-        if c.is_whitespace() {
-            chars.next();
-            continue;
-        }
-        if c == ';' {
-            tokens.push((Token::Semicolon, col_at(i)));
-            chars.next();
-            continue;
-        }
-        if c == '"' {
-            chars.next();
-            let mut name = String::new();
-            let mut closed = false;
-            for (_, ch) in chars.by_ref() {
-                if ch == '"' {
-                    closed = true;
-                    break;
-                }
-                name.push(ch);
-            }
-            if !closed {
-                return Err(err(i, "unterminated quoted name".to_string()));
-            }
-            if name.is_empty() {
-                return Err(err(i, "empty quoted name".to_string()));
-            }
-            tokens.push((Token::Name(name), col_at(i)));
-            continue;
-        }
-        // Bare word: read until whitespace, quote or semicolon.
-        let start = i;
-        let mut end = i;
-        while let Some(&(j, ch)) = chars.peek() {
-            if ch.is_whitespace() || ch == ';' || ch == '"' {
-                break;
-            }
-            end = j + ch.len_utf8();
-            chars.next();
-        }
-        let word = &line[start..end];
-        if let Some(rest) = word.strip_prefix("prob=") {
-            if let Some((l, h)) = rest.split_once("..") {
-                let lo: f64 = l
-                    .parse()
-                    .map_err(|_| err(start, format!("invalid interval endpoint `{l}`")))?;
-                let hi: f64 = h
-                    .parse()
-                    .map_err(|_| err(start, format!("invalid interval endpoint `{h}`")))?;
-                ProbInterval::new(lo, hi).map_err(|m| err(start, m))?;
-                tokens.push((Token::ProbRange(lo, hi), col_at(start)));
-            } else {
-                let p: f64 = rest
-                    .parse()
-                    .map_err(|_| err(start, format!("invalid probability `{rest}`")))?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(err(start, format!("probability {p} outside [0, 1]")));
-                }
-                tokens.push((Token::Prob(p), col_at(start)));
-            }
-        } else if let Some((k, n)) = parse_kofn(word) {
-            tokens.push((Token::Vot(k, n), col_at(start)));
-        } else if word.eq_ignore_ascii_case("toplevel")
-            || word.eq_ignore_ascii_case("and")
-            || word.eq_ignore_ascii_case("or")
-        {
-            tokens.push((Token::Keyword(word.to_ascii_lowercase()), col_at(start)));
-        } else {
-            tokens.push((Token::Name(word.to_string()), col_at(start)));
+/// One source line: the lexer's cursor and a forward-only column count.
+struct Line<'a> {
+    text: &'a str,
+    number: usize,
+    /// Byte offset where the next token search starts.
+    pos: usize,
+    /// Byte offset and character column of the last column computed.
+    counted: (usize, usize),
+}
+
+impl<'a> Line<'a> {
+    fn new(text: &'a str, number: usize) -> Self {
+        Line {
+            text,
+            number,
+            pos: 0,
+            counted: (0, 1),
         }
     }
-    Ok(tokens)
+
+    /// The 1-based character column of byte offset `at`. Counting resumes
+    /// at the last column computed (the parser only asks for later
+    /// offsets; an earlier one recounts from the line start), so a line
+    /// is counted once however many declarations it holds.
+    fn col(&mut self, at: usize) -> usize {
+        if at < self.counted.0 {
+            self.counted = (0, 1);
+        }
+        let (from, col) = self.counted;
+        let chars = self.text.as_bytes()[from..at]
+            .iter()
+            .filter(|&&b| b & 0xC0 != 0x80)
+            .count();
+        self.counted = (at, col + chars);
+        self.counted.1
+    }
+
+    fn error(&self, col: usize, message: impl Into<String>) -> GalileoError {
+        GalileoError {
+            line: self.number,
+            col,
+            message: message.into(),
+        }
+    }
+
+    fn error_at(&mut self, at: usize, message: impl Into<String>) -> GalileoError {
+        let col = self.col(at);
+        self.error(col, message)
+    }
+
+    /// The next token and its byte offset, or `None` at the end of the
+    /// line. A `//` outside a quoted name ends the line.
+    fn next_token(&mut self) -> Result<Option<(Token<'a>, usize)>, GalileoError> {
+        let (text, bytes) = (self.text, self.text.as_bytes());
+        let mut start = self.pos;
+        loop {
+            match bytes.get(start) {
+                None => return Ok(None),
+                Some(&b) if b.is_ascii() => {
+                    if !is_ascii_space(b) {
+                        break;
+                    }
+                    start += 1;
+                }
+                Some(_) => match text[start..].chars().next() {
+                    Some(c) if c.is_whitespace() => start += c.len_utf8(),
+                    _ => break,
+                },
+            }
+        }
+        let token = match bytes[start] {
+            b';' => {
+                self.pos = start + 1;
+                Token::Semicolon
+            }
+            b'"' => {
+                let body = start + 1;
+                match bytes[body..].iter().position(|&b| b == b'"') {
+                    None => return Err(self.error_at(start, "unterminated quoted name")),
+                    Some(0) => return Err(self.error_at(start, "empty quoted name")),
+                    Some(len) => {
+                        self.pos = body + len + 1;
+                        Token::Name(&text[body..body + len])
+                    }
+                }
+            }
+            b'/' if bytes.get(start + 1) == Some(&b'/') => {
+                self.pos = bytes.len();
+                return Ok(None);
+            }
+            _ => {
+                let end = self.word_end(start);
+                self.pos = end;
+                word_token(&text[start..end]).map_err(|m| self.error_at(start, m))?
+            }
+        };
+        Ok(Some((token, start)))
+    }
+
+    /// The end of the bare word starting at `start`: the next whitespace,
+    /// `;`, `"` or `//`.
+    fn word_end(&self, start: usize) -> usize {
+        let bytes = self.text.as_bytes();
+        let mut end = start;
+        while let Some(&b) = bytes.get(end) {
+            if b.is_ascii() {
+                if is_ascii_space(b)
+                    || b == b';'
+                    || b == b'"'
+                    || (b == b'/' && bytes.get(end + 1) == Some(&b'/'))
+                {
+                    break;
+                }
+                end += 1;
+            } else {
+                match self.text[end..].chars().next() {
+                    Some(c) if !c.is_whitespace() => end += c.len_utf8(),
+                    _ => break,
+                }
+            }
+        }
+        end
+    }
 }
 
+/// Classifies a bare word: `prob=p`, `prob=lo..hi`, `KofN`, a keyword
+/// (in any case), or else a name.
+fn word_token(word: &str) -> Result<Token<'_>, String> {
+    if let Some(rest) = word.strip_prefix("prob=") {
+        return match rest.split_once("..") {
+            Some((l, h)) => {
+                let endpoint = |s: &str| {
+                    s.parse::<f64>()
+                        .map_err(|_| format!("invalid interval endpoint `{s}`"))
+                };
+                let (lo, hi) = (endpoint(l)?, endpoint(h)?);
+                ProbInterval::new(lo, hi)?;
+                Ok(Token::ProbRange(lo, hi))
+            }
+            None => {
+                let p: f64 = rest
+                    .parse()
+                    .map_err(|_| format!("invalid probability `{rest}`"))?;
+                if !(0.0..=1.0).contains(&p) {
+                    return Err(format!("probability {p} outside [0, 1]"));
+                }
+                Ok(Token::Prob(p))
+            }
+        };
+    }
+    if let Some((k, n)) = parse_kofn(word) {
+        return Ok(Token::Vot(k, n));
+    }
+    Ok(["toplevel", "and", "or"]
+        .into_iter()
+        .find(|k| word.eq_ignore_ascii_case(k))
+        .map_or(Token::Name(word), Token::Keyword))
+}
+
+/// `KofN`, with `of` in any case, as `(K, N)`.
 fn parse_kofn(word: &str) -> Option<(u32, u32)> {
-    let lower = word.to_ascii_lowercase();
-    let (k, n) = lower.split_once("of")?;
-    let k: u32 = k.parse().ok()?;
-    let n: u32 = n.parse().ok()?;
-    Some((k, n))
+    let of = word
+        .as_bytes()
+        .windows(2)
+        .position(|w| w.eq_ignore_ascii_case(b"of"))?;
+    Some((word[..of].parse().ok()?, word[of + 2..].parse().ok()?))
 }
 
-/// Parses a Galileo model from text.
+/// An explicit declaration.
+struct Decl {
+    /// The declared name's slot in [`Names`].
+    slot: usize,
+    line: usize,
+    col: usize,
+    body: Body,
+}
+
+enum Body {
+    Basic {
+        prob: Option<f64>,
+        interval: Option<ProbInterval>,
+    },
+    Gate {
+        gate_type: GateType,
+        /// Children as name slots.
+        children: Vec<usize>,
+        /// `N` of a `KofN` gate, checked against the children at the end.
+        declared_n: Option<u32>,
+    },
+}
+
+/// How far the current statement has got.
+#[derive(Default)]
+enum Stmt<'a> {
+    #[default]
+    Empty,
+    /// `toplevel` at character column `col`, before its name.
+    Toplevel { col: usize },
+    /// `toplevel NAME`: only the statement's end may follow.
+    TopNamed { col: usize, name: &'a str },
+    /// A name at column `col` opened a declaration with no body yet.
+    Named { slot: usize, col: usize },
+    /// A declaration with its body; a gate gathers children.
+    Body(Decl),
+}
+
+/// The name table: each name gets a slot the first time it appears, as
+/// a declaration or as a child.
+#[derive(Default)]
+struct Names<'a> {
+    slots: HashMap<&'a str, usize>,
+    /// Per slot: the name, and the line that declared it (0 while it is
+    /// only referenced).
+    entries: Vec<(&'a str, usize)>,
+}
+
+impl<'a> Names<'a> {
+    fn slot(&mut self, name: &'a str) -> usize {
+        let next = self.entries.len();
+        *self.slots.entry(name).or_insert_with(|| {
+            self.entries.push((name, 0));
+            next
+        })
+    }
+}
+
+#[derive(Default)]
+struct Parser<'a> {
+    names: Names<'a>,
+    /// Explicit declarations in source order.
+    decls: Vec<Decl>,
+    top: Option<&'a str>,
+    stmt: Stmt<'a>,
+}
+
+impl<'a> Parser<'a> {
+    /// Reads one line. Errors come in the order of a reader that lexes a
+    /// whole line before parsing it: a lexical error anywhere on the line
+    /// wins over a grammar error before it.
+    fn line(&mut self, line: &mut Line<'a>) -> Result<(), GalileoError> {
+        let mut grammar_error = None;
+        while let Some((token, at)) = line.next_token()? {
+            if grammar_error.is_none() {
+                let step = match token {
+                    Token::Semicolon => self.end_statement(line),
+                    token => self.token(line, token, at),
+                };
+                grammar_error = step.err();
+            }
+        }
+        match grammar_error {
+            Some(e) => Err(e),
+            None => self.end_statement(line),
+        }
+    }
+
+    fn token(
+        &mut self,
+        line: &mut Line<'a>,
+        token: Token<'a>,
+        at: usize,
+    ) -> Result<(), GalileoError> {
+        self.stmt = match (std::mem::take(&mut self.stmt), token) {
+            (Stmt::Empty, Token::Keyword("toplevel")) => Stmt::Toplevel { col: line.col(at) },
+            (Stmt::Empty, Token::Name(name)) => {
+                let col = line.col(at);
+                let slot = self.names.slot(name);
+                let declared = &mut self.names.entries[slot].1;
+                if *declared > 0 {
+                    return Err(
+                        line.error(col, format!("`{name}` already defined on line {declared}"))
+                    );
+                }
+                *declared = line.number;
+                Stmt::Named { slot, col }
+            }
+            (Stmt::Empty, other) => {
+                return Err(line.error_at(at, format!("unexpected token {other:?}")))
+            }
+            (Stmt::Toplevel { col }, Token::Name(name)) => Stmt::TopNamed { col, name },
+            (Stmt::Toplevel { col }, _) => {
+                return Err(line.error(col, "expected name after `toplevel`"))
+            }
+            (Stmt::TopNamed { .. }, _) => {
+                return Err(line.error_at(at, "unexpected tokens after toplevel name"))
+            }
+            (Stmt::Named { slot, col }, token) => {
+                let gate = |gate_type, declared_n| Body::Gate {
+                    gate_type,
+                    children: Vec::new(),
+                    declared_n,
+                };
+                let body = match token {
+                    Token::Prob(p) => Body::Basic {
+                        prob: Some(p),
+                        interval: None,
+                    },
+                    Token::ProbRange(lo, hi) => Body::Basic {
+                        prob: None,
+                        interval: Some(ProbInterval { lo, hi }),
+                    },
+                    Token::Keyword("and") => gate(GateType::And, None),
+                    Token::Keyword("or") => gate(GateType::Or, None),
+                    Token::Vot(k, n) => gate(GateType::Vot { k }, Some(n)),
+                    other => {
+                        return Err(line.error_at(
+                            at,
+                            format!("expected gate keyword or probability, found {other:?}"),
+                        ))
+                    }
+                };
+                Stmt::Body(Decl {
+                    slot,
+                    line: line.number,
+                    col,
+                    body,
+                })
+            }
+            (Stmt::Body(mut decl), token) => match (&mut decl.body, token) {
+                (Body::Gate { children, .. }, Token::Name(name)) => {
+                    children.push(self.names.slot(name));
+                    Stmt::Body(decl)
+                }
+                (Body::Gate { .. }, other) => {
+                    return Err(line.error_at(at, format!("expected child name, found {other:?}")))
+                }
+                (Body::Basic { .. }, _) => {
+                    return Err(line.error_at(at, "unexpected tokens after probability"))
+                }
+            },
+        };
+        Ok(())
+    }
+
+    fn end_statement(&mut self, line: &Line<'a>) -> Result<(), GalileoError> {
+        match std::mem::take(&mut self.stmt) {
+            Stmt::Empty => {}
+            Stmt::Toplevel { col } => return Err(line.error(col, "expected name after `toplevel`")),
+            Stmt::TopNamed { col, name } => {
+                if self.top.is_some() {
+                    return Err(line.error(col, "duplicate `toplevel` declaration"));
+                }
+                self.top = Some(name);
+            }
+            Stmt::Named { slot, col } => self.decls.push(Decl {
+                slot,
+                line: line.number,
+                col,
+                body: Body::Basic {
+                    prob: None,
+                    interval: None,
+                },
+            }),
+            Stmt::Body(decl) => {
+                if let Body::Gate {
+                    children,
+                    declared_n: None,
+                    ..
+                } = &decl.body
+                {
+                    if children.is_empty() {
+                        let name = self.names.entries[decl.slot].0;
+                        return Err(line.error(decl.col, format!("gate `{name}` has no children")));
+                    }
+                }
+                self.decls.push(decl);
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks what needs the whole model and assembles the tree. Element
+    /// ids: explicit basic events in declaration order, then implicit
+    /// ones (referenced, never declared) in first-reference order, then
+    /// gates in declaration order.
+    fn finish(self) -> Result<GalileoModel, GalileoError> {
+        let Parser {
+            names, decls, top, ..
+        } = self;
+        let top = top.ok_or_else(|| GalileoError {
+            line: 0,
+            col: 0,
+            message: "missing `toplevel` declaration".to_string(),
+        })?;
+        let name = |slot: usize| names.entries[slot].0;
+        for d in &decls {
+            if let Body::Gate {
+                children,
+                declared_n: Some(n),
+                ..
+            } = &d.body
+            {
+                if children.len() != *n as usize {
+                    return Err(GalileoError {
+                        line: d.line,
+                        col: d.col,
+                        message: format!(
+                            "gate `{}` declares VOT(_/{n}) but has {} children",
+                            name(d.slot),
+                            children.len()
+                        ),
+                    });
+                }
+            }
+        }
+
+        let mut id = vec![ElementId(0); names.entries.len()];
+        let mut elements = Vec::with_capacity(names.entries.len());
+        let (mut probabilities, mut intervals) = (Vec::new(), Vec::new());
+        let explicit = decls.iter().filter_map(|d| match d.body {
+            Body::Basic { prob, interval } => Some((d.slot, prob, interval)),
+            Body::Gate { .. } => None,
+        });
+        let implicit = (0..names.entries.len())
+            .filter(|&slot| names.entries[slot].1 == 0)
+            .map(|slot| (slot, None, None));
+        for (slot, prob, interval) in explicit.chain(implicit) {
+            id[slot] = ElementId(elements.len() as u32);
+            elements.push(Element {
+                name: name(slot).to_owned(),
+                kind: ElementKind::Basic,
+                children: Vec::new(),
+            });
+            probabilities.push(prob);
+            intervals.push(interval);
+        }
+        let gates = || {
+            decls.iter().filter_map(|d| match &d.body {
+                Body::Gate {
+                    gate_type,
+                    children,
+                    ..
+                } => Some((d.slot, *gate_type, children)),
+                Body::Basic { .. } => None,
+            })
+        };
+        let first_gate = elements.len();
+        for (i, (slot, ..)) in gates().enumerate() {
+            id[slot] = ElementId((first_gate + i) as u32);
+        }
+        for (slot, gate_type, children) in gates() {
+            elements.push(Element {
+                name: name(slot).to_owned(),
+                kind: ElementKind::Gate(gate_type),
+                children: children.iter().map(|&c| id[c]).collect(),
+            });
+        }
+        let locations = decls
+            .iter()
+            .map(|d| (name(d.slot).to_owned(), (d.line, d.col)))
+            .collect();
+        let top = names
+            .slots
+            .get(top)
+            .map(|&slot| id[slot])
+            .ok_or_else(|| FaultTreeError::UnknownElement(top.to_owned()))?;
+        Ok(GalileoModel {
+            tree: FaultTree::new(elements, top)?,
+            probabilities,
+            intervals,
+            locations,
+        })
+    }
+}
+
+/// Parses a Galileo model from text, in one pass over each line.
 ///
 /// # Errors
 ///
@@ -214,203 +589,16 @@ fn parse_kofn(word: &str) -> Option<(u32, u32)> {
 /// grammatical problems, a missing/duplicate `toplevel`, duplicate
 /// definitions, or any well-formedness violation of the resulting tree.
 pub fn parse(input: &str) -> Result<GalileoModel, GalileoError> {
-    struct GateDef {
-        gate_type: GateType,
-        children: Vec<String>,
-        declared_n: Option<u32>,
-        line: usize,
-        col: usize,
+    let mut parser = Parser::default();
+    // Models usually declare one element per line: sizing the name table
+    // for that spares it rehashing every name as it grows. The byte bound
+    // keeps blank lines from inflating the reservation.
+    let lines = input.bytes().filter(|&b| b == b'\n').count();
+    parser.names.slots.reserve(lines.min(input.len() / 16));
+    for (i, text) in input.lines().enumerate() {
+        parser.line(&mut Line::new(text, i + 1))?;
     }
-    let mut toplevel: Option<(String, usize)> = None;
-    let mut gates: Vec<(String, GateDef)> = Vec::new();
-    // Name, point probability, interval, (line, col) of the declaration.
-    type BasicDecl = (String, Option<f64>, Option<ProbInterval>, (usize, usize));
-    let mut basics: Vec<BasicDecl> = Vec::new();
-    let mut defined: HashMap<String, usize> = HashMap::new();
-    let mut referenced: Vec<String> = Vec::new();
-
-    for (lineno0, raw_line) in input.lines().enumerate() {
-        let lineno = lineno0 + 1;
-        let tokens = tokenize_line(raw_line, lineno)?;
-        let err = |col: usize, msg: String| GalileoError {
-            line: lineno,
-            col,
-            message: msg,
-        };
-        // Split on semicolons: each statement parsed independently.
-        for stmt in tokens.split(|(t, _)| *t == Token::Semicolon) {
-            if stmt.is_empty() {
-                continue;
-            }
-            match &stmt[0] {
-                (Token::Keyword(k), col0) if k == "toplevel" => {
-                    let name = match stmt.get(1) {
-                        Some((Token::Name(n), _)) => n.clone(),
-                        _ => return Err(err(*col0, "expected name after `toplevel`".to_string())),
-                    };
-                    if stmt.len() > 2 {
-                        return Err(err(
-                            stmt[2].1,
-                            "unexpected tokens after toplevel name".to_string(),
-                        ));
-                    }
-                    if toplevel.is_some() {
-                        return Err(err(*col0, "duplicate `toplevel` declaration".to_string()));
-                    }
-                    toplevel = Some((name, lineno));
-                }
-                (Token::Name(name), col0) => {
-                    if let Some(prev) = defined.get(name) {
-                        return Err(err(
-                            *col0,
-                            format!("`{name}` already defined on line {prev}"),
-                        ));
-                    }
-                    defined.insert(name.clone(), lineno);
-                    let child_names = |toks: &[SpannedToken],
-                                       referenced: &mut Vec<String>|
-                     -> Result<Vec<String>, GalileoError> {
-                        toks.iter()
-                            .map(|(t, tcol)| match t {
-                                Token::Name(n) => {
-                                    referenced.push(n.clone());
-                                    Ok(n.clone())
-                                }
-                                other => {
-                                    Err(err(*tcol, format!("expected child name, found {other:?}")))
-                                }
-                            })
-                            .collect()
-                    };
-                    match stmt.get(1) {
-                        None => basics.push((name.clone(), None, None, (lineno, *col0))),
-                        Some((Token::Prob(p), _)) => {
-                            if stmt.len() > 2 {
-                                return Err(err(
-                                    stmt[2].1,
-                                    "unexpected tokens after probability".to_string(),
-                                ));
-                            }
-                            basics.push((name.clone(), Some(*p), None, (lineno, *col0)));
-                        }
-                        Some((Token::ProbRange(lo, hi), pcol)) => {
-                            if stmt.len() > 2 {
-                                return Err(err(
-                                    stmt[2].1,
-                                    "unexpected tokens after probability".to_string(),
-                                ));
-                            }
-                            let iv = ProbInterval::new(*lo, *hi).map_err(|m| err(*pcol, m))?;
-                            basics.push((name.clone(), None, Some(iv), (lineno, *col0)));
-                        }
-                        Some((Token::Keyword(k), _)) if k == "and" || k == "or" => {
-                            let gate_type = if k == "and" {
-                                GateType::And
-                            } else {
-                                GateType::Or
-                            };
-                            let children = child_names(&stmt[2..], &mut referenced)?;
-                            if children.is_empty() {
-                                return Err(err(*col0, format!("gate `{name}` has no children")));
-                            }
-                            gates.push((
-                                name.clone(),
-                                GateDef {
-                                    gate_type,
-                                    children,
-                                    declared_n: None,
-                                    line: lineno,
-                                    col: *col0,
-                                },
-                            ));
-                        }
-                        Some((Token::Vot(kk, nn), _)) => {
-                            let children = child_names(&stmt[2..], &mut referenced)?;
-                            gates.push((
-                                name.clone(),
-                                GateDef {
-                                    gate_type: GateType::Vot { k: *kk },
-                                    children,
-                                    declared_n: Some(*nn),
-                                    line: lineno,
-                                    col: *col0,
-                                },
-                            ));
-                        }
-                        Some((other, ocol)) => {
-                            return Err(err(
-                                *ocol,
-                                format!("expected gate keyword or probability, found {other:?}"),
-                            ))
-                        }
-                    }
-                }
-                (other, ocol) => return Err(err(*ocol, format!("unexpected token {other:?}"))),
-            }
-        }
-    }
-
-    let (top, _) = toplevel.ok_or(GalileoError {
-        line: 0,
-        col: 0,
-        message: "missing `toplevel` declaration".to_string(),
-    })?;
-
-    // Referenced-but-undefined names become implicit basic events.
-    for name in referenced {
-        if !defined.contains_key(&name) {
-            defined.insert(name.clone(), 0);
-            basics.push((name, None, None, (0, 0)));
-        }
-    }
-
-    // VOT arity sanity against the declared N.
-    for (name, def) in &gates {
-        if let Some(n) = def.declared_n {
-            if def.children.len() != n as usize {
-                return Err(GalileoError {
-                    line: def.line,
-                    col: def.col,
-                    message: format!(
-                        "gate `{name}` declares VOT(_/{n}) but has {} children",
-                        def.children.len()
-                    ),
-                });
-            }
-        }
-    }
-
-    let mut builder = FaultTreeBuilder::new();
-    let mut probs: Vec<(String, Option<f64>, Option<ProbInterval>)> = Vec::new();
-    let mut locations: HashMap<String, (usize, usize)> = HashMap::new();
-    for (name, p, iv, loc) in &basics {
-        builder.basic_event(name)?;
-        probs.push((name.clone(), *p, *iv));
-        if loc.0 > 0 {
-            locations.insert(name.clone(), *loc);
-        }
-    }
-    for (name, def) in &gates {
-        builder.gate(name, def.gate_type, def.children.iter().map(String::as_str))?;
-        locations.insert(name.clone(), (def.line, def.col));
-    }
-    let tree = builder.build(&top)?;
-    let mut probabilities = vec![None; tree.num_basic_events()];
-    let mut intervals = vec![None; tree.num_basic_events()];
-    for (name, p, iv) in probs {
-        let e = tree
-            .element(&name)
-            .unwrap_or_else(|| unreachable!("declared"));
-        let bi = tree.basic_index(e).unwrap_or_else(|| unreachable!("basic"));
-        probabilities[bi] = p;
-        intervals[bi] = iv;
-    }
-    Ok(GalileoModel {
-        tree,
-        probabilities,
-        intervals,
-        locations,
-    })
+    parser.finish()
 }
 
 /// Serialises a fault tree (and optional probabilities by basic index)
@@ -465,7 +653,7 @@ pub fn to_galileo_annotated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus;
+    use crate::{corpus, FaultTreeBuilder};
 
     #[test]
     fn parse_simple_model() {
@@ -635,7 +823,272 @@ mod tests {
         let err = parse("\"T\" or a b;").unwrap_err();
         assert_eq!((err.line, err.col), (0, 0));
         assert_eq!(err.to_string(), "galileo: missing `toplevel` declaration");
+
+        // Every error path, with its line, column and message.
+        for &(src, line, col, message) in PINNED_ERRORS {
+            let err = parse(src).unwrap_err();
+            assert_eq!(
+                (err.line, err.col, err.message.as_str()),
+                (line, col, message),
+                "{src:?}"
+            );
+        }
     }
+
+    const PINNED_ERRORS: &[(&str, usize, usize, &str)] = &[
+        // Quoted names, probabilities and intervals.
+        ("toplevel \"T;", 1, 10, "unterminated quoted name"),
+        ("toplevel \"\";", 1, 10, "empty quoted name"),
+        ("toplevel T; T or a \"", 1, 20, "unterminated quoted name"),
+        (
+            "toplevel T; T or a; a prob=x;",
+            1,
+            23,
+            "invalid probability `x`",
+        ),
+        (
+            "toplevel T; T or a; a prob=;",
+            1,
+            23,
+            "invalid probability ``",
+        ),
+        (
+            "toplevel T; T or a; a prob=1.5;",
+            1,
+            23,
+            "probability 1.5 outside [0, 1]",
+        ),
+        (
+            "toplevel T; T or a; a prob=nan;",
+            1,
+            23,
+            "probability NaN outside [0, 1]",
+        ),
+        (
+            "toplevel T; T or a; a prob=1e400;",
+            1,
+            23,
+            "probability inf outside [0, 1]",
+        ),
+        (
+            "toplevel T; T or a; a prob=0.3..0.1;",
+            1,
+            23,
+            "interval [0.3, 0.1] has lo > hi",
+        ),
+        (
+            "toplevel T; T or a; a prob=0.1..1.5;",
+            1,
+            23,
+            "interval [0.1, 1.5] has endpoints outside [0, 1]",
+        ),
+        (
+            "toplevel T; T or a; a prob=x..0.5;",
+            1,
+            23,
+            "invalid interval endpoint `x`",
+        ),
+        (
+            "toplevel T; T or a; a prob=0.1..0.2..0.3;",
+            1,
+            23,
+            "invalid interval endpoint `0.2..0.3`",
+        ),
+        // A lexical error anywhere on a line comes before a grammar error
+        // earlier on that line, but not before one on an earlier line.
+        (
+            "toplevel T; toplevel U; a prob=x;",
+            1,
+            27,
+            "invalid probability `x`",
+        ),
+        (
+            "toplevel T; T or a prob=0.5 \"unterminated",
+            1,
+            29,
+            "unterminated quoted name",
+        ),
+        (
+            "toplevel T;\ntoplevel U;\na prob=x;",
+            2,
+            1,
+            "duplicate `toplevel` declaration",
+        ),
+        // Statements.
+        ("toplevel;", 1, 1, "expected name after `toplevel`"),
+        ("toplevel and T;", 1, 1, "expected name after `toplevel`"),
+        (
+            "toplevel T U;",
+            1,
+            12,
+            "unexpected tokens after toplevel name",
+        ),
+        (
+            "toplevel T\"x\";",
+            1,
+            11,
+            "unexpected tokens after toplevel name",
+        ),
+        (
+            "toplevel T; T or a; a prob=0.1 b;",
+            1,
+            32,
+            "unexpected tokens after probability",
+        ),
+        (
+            "toplevel T; T or a; a prob=0.1..0.2 b;",
+            1,
+            37,
+            "unexpected tokens after probability",
+        ),
+        (
+            "toplevel T; toplevel T;",
+            1,
+            13,
+            "duplicate `toplevel` declaration",
+        ),
+        (
+            "toplevel T; T or a; T and b;",
+            1,
+            21,
+            "`T` already defined on line 1",
+        ),
+        (
+            "toplevel T; T or a;\n\n\na prob=0.1;\nb;\na;",
+            6,
+            1,
+            "`a` already defined on line 4",
+        ),
+        (
+            "toplevel T; T or a 2of3;",
+            1,
+            20,
+            "expected child name, found Vot(2, 3)",
+        ),
+        (
+            "toplevel T; T or a prob=0.5;",
+            1,
+            20,
+            "expected child name, found Prob(0.5)",
+        ),
+        (
+            "toplevel T; T or prob=0.1..0.2;",
+            1,
+            18,
+            "expected child name, found ProbRange(0.1, 0.2)",
+        ),
+        (
+            "toplevel T; T and a or;",
+            1,
+            21,
+            "expected child name, found Keyword(\"or\")",
+        ),
+        ("toplevel T; T and;", 1, 13, "gate `T` has no children"),
+        ("toplevel T; T or", 1, 13, "gate `T` has no children"),
+        (
+            "toplevel T; T a b;",
+            1,
+            15,
+            "expected gate keyword or probability, found Name(\"a\")",
+        ),
+        (
+            "toplevel T; T toplevel;",
+            1,
+            15,
+            "expected gate keyword or probability, found Keyword(\"toplevel\")",
+        ),
+        (
+            "toplevel T; and T a;",
+            1,
+            13,
+            "unexpected token Keyword(\"and\")",
+        ),
+        ("toplevel T; 2of3 a;", 1, 13, "unexpected token Vot(2, 3)"),
+        (
+            "\u{feff}toplevel T; T or a;",
+            1,
+            11,
+            "expected gate keyword or probability, found Name(\"T\")",
+        ),
+        // Checks over the whole model.
+        ("T or a b;", 0, 0, "missing `toplevel` declaration"),
+        ("", 0, 0, "missing `toplevel` declaration"),
+        (
+            "toplevel T;\n  T 2of3 a b;",
+            2,
+            3,
+            "gate `T` declares VOT(_/3) but has 2 children",
+        ),
+        (
+            "toplevel T; T or a; a 2of3;",
+            1,
+            21,
+            "gate `a` declares VOT(_/3) but has 0 children",
+        ),
+        ("toplevel X; T or a;", 0, 0, "unknown element `X`"),
+        (
+            "toplevel a; T or a;",
+            0,
+            0,
+            "top element `a` is a basic event",
+        ),
+        ("toplevel T; T 0of0;", 0, 0, "gate `T` has no children"),
+        (
+            "toplevel T; T 0of2 a b;",
+            0,
+            0,
+            "gate `T` is VOT(0/2) but requires 1 <= k <= 2",
+        ),
+        (
+            "toplevel T; T or A; A and T b;",
+            0,
+            0,
+            "cycle through element `T`",
+        ),
+        (
+            "toplevel T; T or a; U or b;",
+            0,
+            0,
+            "element `b` is not reachable from the top element",
+        ),
+        (
+            "toplevel T; T or a; c;",
+            0,
+            0,
+            "element `c` is not reachable from the top element",
+        ),
+        (
+            "toplevel T; T or a\n b;",
+            0,
+            0,
+            "element `b` is not reachable from the top element",
+        ),
+        // Columns count characters, across non-ASCII names and spaces.
+        (
+            "toplevel \"Tö\"; \"Tö\" or \"日本\" b; b prob=zz;",
+            1,
+            34,
+            "invalid probability `zz`",
+        ),
+        (
+            "toplevel T;\u{a0}T\u{2003}or\u{3000}a b;\u{85}b prob=q;",
+            1,
+            25,
+            "invalid probability `q`",
+        ),
+        (
+            "toplevel T; éé or a prob=0.5;",
+            1,
+            21,
+            "expected child name, found Prob(0.5)",
+        ),
+        (
+            "toplevel G; G or \u{1F600} \"\u{1F600}x\"; \u{1F600} prob=w;",
+            1,
+            28,
+            "invalid probability `w`",
+        ),
+    ];
 
     #[test]
     fn declaration_locations_recorded_and_round_trip() {
@@ -666,5 +1119,183 @@ mod tests {
         let model = parse("toplevel \"CP/R\"; \"CP/R\" or \"a b\" c;").unwrap();
         assert!(model.tree.element("a b").is_some());
         assert!(model.tree.element("CP/R").is_some());
+    }
+
+    #[test]
+    fn a_comment_starts_only_outside_quotes() {
+        let mut b = FaultTreeBuilder::new();
+        b.gate("http://top", GateType::Or, ["a//b", "c"]).unwrap();
+        b.basic_events(["a//b", "c"]).unwrap();
+        let tree = b.build("http://top").unwrap();
+        let model = parse(&to_galileo(&tree, None)).unwrap();
+        assert_eq!(model.tree.name(model.tree.top()), "http://top");
+        assert_eq!(model.tree.basic_event_names(), ["a//b", "c"]);
+
+        let model =
+            parse("toplevel T; T or \"c//d\" a//b \"e\"\n\"c//d\" prob=0.5; // \"x").unwrap();
+        assert_eq!(model.tree.basic_event_names(), ["c//d", "a"]);
+        assert_eq!(model.probabilities, [Some(0.5), None]);
+    }
+
+    #[test]
+    fn implicit_basic_events_follow_explicit_ones_in_first_reference_order() {
+        let model = parse("toplevel T; T or z a G x; G and x y a; a; x prob=0.5;").unwrap();
+        let names: Vec<&str> = model.tree.iter().map(|e| model.tree.name(e)).collect();
+        assert_eq!(names, ["a", "x", "z", "y", "T", "G"]);
+        assert_eq!(model.probabilities, [None, Some(0.5), None, None]);
+        assert_eq!(model.locations.get("z"), None);
+    }
+
+    /// Asserts that two trees agree element for element: names, kinds,
+    /// children, basic indices and the name index.
+    fn assert_same_tree(got: &FaultTree, want: &FaultTree) {
+        assert_eq!(got.len(), want.len());
+        assert_eq!(got.top(), want.top());
+        for e in want.iter() {
+            assert_eq!(got.name(e), want.name(e));
+            assert_eq!(got.gate_type(e), want.gate_type(e), "{}", want.name(e));
+            assert_eq!(got.children(e), want.children(e), "{}", want.name(e));
+            assert_eq!(got.basic_index(e), want.basic_index(e), "{}", want.name(e));
+            assert_eq!(got.element(want.name(e)), Some(e));
+        }
+    }
+
+    fn bits(p: Option<f64>) -> Option<u64> {
+        p.map(f64::to_bits)
+    }
+
+    fn interval_bits(iv: Option<ProbInterval>) -> Option<(u64, u64)> {
+        iv.map(|iv| (iv.lo.to_bits(), iv.hi.to_bits()))
+    }
+
+    /// Emits `tree` with `to_galileo_annotated`, declaring only the basic
+    /// events in `declared`, and checks the parse against the tree that
+    /// `FaultTreeBuilder` makes from the same declarations: explicit basic
+    /// events, then implicit ones in first-reference order, then gates.
+    fn check_reparse(
+        tree: &FaultTree,
+        probabilities: &[Option<f64>],
+        intervals: &[Option<ProbInterval>],
+        declared: impl Fn(usize) -> bool,
+    ) {
+        let full = to_galileo_annotated(tree, Some(probabilities), Some(intervals));
+        // Line 1 is `toplevel`, then one line per gate, then one per basic
+        // event in basic-index order.
+        let basic_lines = 1 + tree.num_gates()..;
+        let text: String = full
+            .lines()
+            .enumerate()
+            .filter(|(i, _)| !basic_lines.contains(i) || declared(i - basic_lines.start))
+            .map(|(_, l)| format!("{l}\n"))
+            .collect();
+        let model = parse(&text).unwrap();
+
+        // Basic events in the expected order, with their basic index in
+        // `tree` if they are declared.
+        let mut b = FaultTreeBuilder::new();
+        let mut expected = Vec::new();
+        for (bi, &e) in tree.basic_events().iter().enumerate() {
+            if declared(bi) {
+                b.basic_event(tree.name(e)).unwrap();
+                expected.push((e, Some(bi)));
+            }
+        }
+        let mut seen: std::collections::HashSet<_> = expected.iter().map(|&(e, _)| e).collect();
+        for g in tree.gates() {
+            for &c in tree.children(g) {
+                if tree.is_basic(c) && seen.insert(c) {
+                    b.basic_event(tree.name(c)).unwrap();
+                    expected.push((c, None));
+                }
+            }
+        }
+        for g in tree.gates() {
+            let children = tree.children(g).iter().map(|&c| tree.name(c));
+            b.gate(tree.name(g), tree.gate_type(g).unwrap(), children)
+                .unwrap();
+        }
+        let want = b.build(tree.name(tree.top())).unwrap();
+        assert_same_tree(&model.tree, &want);
+
+        // An interval wins over a point probability in the same slot;
+        // an undeclared event carries neither.
+        for (new_bi, &(_, bi)) in expected.iter().enumerate() {
+            let (p, iv) = match bi.map(|bi| (probabilities[bi], intervals[bi])) {
+                None => (None, None),
+                Some((_, Some(iv))) => (None, Some(iv)),
+                Some((p, None)) => (p, None),
+            };
+            assert_eq!(bits(model.probabilities[new_bi]), bits(p));
+            assert_eq!(interval_bits(model.intervals[new_bi]), interval_bits(iv));
+        }
+
+        let mut locations = HashMap::new();
+        for (i, line) in text.lines().enumerate().skip(1) {
+            let name = line.split('"').nth(1).unwrap();
+            locations.insert(name.to_string(), (i + 1, 1));
+        }
+        assert_eq!(model.locations, locations);
+    }
+
+    #[test]
+    fn reparse_matches_the_builder_element_for_element() {
+        use crate::generator::{random_tree, RandomTreeConfig};
+        use crate::rng::Prng;
+        for seed in 0..40u64 {
+            let tree = random_tree(&RandomTreeConfig {
+                num_basic: 4 + seed as usize % 23,
+                num_gates: 2 + seed as usize % 11,
+                max_children: 2 + seed as usize % 5,
+                vot_probability: 0.3,
+                seed,
+            });
+            let mut rng = Prng::seed_from_u64(seed);
+            let mut unit = || (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+            let n = tree.num_basic_events();
+            let probabilities: Vec<Option<f64>> =
+                (0..n).map(|i| (i % 3 != 0).then(&mut unit)).collect();
+            let intervals: Vec<Option<ProbInterval>> = (0..n)
+                .map(|i| {
+                    (i % 4 == 1).then(|| {
+                        let (x, y) = (unit(), unit());
+                        ProbInterval::new(x.min(y), x.max(y)).unwrap()
+                    })
+                })
+                .collect();
+            check_reparse(&tree, &probabilities, &intervals, |_| true);
+            // A bare model: every other basic event is only referenced.
+            check_reparse(&tree, &probabilities, &intervals, |bi| bi % 2 == 0);
+        }
+        for n in [1000, 5000] {
+            let model = corpus::scaled_model(n);
+            check_reparse(&model.tree, &model.probabilities, &model.intervals, |_| {
+                true
+            });
+        }
+    }
+
+    #[test]
+    fn a_model_on_one_line_parses_to_the_same_tree() {
+        let model = corpus::scaled_model(5000);
+        let text = to_galileo(&model.tree, Some(&model.probabilities));
+        let lines = parse(&text).unwrap();
+        let one_line = parse(&text.replace('\n', " ")).unwrap();
+        assert_same_tree(&one_line.tree, &lines.tree);
+        let all_bits =
+            |m: &GalileoModel| m.probabilities.iter().map(|&p| bits(p)).collect::<Vec<_>>();
+        assert_eq!(all_bits(&one_line), all_bits(&lines));
+        // Line `k` of the original starts after the characters of lines
+        // `1..k` and their joining spaces.
+        let mut starts = vec![0];
+        for line in text.lines() {
+            starts.push(starts.last().unwrap() + line.chars().count() + 1);
+        }
+        for (name, &(line, col)) in &lines.locations {
+            assert_eq!(
+                one_line.locations[name],
+                (1, starts[line - 1] + col),
+                "{name}"
+            );
+        }
     }
 }

@@ -145,6 +145,41 @@ pub struct FaultTree {
 }
 
 impl FaultTree {
+    /// Assembles a tree whose element ids are positions in `elements`,
+    /// derives the name and basic-event indices, and validates it. This is
+    /// the one constructor behind [`FaultTreeBuilder::build`] and
+    /// [`galileo::parse`]; both hand it unique names.
+    ///
+    /// [`FaultTreeBuilder::build`]: crate::FaultTreeBuilder::build
+    /// [`galileo::parse`]: crate::galileo::parse
+    pub(crate) fn new(elements: Vec<Element>, top: ElementId) -> Result<FaultTree, FaultTreeError> {
+        let by_name = elements
+            .iter()
+            .enumerate()
+            .map(|(i, el)| (el.name.clone(), ElementId(i as u32)))
+            .collect();
+        let mut basic = Vec::new();
+        let basic_index = elements
+            .iter()
+            .enumerate()
+            .map(|(i, el)| {
+                matches!(el.kind, ElementKind::Basic).then(|| {
+                    basic.push(ElementId(i as u32));
+                    basic.len() - 1
+                })
+            })
+            .collect();
+        let tree = FaultTree {
+            elements,
+            by_name,
+            top,
+            basic,
+            basic_index,
+        };
+        tree.validate()?;
+        Ok(tree)
+    }
+
     /// The top element `e_top`.
     pub fn top(&self) -> ElementId {
         self.top
@@ -257,8 +292,8 @@ impl FaultTree {
         out
     }
 
-    /// Validates well-formedness; called by the builder and parser.
-    pub(crate) fn validate(&self) -> Result<(), FaultTreeError> {
+    /// Validates well-formedness; called by [`FaultTree::new`].
+    fn validate(&self) -> Result<(), FaultTreeError> {
         // Top must be a gate.
         if self.is_basic(self.top) {
             return Err(FaultTreeError::BasicTop(self.name(self.top).to_string()));

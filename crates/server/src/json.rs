@@ -80,6 +80,7 @@ impl Json {
     /// [`JsonError`] with a byte offset, on any syntax violation.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -96,6 +97,19 @@ impl Json {
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Moves the string out of object field `key` (first occurrence),
+    /// leaving an empty string behind; `None`, with `self` untouched, if
+    /// the field is absent or not a string.
+    pub(crate) fn take_str(&mut self, key: &str) -> Option<String> {
+        match self {
+            Json::Object(fields) => match fields.iter_mut().find(|(k, _)| k == key) {
+                Some((_, Json::Str(s))) => Some(std::mem::take(s)),
+                _ => None,
+            },
             _ => None,
         }
     }
@@ -181,6 +195,7 @@ impl fmt::Display for Json {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -297,6 +312,15 @@ impl<'a> Parser<'a> {
         self.eat(b'"', "expected `\"`")?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next quote,
+            // backslash or control byte in one piece. Those three are
+            // ASCII, so the run ends on a character boundary of `text`.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
@@ -321,21 +345,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("invalid escape character")),
                     }
                 }
-                0x00..=0x1f => return Err(self.err("raw control character in string")),
-                _ => {
-                    // Re-attach the full UTF-8 sequence starting at b.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b).ok_or_else(|| self.err("invalid UTF-8 byte"))?;
-                    let end = start + len;
-                    let slice = self
-                        .bytes
-                        .get(start..end)
-                        .ok_or_else(|| self.err("truncated UTF-8 sequence"))?;
-                    let s = std::str::from_utf8(slice)
-                        .map_err(|_| self.err("invalid UTF-8 sequence"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
+                _ => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -420,18 +430,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Length of the UTF-8 sequence introduced by `first`, `None` for
-/// continuation/invalid lead bytes.
-fn utf8_len(first: u8) -> Option<usize> {
-    match first {
-        0x00..=0x7f => Some(1),
-        0xc2..=0xdf => Some(2),
-        0xe0..=0xef => Some(3),
-        0xf0..=0xf4 => Some(4),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -475,6 +473,83 @@ mod tests {
         assert_eq!(v.as_str(), Some("😀"));
         // Non-ASCII re-renders raw (same policy as report::json_str).
         assert_eq!(v.to_string(), "\"😀\"");
+    }
+
+    #[test]
+    fn plain_runs_next_to_every_escape() {
+        let run = "plain text, ".repeat(400);
+        for (escape, decoded) in [
+            ("\\\"", "\""),
+            ("\\\\", "\\"),
+            ("\\/", "/"),
+            ("\\b", "\u{8}"),
+            ("\\f", "\u{c}"),
+            ("\\n", "\n"),
+            ("\\r", "\r"),
+            ("\\t", "\t"),
+            ("\\u00e9", "é"),
+            ("\\ud83d\\ude00", "😀"),
+        ] {
+            let doc = format!("\"{escape}{run}{escape}{escape}{run}{escape}\"");
+            let want = format!("{decoded}{run}{decoded}{decoded}{run}{decoded}");
+            assert_eq!(
+                Json::parse(&doc).unwrap().as_str(),
+                Some(want.as_str()),
+                "{escape}"
+            );
+        }
+    }
+
+    #[test]
+    fn multibyte_characters_at_both_ends_of_a_run() {
+        for edge in ["é", "日本", "😀"] {
+            let run = format!("{edge}{}{edge}", "y".repeat(3000));
+            let doc = format!("\"{run}\\n{run}\"");
+            let v = Json::parse(&doc).unwrap();
+            assert_eq!(v.as_str(), Some(format!("{run}\n{run}").as_str()));
+            assert_eq!(v.to_string(), doc);
+        }
+    }
+
+    #[test]
+    fn errors_after_long_runs_keep_their_offsets() {
+        let run = "x".repeat(4096);
+        for (doc, message, offset) in [
+            (
+                format!("\"{run}\u{1}tail\""),
+                "raw control character in string",
+                4098,
+            ),
+            (
+                format!("\"é{run}\u{1f}\""),
+                "raw control character in string",
+                4100,
+            ),
+            (format!("\"{run}"), "unterminated string", 4097),
+            (format!("\"{run}\\"), "unterminated escape", 4098),
+            (
+                format!("\"{run}\\q{run}\""),
+                "invalid escape character",
+                4099,
+            ),
+        ] {
+            let err = Json::parse(&doc).unwrap_err();
+            assert_eq!((err.message.as_str(), err.offset), (message, offset));
+        }
+    }
+
+    #[test]
+    fn scaled_load_line_round_trips_byte_identically() {
+        use bfl_fault_tree::{corpus, galileo};
+        let model = corpus::scaled_model(5000);
+        let text = galileo::to_galileo(&model.tree, Some(&model.probabilities));
+        let line = format!(
+            "{{\"id\":1,\"op\":\"load\",\"model\":{}}}",
+            bfl_core::report::json_str(&text)
+        );
+        let doc = Json::parse(&line).unwrap();
+        assert_eq!(doc.get("model").and_then(Json::as_str), Some(text.as_str()));
+        assert_eq!(doc.to_string(), line);
     }
 
     #[test]

@@ -539,7 +539,7 @@ impl Request {
     /// extracted (so the error response still correlates), the error
     /// code and a message.
     pub fn parse(line: &str) -> Result<Request, RequestError> {
-        let doc = Json::parse(line)
+        let mut doc = Json::parse(line)
             .map_err(|e| (None, ErrorCode::ParseError, format!("invalid JSON: {e}")))?;
         if !matches!(doc, Json::Object(_)) {
             return Err((
@@ -548,6 +548,9 @@ impl Request {
                 "request must be a JSON object".to_string(),
             ));
         }
+        // A `load` model is the whole Galileo text: move it out of the
+        // document instead of cloning it. Only `load` reads the field.
+        let model = doc.take_str("model");
         let id = match doc.get("id") {
             None => None,
             Some(v) => Some(v.as_u64().ok_or((
@@ -586,7 +589,10 @@ impl Request {
         };
         let op = match op_name {
             "load" => {
-                let model = required("model")?;
+                let model = match model {
+                    Some(model) => model,
+                    None => required("model")?,
+                };
                 let options = SessionOptions {
                     ordering: optional("ordering")?
                         .map(|s| {
@@ -982,6 +988,18 @@ mod tests {
         assert_eq!(err.1, ErrorCode::MissingField);
         let err = Request::parse(r#"{"op":"prepare","session":1,"query":"q"}"#).unwrap_err();
         assert_eq!(err.1, ErrorCode::BadField);
+        // `load` moves its model out of the document; a missing or
+        // non-string model still gets the field's own error.
+        let err = Request::parse(r#"{"op":"load","gc":true}"#).unwrap_err();
+        assert_eq!(
+            (err.1, err.2.as_str()),
+            (ErrorCode::MissingField, "`load` requires a `model` field")
+        );
+        let err = Request::parse(r#"{"op":"load","model":["toplevel T;"]}"#).unwrap_err();
+        assert_eq!(
+            (err.1, err.2.as_str()),
+            (ErrorCode::BadField, "`model` must be a string")
+        );
     }
 
     #[test]
