@@ -149,6 +149,7 @@ impl Manager {
         }
         self.nodes = new_nodes;
         self.unique = unique;
+        self.epoch += 1;
         self.op_cache.clear();
         self.ite_cache.clear();
         self.not_cache.clear();

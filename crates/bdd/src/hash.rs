@@ -1,23 +1,26 @@
-//! The hasher of the manager's unique table and operation caches.
-//!
-//! Their keys are small tuples of arena indices the manager hands out
-//! itself, never outside input, so SipHash's defence against crafted
-//! collisions buys nothing while its per-lookup cost shows in every
-//! `apply` step. This is the multiply-add word hash of rustc-hash 2.
-//! Keys are still compared in full on lookup: a poor spread can only
-//! slow a probe, never change an answer. A model shapes the indices
-//! only through its structure, and a hostile model can already ask
-//! for an exponential diagram, which the node limit bounds.
+//! The hasher of every table keyed by arena indices.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Odd multiplier of rustc-hash 2 (64-bit).
 const K: u64 = 0xf135_7aea_2e62_a9c5;
 
-/// One multiply-add per hashed word.
+/// One multiply-add per hashed word: the hasher of the manager's unique
+/// table and operation caches, the per-call memos of its walks, and the
+/// node-keyed memos callers keep across walks.
+///
+/// Their keys are small tuples of arena indices the manager hands out
+/// itself, never outside input, so SipHash's defence against crafted
+/// collisions buys nothing while its per-lookup cost shows in every
+/// `apply` step and every memoised walk. This is the multiply-add word
+/// hash of rustc-hash 2. Keys are still compared in full on lookup: a
+/// poor spread can only slow a probe, never change an answer. A model
+/// shapes the indices only through its structure, and a hostile model
+/// can already ask for an exponential diagram, which the node limit
+/// bounds.
 #[derive(Debug, Default, Clone)]
-pub(crate) struct WordHasher(u64);
+pub struct WordHasher(u64);
 
 impl Hasher for WordHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -46,4 +49,7 @@ impl Hasher for WordHasher {
 }
 
 /// A `HashMap` hashed with [`WordHasher`].
-pub(crate) type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+pub type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// A `HashSet` hashed with [`WordHasher`].
+pub(crate) type WordSet<K> = HashSet<K, BuildHasherDefault<WordHasher>>;

@@ -30,6 +30,10 @@
 //!   ([`collect_garbage`](Manager::collect_garbage));
 //! * Graphviz export ([`to_dot`](Manager::to_dot)) used to reproduce the
 //!   BDD figures of the paper;
+//! * **arena rollback**: [`Manager::watermark`] and
+//!   [`Manager::rollback`] drop every node a request built, with the
+//!   unique-table and cache entries that name them, so scratch work
+//!   leaves the arena as it found it;
 //! * **self-auditing**: [`Manager::audit`] verifies the whole arena
 //!   (unique-table canonicity, reduction, order, var↔level bijectivity,
 //!   sampled cache soundness) and returns an [`AuditReport`]; debug
@@ -68,13 +72,16 @@ mod manager;
 mod ops;
 mod prob;
 mod reorder;
+mod rollback;
 mod sat;
 mod subset;
 pub mod zdd;
 
 pub use audit::AuditReport;
 pub use gc::{Gc, GcStats};
+pub use hash::{WordHasher, WordMap};
 pub use manager::{Bdd, Manager, Node, Var};
 pub use reorder::{SiftOptions, SiftStats};
+pub use rollback::Watermark;
 pub use sat::{SatPath, SatPaths, SatVectors};
 pub use zdd::{Zdd, ZddManager};

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::hash::WordMap;
+use crate::hash::{WordMap, WordSet};
 
 /// A BDD variable, identified by a stable numeric id.
 ///
@@ -138,6 +138,9 @@ pub struct Manager {
     pub(crate) op_cache: WordMap<(Op, u32, u32), u32>,
     pub(crate) ite_cache: WordMap<(u32, u32, u32), u32>,
     pub(crate) not_cache: WordMap<u32, u32>,
+    /// Bumped by every change a [`Watermark`](crate::Watermark) cannot
+    /// roll back across: collections, level swaps and cache clears.
+    pub(crate) epoch: u64,
     num_vars: u32,
     node_limit: usize,
     /// variable id -> current level (index by `Var::index`).
@@ -179,6 +182,7 @@ impl Manager {
             op_cache: WordMap::default(),
             ite_cache: WordMap::default(),
             not_cache: WordMap::default(),
+            epoch: 0,
             num_vars,
             node_limit: Self::DEFAULT_NODE_LIMIT,
             var2level: (0..num_vars).collect(),
@@ -277,6 +281,7 @@ impl Manager {
 
     /// Drops all memoisation caches (unique table and nodes are kept).
     pub fn clear_caches(&mut self) {
+        self.epoch += 1;
         self.op_cache.clear();
         self.ite_cache.clear();
         self.not_cache.clear();
@@ -403,7 +408,7 @@ impl Manager {
     /// assert_eq!(m.node_count(m.top()), 1);
     /// ```
     pub fn node_count(&self, f: Bdd) -> usize {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = WordSet::default();
         let mut stack = vec![f];
         while let Some(n) = stack.pop() {
             if !seen.insert(n.0) {

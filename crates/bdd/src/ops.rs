@@ -1,8 +1,7 @@
 //! Boolean operations: `ite`, the binary `apply` family, negation,
 //! cofactoring, quantification, renaming and composition.
 
-use std::collections::HashMap;
-
+use crate::hash::WordMap;
 use crate::manager::{Bdd, Manager, Op, Var, TERMINAL_LEVEL};
 
 impl Manager {
@@ -236,11 +235,11 @@ impl Manager {
     /// This implements the semantics of the BFL evidence operators
     /// `ϕ[e↦0]` and `ϕ[e↦1]`.
     pub fn restrict(&mut self, f: Bdd, v: Var, value: bool) -> Bdd {
-        let mut memo = HashMap::new();
+        let mut memo = WordMap::default();
         self.restrict_rec(f, v, value, &mut memo)
     }
 
-    fn restrict_rec(&mut self, f: Bdd, v: Var, value: bool, memo: &mut HashMap<u32, Bdd>) -> Bdd {
+    fn restrict_rec(&mut self, f: Bdd, v: Var, value: bool, memo: &mut WordMap<u32, Bdd>) -> Bdd {
         let level = self.level(f);
         if level > self.level_of(v) {
             // Terminal, or the whole sub-BDD is below v: v cannot occur.
@@ -313,7 +312,7 @@ impl Manager {
                 *slot = Some(b);
             }
         }
-        let mut memo = HashMap::new();
+        let mut memo = WordMap::default();
         self.restrict_many_rec(f, &value, &mut memo)
     }
 
@@ -321,7 +320,7 @@ impl Manager {
         &mut self,
         f: Bdd,
         value: &[Option<bool>],
-        memo: &mut HashMap<u32, Bdd>,
+        memo: &mut WordMap<u32, Bdd>,
     ) -> Bdd {
         if f.is_terminal() {
             return f;
@@ -349,11 +348,11 @@ impl Manager {
     /// `∃v.B = Restrict(B,v,0) ∨ Restrict(B,v,1)`, lifted to sets.
     pub fn exists(&mut self, f: Bdd, vars: &[Var]) -> Bdd {
         let mask = self.var_mask(vars);
-        let mut memo = HashMap::new();
+        let mut memo = WordMap::default();
         self.exists_rec(f, &mask, &mut memo)
     }
 
-    fn exists_rec(&mut self, f: Bdd, mask: &[bool], memo: &mut HashMap<u32, Bdd>) -> Bdd {
+    fn exists_rec(&mut self, f: Bdd, mask: &[bool], memo: &mut WordMap<u32, Bdd>) -> Bdd {
         if f.is_terminal() {
             return f;
         }
@@ -383,7 +382,7 @@ impl Manager {
     /// the full conjunction — the classical `AndExists` optimisation.
     pub fn and_exists(&mut self, f: Bdd, g: Bdd, vars: &[Var]) -> Bdd {
         let mask = self.var_mask(vars);
-        let mut memo = HashMap::new();
+        let mut memo = WordMap::default();
         self.and_exists_rec(f, g, &mask, &mut memo)
     }
 
@@ -392,7 +391,7 @@ impl Manager {
         f: Bdd,
         g: Bdd,
         mask: &[bool],
-        memo: &mut HashMap<(u32, u32), Bdd>,
+        memo: &mut WordMap<(u32, u32), Bdd>,
     ) -> Bdd {
         if f.is_false() || g.is_false() {
             return self.bot();
@@ -402,7 +401,7 @@ impl Manager {
         }
         if f.is_true() || g.is_true() || f == g {
             let h = if f.is_true() || f == g { g } else { f };
-            let mut ememo = HashMap::new();
+            let mut ememo = WordMap::default();
             return self.exists_rec(h, mask, &mut ememo);
         }
         let key = if f.0 <= g.0 { (f.0, g.0) } else { (g.0, f.0) };
@@ -443,7 +442,7 @@ impl Manager {
     /// Panics (in debug builds) if the mapping is not order-preserving, and
     /// panics if a mapped variable is undeclared.
     pub fn rename(&mut self, f: Bdd, map: &dyn Fn(Var) -> Var) -> Bdd {
-        let mut memo = HashMap::new();
+        let mut memo = WordMap::default();
         self.rename_rec(f, map, &mut memo)
     }
 
@@ -451,7 +450,7 @@ impl Manager {
         &mut self,
         f: Bdd,
         map: &dyn Fn(Var) -> Var,
-        memo: &mut HashMap<u32, Bdd>,
+        memo: &mut WordMap<u32, Bdd>,
     ) -> Bdd {
         if f.is_terminal() {
             return f;

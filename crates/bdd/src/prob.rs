@@ -14,12 +14,19 @@
 //! Memo lifetime: entries are keyed on [`Bdd::id`], which is stable
 //! under pure construction but **invalidated** by
 //! [`Manager::collect_garbage`](crate::Manager::collect_garbage) (ids
-//! are compacted) and by sifting (nodes are rewritten in place). Callers
-//! that cache a memo across operations must clear it whenever either
-//! runs — the session layer does this through its plan registry.
+//! are compacted), by sifting (nodes are rewritten in place) and, for
+//! the ids it drops, by [`Manager::rollback`](crate::Manager::rollback)
+//! (the next nodes reuse them). Callers that cache a memo across
+//! operations must clear it after a collection or sift and forget the
+//! dropped ids after a rollback; the session layer does both.
+//!
+//! The memo may use any hasher. [`WordMap`] is the cheap one for these
+//! keys; see [`WordHasher`](crate::WordHasher).
 
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 
+use crate::hash::WordMap;
 use crate::manager::{Bdd, Manager, Var};
 
 impl Manager {
@@ -40,7 +47,7 @@ impl Manager {
     /// (See [`Manager::probability_with_memo`] for the memoised form the
     /// engine uses across many roots.)
     pub fn probability<W: Fn(Var) -> f64>(&self, f: Bdd, weight: W) -> f64 {
-        let mut memo = HashMap::new();
+        let mut memo = WordMap::default();
         self.probability_with_memo(f, &weight, &mut memo)
     }
 
@@ -50,13 +57,14 @@ impl Manager {
     /// see first.
     ///
     /// The caller owns the memo's lifetime: it must be cleared after any
-    /// garbage collection or sifting pass, and must only ever be used
-    /// with one fixed `weight` map.
-    pub fn probability_with_memo<W: Fn(Var) -> f64>(
+    /// garbage collection or sifting pass, must forget the ids a
+    /// rollback drops, and must only ever be used with one fixed
+    /// `weight` map.
+    pub fn probability_with_memo<W: Fn(Var) -> f64, S: BuildHasher>(
         &self,
         f: Bdd,
         weight: &W,
-        memo: &mut HashMap<u32, f64>,
+        memo: &mut HashMap<u32, f64, S>,
     ) -> f64 {
         if f.is_false() {
             return 0.0;
@@ -102,19 +110,19 @@ impl Manager {
     /// assert!((lo - 0.28).abs() < 1e-12 && (hi - 0.44).abs() < 1e-12);
     /// ```
     pub fn probability_interval<W: Fn(Var) -> (f64, f64)>(&self, f: Bdd, weight: W) -> (f64, f64) {
-        let mut memo = HashMap::new();
+        let mut memo = WordMap::default();
         self.probability_interval_with_memo(f, &weight, &mut memo)
     }
 
     /// [`Manager::probability_interval`] with a caller-owned node-keyed
     /// memo (same lifetime rules as [`Manager::probability_with_memo`]:
-    /// clear after garbage collection or sifting, one fixed weight map
-    /// per memo).
-    pub fn probability_interval_with_memo<W: Fn(Var) -> (f64, f64)>(
+    /// clear after garbage collection or sifting, forget what a rollback
+    /// drops, one fixed weight map per memo).
+    pub fn probability_interval_with_memo<W: Fn(Var) -> (f64, f64), S: BuildHasher>(
         &self,
         f: Bdd,
         weight: &W,
-        memo: &mut HashMap<u32, (f64, f64)>,
+        memo: &mut HashMap<u32, (f64, f64), S>,
     ) -> (f64, f64) {
         if f.is_false() {
             return (0.0, 0.0);

@@ -135,6 +135,7 @@ impl Manager {
             "level {level} out of range for {} variables",
             self.num_vars()
         );
+        self.epoch += 1;
         let x = self.level2var[level as usize]; // moves down
         let y = self.level2var[level as usize + 1]; // moves up
 

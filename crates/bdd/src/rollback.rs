@@ -1,0 +1,165 @@
+//! Arena rollback: return the manager to a [`Watermark`] taken earlier.
+//!
+//! A request that builds scratch diagrams (a restriction per what-if, a
+//! cause construction) takes a watermark first, extracts its answer as
+//! plain data, and rolls back. Everything made since the mark goes: the
+//! nodes, their unique-table entries, and every cached operation that
+//! names one of them. The arena, the unique table and the caches are
+//! then exactly as a manager that never ran the request would have them,
+//! up to cache entries over surviving nodes, which stay valid.
+//!
+//! The cost is linear in the nodes dropped, plus one pass over each
+//! operation cache that gained an entry since the mark. Restriction,
+//! evaluation and probability walks touch no cache, so rolling them back
+//! never scans one.
+
+use crate::manager::Manager;
+
+/// A point in a manager's history that [`Manager::rollback`] returns to.
+///
+/// Valid until the next garbage collection, level swap or
+/// [`Manager::clear_caches`]: those renumber or rewrite nodes below the
+/// mark, so a rollback across one panics instead of corrupting the
+/// arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Watermark {
+    nodes: usize,
+    op_cache: usize,
+    ite_cache: usize,
+    not_cache: usize,
+    epoch: u64,
+}
+
+impl Watermark {
+    /// Arena size (terminals included) when the mark was taken: the
+    /// index the next new node takes after a rollback to it.
+    pub fn arena_size(&self) -> usize {
+        self.nodes
+    }
+}
+
+impl Manager {
+    /// Marks the current arena, for a later [`Manager::rollback`].
+    pub fn watermark(&self) -> Watermark {
+        Watermark {
+            nodes: self.nodes.len(),
+            op_cache: self.op_cache.len(),
+            ite_cache: self.ite_cache.len(),
+            not_cache: self.not_cache.len(),
+            epoch: self.epoch,
+        }
+    }
+
+    /// Drops every node made since `mark` and returns how many there
+    /// were. Handles at or past the mark become invalid, and the next
+    /// new node takes index `mark.arena_size()`.
+    ///
+    /// Each dropped node's unique-table entry goes with it. A cache that
+    /// gained entries since the mark loses those naming a dropped node,
+    /// as operand or result. Entries made before the mark cannot name
+    /// one, so a cache that did not grow is left alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a garbage collection, level swap or cache clear ran
+    /// since the mark.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use bfl_bdd::{Manager, Var};
+    /// let mut m = Manager::new(3);
+    /// let a = m.var(Var(0));
+    /// let b = m.var(Var(1));
+    /// let mark = m.watermark();
+    /// let ab = m.and(a, b);
+    /// let scratch = m.restrict_many(ab, &[(Var(0), true)]);
+    /// assert_eq!(scratch, b); // answers extracted before the rollback
+    /// assert_eq!(m.rollback(mark), 1); // the node of a ∧ b
+    /// assert_eq!(m.arena_size(), mark.arena_size());
+    /// assert!(m.audit().is_ok());
+    /// ```
+    pub fn rollback(&mut self, mark: Watermark) -> usize {
+        assert_eq!(
+            mark.epoch, self.epoch,
+            "rollback across a garbage collection, level swap or cache clear"
+        );
+        let keep = mark.nodes;
+        let dropped = self.nodes.len() - keep;
+        if dropped == 0 {
+            return 0;
+        }
+        for n in &self.nodes[keep..] {
+            self.unique.remove(&(n.var.0, n.low.0, n.high.0));
+        }
+        self.nodes.truncate(keep);
+        let live = |id: u32| (id as usize) < keep;
+        if self.op_cache.len() > mark.op_cache {
+            self.op_cache
+                .retain(|&(_, f, g), &mut r| live(f) && live(g) && live(r));
+        }
+        if self.ite_cache.len() > mark.ite_cache {
+            self.ite_cache
+                .retain(|&(f, g, h), &mut r| live(f) && live(g) && live(h) && live(r));
+        }
+        if self.not_cache.len() > mark.not_cache {
+            self.not_cache.retain(|&f, &mut r| live(f) && live(r));
+        }
+        dropped
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::manager::{Manager, Var};
+
+    #[test]
+    fn rollback_to_the_current_arena_is_a_no_op() {
+        let mut m = Manager::new(2);
+        let a = m.var(Var(0));
+        let mark = m.watermark();
+        assert_eq!(m.rollback(mark), 0);
+        assert_eq!(m.var(Var(0)), a);
+    }
+
+    #[test]
+    fn cached_results_over_dropped_nodes_are_recomputed() {
+        let mut m = Manager::new(3);
+        let a = m.var(Var(0));
+        let b = m.var(Var(1));
+        let c = m.var(Var(2));
+        let build = |m: &mut Manager| {
+            let ab = m.and(a, b);
+            let f = m.or(ab, c);
+            let nf = m.not(f);
+            m.ite(a, nf, c)
+        };
+        let table = |m: &Manager, g| -> Vec<bool> {
+            (0..8u32)
+                .map(|bits| m.eval(g, |v| (bits >> v.index()) & 1 == 1))
+                .collect()
+        };
+        let mark = m.watermark();
+        let g = build(&mut m);
+        let before = table(&m, g);
+        assert!(m.rollback(mark) > 0);
+        assert!(m.audit_with(usize::MAX).is_ok());
+        // No cache entry of the dropped work survives: rebuilding starts
+        // at the mark's index and ends on the same function.
+        assert_eq!(m.and(a, b).id() as usize, mark.arena_size());
+        let g = build(&mut m);
+        assert_eq!(table(&m, g), before);
+        assert!(m.audit_with(usize::MAX).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "rollback across")]
+    fn rollback_across_a_collection_panics() {
+        let mut m = Manager::new(2);
+        let a = m.var(Var(0));
+        let mark = m.watermark();
+        let _ = m.var(Var(1));
+        m.collect_garbage(&[a]);
+        m.rollback(mark);
+    }
+}

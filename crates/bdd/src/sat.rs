@@ -1,8 +1,7 @@
 //! Satisfiability services: evaluation, witnesses, `AllSat` enumeration and
 //! model counting.
 
-use std::collections::HashSet;
-
+use crate::hash::{WordMap, WordSet};
 use crate::manager::{Bdd, Manager, Var};
 
 /// A (partial) satisfying path through a BDD: the variables actually
@@ -33,8 +32,8 @@ impl Manager {
     /// only if the represented function depends on it. This fact is what
     /// makes the paper's `IDP` translation exact.
     pub fn support(&self, f: Bdd) -> Vec<Var> {
-        let mut seen = HashSet::new();
-        let mut vars = HashSet::new();
+        let mut seen = WordSet::default();
+        let mut vars = WordSet::default();
         let mut stack = vec![f];
         while let Some(n) = stack.pop() {
             if n.is_terminal() || !seen.insert(n.0) {
@@ -118,7 +117,7 @@ impl Manager {
         // by the current order so the walk matches the diagram.
         let mut by_level: Vec<Var> = universe.to_vec();
         by_level.sort_unstable_by_key(|&v| self.level_of(v));
-        let mut memo = std::collections::HashMap::new();
+        let mut memo = WordMap::default();
         self.sat_count_over_rec(f, &by_level, 0, &mut memo)
     }
 
@@ -127,7 +126,7 @@ impl Manager {
         f: Bdd,
         universe: &[Var],
         idx: usize,
-        memo: &mut std::collections::HashMap<(u32, usize), u128>,
+        memo: &mut WordMap<(u32, usize), u128>,
     ) -> Option<u128> {
         if f.is_false() {
             return Some(0);

@@ -357,3 +357,98 @@ fn n_ary_folds_match_sequential_folds() {
         assert!(audit.is_ok(), "{audit}");
     }
 }
+
+/// Interleaved layout of the rollback test: event `k` is `Var(2k)`, its
+/// primed copy `Var(2k + 1)`, as the model checker allocates them.
+const ROLLBACK_VARS: u32 = 2 * NVARS;
+
+/// Builds `e` over the unprimed (even) variables.
+fn build_unprimed(m: &mut Manager, e: &Expr) -> bfl_bdd::Bdd {
+    let f = build_bdd(m, e);
+    m.rename(f, &|v| Var(2 * v.index()))
+}
+
+/// Runs a seeded sequence of kernel calls over `pool`, appending each
+/// result, and returns the results. The same seed on an equal pool makes
+/// the same calls.
+fn random_calls(m: &mut Manager, pool: &mut Vec<bfl_bdd::Bdd>, seed: u64) -> Vec<bfl_bdd::Bdd> {
+    let mut rng = Rng(seed);
+    let pairs: Vec<(Var, Var)> = (0..NVARS).map(|k| (Var(2 * k), Var(2 * k + 1))).collect();
+    let primed: Vec<Var> = pairs.iter().map(|&(_, p)| p).collect();
+    let mut out = Vec::new();
+    for _ in 0..12 {
+        let pick =
+            |rng: &mut Rng, pool: &[bfl_bdd::Bdd]| pool[rng.below(pool.len() as u32) as usize];
+        let f = pick(&mut rng, pool);
+        let g = pick(&mut rng, pool);
+        let h = pick(&mut rng, pool);
+        let r = match rng.below(9) {
+            0 => m.and(f, g),
+            1 => m.or(f, g),
+            2 => m.not(f),
+            3 => m.ite(f, g, h),
+            4 => {
+                let pins: Vec<(Var, bool)> = (0..3)
+                    .map(|_| (Var(rng.below(ROLLBACK_VARS)), rng.below(2) == 1))
+                    .collect();
+                m.restrict_many(f, &pins)
+            }
+            5 => m.exists(f, &[Var(rng.below(ROLLBACK_VARS))]),
+            6 => m.and_exists(f, g, &primed),
+            7 if m.support(f).iter().all(|v| v.index() % 2 == 0) => {
+                m.rename(f, &|v| Var(v.index() + 1))
+            }
+            _ => m.strict_superset(&pairs[..1 + rng.below(NVARS) as usize]),
+        };
+        pool.push(r);
+        out.push(r);
+    }
+    out
+}
+
+/// Sampled truth table of `f` over the rollback layout.
+fn sampled_table(m: &Manager, f: bfl_bdd::Bdd) -> Vec<bool> {
+    let mut rng = Rng(0x7AB1E);
+    (0..64)
+        .map(|_| {
+            let bits = rng.next();
+            m.eval(f, |v| (bits >> v.index()) & 1 == 1)
+        })
+        .collect()
+}
+
+/// A rollback leaves the arena, the unique table and the caches as the
+/// mark found them: the arena audits clean, the next new node takes the
+/// mark's index, and replaying the same calls rebuilds the same
+/// functions (no cache entry hands back a dropped node).
+#[test]
+fn rollback_restores_the_marked_arena() {
+    let mut dropped_any = false;
+    for (case, mut rng) in cases().enumerate() {
+        // One spare variable that no call touches, for the index check.
+        let spare = Var(ROLLBACK_VARS);
+        let mut m = Manager::new(ROLLBACK_VARS + 1);
+        let base: Vec<_> = (0..3)
+            .map(|_| {
+                let e = arb_expr(&mut rng);
+                build_unprimed(&mut m, &e)
+            })
+            .collect();
+        let seed = 0xD0_0000 + case as u64;
+        let mark = m.watermark();
+        let first = random_calls(&mut m, &mut base.clone(), seed);
+        let tables: Vec<Vec<bool>> = first.iter().map(|&f| sampled_table(&m, f)).collect();
+        dropped_any |= m.rollback(mark) > 0;
+        assert_eq!(m.arena_size(), mark.arena_size(), "case {case}");
+        let audit = m.audit_with(usize::MAX);
+        assert_eq!(audit.violation_count, 0, "case {case}: {audit}");
+        assert_eq!(m.var(spare).id() as usize, mark.arena_size(), "case {case}");
+        let again = random_calls(&mut m, &mut base.clone(), seed);
+        for (i, (&f, table)) in again.iter().zip(&tables).enumerate() {
+            assert_eq!(&sampled_table(&m, f), table, "case {case}, call {i}");
+        }
+        let audit = m.audit_with(usize::MAX);
+        assert!(audit.is_ok(), "case {case}: {audit}");
+    }
+    assert!(dropped_any, "no case built anything to roll back");
+}

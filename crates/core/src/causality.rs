@@ -37,7 +37,7 @@
 //! the differential suite checks the two agree on seeded random trees.
 
 use bfl_bdd::{Bdd, Var};
-use bfl_fault_tree::analysis::mps_bdd_paper;
+use bfl_fault_tree::analysis::mps_bdd_over;
 use bfl_fault_tree::StatusVector;
 
 use crate::ast::Formula;
@@ -103,11 +103,22 @@ pub fn actual_causes(
 ) -> Result<CauseReport, BflError> {
     let b = observation_vector(mc.tree(), evidence)?;
     let root = mc.formula_bdd(phi)?;
-    causes_from_bdd(mc, root, &b, limit)
+    let superset = superset_relation(mc);
+    causes_from_bdd(mc, root, superset, &b, limit)
+}
+
+/// The strict-superset relation over every `(event, primed)` pair: the
+/// one relation [`causes_from_bdd`] needs, which a prepared cause plan
+/// builds once and keeps as a root.
+pub(crate) fn superset_relation(mc: &mut ModelChecker) -> Bdd {
+    let tb = mc.tree_bdd_mut();
+    let pairs = tb.var_pairs();
+    tb.manager_mut().strict_superset(&pairs)
 }
 
 /// The handle-level core shared with the prepared-query evaluator: causes
-/// of an already-compiled diagram under an already-resolved observation.
+/// of an already-compiled diagram under an already-resolved observation,
+/// with `superset` from [`superset_relation`].
 ///
 /// # Errors
 ///
@@ -120,6 +131,7 @@ pub fn actual_causes(
 pub(crate) fn causes_from_bdd(
     mc: &mut ModelChecker,
     root: Bdd,
+    superset: Bdd,
     observation: &StatusVector,
     limit: usize,
 ) -> Result<CauseReport, BflError> {
@@ -154,7 +166,7 @@ pub(crate) fn causes_from_bdd(
     // never among them (g(1⃗) is the failing verdict itself), so S = ∅ is
     // excluded for free.
     let pairs = tb.var_pairs();
-    let mps = mps_bdd_paper(tb, g, &pairs);
+    let mps = mps_bdd_over(tb, g, superset, &pairs);
     let total = mc
         .count_vectors_of_bdd(mps)
         .ok_or_else(|| BflError::CountOverflow {

@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bfl_bdd::{Bdd, GcStats, Manager, SiftStats, Var};
+use bfl_bdd::{Bdd, GcStats, Manager, SiftStats, Var, Watermark};
 use bfl_fault_tree::analysis::{mcs_bdd_paper, mps_bdd_paper};
 use bfl_fault_tree::bdd::{vot_threshold, TreeBdd};
 use bfl_fault_tree::{FaultTree, StatusVector, VariableOrdering};
@@ -214,6 +214,21 @@ impl ModelChecker {
         let mut roots: Vec<Bdd> = self.cache.values().copied().collect();
         roots.extend_from_slice(extra);
         self.tb.live_node_count(&roots)
+    }
+
+    /// Rolls the arena back to `mark` (see [`Manager::rollback`]) and
+    /// returns how many nodes it dropped. The translation caches must
+    /// hold no handle past the mark, which holds as long as nothing
+    /// between the mark and the rollback compiles a formula.
+    pub(crate) fn rollback(&mut self, mark: Watermark) -> usize {
+        debug_assert!(
+            self.cache
+                .values()
+                .chain(&self.tb.roots())
+                .all(|b| (b.id() as usize) < mark.arena_size()),
+            "a translation cache holds a handle past the watermark"
+        );
+        self.tb.manager_mut().rollback(mark)
     }
 
     /// Number of nodes of the diagram for `f`.

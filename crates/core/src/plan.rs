@@ -15,7 +15,9 @@
 //! * [`PreparedQuery::eval`] answers one [`Scenario`] by **restriction**
 //!   (cofactoring) of the compiled diagram — the cheap operation on an
 //!   already-built BDD — and memoises the result, so repeated scenarios
-//!   are pure cache lookups;
+//!   are pure cache lookups. The restriction is scratch: once the answer
+//!   is extracted as plain data, the arena rolls back to where the
+//!   request found it, so no what-if grows the session;
 //! * [`PreparedQuery::sweep`] evaluates a whole [`ScenarioSet`] in
 //!   order over the shared caches and returns a [`SweepReport`];
 //! * [`PreparedQuery::explain`] exposes the [`Plan`]: pass-by-pass
@@ -71,11 +73,12 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use bfl_bdd::{Bdd, Var};
+use bfl_bdd::{Bdd, Var, Watermark, WordMap};
 use bfl_fault_tree::{FaultTree, StatusVector};
 
 use crate::ast::{CmpOp, Formula, Query};
@@ -309,8 +312,10 @@ enum Compiled {
     Importance { root: Bdd },
     /// `cause(ϕ, evidence)` / `causes(ϕ, evidence, k)`: the observation
     /// (query evidence + scenario bindings) and the enumeration bound
-    /// live in the stored [`Query`]; the compiled root is just `B(ϕ)`.
-    Cause { root: Bdd },
+    /// live in the stored [`Query`]; `root` is `B(ϕ)` and `superset` the
+    /// strict-superset relation every cause's `MPS` construction uses,
+    /// built once at prepare.
+    Cause { root: Bdd, superset: Bdd },
 }
 
 /// The remappable root slots of one prepared query.
@@ -352,10 +357,12 @@ impl PlanRoots {
     /// Appends this query's root handles (in slot order) to `out`.
     pub(crate) fn extend_roots(&self, out: &mut Vec<Bdd>) {
         match self.snapshot() {
-            Compiled::Quantifier { root, .. }
-            | Compiled::Importance { root }
-            | Compiled::Cause { root } => out.push(root),
-            Compiled::Independence { left, right } => {
+            Compiled::Quantifier { root, .. } | Compiled::Importance { root } => out.push(root),
+            Compiled::Independence { left, right }
+            | Compiled::Cause {
+                root: left,
+                superset: right,
+            } => {
                 out.push(left);
                 out.push(right);
             }
@@ -373,10 +380,12 @@ impl PlanRoots {
     pub(crate) fn set_roots(&self, roots: &[Bdd]) {
         let mut c = self.compiled.lock().unwrap_or_else(|e| e.into_inner());
         match &mut *c {
-            Compiled::Quantifier { root, .. }
-            | Compiled::Importance { root }
-            | Compiled::Cause { root } => *root = roots[0],
-            Compiled::Independence { left, right } => {
+            Compiled::Quantifier { root, .. } | Compiled::Importance { root } => *root = roots[0],
+            Compiled::Independence { left, right }
+            | Compiled::Cause {
+                root: left,
+                superset: right,
+            } => {
                 *left = roots[0];
                 *right = roots[1];
             }
@@ -437,12 +446,31 @@ struct ProbEval {
 /// The node-keyed Shannon memos of one prepared query, tagged with the
 /// plan-registry generation they were built against. Point and interval
 /// walks cache separately (they memoise different value types) but
-/// share the generation-invalidation discipline.
+/// share the generation-invalidation discipline. Between requests they
+/// hold only nodes that stay in the arena: a node's value does not depend
+/// on the scenario that first reached it.
 #[derive(Debug, Default)]
 struct ProbMemo {
     generation: u64,
-    nodes: HashMap<u32, f64>,
-    interval_nodes: HashMap<u32, (f64, f64)>,
+    nodes: WordMap<u32, f64>,
+    interval_nodes: WordMap<u32, (f64, f64)>,
+}
+
+impl ProbMemo {
+    /// Drops the entries of the nodes a rollback removed: the next
+    /// nodes reuse their ids.
+    fn forget(&mut self, ids: Range<u32>) {
+        if !self.nodes.is_empty() {
+            for id in ids.clone() {
+                self.nodes.remove(&id);
+            }
+        }
+        if !self.interval_nodes.is_empty() {
+            for id in ids {
+                self.interval_nodes.remove(&id);
+            }
+        }
+    }
 }
 
 /// A layer-2 query compiled once against a session, evaluable under
@@ -582,8 +610,11 @@ impl PreparedQuery {
                 // they do not restrict the compiled root).
                 crate::semantics::observation_vector(&inner.tree, evidence)?;
                 let (op_plan, root) = compile_operand(&mut mc, "operand", formula)?;
+                // Built here and kept as a root: each cause request rolls
+                // its own nodes back, so it would otherwise rebuild this.
+                let superset = crate::causality::superset_relation(&mut mc);
                 (
-                    Compiled::Cause { root },
+                    Compiled::Cause { root, superset },
                     "cause",
                     vec![op_plan],
                     !formula.has_minimality_operator(),
@@ -810,17 +841,37 @@ impl PreparedQuery {
     /// `probs` is `Some` exactly for probabilistic shapes (the callers
     /// fetch and validate it up front). Fails only with
     /// [`BflError::CountOverflow`] from a `cause` plan.
+    ///
+    /// Everything the request builds is scratch: the answer leaves as
+    /// plain data, then the arena rolls back to the watermark taken right
+    /// after the lock, on the error path too.
     fn restrict_and_judge(
         &self,
         key: &[(usize, bool)],
         probs: Option<&[f64]>,
     ) -> Result<CachedEval, BflError> {
-        let limit = self.inner.witness_limit;
         let mut mc = self.inner.lock();
+        let mark = mc.manager().watermark();
+        let judged = self.judge_locked(&mut mc, key, probs, mark.arena_size());
+        self.roll_back(&mut mc, mark);
+        self.inner.maybe_maintain(&mut mc);
+        judged
+    }
+
+    /// The body of [`PreparedQuery::restrict_and_judge`], run under the
+    /// checker lock; `arena_nodes` is the watermark's arena size.
+    fn judge_locked(
+        &self,
+        mc: &mut ModelChecker,
+        key: &[(usize, bool)],
+        probs: Option<&[f64]>,
+        arena_nodes: usize,
+    ) -> Result<CachedEval, BflError> {
+        let limit = self.inner.witness_limit;
         // Snapshot the roots only while holding the checker lock: the
         // session's maintenance (which may remap them) also runs under it.
         let compiled = self.roots.snapshot();
-        let assignments = to_vars(&mc, key);
+        let assignments = to_vars(mc, key);
         let cached = match compiled {
             Compiled::Quantifier { root, exists } => {
                 let r = mc
@@ -836,7 +887,7 @@ impl PreparedQuery {
                     let nr = mc.tree_bdd_mut().manager_mut().not(r);
                     counterexamples = mc.vectors_of_bdd(nr, limit);
                 }
-                let mut c = CachedEval::bare(holds, mc.bdd_size(r), mc.manager().arena_size());
+                let mut c = CachedEval::bare(holds, mc.bdd_size(r), arena_nodes);
                 c.witnesses = witnesses;
                 c.counterexamples = counterexamples;
                 c
@@ -851,7 +902,7 @@ impl PreparedQuery {
                 let mut c = CachedEval::bare(
                     shared.is_empty(),
                     mc.bdd_size(ra) + mc.bdd_size(rb),
-                    mc.manager().arena_size(),
+                    arena_nodes,
                 );
                 c.shared_events = shared;
                 c
@@ -871,9 +922,9 @@ impl PreparedQuery {
                     let prior = self.prob_scenario_lookup(key);
                     let (pe, r) = match prior {
                         Some(pe) => {
-                            // Only the restriction (manager-memoised) is
-                            // redone, for the bdd_nodes statistic; the
-                            // Shannon walks are skipped.
+                            // Only the restriction is redone, for the
+                            // bdd_nodes statistic; the Shannon walks are
+                            // skipped.
                             let r = mc
                                 .tree_bdd_mut()
                                 .manager_mut()
@@ -882,7 +933,7 @@ impl PreparedQuery {
                         }
                         None => {
                             let (pe, r) = self.prob_judge_locked(
-                                &mut mc,
+                                mc,
                                 joint,
                                 given,
                                 op,
@@ -894,18 +945,15 @@ impl PreparedQuery {
                             (pe, r)
                         }
                     };
-                    let mut c = CachedEval::bare(
-                        pe.holds.unwrap_or(false),
-                        mc.bdd_size(r),
-                        mc.manager().arena_size(),
-                    );
+                    let mut c =
+                        CachedEval::bare(pe.holds.unwrap_or(false), mc.bdd_size(r), arena_nodes);
                     c.probability = pe.probability;
                     c
                 }
                 // Unreachable: `eval`/`sweep` fetch the vector first.
-                None => CachedEval::bare(false, 0, mc.manager().arena_size()),
+                None => CachedEval::bare(false, 0, arena_nodes),
             },
-            Compiled::Cause { root } => {
+            Compiled::Cause { root, superset } => {
                 // The resolved key IS the observation: bound events at
                 // their value, everything else operational. The causality
                 // core pins the non-failed events itself, so no separate
@@ -918,22 +966,10 @@ impl PreparedQuery {
                     Query::Cause { limit: Some(k), .. } => *k as usize,
                     _ => limit,
                 };
-                match crate::causality::causes_from_bdd(&mut mc, root, &b, cap) {
-                    Ok(report) => {
-                        let mut c = CachedEval::bare(
-                            report.holds(),
-                            mc.bdd_size(root),
-                            mc.manager().arena_size(),
-                        );
-                        c.causes = Some(report);
-                        c
-                    }
-                    Err(e) => {
-                        // The failed attempt grew the arena too.
-                        self.inner.maybe_maintain(&mut mc);
-                        return Err(e);
-                    }
-                }
+                let report = crate::causality::causes_from_bdd(mc, root, superset, &b, cap)?;
+                let mut c = CachedEval::bare(report.holds(), mc.bdd_size(root), arena_nodes);
+                c.causes = Some(report);
+                c
             }
             Compiled::Importance { root } => match probs {
                 Some(probs) => {
@@ -942,9 +978,8 @@ impl PreparedQuery {
                         .manager_mut()
                         .restrict_many(root, &assignments);
                     let ranked =
-                        self.with_prob_memo(|memo| quant::rank_events_bdd(&mut mc, r, probs, memo));
-                    let mut c =
-                        CachedEval::bare(ranked.is_ok(), mc.bdd_size(r), mc.manager().arena_size());
+                        self.with_prob_memo(|memo| quant::rank_events_bdd(mc, r, probs, memo));
+                    let mut c = CachedEval::bare(ranked.is_ok(), mc.bdd_size(r), arena_nodes);
                     // A ranking of an (almost-surely) false restricted
                     // formula is undefined: "does not hold" with an
                     // empty table, the same policy as the session
@@ -954,13 +989,25 @@ impl PreparedQuery {
                     c.importance = ranked.unwrap_or_default();
                     c
                 }
-                None => CachedEval::bare(false, 0, mc.manager().arena_size()),
+                None => CachedEval::bare(false, 0, arena_nodes),
             },
         };
-        // The restriction result is fully extracted (vectors, counts);
-        // maintenance may now reorder/compact freely.
-        self.inner.maybe_maintain(&mut mc);
         Ok(cached)
+    }
+
+    /// Ends a request that took `mark` right after the checker lock: rolls
+    /// the arena back to it and drops the plan-memo entries of the nodes
+    /// that went. No handle past the mark may outlive this call, and no
+    /// maintenance may run between the mark and it.
+    fn roll_back(&self, mc: &mut ModelChecker, mark: Watermark) {
+        let dropped = mc.rollback(mark);
+        if dropped > 0 {
+            let first = mark.arena_size() as u32;
+            self.prob_memo
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .forget(first..first + dropped as u32);
+        }
     }
 
     /// Runs `f` over the node-keyed probability memo, clearing it first
@@ -968,7 +1015,7 @@ impl PreparedQuery {
     /// filled. Must be called with the checker lock held (maintenance
     /// also runs under it, so generation and node ids cannot move while
     /// `f` walks).
-    fn with_prob_memo<R>(&self, f: impl FnOnce(&mut HashMap<u32, f64>) -> R) -> R {
+    fn with_prob_memo<R>(&self, f: impl FnOnce(&mut WordMap<u32, f64>) -> R) -> R {
         let generation = self.roots.generation();
         let mut memo = self.prob_memo.lock().unwrap_or_else(|e| e.into_inner());
         if memo.generation != generation {
@@ -981,7 +1028,7 @@ impl PreparedQuery {
 
     /// The interval twin of [`PreparedQuery::with_prob_memo`] — same
     /// locking and generation discipline, separate node-keyed cache.
-    fn with_interval_memo<R>(&self, f: impl FnOnce(&mut HashMap<u32, (f64, f64)>) -> R) -> R {
+    fn with_interval_memo<R>(&self, f: impl FnOnce(&mut WordMap<u32, (f64, f64)>) -> R) -> R {
         let generation = self.roots.generation();
         let mut memo = self.prob_memo.lock().unwrap_or_else(|e| e.into_inner());
         if memo.generation != generation {
@@ -1270,6 +1317,7 @@ impl PreparedQuery {
             Method::Interval => {
                 let intervals = self.inner.full_intervals()?;
                 let mut mc = self.inner.lock();
+                let mark = mc.manager().watermark();
                 let compiled = self.roots.snapshot();
                 let assignments = to_vars(&mc, key);
                 let value = match compiled {
@@ -1312,6 +1360,7 @@ impl PreparedQuery {
                     // plans before resolving.
                     Compiled::Independence { .. } | Compiled::Cause { .. } => None,
                 };
+                self.roll_back(&mut mc, mark);
                 self.inner.maybe_maintain(&mut mc);
                 drop(mc);
                 self.prob_misses.fetch_add(1, Ordering::Relaxed);
@@ -1384,6 +1433,7 @@ impl PreparedQuery {
             }
         }
         let mut mc = self.inner.lock();
+        let mark = mc.manager().watermark();
         let compiled = self.roots.snapshot();
         let assignments = to_vars(&mc, key);
         let pe = match compiled {
@@ -1415,6 +1465,7 @@ impl PreparedQuery {
                 holds: None,
             },
         };
+        self.roll_back(&mut mc, mark);
         self.inner.maybe_maintain(&mut mc);
         drop(mc);
         self.prob_misses.fetch_add(1, Ordering::Relaxed);
@@ -1664,9 +1715,9 @@ pub struct SweepStats {
 }
 
 impl SweepStats {
-    /// Nodes added to the shared arena during the sweep (restriction may
-    /// build a few residual nodes on first sight of a scenario; memoised
-    /// sweeps add none).
+    /// Nodes added to the shared arena during the sweep. Every prepared
+    /// evaluation rolls its restriction back, so a sweep that is the
+    /// session's only activity adds none, cold or memoised.
     pub fn arena_growth(&self) -> usize {
         self.arena_after - self.arena_before
     }
@@ -1819,8 +1870,10 @@ pub struct ProbSweepStats {
     /// Scenarios computed by restriction + Shannon walk.
     pub memo_misses: u64,
     /// Nodes newly entered into the plan's node-keyed Shannon memo
-    /// during the sweep — **0** on a warm sweep: restrictions of one
-    /// diagram share almost all nodes, and repeats share all of them.
+    /// during the sweep. Only nodes that stay in the arena count: each
+    /// scenario's restricted nodes are rolled back and leave the memo
+    /// with it, so this counts the compiled diagram's nodes a walk
+    /// reached for the first time. **0** on a warm sweep.
     pub fresh_nodes: usize,
 }
 

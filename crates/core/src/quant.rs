@@ -40,9 +40,7 @@
 // user-supplied probabilities or bounds.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::HashMap;
-
-use bfl_bdd::Bdd;
+use bfl_bdd::{Bdd, WordMap};
 use bfl_fault_tree::prob::{validate_intervals, validate_probabilities, ProbInterval};
 use bfl_fault_tree::StatusVector;
 
@@ -110,7 +108,7 @@ pub(crate) fn bdd_probability_with_memo(
     mc: &ModelChecker,
     f: Bdd,
     probs: &[f64],
-    memo: &mut HashMap<u32, f64>,
+    memo: &mut WordMap<u32, f64>,
 ) -> f64 {
     let basic_of_position = mc.basic_of_position();
     mc.manager().probability_with_memo(
@@ -138,7 +136,7 @@ pub(crate) fn bdd_probability_with_memo(
 pub fn probability(mc: &mut ModelChecker, phi: &Formula, probs: &[f64]) -> Result<f64, BflError> {
     validate(mc, probs)?;
     let f = mc.formula_bdd(phi)?;
-    let mut memo = HashMap::new();
+    let mut memo = WordMap::default();
     Ok(bdd_probability_with_memo(mc, f, probs, &mut memo))
 }
 
@@ -149,7 +147,7 @@ pub(crate) fn bdd_probability_interval_with_memo(
     mc: &ModelChecker,
     f: Bdd,
     intervals: &[ProbInterval],
-    memo: &mut HashMap<u32, (f64, f64)>,
+    memo: &mut WordMap<u32, (f64, f64)>,
 ) -> ProbInterval {
     let basic_of_position = mc.basic_of_position();
     let (lo, hi) = mc.manager().probability_interval_with_memo(
@@ -181,7 +179,7 @@ pub fn probability_interval(
     validate_intervals(mc.tree(), intervals)
         .map_err(|reason| BflError::InvalidProbability { reason })?;
     let f = mc.formula_bdd(phi)?;
-    let mut memo = HashMap::new();
+    let mut memo = WordMap::default();
     Ok(bdd_probability_interval_with_memo(
         mc, f, intervals, &mut memo,
     ))
@@ -388,7 +386,7 @@ pub fn rank_events(
 ) -> Result<Vec<EventImportance>, BflError> {
     validate(mc, probs)?;
     let f = mc.formula_bdd(phi)?;
-    let mut memo = HashMap::new();
+    let mut memo = WordMap::default();
     rank_events_bdd(mc, f, probs, &mut memo)
 }
 
@@ -399,7 +397,7 @@ pub(crate) fn rank_events_bdd(
     mc: &mut ModelChecker,
     f: Bdd,
     probs: &[f64],
-    memo: &mut HashMap<u32, f64>,
+    memo: &mut WordMap<u32, f64>,
 ) -> Result<Vec<EventImportance>, BflError> {
     let p_phi = bdd_probability_with_memo(mc, f, probs, memo);
     if p_phi < MIN_CONDITIONING_PROBABILITY {

@@ -251,6 +251,8 @@ pub struct EvalStats {
     /// bypass the BDD layer).
     pub bdd_nodes: usize,
     /// Total nodes in the session's shared BDD arena after the query.
+    /// Prepared evaluations roll their scratch nodes back, so for them
+    /// this is also the arena they started on.
     pub arena_nodes: usize,
     /// Translation-cache hits during the query (shared sub-formulae).
     pub cache_hits: u64,

@@ -160,9 +160,16 @@ pub fn mcs_bdd_paper(tb: &mut TreeBdd, f: Bdd, pairs: &[(Var, Var)]) -> Bdd {
 ///
 /// `B_mps = ¬B ∧ ¬∃V′. (V′ ⊃ V ∧ ¬B[V ↷ V′])`.
 pub fn mps_bdd_paper(tb: &mut TreeBdd, f: Bdd, pairs: &[(Var, Var)]) -> Bdd {
-    let m = tb.manager_mut();
-    let superset = m.strict_superset(pairs);
-    let nf = m.not(f);
+    let superset = tb.manager_mut().strict_superset(pairs);
+    mps_bdd_over(tb, f, superset, pairs)
+}
+
+/// [`mps_bdd_paper`] over a `superset` relation the caller built once
+/// with [`Manager::strict_superset`](bfl_bdd::Manager::strict_superset)
+/// on the same `pairs`, for callers that run the construction many
+/// times and keep the relation alive between runs.
+pub fn mps_bdd_over(tb: &mut TreeBdd, f: Bdd, superset: Bdd, pairs: &[(Var, Var)]) -> Bdd {
+    let nf = tb.manager_mut().not(f);
     primed_minimality(tb, nf, superset, pairs)
 }
 

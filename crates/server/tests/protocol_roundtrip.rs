@@ -12,7 +12,10 @@ use std::net::TcpStream;
 
 use bfl_core::engine::ReorderPolicy;
 use bfl_core::MinimalityScope;
-use bfl_fault_tree::VariableOrdering;
+use bfl_fault_tree::generator::{industrial_model, IndustrialConfig};
+use bfl_fault_tree::rng::Prng;
+use bfl_fault_tree::{galileo, VariableOrdering};
+use bfl_server::json::Json;
 use bfl_server::{
     Client, ErrorCode, Op, ProbOptions, ProbTarget, Request, Response, Server, ServerConfig,
     SessionOptions,
@@ -575,11 +578,14 @@ fn cause_past_the_count_range_is_an_eval_error_and_the_session_stays_loaded() {
     let plan = client
         .prepare(&session, "causes(top, 2)")
         .expect("prepares");
+    let arena = arena_nodes(&mut client, &session);
     let err = client
         .cause(&session, &plan, &observation.join(", "))
         .unwrap_err();
     assert_eq!(err.code(), Some(ErrorCode::EvalError), "{err}");
     assert!(err.to_string().contains("2^128"), "{err}");
+    // The failed attempt's nodes were rolled back with it.
+    assert_eq!(arena_nodes(&mut client, &session), arena);
 
     // Not quarantined: still listed, and still answering.
     let stats = client.stats(None).expect("stats");
@@ -595,5 +601,87 @@ fn cause_past_the_count_range_is_an_eval_error_and_the_session_stays_loaded() {
     );
     let outcome = client.check(&session, "exists top").expect("checks");
     assert!(outcome.to_string().contains("\"holds\":true"), "{outcome}");
+    handle.shutdown();
+}
+
+/// The session's `stats.arena_nodes`, read over the wire.
+fn arena_nodes(client: &mut Client, session: &str) -> u64 {
+    let stats = client.stats(Some(session)).expect("stats");
+    stats
+        .get("stats")
+        .and_then(|s| s.get("arena_nodes"))
+        .and_then(Json::as_u64)
+        .expect("arena_nodes")
+}
+
+#[test]
+fn cold_what_ifs_leave_the_session_arena_as_they_found_it() {
+    let model = industrial_model(&IndustrialConfig {
+        num_basic: 120,
+        num_modules: 4,
+        seed: 0xC01D,
+        ..IndustrialConfig::default()
+    });
+    let tree = &model.tree;
+    let top = tree.name(tree.top()).to_string();
+    let events: Vec<String> = tree
+        .basic_event_names()
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    let observed: Vec<String> = events
+        .iter()
+        .step_by(3)
+        .map(|e| format!("{e} := 1"))
+        .collect();
+    let handle = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("binds");
+    let mut client = Client::connect(handle.addr()).expect("connects");
+    let session = client
+        .load(&galileo::to_galileo(tree, Some(&model.probabilities)))
+        .expect("loads");
+    let exists = client
+        .prepare(&session, &format!("exists {top}"))
+        .expect("prepares");
+    let prob = client
+        .prepare(&session, &format!("P({top}) <= 0.5"))
+        .expect("prepares");
+    let cause = client
+        .prepare(
+            &session,
+            &format!("causes({top}, {}, 2)", observed.join(", ")),
+        )
+        .expect("prepares");
+    let arena = arena_nodes(&mut client, &session);
+
+    let mut rng = Prng::seed_from_u64(0x3_00);
+    for i in 0..300 {
+        let scenario: Vec<String> = (0..8)
+            .map(|_| {
+                let e = &events[rng.gen_range(0..events.len())];
+                format!("{e} = {}", u8::from(rng.gen_bool(0.5)))
+            })
+            .collect();
+        let scenario = scenario.join(", ");
+        match i % 3 {
+            0 => {
+                client.eval(&session, &exists, &scenario).expect("evals");
+            }
+            1 => {
+                let p = client
+                    .prob_plan(&session, &prob, Some(&scenario))
+                    .expect("probs");
+                assert!(p.is_some(), "{scenario}");
+            }
+            _ => {
+                client.cause(&session, &cause, &scenario).expect("causes");
+            }
+        }
+    }
+    assert_eq!(arena_nodes(&mut client, &session), arena);
     handle.shutdown();
 }

@@ -3,14 +3,19 @@
 //! counterexamples, shared events — with the classic path that wraps the
 //! query in evidence operators and recompiles it per scenario; and after
 //! `prepare`, a sweep must never rebuild a BDD (no formula-translation
-//! misses; repeated sweeps are pure memo hits with zero arena growth).
+//! misses) nor leave a node behind (every what-if rolls the arena back).
 
 // Test-support helpers outside `#[test]` fns: panicking is the
 // correct failure mode here, same as in the tests themselves.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use bfl::bdd::Var;
 use bfl::prelude::*;
-use bfl_fault_tree::generator::{random_tree, RandomTreeConfig};
+use bfl_core::quant::MIN_CONDITIONING_PROBABILITY;
+use bfl_fault_tree::bdd::TreeBdd;
+use bfl_fault_tree::generator::{
+    industrial_model, random_tree, IndustrialConfig, RandomTreeConfig,
+};
 use bfl_fault_tree::rng::Prng;
 
 mod common;
@@ -23,8 +28,19 @@ use common::{random_formula, random_scenario};
 fn assert_paths_agree(session: &AnalysisSession, q: &Query, scenario: &Scenario) {
     let prepared = session.prepare(q).expect("prepare");
     let fast = prepared.eval(scenario).expect("eval");
-    let top = session.tree().name(session.tree().top()).to_string();
-    let slow = session
+    assert_agrees_with_recompile(&fast, session, q, scenario);
+}
+
+/// `fast` (a prepared evaluation of `q` under `scenario`) against
+/// `reference` re-checking the evidence-specialised query.
+fn assert_agrees_with_recompile(
+    fast: &Outcome,
+    reference: &AnalysisSession,
+    q: &Query,
+    scenario: &Scenario,
+) {
+    let top = reference.tree().name(reference.tree().top()).to_string();
+    let slow = reference
         .check_query(&scenario.specialise_query(q, &top))
         .expect("check_query");
     assert_eq!(fast.holds, slow.holds, "{q} under {scenario}");
@@ -37,6 +53,8 @@ fn assert_paths_agree(session: &AnalysisSession, q: &Query, scenario: &Scenario)
         fast.shared_events, slow.shared_events,
         "{q} under {scenario}"
     );
+    assert_eq!(fast.importance, slow.importance, "{q} under {scenario}");
+    assert_eq!(fast.causes, slow.causes, "{q} under {scenario}");
 }
 
 #[test]
@@ -266,4 +284,144 @@ fn prepared_queries_share_the_session_translation_cache() {
         .unwrap();
     assert_eq!(second.explain().prepare.cache_misses, 0);
     assert!(second.explain().prepare.cache_hits > 0);
+}
+
+/// `n` random what-ifs of 1–8 bindings each, events drawn with
+/// repetition (the first binding of an event wins).
+fn random_what_ifs(rng: &mut Prng, basics: &[String], n: usize) -> Vec<Scenario> {
+    (0..n)
+        .map(|_| {
+            let mut s = Scenario::new();
+            for _ in 0..rng.gen_range(1..=8) {
+                s = s.bind(
+                    basics[rng.gen_range(0..basics.len())].clone(),
+                    rng.gen_bool(0.5),
+                );
+            }
+            s
+        })
+        .collect()
+}
+
+/// Every plan shape prepared once, 200 cold what-ifs on each: every
+/// answer matches a recompile on a second session and every probability
+/// matches, bit for bit, a from-scratch restriction and walk on a third
+/// diagram, while the session's arena ends where it started.
+fn what_ifs_leave_the_arena_as_they_found_it(
+    tree: FaultTree,
+    probs: Vec<f64>,
+    (g1, g2): (&str, &str),
+    seed: u64,
+) {
+    let basics: Vec<String> = tree
+        .basic_event_names()
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    let top = tree.name(tree.top()).to_string();
+    let build = || {
+        AnalysisSession::builder()
+            .witness_limit(3)
+            .probabilities(probs.iter().map(|&p| Some(p)).collect())
+            .build(tree.clone())
+    };
+    let (session, reference) = (build(), build());
+    let atom = |n: &str| Formula::atom(n);
+    let observed: Vec<(String, bool)> = basics
+        .iter()
+        .step_by(2)
+        .map(|e| (e.clone(), true))
+        .collect();
+    let queries = [
+        Query::exists(atom(&top)),
+        Query::forall(atom(g2).implies(atom(g1))),
+        Query::idp(atom(g1), atom(&top)),
+        Query::prob_given(atom(g1), atom(&top), CmpOp::Le, 0.5).unwrap(),
+        Query::importance(atom(g1)),
+        Query::causes(atom(&top), observed, 2),
+    ];
+    let plans: Vec<PreparedQuery> = queries
+        .iter()
+        .map(|q| session.prepare(q).unwrap())
+        .collect();
+    let arena = session.stats().arena_nodes;
+
+    let mut tb = TreeBdd::new(&tree, session.ordering());
+    let top_f = tb.element_bdd(&tree, tree.top());
+    let g1_f = tb.element_bdd(&tree, tree.element(g1).unwrap());
+    let joint = tb.manager_mut().and(g1_f, top_f);
+    let mut weights = vec![0.0; tb.manager().num_vars() as usize];
+    for (bi, &p) in probs.iter().enumerate() {
+        weights[tb.var_of_basic(bi).index() as usize] = p;
+    }
+
+    let mut rng = Prng::seed_from_u64(seed);
+    for scenario in random_what_ifs(&mut rng, &basics, 200) {
+        for (q, plan) in queries.iter().zip(&plans) {
+            let fast = plan.eval(&scenario).unwrap();
+            assert_agrees_with_recompile(&fast, &reference, q, &scenario);
+        }
+        let pins: Vec<(Var, bool)> = scenario
+            .bindings()
+            .iter()
+            .map(|(name, v)| {
+                let bi = tree.basic_index(tree.element(name).unwrap()).unwrap();
+                (tb.var_of_basic(bi), *v)
+            })
+            .collect();
+        let mut exact = |f| {
+            let r = tb.manager_mut().restrict_many(f, &pins);
+            tb.manager().probability(r, |v| weights[v.index() as usize])
+        };
+        let (p_top, p_joint) = (exact(top_f), exact(joint));
+        let bits = |p: f64| p.to_bits();
+        let p = plans[0].probability(&scenario).unwrap();
+        assert_eq!(bits(p), bits(p_top), "P({top}) under {scenario}");
+        let Some(ProbValue::Interval(iv)) = plans[0]
+            .probability_value(&scenario, Some(Method::Interval))
+            .unwrap()
+        else {
+            panic!("interval method answers with an interval");
+        };
+        assert_eq!((bits(iv.lo), bits(iv.hi)), (bits(p_top), bits(p_top)));
+        let conditional = (p_top >= MIN_CONDITIONING_PROBABILITY).then(|| p_joint / p_top);
+        let o = plans[3].eval(&scenario).unwrap();
+        assert_eq!(o.probability.map(bits), conditional.map(bits), "{scenario}");
+        let p = plans[3].probability(&scenario).ok();
+        assert_eq!(p.map(bits), conditional.map(bits), "{scenario}");
+    }
+    assert_eq!(
+        session.stats().arena_nodes,
+        arena,
+        "what-ifs left nodes behind"
+    );
+}
+
+#[test]
+fn covid_what_ifs_leave_the_arena_as_they_found_it() {
+    let tree = bfl::ft::corpus::covid();
+    let probs = (0..tree.num_basic_events())
+        .map(|i| 0.02 + i as f64 * 0.05)
+        .collect();
+    what_ifs_leave_the_arena_as_they_found_it(tree, probs, ("MoT", "IS"), 0xC0_1D);
+}
+
+#[test]
+fn generated_tree_what_ifs_leave_the_arena_as_they_found_it() {
+    let model = industrial_model(&IndustrialConfig {
+        num_basic: 200,
+        num_modules: 4,
+        seed: 0x0DD_5EED,
+        ..IndustrialConfig::default()
+    });
+    let tree = model.tree;
+    let g1 = tree.children(tree.top())[0];
+    let g2 = tree.children(g1)[0];
+    let (g1, g2) = (tree.name(g1).to_string(), tree.name(g2).to_string());
+    let probs = model
+        .probabilities
+        .into_iter()
+        .map(Option::unwrap)
+        .collect();
+    what_ifs_leave_the_arena_as_they_found_it(tree, probs, (&g1, &g2), 0x7E57);
 }
