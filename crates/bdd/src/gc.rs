@@ -178,21 +178,10 @@ impl Manager {
     /// size the arena would have after [`Manager::collect_garbage`] with
     /// the same root list.
     pub fn live_size(&self, roots: &[Bdd]) -> usize {
-        let mut seen = vec![false; self.nodes.len()];
-        seen[0] = true;
-        seen[1] = true;
-        let mut count = 2usize;
-        let mut stack: Vec<u32> = roots.iter().map(|r| r.id()).collect();
-        while let Some(i) = stack.pop() {
-            if seen[i as usize] {
-                continue;
-            }
-            seen[i as usize] = true;
-            count += 1;
-            let node = self.nodes[i as usize];
-            stack.push(node.low.0);
-            stack.push(node.high.0);
-        }
+        let mut all = vec![self.bot(), self.top()];
+        all.extend_from_slice(roots);
+        let mut count = 0;
+        self.for_each_reachable(&all, |_, _| count += 1);
         count
     }
 }

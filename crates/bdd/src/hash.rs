@@ -1,14 +1,17 @@
 //! The hasher of every table keyed by arena indices.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Odd multiplier of rustc-hash 2 (64-bit).
 const K: u64 = 0xf135_7aea_2e62_a9c5;
 
 /// One multiply-add per hashed word: the hasher of the manager's unique
-/// table and operation caches, the per-call memos of its walks, and the
-/// node-keyed memos callers keep across walks.
+/// table and operation caches, of the per-call memos of its
+/// quantification, renaming and one-shot probability walks, and of the
+/// entries a [`WatermarkMemo`](crate::WatermarkMemo) keeps across
+/// requests. The manager's request-path walks memoise by node index
+/// instead.
 ///
 /// Their keys are small tuples of arena indices the manager hands out
 /// itself, never outside input, so SipHash's defence against crafted
@@ -50,6 +53,3 @@ impl Hasher for WordHasher {
 
 /// A `HashMap` hashed with [`WordHasher`].
 pub type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
-
-/// A `HashSet` hashed with [`WordHasher`].
-pub(crate) type WordSet<K> = HashSet<K, BuildHasherDefault<WordHasher>>;

@@ -69,6 +69,7 @@ mod dot;
 mod gc;
 mod hash;
 mod manager;
+mod memo;
 mod ops;
 mod prob;
 mod reorder;
@@ -81,6 +82,7 @@ pub use audit::AuditReport;
 pub use gc::{Gc, GcStats};
 pub use hash::{WordHasher, WordMap};
 pub use manager::{Bdd, Manager, Node, Var};
+pub use memo::{NodeMemo, WatermarkMemo};
 pub use reorder::{SiftOptions, SiftStats};
 pub use rollback::Watermark;
 pub use sat::{SatPath, SatPaths, SatVectors};

@@ -1,8 +1,10 @@
 //! The BDD manager: node arena, unique table and operation caches.
 
+use std::collections::hash_map::Entry;
 use std::fmt;
 
-use crate::hash::{WordMap, WordSet};
+use crate::hash::WordMap;
+use crate::memo::ScratchCell;
 
 /// A BDD variable, identified by a stable numeric id.
 ///
@@ -117,7 +119,9 @@ pub(crate) enum Op {
 /// # Panics
 ///
 /// All operations panic if the arena would exceed the configured node limit
-/// (default: 64 million nodes ≈ 1 GiB); see [`Manager::set_node_limit`].
+/// (default: 64 Mi nodes, whose arena alone takes 64 Mi × 12 B = 768 MiB;
+/// the unique table and the operation caches come on top); see
+/// [`Manager::set_node_limit`].
 ///
 /// # Example
 ///
@@ -147,6 +151,8 @@ pub struct Manager {
     pub(crate) var2level: Vec<u32>,
     /// current level -> variable id (inverse of `var2level`).
     pub(crate) level2var: Vec<u32>,
+    /// Node-indexed scratch of the walks, reused from call to call.
+    pub(crate) scratch: ScratchCell,
 }
 
 impl Manager {
@@ -187,6 +193,7 @@ impl Manager {
             node_limit: Self::DEFAULT_NODE_LIMIT,
             var2level: (0..num_vars).collect(),
             level2var: (0..num_vars).collect(),
+            scratch: ScratchCell::default(),
         }
     }
 
@@ -352,19 +359,21 @@ impl Manager {
             "variable order violated: {} above children",
             var
         );
-        let key = (var.0, low.0, high.0);
-        if let Some(&id) = self.unique.get(&key) {
-            return Bdd(id);
+        // One probe: the entry either holds the node or takes the new one.
+        match self.unique.entry((var.0, low.0, high.0)) {
+            Entry::Occupied(e) => Bdd(*e.get()),
+            Entry::Vacant(e) => {
+                assert!(
+                    self.nodes.len() < self.node_limit,
+                    "BDD node limit exceeded ({} nodes)",
+                    self.node_limit
+                );
+                let id = self.nodes.len() as u32;
+                self.nodes.push(Node { var, low, high });
+                e.insert(id);
+                Bdd(id)
+            }
         }
-        assert!(
-            self.nodes.len() < self.node_limit,
-            "BDD node limit exceeded ({} nodes)",
-            self.node_limit
-        );
-        let id = self.nodes.len() as u32;
-        self.nodes.push(Node { var, low, high });
-        self.unique.insert(key, id);
-        Bdd(id)
     }
 
     pub(crate) fn op_cache_get(&self, op: Op, f: Bdd, g: Bdd) -> Option<Bdd> {
@@ -408,19 +417,32 @@ impl Manager {
     /// assert_eq!(m.node_count(m.top()), 1);
     /// ```
     pub fn node_count(&self, f: Bdd) -> usize {
-        let mut seen = WordSet::default();
-        let mut stack = vec![f];
-        while let Some(n) = stack.pop() {
-            if !seen.insert(n.0) {
+        let mut count = 0;
+        self.for_each_reachable(&[f], |_, _| count += 1);
+        count
+    }
+
+    /// Calls `visit` once for every distinct node reachable from `roots`,
+    /// terminals included, with its handle and contents. Marks visited
+    /// nodes in the manager's node-indexed scratch, so the walk costs the
+    /// nodes it reaches.
+    pub(crate) fn for_each_reachable(&self, roots: &[Bdd], mut visit: impl FnMut(Bdd, Node)) {
+        let mut s = self.scratch.take();
+        s.seen.clear();
+        s.stack.clear();
+        s.stack.extend_from_slice(roots);
+        while let Some(n) = s.stack.pop() {
+            if !s.seen.insert(n.0) {
                 continue;
             }
+            let node = self.nodes[n.0 as usize];
+            visit(n, node);
             if !n.is_terminal() {
-                let node = self.node(n);
-                stack.push(node.low);
-                stack.push(node.high);
+                s.stack.push(node.low);
+                s.stack.push(node.high);
             }
         }
-        seen.len()
+        self.scratch.put(s);
     }
 }
 

@@ -3,6 +3,7 @@
 
 use crate::hash::WordMap;
 use crate::manager::{Bdd, Manager, Op, Var, TERMINAL_LEVEL};
+use crate::memo::Scratch;
 
 impl Manager {
     /// If-then-else: computes `(f ∧ g) ∨ (¬f ∧ h)`.
@@ -233,35 +234,10 @@ impl Manager {
     /// Restriction (cofactor) `f[v ↦ value]`: Algorithm 5.20 of Ben-Ari.
     ///
     /// This implements the semantics of the BFL evidence operators
-    /// `ϕ[e↦0]` and `ϕ[e↦1]`.
+    /// `ϕ[e↦0]` and `ϕ[e↦1]`; it is [`Manager::restrict_many`] with one
+    /// assignment.
     pub fn restrict(&mut self, f: Bdd, v: Var, value: bool) -> Bdd {
-        let mut memo = WordMap::default();
-        self.restrict_rec(f, v, value, &mut memo)
-    }
-
-    fn restrict_rec(&mut self, f: Bdd, v: Var, value: bool, memo: &mut WordMap<u32, Bdd>) -> Bdd {
-        let level = self.level(f);
-        if level > self.level_of(v) {
-            // Terminal, or the whole sub-BDD is below v: v cannot occur.
-            return f;
-        }
-        if let Some(&r) = memo.get(&f.0) {
-            return r;
-        }
-        let node = self.node(f);
-        let r = if node.var == v {
-            if value {
-                node.high
-            } else {
-                node.low
-            }
-        } else {
-            let low = self.restrict_rec(node.low, v, value, memo);
-            let high = self.restrict_rec(node.high, v, value, memo);
-            self.mk(node.var, low, high)
-        };
-        memo.insert(f.0, r);
-        r
+        self.restrict_many(f, &[(v, value)])
     }
 
     /// Restriction by several assignments at once, applied sequentially.
@@ -283,9 +259,13 @@ impl Manager {
     /// (evidence-as-restriction): a compiled query BDD is specialised to a
     /// whole scenario of evidence bindings at once. For a repeated
     /// variable the first assignment wins (see [`Manager::restrict_all`]);
-    /// a variable outside the declared range is an identity, exactly as
-    /// in single-variable [`Manager::restrict`] (which walks by level and
-    /// can never meet it).
+    /// a variable outside the declared range is an identity.
+    ///
+    /// The walk costs the nodes it visits: it stops at sub-diagrams below
+    /// the deepest bound variable, returns a node whose restricted
+    /// children are unchanged as itself, and memoises in the manager's
+    /// node-indexed scratch. With no binding inside `f`'s support the
+    /// result is `f` and the arena does not grow.
     ///
     /// # Example
     ///
@@ -302,43 +282,63 @@ impl Manager {
     /// assert_eq!(r, b);
     /// ```
     pub fn restrict_many(&mut self, f: Bdd, assignments: &[(Var, bool)]) -> Bdd {
-        if assignments.is_empty() {
-            return f;
+        let mut s = self.scratch.take();
+        if s.binding.len() < self.num_vars() as usize {
+            s.binding.resize(self.num_vars() as usize, None);
         }
-        let mut value: Vec<Option<bool>> = vec![None; self.num_vars() as usize];
-        // Reverse order + overwrite ⇒ the first occurrence wins.
+        // Reverse order + overwrite ⇒ the first occurrence wins. Nothing
+        // below the deepest bound level can change.
+        let mut deepest = None;
         for &(v, b) in assignments.iter().rev() {
-            if let Some(slot) = value.get_mut(v.0 as usize) {
-                *slot = Some(b);
+            if v.0 < self.num_vars() {
+                s.binding[v.0 as usize] = Some(b);
+                deepest = deepest.max(Some(self.level_of(v)));
             }
         }
-        let mut memo = WordMap::default();
-        self.restrict_many_rec(f, &value, &mut memo)
+        let r = match deepest {
+            Some(deepest) => {
+                s.seen.clear();
+                s.restricted.clear();
+                self.restrict_many_rec(f, deepest, &mut s)
+            }
+            None => f,
+        };
+        for &(v, _) in assignments {
+            if let Some(slot) = s.binding.get_mut(v.0 as usize) {
+                *slot = None;
+            }
+        }
+        self.scratch.put(s);
+        r
     }
 
-    fn restrict_many_rec(
-        &mut self,
-        f: Bdd,
-        value: &[Option<bool>],
-        memo: &mut WordMap<u32, Bdd>,
-    ) -> Bdd {
-        if f.is_terminal() {
+    /// `f` restricted by the bindings in `s`, none of them below level
+    /// `deepest`. Memoised by node in `s`; a node whose children come
+    /// back unchanged is its own restriction, with no unique-table probe.
+    fn restrict_many_rec(&mut self, f: Bdd, deepest: u32, s: &mut Scratch) -> Bdd {
+        if self.level(f) > deepest {
+            // A terminal, or a sub-diagram below every bound variable.
             return f;
         }
-        if let Some(&r) = memo.get(&f.0) {
-            return r;
+        if let Some(p) = s.seen.position(f.0) {
+            return s.restricted[p];
         }
         let node = self.node(f);
-        let r = match value[node.var.0 as usize] {
-            Some(true) => self.restrict_many_rec(node.high, value, memo),
-            Some(false) => self.restrict_many_rec(node.low, value, memo),
+        let r = match s.binding[node.var.0 as usize] {
+            Some(true) => self.restrict_many_rec(node.high, deepest, s),
+            Some(false) => self.restrict_many_rec(node.low, deepest, s),
             None => {
-                let low = self.restrict_many_rec(node.low, value, memo);
-                let high = self.restrict_many_rec(node.high, value, memo);
-                self.mk(node.var, low, high)
+                let low = self.restrict_many_rec(node.low, deepest, s);
+                let high = self.restrict_many_rec(node.high, deepest, s);
+                if low == node.low && high == node.high {
+                    f
+                } else {
+                    self.mk(node.var, low, high)
+                }
             }
         };
-        memo.insert(f.0, r);
+        s.seen.push(f.0);
+        s.restricted.push(r);
         r
     }
 
@@ -557,7 +557,9 @@ mod tests {
 
     #[test]
     fn restrict_many_matches_sequential() {
-        let (mut m, a, b, c) = setup();
+        // Var(3) and Var(4) are declared but outside f's support.
+        let mut m = Manager::new(5);
+        let (a, b, c) = (m.var(Var(0)), m.var(Var(1)), m.var(Var(2)));
         let ab = m.and(a, b);
         let f = m.or(ab, c);
         let cases: &[&[(Var, bool)]] = &[
@@ -566,14 +568,30 @@ mod tests {
             &[(Var(0), true), (Var(2), false)],
             &[(Var(2), false), (Var(0), true)],
             &[(Var(0), false), (Var(1), true), (Var(2), false)],
+            &[(Var(3), true)],
+            &[(Var(4), false), (Var(3), true)],
+            &[(Var(3), true), (Var(0), true), (Var(4), false)],
+            &[(Var(4), true), (Var(2), false), (Var(1), true)],
         ];
         for assignments in cases {
             let mut seq = f;
             for &(v, value) in *assignments {
                 seq = m.restrict(seq, v, value);
             }
-            assert_eq!(m.restrict_many(f, assignments), seq, "{assignments:?}");
+            let arena = m.arena_size();
+            let many = m.restrict_many(f, assignments);
+            assert_eq!(many, seq, "{assignments:?}");
+            assert_eq!(m.arena_size(), arena, "{assignments:?}");
+            for bits in 0..32u32 {
+                let mut pinned = bits;
+                for &(v, value) in *assignments {
+                    pinned = (pinned & !(1 << v.0)) | (u32::from(value) << v.0);
+                }
+                let want = m.eval(f, |v| (pinned >> v.0) & 1 == 1);
+                assert_eq!(m.eval(many, |v| (bits >> v.0) & 1 == 1), want);
+            }
         }
+        assert_eq!(m.restrict_many(f, &[(Var(3), true), (Var(4), false)]), f);
     }
 
     #[test]

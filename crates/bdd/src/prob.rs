@@ -20,14 +20,14 @@
 //! operations must clear it after a collection or sift and forget the
 //! dropped ids after a rollback; the session layer does both.
 //!
-//! The memo may use any hasher. [`WordMap`] is the cheap one for these
-//! keys; see [`WordHasher`](crate::WordHasher).
-
-use std::collections::HashMap;
-use std::hash::BuildHasher;
+//! The memo is any [`NodeMemo`]: a [`WatermarkMemo`](crate::WatermarkMemo),
+//! which a caller keeps across requests that each roll back, or a
+//! `HashMap<u32, _>`. The point and interval walks are one walk over
+//! different leaf values and node steps.
 
 use crate::hash::WordMap;
 use crate::manager::{Bdd, Manager, Var};
+use crate::memo::NodeMemo;
 
 impl Manager {
     /// The probability of `f` under independent per-variable weights
@@ -60,28 +60,21 @@ impl Manager {
     /// garbage collection or sifting pass, must forget the ids a
     /// rollback drops, and must only ever be used with one fixed
     /// `weight` map.
-    pub fn probability_with_memo<W: Fn(Var) -> f64, S: BuildHasher>(
+    pub fn probability_with_memo<W: Fn(Var) -> f64, M: NodeMemo<f64>>(
         &self,
         f: Bdd,
         weight: &W,
-        memo: &mut HashMap<u32, f64, S>,
+        memo: &mut M,
     ) -> f64 {
-        if f.is_false() {
-            return 0.0;
-        }
-        if f.is_true() {
-            return 1.0;
-        }
-        if let Some(&p) = memo.get(&f.id()) {
-            return p;
-        }
-        let node = self.node(f);
-        let w = weight(node.var);
-        let lo = self.probability_with_memo(node.low, weight, memo);
-        let hi = self.probability_with_memo(node.high, weight, memo);
-        let p = (1.0 - w) * lo + w * hi;
-        memo.insert(f.id(), p);
-        p
+        self.shannon(
+            f,
+            [0.0, 1.0],
+            &|v, lo, hi| {
+                let w = weight(v);
+                (1.0 - w) * lo + w * hi
+            },
+            memo,
+        )
     }
 
     /// Interval twin of [`Manager::probability`]: propagates conservative
@@ -118,34 +111,51 @@ impl Manager {
     /// memo (same lifetime rules as [`Manager::probability_with_memo`]:
     /// clear after garbage collection or sifting, forget what a rollback
     /// drops, one fixed weight map per memo).
-    pub fn probability_interval_with_memo<W: Fn(Var) -> (f64, f64), S: BuildHasher>(
+    pub fn probability_interval_with_memo<W: Fn(Var) -> (f64, f64), M: NodeMemo<(f64, f64)>>(
         &self,
         f: Bdd,
         weight: &W,
-        memo: &mut HashMap<u32, (f64, f64), S>,
+        memo: &mut M,
     ) -> (f64, f64) {
-        if f.is_false() {
-            return (0.0, 0.0);
+        self.shannon(
+            f,
+            [(0.0, 0.0), (1.0, 1.0)],
+            &|v, (lo_l, lo_h), (hi_l, hi_h)| {
+                let (wl, wh) = weight(v);
+                // Both child bounds lie in [0, 1], so for each endpoint it
+                // suffices to scan the two weight extremes; the expression
+                // shape matches the exact walk so degenerate intervals
+                // stay bit-identical to `probability_with_memo`.
+                let cand_lo_wl = (1.0 - wl) * lo_l + wl * hi_l;
+                let cand_lo_wh = (1.0 - wh) * lo_l + wh * hi_l;
+                let cand_hi_wl = (1.0 - wl) * lo_h + wl * hi_h;
+                let cand_hi_wh = (1.0 - wh) * lo_h + wh * hi_h;
+                (cand_lo_wl.min(cand_lo_wh), cand_hi_wl.max(cand_hi_wh))
+            },
+            memo,
+        )
+    }
+
+    /// The Shannon walk behind both probability walks: `leaves` are the
+    /// values of `⊥` and `⊤`, and `step(v, low, high)` combines a node's
+    /// children. Memoised per node in `memo`.
+    fn shannon<V: Copy, M: NodeMemo<V>>(
+        &self,
+        f: Bdd,
+        leaves: [V; 2],
+        step: &impl Fn(Var, V, V) -> V,
+        memo: &mut M,
+    ) -> V {
+        if f.is_terminal() {
+            return leaves[f.id() as usize];
         }
-        if f.is_true() {
-            return (1.0, 1.0);
-        }
-        if let Some(&p) = memo.get(&f.id()) {
+        if let Some(p) = memo.get(f.id()) {
             return p;
         }
         let node = self.node(f);
-        let (wl, wh) = weight(node.var);
-        let (lo_l, lo_h) = self.probability_interval_with_memo(node.low, weight, memo);
-        let (hi_l, hi_h) = self.probability_interval_with_memo(node.high, weight, memo);
-        // Both child bounds lie in [0, 1], so for each endpoint it
-        // suffices to scan the two weight extremes; the expression shape
-        // matches the exact walk so degenerate intervals stay
-        // bit-identical to `probability_with_memo`.
-        let cand_lo_wl = (1.0 - wl) * lo_l + wl * hi_l;
-        let cand_lo_wh = (1.0 - wh) * lo_l + wh * hi_l;
-        let cand_hi_wl = (1.0 - wl) * lo_h + wl * hi_h;
-        let cand_hi_wh = (1.0 - wh) * lo_h + wh * hi_h;
-        let p = (cand_lo_wl.min(cand_lo_wh), cand_hi_wl.max(cand_hi_wh));
+        let lo = self.shannon(node.low, leaves, step, memo);
+        let hi = self.shannon(node.high, leaves, step, memo);
+        let p = step(node.var, lo, hi);
         memo.insert(f.id(), p);
         p
     }
@@ -154,6 +164,7 @@ impl Manager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn terminals_and_single_var() {

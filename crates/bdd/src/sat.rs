@@ -1,8 +1,8 @@
 //! Satisfiability services: evaluation, witnesses, `AllSat` enumeration and
 //! model counting.
 
-use crate::hash::{WordMap, WordSet};
 use crate::manager::{Bdd, Manager, Var};
+use crate::memo::Scratch;
 
 /// A (partial) satisfying path through a BDD: the variables actually
 /// decided on a root-to-⊤ path together with their values. Variables not
@@ -31,21 +31,38 @@ impl Manager {
     /// with the *semantic* support: a variable occurs in the diagram if and
     /// only if the represented function depends on it. This fact is what
     /// makes the paper's `IDP` translation exact.
+    ///
+    /// Marks visited nodes and met variables in the manager's scratch, so
+    /// the walk costs the nodes it reaches plus sorting the variables it
+    /// found.
     pub fn support(&self, f: Bdd) -> Vec<Var> {
-        let mut seen = WordSet::default();
-        let mut vars = WordSet::default();
-        let mut stack = vec![f];
-        while let Some(n) = stack.pop() {
-            if n.is_terminal() || !seen.insert(n.0) {
+        let mut s = self.scratch.take();
+        let num_vars = self.num_vars() as usize;
+        if s.in_support.len() < num_vars {
+            s.in_support.resize(num_vars, false);
+        }
+        let mut vars = Vec::new();
+        s.seen.clear();
+        s.stack.clear();
+        s.stack.push(f);
+        while let Some(n) = s.stack.pop() {
+            if n.is_terminal() || !s.seen.insert(n.0) {
                 continue;
             }
             let node = self.node(n);
-            vars.insert(node.var);
-            stack.push(node.low);
-            stack.push(node.high);
+            let met = &mut s.in_support[node.var.0 as usize];
+            if !*met {
+                *met = true;
+                vars.push(node.var);
+            }
+            s.stack.push(node.low);
+            s.stack.push(node.high);
         }
-        let mut vars: Vec<Var> = vars.into_iter().collect();
-        vars.sort();
+        for v in &vars {
+            s.in_support[v.0 as usize] = false;
+        }
+        self.scratch.put(s);
+        vars.sort_unstable();
         vars
     }
 
@@ -96,65 +113,61 @@ impl Manager {
     /// primary variables.
     ///
     /// The walk follows the *current* variable order internally, so the
-    /// count stays correct after dynamic reordering.
+    /// count stays correct after dynamic reordering. It keeps one count
+    /// per node, over the universe variables from the node's own level
+    /// down, and scales a child's count by `2^gap` for the universe
+    /// variables a low or high edge skips. Each such product counts
+    /// assignments that also satisfy the root, so no intermediate value
+    /// overflows unless the root's count does.
     ///
     /// # Panics
     ///
-    /// Panics if the support of `f` is not contained in `universe`, or if
-    /// `universe` is not strictly ascending.
+    /// Panics if `universe` is not strictly ascending, or if the walk
+    /// meets a variable of `f` outside it.
     pub fn sat_count_over(&self, f: Bdd, universe: &[Var]) -> Option<u128> {
         assert!(
             universe.windows(2).all(|w| w[0] < w[1]),
             "universe must be strictly ascending"
         );
-        for v in self.support(f) {
-            assert!(
-                universe.binary_search(&v).is_ok(),
-                "support {v} outside universe"
-            );
-        }
-        // The recursion consumes the universe top level first; sort a copy
-        // by the current order so the walk matches the diagram.
-        let mut by_level: Vec<Var> = universe.to_vec();
-        by_level.sort_unstable_by_key(|&v| self.level_of(v));
-        let mut memo = WordMap::default();
-        self.sat_count_over_rec(f, &by_level, 0, &mut memo)
+        // A node's position is the number of universe variables placed
+        // above its own level: a search in the sorted universe levels.
+        let mut levels: Vec<u32> = universe.iter().map(|&v| self.level_of(v)).collect();
+        levels.sort_unstable();
+        let mut s = self.scratch.take();
+        s.seen.clear();
+        s.counts.clear();
+        let total = self
+            .count_below(f, &levels, &mut s)
+            .and_then(|(count, pos)| scale(count, pos));
+        self.scratch.put(s);
+        total
     }
 
-    fn sat_count_over_rec(
-        &self,
-        f: Bdd,
-        universe: &[Var],
-        idx: usize,
-        memo: &mut WordMap<(u32, usize), u128>,
-    ) -> Option<u128> {
-        if f.is_false() {
-            return Some(0);
+    /// The models of `f` over the universe variables from its own level
+    /// down, and its position in `levels` (`levels.len()` for terminals).
+    fn count_below(&self, f: Bdd, levels: &[u32], s: &mut Scratch) -> Option<(u128, u32)> {
+        let end = levels.len() as u32;
+        if f.is_terminal() {
+            return Some((u128::from(f.is_true()), end));
         }
-        let remaining = (universe.len() - idx) as u32;
-        if f.is_true() {
-            return 1u128.checked_shl(remaining);
+        if let Some(p) = s.seen.position(f.0) {
+            return Some(s.counts[p]);
         }
-        debug_assert!(idx < universe.len(), "support outside universe");
-        if let Some(&c) = memo.get(&(f.id(), idx)) {
-            return Some(c);
-        }
-        let v = universe[idx];
         let node = self.node(f);
-        let total = if node.var == v {
-            let lo = self.sat_count_over_rec(node.low, universe, idx + 1, memo)?;
-            let hi = self.sat_count_over_rec(node.high, universe, idx + 1, memo)?;
-            lo.checked_add(hi)?
-        } else {
-            debug_assert!(
-                self.level_of(node.var) > self.level_of(v),
-                "universe must cover the support in order"
-            );
-            self.sat_count_over_rec(f, universe, idx + 1, memo)?
-                .checked_mul(2)?
-        };
-        memo.insert((f.id(), idx), total);
-        Some(total)
+        let level = self.level(f);
+        let pos = levels.partition_point(|&l| l < level);
+        assert!(
+            levels.get(pos) == Some(&level),
+            "support {} outside universe",
+            node.var
+        );
+        let pos = pos as u32;
+        let (lo, lo_pos) = self.count_below(node.low, levels, s)?;
+        let (hi, hi_pos) = self.count_below(node.high, levels, s)?;
+        let count = scale(lo, lo_pos - pos - 1)?.checked_add(scale(hi, hi_pos - pos - 1)?)?;
+        s.seen.push(f.0);
+        s.counts.push((count, pos));
+        Some((count, pos))
     }
 
     /// Iterates over all satisfying *paths* of `f` (the classical `AllSat`).
@@ -196,6 +209,15 @@ impl Manager {
             current: None,
         }
     }
+}
+
+/// `count · 2^gap`, or `None` past `u128::MAX`. Zero stays zero for any
+/// gap: a `⊥` edge contributes nothing, however many variables it skips.
+fn scale(count: u128, gap: u32) -> Option<u128> {
+    if count == 0 {
+        return Some(0);
+    }
+    count.checked_mul(1u128.checked_shl(gap)?)
 }
 
 /// Iterator over the satisfying paths of a BDD (see

@@ -28,7 +28,7 @@
 //! let c = z.singleton(Var(2));
 //! let bc = z.product(b, c);
 //! let fam = z.union(a, bc);
-//! assert_eq!(z.count(fam), 2);
+//! assert_eq!(z.count(fam), Some(2));
 //! // Adding the superset {x0, x1} and minimising removes it again.
 //! let ab = z.product(a, b);
 //! let bigger = z.union(fam, ab);
@@ -303,33 +303,28 @@ impl ZddManager {
         cur.is_unit_family()
     }
 
-    /// Number of member sets.
-    ///
-    /// # Panics
-    ///
-    /// Panics on `u128` overflow.
-    pub fn count(&self, a: Zdd) -> u128 {
+    /// Number of member sets, or `None` when it exceeds `u128::MAX`.
+    pub fn count(&self, a: Zdd) -> Option<u128> {
         let mut memo = HashMap::new();
         self.count_rec(a, &mut memo)
     }
 
-    fn count_rec(&self, a: Zdd, memo: &mut HashMap<u32, u128>) -> u128 {
+    fn count_rec(&self, a: Zdd, memo: &mut HashMap<u32, u128>) -> Option<u128> {
         if a.is_empty_family() {
-            return 0;
+            return Some(0);
         }
         if a.is_unit_family() {
-            return 1;
+            return Some(1);
         }
         if let Some(&c) = memo.get(&a.0) {
-            return c;
+            return Some(c);
         }
         let n = self.node(a);
         let c = self
-            .count_rec(n.lo, memo)
-            .checked_add(self.count_rec(n.hi, memo))
-            .unwrap_or_else(|| panic!("family count overflow: more than u128::MAX minimal sets"));
+            .count_rec(n.lo, memo)?
+            .checked_add(self.count_rec(n.hi, memo)?)?;
         memo.insert(a.0, c);
-        c
+        Some(c)
     }
 
     /// Enumerates all member sets, each as ascending variables.
@@ -411,8 +406,8 @@ mod tests {
     #[test]
     fn terminals() {
         let z = ZddManager::new(2);
-        assert_eq!(z.count(z.empty()), 0);
-        assert_eq!(z.count(z.unit()), 1);
+        assert_eq!(z.count(z.empty()), Some(0));
+        assert_eq!(z.count(z.unit()), Some(1));
         assert!(z.contains_empty(z.unit()));
         assert!(!z.contains_empty(z.empty()));
     }
@@ -535,7 +530,7 @@ mod tests {
                 .collect();
             assert_eq!(to_family(&z, m), expect_m, "seed {seed}");
 
-            assert_eq!(z.count(a), sa.len() as u128);
+            assert_eq!(z.count(a), Some(sa.len() as u128));
         }
     }
 

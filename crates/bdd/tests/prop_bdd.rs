@@ -5,7 +5,7 @@
 // correct failure mode here, same as in the tests themselves.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use bfl_bdd::{Manager, Var};
+use bfl_bdd::{Manager, Var, WatermarkMemo};
 
 /// A small Boolean expression AST for oracle testing.
 #[derive(Debug, Clone)]
@@ -451,4 +451,179 @@ fn rollback_restores_the_marked_arena() {
         assert!(audit.is_ok(), "case {case}: {audit}");
     }
     assert!(dropped_any, "no case built anything to roll back");
+}
+
+/// Moves `m`'s levels away from the id order: a sift of `roots` (which
+/// remaps them in place), then a few seeded adjacent swaps.
+fn scramble_levels(m: &mut Manager, roots: &mut [bfl_bdd::Bdd], rng: &mut Rng) {
+    m.sift(roots);
+    for _ in 0..rng.below(8) {
+        let level = rng.below(m.num_vars() - 1);
+        m.swap_adjacent_levels(level);
+    }
+}
+
+/// Whether the level order still equals the id order.
+fn identity_order(m: &Manager) -> bool {
+    m.current_order()
+        .iter()
+        .enumerate()
+        .all(|(level, v)| v.index() as usize == level)
+}
+
+/// `sat_count_over` equals a brute-force count over universes with gaps
+/// and with variables outside the support, on managers whose level order
+/// differs from the id order.
+#[test]
+fn sat_count_over_matches_brute_force() {
+    let mut reordered = 0;
+    for mut rng in cases() {
+        let e = arb_expr(&mut rng);
+        let mut m = Manager::new(NVARS);
+        let mut roots = [build_bdd(&mut m, &e)];
+        scramble_levels(&mut m, &mut roots, &mut rng);
+        reordered += usize::from(!identity_order(&m));
+        let f = roots[0];
+        let support = m.support(f);
+        let universe: Vec<Var> = (0..NVARS)
+            .map(Var)
+            .filter(|v| support.contains(v) || rng.below(2) == 0)
+            .collect();
+        // Variables outside the universe are outside the support: any
+        // value will do, so they stay 0.
+        let expect = (0..1u32 << universe.len())
+            .filter(|&bits| {
+                let spread = universe
+                    .iter()
+                    .enumerate()
+                    .fold(0, |acc, (i, v)| acc | (((bits >> i) & 1) << v.index()));
+                eval_expr(&e, spread)
+            })
+            .count() as u128;
+        assert_eq!(
+            m.sat_count_over(f, &universe),
+            Some(expect),
+            "{e:?} over {universe:?}"
+        );
+    }
+    assert!(
+        reordered > CASES as usize / 2,
+        "{reordered} reordered cases"
+    );
+}
+
+/// `sat_count_over` answers `None` exactly past `u128::MAX`, across gaps
+/// in the universe and after reordering.
+#[test]
+fn sat_count_over_stops_at_the_u128_boundary() {
+    let mut m = Manager::new(200);
+    let x = m.var(Var(7));
+    let mut roots = [x];
+    scramble_levels(&mut m, &mut roots, &mut Rng(9));
+    let x = roots[0];
+    let gappy =
+        |n: usize| -> Vec<Var> { (0..200).filter(|i| i % 3 != 0).map(Var).take(n).collect() };
+    assert_eq!(m.sat_count_over(m.top(), &gappy(127)), Some(1 << 127));
+    assert_eq!(m.sat_count_over(m.top(), &gappy(128)), None);
+    assert_eq!(m.sat_count_over(m.bot(), &gappy(133)), Some(0));
+    assert_eq!(m.sat_count_over(x, &gappy(128)), Some(1 << 127));
+    assert_eq!(m.sat_count_over(x, &gappy(129)), None);
+    let top: Vec<Var> = (0..127).map(Var).collect();
+    assert_eq!(m.sat_count_over(m.top(), &top), Some(1 << 127));
+    let top: Vec<Var> = (0..128).map(Var).collect();
+    assert_eq!(m.sat_count_over(m.top(), &top), None);
+}
+
+/// `restrict_many` with every binding outside the support (undeclared
+/// variables included) returns the same handle and grows no arena;
+/// mixed with bindings inside, it matches the truth table with the first
+/// binding of each variable applied.
+#[test]
+fn restrict_many_outside_the_support_is_free() {
+    for mut rng in cases() {
+        let e = arb_expr(&mut rng);
+        // Two declared variables no expression uses.
+        let mut m = Manager::new(NVARS + 2);
+        let mut roots = [build_bdd(&mut m, &e)];
+        scramble_levels(&mut m, &mut roots, &mut rng);
+        let f = roots[0];
+        let support = m.support(f);
+        let outside: Vec<Var> = (0..NVARS + 3)
+            .map(Var)
+            .filter(|v| !support.contains(v))
+            .collect();
+        let mut pins: Vec<(Var, bool)> = (0..1 + rng.below(4))
+            .map(|_| {
+                let v = outside[rng.below(outside.len() as u32) as usize];
+                (v, rng.below(2) == 1)
+            })
+            .collect();
+        let before = m.arena_size();
+        assert_eq!(m.restrict_many(f, &pins), f, "{e:?} under {pins:?}");
+        assert_eq!(m.arena_size(), before, "{e:?} under {pins:?}");
+
+        for _ in 0..rng.below(4) {
+            let at = rng.below(pins.len() as u32 + 1) as usize;
+            pins.insert(at, (Var(rng.below(NVARS)), rng.below(2) == 1));
+        }
+        let r = m.restrict_many(f, &pins);
+        for bits in 0..(1u32 << NVARS) {
+            let mut pinned = bits;
+            for &(v, b) in pins.iter().rev() {
+                if v.index() < NVARS {
+                    pinned = (pinned & !(1 << v.index())) | (u32::from(b) << v.index());
+                }
+            }
+            let got = m.eval(r, |v| (bits >> v.index()) & 1 == 1);
+            assert_eq!(got, eval_expr(&e, pinned), "{e:?} under {pins:?}");
+        }
+        let audit = m.audit();
+        assert!(audit.is_ok(), "{audit}");
+    }
+}
+
+/// A `WatermarkMemo` kept across requests that each roll back gives
+/// every walk the bits of a walk with an empty memo: the entries of a
+/// request's own nodes leave with them, while those of surviving nodes
+/// are reused, also when the arena grows between requests and moves the
+/// watermark.
+#[test]
+fn watermark_memo_across_rollbacks_matches_fresh_walks() {
+    let weight = |v: Var| 0.05 + 0.13 * f64::from(v.index());
+    for (case, mut rng) in cases().enumerate() {
+        let mut m = Manager::new(NVARS);
+        let e = arb_expr(&mut rng);
+        let f = build_bdd(&mut m, &e);
+        let mut memo = WatermarkMemo::new();
+        let mut kept = vec![f];
+        for request in 0..8 {
+            if rng.below(3) == 0 {
+                // A node built between requests stays, past the last mark.
+                let x = m.var(Var(rng.below(NVARS)));
+                let g = kept[rng.below(kept.len() as u32) as usize];
+                let h = m.xor(g, x);
+                kept.push(h);
+            }
+            let mark = m.watermark();
+            memo.begin_request(mark);
+            let root = kept[rng.below(kept.len() as u32) as usize];
+            let pins: Vec<(Var, bool)> = (0..1 + rng.below(3))
+                .map(|_| (Var(rng.below(NVARS)), rng.below(2) == 1))
+                .collect();
+            let r = m.restrict_many(root, &pins);
+            let x = m.var(Var(rng.below(NVARS)));
+            let g = m.or(r, x);
+            for walked in [r, root, g] {
+                let got = m.probability_with_memo(walked, &weight, &mut memo);
+                let want = m.probability(walked, weight);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "case {case}, request {request}: {e:?} under {pins:?}"
+                );
+            }
+            m.rollback(mark);
+            memo.end_request();
+        }
+    }
 }

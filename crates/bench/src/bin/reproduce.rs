@@ -343,7 +343,8 @@ fn scaling() {
         let nodes = tb.manager().node_count(top);
         // Counting instead of enumeration: random trees can have
         // astronomically many cut sets.
-        let mcs_count = analysis::count_minimal_cut_sets(&tree, tree.top());
+        let mcs_count = analysis::count_minimal_cut_sets(&tree, tree.top())
+            .map_or_else(|| "> u128::MAX".to_string(), |c| c.to_string());
         let elapsed = start.elapsed().as_secs_f64() * 1000.0;
         println!(
             "{:>8} {:>8} {:>12} {:>12} {:>10.2}",

@@ -69,9 +69,9 @@ OPTIONS:
     --ft <FILE>        fault tree in Galileo format (required)
     --failed <A,B,C>   comma-separated failed basic events (default: none)
     --support-scope    use support-relative MCS/MPS minimality (Table I reading)
-    --ordering <ORD>   BDD variable ordering: dfs (default), bfs,
-                       declaration, bouissou, sifted (dfs start + dynamic
-                       sifting, implies --reorder auto)
+    --ordering <ORD>   BDD variable ordering: dfs (default), declaration,
+                       sifted (dfs start + dynamic sifting, implies
+                       --reorder auto)
     --reorder <POL>    dynamic reordering policy: none (default), prepare
                        (sift after every query compile), auto[:FACTOR]
                        (sift when the BDD arena grows FACTOR-fold, default 2)
@@ -261,9 +261,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 let name = args.get(i).ok_or("--ordering requires an argument")?;
                 ordering = match name.as_str() {
                     "dfs" => VariableOrdering::DfsPreorder,
-                    "bfs" => VariableOrdering::BfsLevel,
                     "declaration" => VariableOrdering::Declaration,
-                    "bouissou" => VariableOrdering::BouissouWeight,
                     "sifted" => VariableOrdering::Sifted,
                     other => return Err(format!("unknown ordering `{other}`")),
                 };
@@ -1390,7 +1388,7 @@ mod tests {
         let f = write_model();
         for cmd in ["mcs", "mps"] {
             let base = run_ok(&[cmd, "--ft", &f.arg(), "--support-scope"]);
-            for ordering in ["bfs", "declaration", "bouissou", "sifted"] {
+            for ordering in ["declaration", "sifted"] {
                 let out = run_ok(&[
                     cmd,
                     "--ft",
@@ -1707,7 +1705,7 @@ mod tests {
         assert_eq!(out, base_mcs);
         let out = run_ok(&["mps", "--ft", &f.arg(), "--support-scope"]);
         assert_eq!(out, base_mps);
-        for ordering in ["dfs", "bfs", "declaration", "bouissou", "sifted"] {
+        for ordering in ["dfs", "declaration", "sifted"] {
             let out = run_ok(&["mcs", "--ft", &f.arg(), "--ordering", ordering]);
             assert_eq!(out, base_mcs, "{ordering}");
         }

@@ -21,10 +21,21 @@
 //!    `x` is a maximal zero exactly when the repair set
 //!    `S = failed(b) ∖ x` is a minimal but-for cause (repairing *more*
 //!    events means a *smaller* surviving set, so subset-minimality of
-//!    `S` is superset-maximality of `x`, for non-monotone `ϕ` too);
-//! 3. model-count the result for the exact number of causes, and read
-//!    witnesses off its satisfying vectors, capped by the enumeration
-//!    bound.
+//!    `S` is superset-maximality of `x`, for non-monotone `ϕ` too).
+//!    The construction runs over the pairs of `g`'s support `V_g` only,
+//!    not over every event. Failing an event that `g` ignores keeps `g`
+//!    at 0, so every maximal zero fails all events outside `V_g`, and
+//!    among the vectors that do, maximality only concerns `V_g`: the
+//!    maximal zeros over all events are those over `V_g` conjoined with
+//!    the positive literals of the other events, the same function and
+//!    so the same node. `V_g` is the few dozen failed events the verdict
+//!    still depends on, so the relation costs a few nodes per pair, per
+//!    request, instead of one relation over every event;
+//! 3. model-count the result over `V_g` for the exact number of causes,
+//!    and read witnesses off its satisfying vectors over `V_g`, capped by
+//!    the enumeration bound, with every other event failed. A fixed
+//!    position never branches, so the first `limit` vectors are the ones
+//!    the all-events construction enumerates first.
 //!
 //! Events irrelevant to the repaired verdict are forced *failed* by
 //! maximality, so each cause automatically contains only events that
@@ -37,7 +48,7 @@
 //! the differential suite checks the two agree on seeded random trees.
 
 use bfl_bdd::{Bdd, Var};
-use bfl_fault_tree::analysis::mps_bdd_over;
+use bfl_fault_tree::analysis::mps_bdd_paper;
 use bfl_fault_tree::StatusVector;
 
 use crate::ast::Formula;
@@ -103,22 +114,11 @@ pub fn actual_causes(
 ) -> Result<CauseReport, BflError> {
     let b = observation_vector(mc.tree(), evidence)?;
     let root = mc.formula_bdd(phi)?;
-    let superset = superset_relation(mc);
-    causes_from_bdd(mc, root, superset, &b, limit)
-}
-
-/// The strict-superset relation over every `(event, primed)` pair: the
-/// one relation [`causes_from_bdd`] needs, which a prepared cause plan
-/// builds once and keeps as a root.
-pub(crate) fn superset_relation(mc: &mut ModelChecker) -> Bdd {
-    let tb = mc.tree_bdd_mut();
-    let pairs = tb.var_pairs();
-    tb.manager_mut().strict_superset(&pairs)
+    causes_from_bdd(mc, root, &b, limit)
 }
 
 /// The handle-level core shared with the prepared-query evaluator: causes
-/// of an already-compiled diagram under an already-resolved observation,
-/// with `superset` from [`superset_relation`].
+/// of an already-compiled diagram under an already-resolved observation.
 ///
 /// # Errors
 ///
@@ -131,7 +131,6 @@ pub(crate) fn superset_relation(mc: &mut ModelChecker) -> Bdd {
 pub(crate) fn causes_from_bdd(
     mc: &mut ModelChecker,
     root: Bdd,
-    superset: Bdd,
     observation: &StatusVector,
     limit: usize,
 ) -> Result<CauseReport, BflError> {
@@ -162,24 +161,36 @@ pub(crate) fn causes_from_bdd(
         .collect();
     let tb = mc.tree_bdd_mut();
     let g = tb.manager_mut().restrict_many(root, &pins);
-    // Maximal zeros of g = minimal but-for causes. The all-ones vector is
-    // never among them (g(1⃗) is the failing verdict itself), so S = ∅ is
+    // Maximal zeros of g = minimal but-for causes, built over g's
+    // support alone (module docs, step 2). The all-ones vector is never
+    // among them (g(1⃗) is the failing verdict itself), so S = ∅ is
     // excluded for free.
-    let pairs = tb.var_pairs();
-    let mps = mps_bdd_over(tb, g, superset, &pairs);
-    let total = mc
-        .count_vectors_of_bdd(mps)
-        .ok_or_else(|| BflError::CountOverflow {
-            what: "minimal causes".to_string(),
-        })?;
-    let mut causes: Vec<ActualCause> = mc
-        .vectors_of_bdd(mps, limit)
+    let support = tb.manager().support(g);
+    let prime = tb.prime_map();
+    let pairs: Vec<(Var, Var)> = support.iter().map(|&v| (v, prime(v))).collect();
+    let mps = mps_bdd_paper(tb, g, &pairs);
+    let tb = &*tb;
+    let total =
+        tb.manager()
+            .sat_count_over(mps, &support)
+            .ok_or_else(|| BflError::CountOverflow {
+                what: "minimal causes".to_string(),
+            })?;
+    // A support event left operational in x is repaired; every other
+    // event stays as observed.
+    let basic_of_var: Vec<usize> = support
         .iter()
+        .map(|&v| tb.basic_of_position()[(v.index() / 2) as usize])
+        .collect();
+    let mut causes: Vec<ActualCause> = tb
+        .manager()
+        .sat_vectors(mps, &support)
+        .take(limit)
         .map(|x| {
             let mut witness = observation.clone();
             let mut events = Vec::new();
-            for bi in observation.failed_indices() {
-                if !x.get(bi) {
+            for (&bi, &failed) in basic_of_var.iter().zip(&x) {
+                if !failed {
                     witness.set(bi, false);
                     events.push(tree.name(tree.basic_events()[bi]).to_string());
                 }

@@ -212,7 +212,7 @@ pub(crate) fn default_mc_threads() -> usize {
 /// use bfl_fault_tree::{corpus, VariableOrdering};
 ///
 /// let session = AnalysisSession::builder()
-///     .ordering(VariableOrdering::BouissouWeight)
+///     .ordering(VariableOrdering::Declaration)
 ///     .minimality_scope(MinimalityScope::FormulaSupport)
 ///     .witness_limit(5)
 ///     .build(corpus::fig1());

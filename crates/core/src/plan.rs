@@ -73,12 +73,11 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use bfl_bdd::{Bdd, Var, Watermark, WordMap};
+use bfl_bdd::{Bdd, Var, Watermark, WatermarkMemo};
 use bfl_fault_tree::{FaultTree, StatusVector};
 
 use crate::ast::{CmpOp, Formula, Query};
@@ -312,10 +311,10 @@ enum Compiled {
     Importance { root: Bdd },
     /// `cause(ϕ, evidence)` / `causes(ϕ, evidence, k)`: the observation
     /// (query evidence + scenario bindings) and the enumeration bound
-    /// live in the stored [`Query`]; `root` is `B(ϕ)` and `superset` the
-    /// strict-superset relation every cause's `MPS` construction uses,
-    /// built once at prepare.
-    Cause { root: Bdd, superset: Bdd },
+    /// live in the stored [`Query`]; `root` is `B(ϕ)`. Each request
+    /// builds the maximality relation it needs over the support of its
+    /// own cofactor (see [`causality`](mod@crate::causality)).
+    Cause { root: Bdd },
 }
 
 /// The remappable root slots of one prepared query.
@@ -357,12 +356,10 @@ impl PlanRoots {
     /// Appends this query's root handles (in slot order) to `out`.
     pub(crate) fn extend_roots(&self, out: &mut Vec<Bdd>) {
         match self.snapshot() {
-            Compiled::Quantifier { root, .. } | Compiled::Importance { root } => out.push(root),
-            Compiled::Independence { left, right }
-            | Compiled::Cause {
-                root: left,
-                superset: right,
-            } => {
+            Compiled::Quantifier { root, .. }
+            | Compiled::Importance { root }
+            | Compiled::Cause { root } => out.push(root),
+            Compiled::Independence { left, right } => {
                 out.push(left);
                 out.push(right);
             }
@@ -380,12 +377,10 @@ impl PlanRoots {
     pub(crate) fn set_roots(&self, roots: &[Bdd]) {
         let mut c = self.compiled.lock().unwrap_or_else(|e| e.into_inner());
         match &mut *c {
-            Compiled::Quantifier { root, .. } | Compiled::Importance { root } => *root = roots[0],
-            Compiled::Independence { left, right }
-            | Compiled::Cause {
-                root: left,
-                superset: right,
-            } => {
+            Compiled::Quantifier { root, .. }
+            | Compiled::Importance { root }
+            | Compiled::Cause { root } => *root = roots[0],
+            Compiled::Independence { left, right } => {
                 *left = roots[0];
                 *right = roots[1];
             }
@@ -448,28 +443,22 @@ struct ProbEval {
 /// walks cache separately (they memoise different value types) but
 /// share the generation-invalidation discipline. Between requests they
 /// hold only nodes that stay in the arena: a node's value does not depend
-/// on the scenario that first reached it.
+/// on the scenario that first reached it. Each is a [`WatermarkMemo`]:
+/// it costs its own entries, not the session's arena, and forgetting a
+/// request's nodes is a truncation.
 #[derive(Debug, Default)]
 struct ProbMemo {
     generation: u64,
-    nodes: WordMap<u32, f64>,
-    interval_nodes: WordMap<u32, (f64, f64)>,
+    nodes: WatermarkMemo<f64>,
+    interval_nodes: WatermarkMemo<(f64, f64)>,
 }
 
 impl ProbMemo {
-    /// Drops the entries of the nodes a rollback removed: the next
-    /// nodes reuse their ids.
-    fn forget(&mut self, ids: Range<u32>) {
-        if !self.nodes.is_empty() {
-            for id in ids.clone() {
-                self.nodes.remove(&id);
-            }
-        }
-        if !self.interval_nodes.is_empty() {
-            for id in ids {
-                self.interval_nodes.remove(&id);
-            }
-        }
+    /// Drops the entries of the nodes a rollback removed: the next nodes
+    /// reuse their ids.
+    fn end_request(&mut self) {
+        self.nodes.end_request();
+        self.interval_nodes.end_request();
     }
 }
 
@@ -610,11 +599,8 @@ impl PreparedQuery {
                 // they do not restrict the compiled root).
                 crate::semantics::observation_vector(&inner.tree, evidence)?;
                 let (op_plan, root) = compile_operand(&mut mc, "operand", formula)?;
-                // Built here and kept as a root: each cause request rolls
-                // its own nodes back, so it would otherwise rebuild this.
-                let superset = crate::causality::superset_relation(&mut mc);
                 (
-                    Compiled::Cause { root, superset },
+                    Compiled::Cause { root },
                     "cause",
                     vec![op_plan],
                     !formula.has_minimality_operator(),
@@ -852,21 +838,22 @@ impl PreparedQuery {
     ) -> Result<CachedEval, BflError> {
         let mut mc = self.inner.lock();
         let mark = mc.manager().watermark();
-        let judged = self.judge_locked(&mut mc, key, probs, mark.arena_size());
+        let judged = self.judge_locked(&mut mc, key, probs, mark);
         self.roll_back(&mut mc, mark);
         self.inner.maybe_maintain(&mut mc);
         judged
     }
 
     /// The body of [`PreparedQuery::restrict_and_judge`], run under the
-    /// checker lock; `arena_nodes` is the watermark's arena size.
+    /// checker lock; `mark` is the request's watermark.
     fn judge_locked(
         &self,
         mc: &mut ModelChecker,
         key: &[(usize, bool)],
         probs: Option<&[f64]>,
-        arena_nodes: usize,
+        mark: Watermark,
     ) -> Result<CachedEval, BflError> {
+        let arena_nodes = mark.arena_size();
         let limit = self.inner.witness_limit;
         // Snapshot the roots only while holding the checker lock: the
         // session's maintenance (which may remap them) also runs under it.
@@ -934,6 +921,7 @@ impl PreparedQuery {
                         None => {
                             let (pe, r) = self.prob_judge_locked(
                                 mc,
+                                mark,
                                 joint,
                                 given,
                                 op,
@@ -953,7 +941,7 @@ impl PreparedQuery {
                 // Unreachable: `eval`/`sweep` fetch the vector first.
                 None => CachedEval::bare(false, 0, arena_nodes),
             },
-            Compiled::Cause { root, superset } => {
+            Compiled::Cause { root } => {
                 // The resolved key IS the observation: bound events at
                 // their value, everything else operational. The causality
                 // core pins the non-failed events itself, so no separate
@@ -966,7 +954,7 @@ impl PreparedQuery {
                     Query::Cause { limit: Some(k), .. } => *k as usize,
                     _ => limit,
                 };
-                let report = crate::causality::causes_from_bdd(mc, root, superset, &b, cap)?;
+                let report = crate::causality::causes_from_bdd(mc, root, &b, cap)?;
                 let mut c = CachedEval::bare(report.holds(), mc.bdd_size(root), arena_nodes);
                 c.causes = Some(report);
                 c
@@ -977,8 +965,8 @@ impl PreparedQuery {
                         .tree_bdd_mut()
                         .manager_mut()
                         .restrict_many(root, &assignments);
-                    let ranked =
-                        self.with_prob_memo(|memo| quant::rank_events_bdd(mc, r, probs, memo));
+                    let ranked = self
+                        .with_prob_memo(mark, |memo| quant::rank_events_bdd(mc, r, probs, memo));
                     let mut c = CachedEval::bare(ranked.is_ok(), mc.bdd_size(r), arena_nodes);
                     // A ranking of an (almost-surely) false restricted
                     // formula is undefined: "does not hold" with an
@@ -1002,33 +990,43 @@ impl PreparedQuery {
     fn roll_back(&self, mc: &mut ModelChecker, mark: Watermark) {
         let dropped = mc.rollback(mark);
         if dropped > 0 {
-            let first = mark.arena_size() as u32;
             self.prob_memo
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
-                .forget(first..first + dropped as u32);
+                .end_request();
         }
     }
 
-    /// Runs `f` over the node-keyed probability memo, clearing it first
-    /// if maintenance has remapped this plan's roots since it was
-    /// filled. Must be called with the checker lock held (maintenance
-    /// also runs under it, so generation and node ids cannot move while
-    /// `f` walks).
-    fn with_prob_memo<R>(&self, f: impl FnOnce(&mut WordMap<u32, f64>) -> R) -> R {
-        let generation = self.roots.generation();
-        let mut memo = self.prob_memo.lock().unwrap_or_else(|e| e.into_inner());
-        if memo.generation != generation {
-            memo.nodes.clear();
-            memo.interval_nodes.clear();
-            memo.generation = generation;
-        }
+    /// Runs `f` over the node-keyed probability memo of the request that
+    /// took `mark`, clearing the memo first if maintenance has remapped
+    /// this plan's roots since it was filled. Must be called with the
+    /// checker lock held (maintenance also runs under it, so generation
+    /// and node ids cannot move while `f` walks).
+    fn with_prob_memo<R>(
+        &self,
+        mark: Watermark,
+        f: impl FnOnce(&mut WatermarkMemo<f64>) -> R,
+    ) -> R {
+        let mut memo = self.locked_prob_memo();
+        memo.nodes.begin_request(mark);
         f(&mut memo.nodes)
     }
 
     /// The interval twin of [`PreparedQuery::with_prob_memo`] — same
     /// locking and generation discipline, separate node-keyed cache.
-    fn with_interval_memo<R>(&self, f: impl FnOnce(&mut WordMap<u32, (f64, f64)>) -> R) -> R {
+    fn with_interval_memo<R>(
+        &self,
+        mark: Watermark,
+        f: impl FnOnce(&mut WatermarkMemo<(f64, f64)>) -> R,
+    ) -> R {
+        let mut memo = self.locked_prob_memo();
+        memo.interval_nodes.begin_request(mark);
+        f(&mut memo.interval_nodes)
+    }
+
+    /// The plan's Shannon memos, emptied if maintenance has remapped the
+    /// roots since they were filled.
+    fn locked_prob_memo(&self) -> MutexGuard<'_, ProbMemo> {
         let generation = self.roots.generation();
         let mut memo = self.prob_memo.lock().unwrap_or_else(|e| e.into_inner());
         if memo.generation != generation {
@@ -1036,17 +1034,19 @@ impl PreparedQuery {
             memo.interval_nodes.clear();
             memo.generation = generation;
         }
-        f(&mut memo.interval_nodes)
+        memo
     }
 
     /// The probability core shared by Boolean `eval` on `P(…)`-shaped
     /// plans and the probability sweeps: restrict, walk with the plan
-    /// memo, judge the bound. Caller holds the checker lock. Returns the
-    /// evaluation plus the restricted joint diagram (for statistics).
+    /// memo, judge the bound. Caller holds the checker lock and took
+    /// `mark`. Returns the evaluation plus the restricted joint diagram
+    /// (for statistics).
     #[allow(clippy::too_many_arguments)]
     fn prob_judge_locked(
         &self,
         mc: &mut ModelChecker,
+        mark: Watermark,
         joint: Bdd,
         given: Option<Bdd>,
         op: CmpOp,
@@ -1058,8 +1058,9 @@ impl PreparedQuery {
             .tree_bdd_mut()
             .manager_mut()
             .restrict_many(joint, assignments);
-        let p_joint =
-            self.with_prob_memo(|memo| quant::bdd_probability_with_memo(mc, r_joint, probs, memo));
+        let p_joint = self.with_prob_memo(mark, |memo| {
+            quant::bdd_probability_with_memo(mc, r_joint, probs, memo)
+        });
         let probability = match given {
             None => Some(p_joint),
             Some(g) => {
@@ -1067,7 +1068,7 @@ impl PreparedQuery {
                     .tree_bdd_mut()
                     .manager_mut()
                     .restrict_many(g, assignments);
-                let base = self.with_prob_memo(|memo| {
+                let base = self.with_prob_memo(mark, |memo| {
                     quant::bdd_probability_with_memo(mc, r_given, probs, memo)
                 });
                 if base < quant::MIN_CONDITIONING_PROBABILITY {
@@ -1326,7 +1327,7 @@ impl PreparedQuery {
                             .tree_bdd_mut()
                             .manager_mut()
                             .restrict_many(root, &assignments);
-                        Some(self.with_interval_memo(|memo| {
+                        Some(self.with_interval_memo(mark, |memo| {
                             quant::bdd_probability_interval_with_memo(&mc, r, &intervals, memo)
                         }))
                     }
@@ -1335,7 +1336,7 @@ impl PreparedQuery {
                             .tree_bdd_mut()
                             .manager_mut()
                             .restrict_many(joint, &assignments);
-                        let iv_joint = self.with_interval_memo(|memo| {
+                        let iv_joint = self.with_interval_memo(mark, |memo| {
                             quant::bdd_probability_interval_with_memo(
                                 &mc, r_joint, &intervals, memo,
                             )
@@ -1347,7 +1348,7 @@ impl PreparedQuery {
                                     .tree_bdd_mut()
                                     .manager_mut()
                                     .restrict_many(g, &assignments);
-                                let base = self.with_interval_memo(|memo| {
+                                let base = self.with_interval_memo(mark, |memo| {
                                     quant::bdd_probability_interval_with_memo(
                                         &mc, r_given, &intervals, memo,
                                     )
@@ -1442,8 +1443,9 @@ impl PreparedQuery {
                     .tree_bdd_mut()
                     .manager_mut()
                     .restrict_many(root, &assignments);
-                let p = self
-                    .with_prob_memo(|memo| quant::bdd_probability_with_memo(&mc, r, probs, memo));
+                let p = self.with_prob_memo(mark, |memo| {
+                    quant::bdd_probability_with_memo(&mc, r, probs, memo)
+                });
                 ProbEval {
                     probability: Some(p),
                     holds: None,
@@ -1455,7 +1457,7 @@ impl PreparedQuery {
                 op,
                 bound,
             } => {
-                self.prob_judge_locked(&mut mc, joint, given, op, bound, &assignments, probs)
+                self.prob_judge_locked(&mut mc, mark, joint, given, op, bound, &assignments, probs)
                     .0
             }
             // Callers reject independence and cause plans before

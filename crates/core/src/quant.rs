@@ -40,7 +40,7 @@
 // user-supplied probabilities or bounds.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use bfl_bdd::{Bdd, WordMap};
+use bfl_bdd::{Bdd, NodeMemo, WordMap};
 use bfl_fault_tree::prob::{validate_intervals, validate_probabilities, ProbInterval};
 use bfl_fault_tree::StatusVector;
 
@@ -108,7 +108,7 @@ pub(crate) fn bdd_probability_with_memo(
     mc: &ModelChecker,
     f: Bdd,
     probs: &[f64],
-    memo: &mut WordMap<u32, f64>,
+    memo: &mut impl NodeMemo<f64>,
 ) -> f64 {
     let basic_of_position = mc.basic_of_position();
     mc.manager().probability_with_memo(
@@ -147,7 +147,7 @@ pub(crate) fn bdd_probability_interval_with_memo(
     mc: &ModelChecker,
     f: Bdd,
     intervals: &[ProbInterval],
-    memo: &mut WordMap<u32, (f64, f64)>,
+    memo: &mut impl NodeMemo<(f64, f64)>,
 ) -> ProbInterval {
     let basic_of_position = mc.basic_of_position();
     let (lo, hi) = mc.manager().probability_interval_with_memo(
@@ -397,7 +397,7 @@ pub(crate) fn rank_events_bdd(
     mc: &mut ModelChecker,
     f: Bdd,
     probs: &[f64],
-    memo: &mut WordMap<u32, f64>,
+    memo: &mut impl NodeMemo<f64>,
 ) -> Result<Vec<EventImportance>, BflError> {
     let p_phi = bdd_probability_with_memo(mc, f, probs, memo);
     if p_phi < MIN_CONDITIONING_PROBABILITY {

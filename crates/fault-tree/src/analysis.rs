@@ -161,14 +161,6 @@ pub fn mcs_bdd_paper(tb: &mut TreeBdd, f: Bdd, pairs: &[(Var, Var)]) -> Bdd {
 /// `B_mps = ¬B ∧ ¬∃V′. (V′ ⊃ V ∧ ¬B[V ↷ V′])`.
 pub fn mps_bdd_paper(tb: &mut TreeBdd, f: Bdd, pairs: &[(Var, Var)]) -> Bdd {
     let superset = tb.manager_mut().strict_superset(pairs);
-    mps_bdd_over(tb, f, superset, pairs)
-}
-
-/// [`mps_bdd_paper`] over a `superset` relation the caller built once
-/// with [`Manager::strict_superset`](bfl_bdd::Manager::strict_superset)
-/// on the same `pairs`, for callers that run the construction many
-/// times and keep the relation alive between runs.
-pub fn mps_bdd_over(tb: &mut TreeBdd, f: Bdd, superset: Bdd, pairs: &[(Var, Var)]) -> Bdd {
     let nf = tb.manager_mut().not(f);
     primed_minimality(tb, nf, superset, pairs)
 }
@@ -215,21 +207,22 @@ pub fn minimal_path_sets_paper(tree: &FaultTree, e: ElementId) -> Vec<Vec<usize>
 
 /// Number of minimal cut sets of `e`, by counting the ZDD family — no
 /// enumeration, so it stays cheap even when the number of cut sets is
-/// astronomically large (e.g. deep alternating AND/OR trees).
+/// astronomically large (e.g. deep alternating AND/OR trees). `None`
+/// when the count exceeds `u128::MAX`.
 ///
 /// # Example
 ///
 /// ```
 /// use bfl_fault_tree::{corpus, analysis};
 /// let tree = corpus::covid();
-/// assert_eq!(analysis::count_minimal_cut_sets(&tree, tree.top()), 12);
+/// assert_eq!(analysis::count_minimal_cut_sets(&tree, tree.top()), Some(12));
 /// ```
-pub fn count_minimal_cut_sets(tree: &FaultTree, e: ElementId) -> u128 {
+pub fn count_minimal_cut_sets(tree: &FaultTree, e: ElementId) -> Option<u128> {
     zdd_engine::cut_set_families(tree, e).count(e)
 }
 
 /// Number of minimal path sets of `e` (see [`count_minimal_cut_sets`]).
-pub fn count_minimal_path_sets(tree: &FaultTree, e: ElementId) -> u128 {
+pub fn count_minimal_path_sets(tree: &FaultTree, e: ElementId) -> Option<u128> {
     count_minimal_cut_sets(&dual_tree(tree), e)
 }
 
@@ -277,6 +270,7 @@ pub fn minimal_path_sets_naive(tree: &FaultTree, e: ElementId) -> Vec<Vec<usize>
 mod tests {
     use super::*;
     use crate::corpus;
+    use crate::model::GateType;
 
     #[test]
     fn fig1_minimal_cut_sets() {
@@ -378,11 +372,11 @@ mod tests {
         for tree in [corpus::fig1(), corpus::covid(), corpus::table1_tree()] {
             assert_eq!(
                 count_minimal_cut_sets(&tree, tree.top()),
-                minimal_cut_sets(&tree, tree.top()).len() as u128
+                Some(minimal_cut_sets(&tree, tree.top()).len() as u128)
             );
             assert_eq!(
                 count_minimal_path_sets(&tree, tree.top()),
-                minimal_path_sets(&tree, tree.top()).len() as u128
+                Some(minimal_path_sets(&tree, tree.top()).len() as u128)
             );
         }
     }
@@ -391,7 +385,29 @@ mod tests {
     fn counting_scales_where_enumeration_cannot() {
         // Depth-10 alternating AND/OR chain: ~10^9 minimal cut sets.
         let tree = corpus::chain(10);
-        let count = count_minimal_cut_sets(&tree, tree.top());
+        let count = count_minimal_cut_sets(&tree, tree.top()).unwrap();
         assert!(count > 1_000_000_000, "{count}");
+    }
+
+    #[test]
+    fn counts_past_u128_are_none() {
+        // An AND of 130 two-event ORs: one event from each OR, 2^130
+        // minimal cut sets. Its dual, an OR of 130 two-event ANDs, has
+        // just as many minimal path sets.
+        let mut b = crate::builder::FaultTreeBuilder::new();
+        let mut ors = Vec::new();
+        for i in 0..130 {
+            let (l, r, g) = (format!("l{i}"), format!("r{i}"), format!("or{i}"));
+            b.basic_events([l.as_str(), r.as_str()]).unwrap();
+            b.gate(&g, GateType::Or, [l.as_str(), r.as_str()]).unwrap();
+            ors.push(g);
+        }
+        b.gate("top", GateType::And, ors.iter().map(String::as_str))
+            .unwrap();
+        let tree = b.build("top").unwrap();
+        assert_eq!(count_minimal_cut_sets(&tree, tree.top()), None);
+        assert_eq!(count_minimal_path_sets(&tree, tree.top()), Some(130));
+        let dual = dual_tree(&tree);
+        assert_eq!(count_minimal_path_sets(&dual, dual.top()), None);
     }
 }

@@ -482,7 +482,9 @@ mod tests {
     #[test]
     fn var_maps_are_bijections() {
         let tree = corpus::covid();
-        let tb = TreeBdd::new(&tree, VariableOrdering::BouissouWeight);
+        let tb = TreeBdd::new(&tree, VariableOrdering::DfsPreorder);
+        // A real permutation, so a map that ignored it would fail below.
+        assert!((0..tree.num_basic_events()).any(|p| tb.basic_of_position()[p] != p));
         for bi in 0..tree.num_basic_events() {
             let v = tb.var_of_basic(bi);
             assert_eq!(tb.basic_of_var(v), Some(bi));

@@ -143,8 +143,7 @@ pub type RequestError = (Option<u64>, ErrorCode, String);
 /// [`SessionBuilder`]: bfl_core::engine::SessionBuilder
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SessionOptions {
-    /// BDD variable ordering: `dfs` `bfs` `declaration` `bouissou`
-    /// `sifted`.
+    /// BDD variable ordering: `dfs` `declaration` `sifted`.
     pub ordering: Option<VariableOrdering>,
     /// Minimality scope: `global` or `support`.
     pub scope: Option<MinimalityScope>,
@@ -909,9 +908,7 @@ fn bool_field(
 pub(crate) fn ordering_name(o: VariableOrdering) -> &'static str {
     match o {
         VariableOrdering::DfsPreorder => "dfs",
-        VariableOrdering::BfsLevel => "bfs",
         VariableOrdering::Declaration => "declaration",
-        VariableOrdering::BouissouWeight => "bouissou",
         VariableOrdering::Sifted => "sifted",
         // `VariableOrdering` is non_exhaustive; new orderings must be
         // added to the wire tables before the protocol can carry them.
@@ -922,9 +919,7 @@ pub(crate) fn ordering_name(o: VariableOrdering) -> &'static str {
 pub(crate) fn parse_ordering(name: &str) -> Option<VariableOrdering> {
     Some(match name {
         "dfs" => VariableOrdering::DfsPreorder,
-        "bfs" => VariableOrdering::BfsLevel,
         "declaration" => VariableOrdering::Declaration,
-        "bouissou" => VariableOrdering::BouissouWeight,
         "sifted" => VariableOrdering::Sifted,
         _ => return None,
     })

@@ -497,6 +497,50 @@ fn malformed_lines_get_structured_errors_and_the_connection_survives() {
 }
 
 #[test]
+fn deleted_orderings_are_bad_fields_and_the_server_keeps_serving() {
+    // `bfs` and `bouissou` were removed: on scaled models they asked
+    // for multi-gigabyte tables. Their names now answer like any other
+    // unknown ordering, and nothing is loaded.
+    let handle = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("binds");
+    let mut stream = TcpStream::connect(handle.addr()).expect("connects");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let model = r#""toplevel T;\nT and A B;\nA prob=0.1;\nB prob=0.2;\n""#;
+    for name in ["bfs", "bouissou"] {
+        let line = format!("{{\"op\":\"load\",\"model\":{model},\"ordering\":\"{name}\"}}\n");
+        let raw = raw_round_trip(&mut stream, &mut reader, line.as_bytes());
+        match Response::parse(&raw).expect("parses").body {
+            bfl_server::ResponseBody::Error { code, message } => {
+                assert_eq!(code, ErrorCode::BadField, "{raw}");
+                assert!(message.contains(name), "{raw}");
+            }
+            other => panic!("expected bad_field for `{name}`, got {other:?}"),
+        }
+    }
+
+    let mut client = Client::connect(handle.addr()).expect("connects");
+    let stats = client.stats(None).expect("stats");
+    let sessions = stats
+        .get("sessions")
+        .and_then(|s| s.as_array())
+        .expect("sessions");
+    assert!(sessions.is_empty(), "{stats}");
+    // The same connection, and a new one, still serve.
+    let line = format!("{{\"op\":\"load\",\"model\":{model},\"ordering\":\"dfs\"}}\n");
+    let raw = raw_round_trip(&mut stream, &mut reader, line.as_bytes());
+    assert!(Response::parse(&raw).expect("parses").is_ok(), "{raw}");
+    let session = client.load("toplevel T;\nT and A B;\n").expect("loads");
+    let plan = client.prepare(&session, "exists T").expect("prepares");
+    let outcome = client.eval(&session, &plan, "A = 1, B = 1").expect("evals");
+    assert!(outcome.to_string().contains("\"holds\":true"), "{outcome}");
+    handle.shutdown();
+}
+
+#[test]
 fn oversized_lines_are_rejected_without_killing_the_connection() {
     let handle = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".to_string(),

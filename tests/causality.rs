@@ -292,3 +292,112 @@ fn too_many_causes_is_an_error_and_the_session_stays_usable() {
         .unwrap();
     assert!(outcome.holds);
 }
+
+/// On the served cold what-if set-up (scaled-1000, `witness_limit` 0,
+/// the bounded cause query observing every third event failed), the
+/// plan's causes, which it builds over the support of each cofactor,
+/// equal the all-events construction: the primed maximality over every
+/// `(event, primed)` pair, counted and enumerated over every event.
+/// Totals, cause lists and witnesses must match on every observation.
+#[test]
+fn support_causes_match_the_all_events_construction_at_scale() {
+    use bfl::bdd::Var;
+    use bfl::ft::analysis::mps_bdd_paper;
+    use bfl::ft::bdd::TreeBdd;
+
+    let tree = std::sync::Arc::new(bfl::ft::corpus::scaled(1000));
+    let n = tree.num_basic_events();
+    let names: Vec<String> = tree
+        .basic_event_names()
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    let top = tree.name(tree.top()).to_string();
+    let observed: Vec<String> = names
+        .iter()
+        .step_by(3)
+        .map(|e| format!("{e} := 1"))
+        .collect();
+    let query = format!("causes({top}, {}, 2)", observed.join(", "));
+    let session = AnalysisSession::builder()
+        .witness_limit(0)
+        .build(std::sync::Arc::clone(&tree));
+    let plan = session.prepare(&parse_query(&query).unwrap()).unwrap();
+
+    // The reference, on a diagram of its own.
+    let mut tb = TreeBdd::new(&tree, VariableOrdering::DfsPreorder);
+    let root = tb.element_bdd(&tree, tree.top());
+    let pairs = tb.var_pairs();
+    let universe = tb.unprimed_vars();
+    let mut reference = |b: &StatusVector| -> (u128, Vec<ActualCause>) {
+        let mark = tb.manager().watermark();
+        let pins: Vec<(Var, bool)> = (0..n)
+            .filter(|&bi| !b.get(bi))
+            .map(|bi| (tb.var_of_basic(bi), false))
+            .collect();
+        let g = tb.manager_mut().restrict_many(root, &pins);
+        let mps = mps_bdd_paper(&mut tb, g, &pairs);
+        let total = tb.manager().sat_count_over(mps, &universe).unwrap();
+        let mut causes: Vec<ActualCause> = tb
+            .manager()
+            .sat_vectors(mps, &universe)
+            .take(2)
+            .map(|x| {
+                let x = tb.vector_from_positions(&tree, &x);
+                let mut witness = b.clone();
+                let mut events = Vec::new();
+                for bi in b.failed_indices() {
+                    if !x.get(bi) {
+                        witness.set(bi, false);
+                        events.push(names[bi].clone());
+                    }
+                }
+                events.sort();
+                ActualCause { events, witness }
+            })
+            .collect();
+        causes.sort_by(|a, b| {
+            a.events
+                .len()
+                .cmp(&b.events.len())
+                .then_with(|| a.events.cmp(&b.events))
+        });
+        tb.manager_mut().rollback(mark);
+        (total, causes)
+    };
+
+    let mut rng = Prng::seed_from_u64(0x5CA1_CA05);
+    let mut failing = 0;
+    for _ in 0..200 {
+        let mut picked: Vec<usize> = Vec::new();
+        while picked.len() < 8 {
+            let e = rng.gen_range(0..n);
+            if !picked.contains(&e) {
+                picked.push(e);
+            }
+        }
+        let bindings: Vec<(usize, bool)> = picked.iter().map(|&e| (e, rng.gen_bool(0.5))).collect();
+        let scenario = Scenario::from_pairs(bindings.iter().map(|&(e, v)| (names[e].as_str(), v)));
+        let report = plan.cause(&scenario).unwrap().causes.unwrap();
+        // The query's own evidence wins conflicts; unbound events are
+        // operational.
+        let mut b = StatusVector::all_operational(n);
+        for &(e, v) in &bindings {
+            b.set(e, v);
+        }
+        for e in (0..n).step_by(3) {
+            b.set(e, true);
+        }
+        assert_eq!(report.observation, b, "{scenario}");
+        if !report.failing {
+            assert_eq!(report.total, 0, "{scenario}");
+            continue;
+        }
+        failing += 1;
+        let (total, causes) = reference(&b);
+        assert_eq!(report.total, total, "{scenario}");
+        assert_eq!(report.causes, causes, "{scenario}");
+        assert_eq!(report.truncated, total > causes.len() as u128, "{scenario}");
+    }
+    assert!(failing >= 150, "only {failing} failing observations");
+}

@@ -140,14 +140,14 @@ fn mcs_engines_agree() {
         assert_eq!(mcs, analysis::minimal_cut_sets_paper(&tree, top));
         assert_eq!(mcs, analysis::minimal_cut_sets_naive(&tree, top));
         assert_eq!(
-            mcs.len() as u128,
+            Some(mcs.len() as u128),
             analysis::count_minimal_cut_sets(&tree, top)
         );
         let mps = analysis::minimal_path_sets(&tree, top);
         assert_eq!(mps, analysis::minimal_path_sets_paper(&tree, top));
         assert_eq!(mps, analysis::minimal_path_sets_naive(&tree, top));
         assert_eq!(
-            mps.len() as u128,
+            Some(mps.len() as u128),
             analysis::count_minimal_path_sets(&tree, top)
         );
     }

@@ -116,12 +116,7 @@ fn builder_permutations_agree_on_verdicts_and_sets() {
     let ref_mcs = reference.minimal_cut_sets("IWoS").unwrap();
     let ref_mps = reference.minimal_path_sets("IWoS").unwrap();
 
-    let orderings = [
-        VariableOrdering::DfsPreorder,
-        VariableOrdering::BfsLevel,
-        VariableOrdering::Declaration,
-        VariableOrdering::BouissouWeight,
-    ];
+    let orderings = [VariableOrdering::DfsPreorder, VariableOrdering::Declaration];
     let scopes = [
         MinimalityScope::GlobalUniverse,
         MinimalityScope::FormulaSupport,
