@@ -1,15 +1,14 @@
 //! Deep self-audit of the manager's arena invariants.
 //!
 //! Every other module of this crate *relies* on the invariants checked
-//! here — hash-consing canonicity, the variable order, the var↔level
-//! indirection, cache soundness — but none of them can afford to verify
-//! the whole arena on every operation. [`Manager::audit`] is the
+//! here — hash-consing canonicity, the variable order, the arena's
+//! topological order, cache soundness — but none of them can afford to
+//! verify the whole arena on every operation. [`Manager::audit`] is the
 //! offline verifier: one linear pass over the arena plus a sampled
 //! semantic check of the operation caches, producing an [`AuditReport`]
 //! that lists every violation found. Under `debug_assertions` the audit
-//! runs automatically after every structural mutation batch
-//! ([`Manager::sift`], [`Manager::collect_garbage`]), so the property
-//! suites exercise it on every maintenance cycle.
+//! runs automatically after every [`Manager::collect_garbage`], so the
+//! property suites exercise it on every maintenance cycle.
 //!
 //! The checks:
 //!
@@ -21,11 +20,14 @@
 //! 3. **reduction** — no node tests a variable with identical children
 //!    (redundant-test elimination held);
 //! 4. **order** — every node's variable sits strictly above both
-//!    children in the *current* level order, which also proves the
+//!    children's (a variable is its own level), which also proves the
 //!    diagram acyclic and every child slot in bounds (no live edge into
 //!    a freed/out-of-range slot);
-//! 5. **var↔level bijectivity** — `var2level` and `level2var` are
-//!    mutually inverse permutations covering every declared variable;
+//! 5. **topological order** — every child's index is below its
+//!    parent's. Nodes are appended after their children, compacted in
+//!    post-order by a collection and truncated by a rollback, and
+//!    rollback relies on the order: nothing below a watermark may name a
+//!    node above it;
 //! 6. **cache soundness** — sampled entries of the and/or/xor, ite and
 //!    not caches are re-checked *semantically*: the cached result must
 //!    agree with the operands under pseudo-random assignments.
@@ -57,11 +59,6 @@ pub struct AuditReport {
     pub violation_count: usize,
     /// The first violations found, human-readable (capped).
     pub violations: Vec<String>,
-    /// Whether the arena is topologically sorted (every child index
-    /// below its parent's). Always true right after a collection;
-    /// in-place level swaps legitimately break it, so this is
-    /// informational rather than a violation.
-    pub topologically_sorted: bool,
 }
 
 impl AuditReport {
@@ -143,7 +140,6 @@ impl Manager {
     pub fn audit_with(&self, cache_samples: usize) -> AuditReport {
         let mut report = AuditReport {
             nodes: self.nodes.len(),
-            topologically_sorted: true,
             ..AuditReport::default()
         };
         let n = self.nodes.len();
@@ -161,40 +157,16 @@ impl Manager {
             }
         }
 
-        // 5. var↔level bijectivity (checked before the per-node order
-        // checks, which read through the maps).
-        let maps_ok = self.var2level.len() == num_vars && self.level2var.len() == num_vars;
-        if !maps_ok {
-            report.push(format!(
-                "order maps cover {}/{} entries for {num_vars} variables",
-                self.var2level.len(),
-                self.level2var.len()
-            ));
-        } else {
-            for v in 0..num_vars {
-                let level = self.var2level[v] as usize;
-                if level >= num_vars {
-                    report.push(format!("var {v} maps to out-of-range level {level}"));
-                } else if self.level2var[level] as usize != v {
-                    report.push(format!(
-                        "var↔level maps disagree: var {v} -> level {level} -> var {}",
-                        self.level2var[level]
-                    ));
-                }
-            }
-        }
         // Level of a node id, robust against a corrupt arena: out-of-
         // bounds children and undeclared variables sort as "deepest".
         let level_of_id = |id: u32| -> u32 {
             match self.nodes.get(id as usize) {
-                Some(node) if (node.var.0 as usize) < self.var2level.len() => {
-                    self.var2level[node.var.0 as usize]
-                }
+                Some(node) if (node.var.0 as usize) < num_vars => node.var.0,
                 _ => TERMINAL_LEVEL,
             }
         };
 
-        // 2–4. Per-node structure, reduction and order.
+        // 2–5. Per-node structure, reduction and both orders.
         for (i, node) in self.nodes.iter().enumerate().skip(2) {
             let i32u = i as u32;
             if node.var.0 as usize >= num_vars {
@@ -209,24 +181,25 @@ impl Manager {
                 continue;
             }
             if lo >= i32u || hi >= i32u {
-                report.topologically_sorted = false;
+                report.push(format!(
+                    "node {i} has a child at a higher index ({lo}, {hi}): \
+                     arena not topologically sorted"
+                ));
             }
             if lo == hi {
                 report.push(format!(
                     "node {i} is redundant: both children are {lo} (reduction violated)"
                 ));
             }
-            if maps_ok {
-                let level = self.var2level[node.var.0 as usize];
-                if level >= level_of_id(lo) || level >= level_of_id(hi) {
-                    report.push(format!(
-                        "node {i} ({} at level {level}) not strictly above its children \
-                         (levels {}, {})",
-                        node.var,
-                        level_of_id(lo),
-                        level_of_id(hi)
-                    ));
-                }
+            let level = node.var.0;
+            if level >= level_of_id(lo) || level >= level_of_id(hi) {
+                report.push(format!(
+                    "node {i} ({} at level {level}) not strictly above its children \
+                     (levels {}, {})",
+                    node.var,
+                    level_of_id(lo),
+                    level_of_id(hi)
+                ));
             }
             // Unique-table canonicity, node side: this exact triple must
             // resolve back to this index. A duplicate triple can only
@@ -336,7 +309,7 @@ impl Manager {
     }
 
     /// Runs [`Manager::audit`] and panics with the full report on any
-    /// violation. The debug hooks after sift/GC call this.
+    /// violation.
     ///
     /// # Panics
     ///
@@ -344,14 +317,6 @@ impl Manager {
     pub fn assert_audit(&self) {
         let report = self.audit();
         assert!(report.is_ok(), "BDD arena audit failed: {report}");
-    }
-
-    /// Debug-build hook: audits after structural mutations, free in
-    /// release builds.
-    #[inline]
-    pub(crate) fn debug_audit(&self) {
-        #[cfg(debug_assertions)]
-        self.assert_audit();
     }
 }
 
@@ -376,23 +341,17 @@ mod tests {
         let (m, _) = sample_manager();
         let report = m.audit_with(usize::MAX);
         assert!(report.is_ok(), "{report}");
-        assert!(report.topologically_sorted);
         assert!(report.cache_entries_checked > 0);
         assert_eq!(report.unique_entries, m.arena_size() - 2);
     }
 
     #[test]
-    fn audit_survives_sift_and_gc() {
-        let (mut m, mut roots) = sample_manager();
-        let _ = m.sift(&mut roots);
-        assert!(m.audit_with(usize::MAX).is_ok());
-        let gc = m.collect_garbage(&roots);
-        for r in roots.iter_mut() {
-            *r = gc.remap(*r).unwrap();
-        }
+    fn audit_survives_gc() {
+        let (mut m, roots) = sample_manager();
+        let gc = m.collect_garbage(&roots[3..]);
+        assert!(gc.stats().collected > 0);
         let report = m.audit_with(usize::MAX);
         assert!(report.is_ok(), "{report}");
-        assert!(report.topologically_sorted, "GC must leave a sorted arena");
     }
 
     #[test]
@@ -495,13 +454,26 @@ mod tests {
     }
 
     #[test]
-    fn audit_detects_broken_level_maps() {
-        let (mut m, _) = sample_manager();
-        // Make var2level non-invertible without touching level2var.
-        m.var2level[0] = m.var2level[1];
-        let report = m.audit();
+    fn audit_detects_child_above_parent() {
+        // x0 ? x1 : ⊤ with the x1 node stored after its parent: ordered,
+        // reduced and interned, but not topologically sorted.
+        let mut m = Manager::new(2);
+        m.nodes.push(Node {
+            var: Var(0),
+            low: Bdd(3),
+            high: Bdd(1),
+        });
+        m.unique.insert((0, 3, 1), 2);
+        m.nodes.push(Node {
+            var: Var(1),
+            low: Bdd(0),
+            high: Bdd(1),
+        });
+        m.unique.insert((1, 0, 1), 3);
+        let report = m.audit_with(usize::MAX);
+        assert_eq!(report.violation_count, 1, "{report}");
         assert!(
-            report.violations.iter().any(|v| v.contains("var↔level")),
+            report.violations[0].contains("not topologically sorted"),
             "{report}"
         );
     }

@@ -1,9 +1,8 @@
 //! Mark-and-sweep garbage collection with arena compaction.
 //!
 //! The manager's arena only ever grows while operations run; long-lived
-//! sessions (and especially [sifting](crate::Manager::sift), whose
-//! level swaps rewrite nodes in place and leave the old children behind)
-//! accumulate dead nodes. [`Manager::collect_garbage`] reclaims them:
+//! sessions accumulate dead nodes. [`Manager::collect_garbage`] reclaims
+//! them:
 //!
 //! 1. **mark** — walk the diagram from a caller-supplied root list;
 //! 2. **sweep** — rebuild the arena with only the live nodes, in
@@ -32,16 +31,6 @@ pub struct GcStats {
     pub arena_after: usize,
     /// Nodes reclaimed (`arena_before - arena_after`).
     pub collected: usize,
-}
-
-impl GcStats {
-    /// Merges a later collection into this record: the span keeps the
-    /// original `arena_before`, takes the latest `arena_after`, and
-    /// accumulates `collected`.
-    pub fn absorb(&mut self, other: &GcStats) {
-        self.arena_after = other.arena_after;
-        self.collected += other.collected;
-    }
 }
 
 /// The outcome of a collection: statistics plus the old-handle → new-handle
@@ -86,9 +75,8 @@ impl Manager {
     /// [`Gc`] translates old handles: callers must remap every handle
     /// they keep and discard the rest.
     ///
-    /// The variable order is untouched; collection composes freely with
-    /// [`Manager::sift`] (collect first so the sift works on live nodes
-    /// only, and collect afterwards to reclaim the swap debris).
+    /// Node contents are untouched: a survivor keeps its variable and its
+    /// children's functions, so a rooted diagram keeps its size.
     ///
     /// # Example
     ///
@@ -117,9 +105,8 @@ impl Manager {
         map[1] = 1;
         let mut new_nodes: Vec<Node> = vec![self.nodes[0], self.nodes[1]];
         // Iterative post-order from the roots: children are assigned new
-        // indices before their parents, so the compacted arena is
-        // topologically sorted (child index < parent index) even when the
-        // old arena was not (in-place level swaps break that invariant).
+        // indices before their parents, so the compacted arena stays
+        // topologically sorted (child index < parent index).
         let mut stack: Vec<(u32, bool)> = roots.iter().map(|r| (r.id(), false)).collect();
         while let Some((i, expanded)) = stack.pop() {
             if map[i as usize] != DEAD {
@@ -154,15 +141,11 @@ impl Manager {
         self.ite_cache.clear();
         self.not_cache.clear();
         let arena_after = self.nodes.len();
-        // Debug builds re-verify the full arena after every collection —
-        // including the post-GC-only guarantee of topological sortedness.
+        // Debug builds re-verify the full arena after every collection.
         #[cfg(debug_assertions)]
         {
             let report = self.audit();
-            assert!(
-                report.is_ok() && report.topologically_sorted,
-                "post-GC arena audit failed: {report}"
-            );
+            assert!(report.is_ok(), "post-GC arena audit failed: {report}");
         }
         Gc {
             stats: GcStats {

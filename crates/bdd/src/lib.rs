@@ -23,10 +23,7 @@
 //! * the subset/superset vector relations of the paper's Algorithm 1
 //!   ([`strict_subset`](Manager::strict_subset),
 //!   [`strict_superset`](Manager::strict_superset));
-//! * **dynamic maintenance**: Rudell-style sifting reordering
-//!   ([`sift`](Manager::sift), built on the in-place
-//!   [`swap_adjacent_levels`](Manager::swap_adjacent_levels) primitive)
-//!   and mark-and-sweep garbage collection with arena compaction
+//! * mark-and-sweep garbage collection with arena compaction
 //!   ([`collect_garbage`](Manager::collect_garbage));
 //! * Graphviz export ([`to_dot`](Manager::to_dot)) used to reproduce the
 //!   BDD figures of the paper;
@@ -35,17 +32,14 @@
 //!   unique-table and cache entries that name them, so scratch work
 //!   leaves the arena as it found it;
 //! * **self-auditing**: [`Manager::audit`] verifies the whole arena
-//!   (unique-table canonicity, reduction, order, var↔level bijectivity,
+//!   (unique-table canonicity, reduction, order, topological sortedness,
 //!   sampled cache soundness) and returns an [`AuditReport`]; debug
-//!   builds run it automatically after every sift and collection.
+//!   builds run it automatically after every collection.
 //!
-//! Variables are identified by a stable id: a fresh manager places
-//! [`Var(k)`](Var) at level `k`, and dynamic reordering moves variables
-//! between levels without changing their identity ([`Manager::level_of`]
-//! / [`Manager::var_at_level`] expose the current order). Clients that
-//! need a domain-specific order (e.g. fault-tree orderings) maintain the
-//! mapping between domain objects and variable ids; see the
-//! `bfl-fault-tree` crate.
+//! A variable is its own level: [`Var(k)`](Var) sits at level `k` of the
+//! order for the manager's whole life. Clients that need a
+//! domain-specific order (e.g. fault-tree orderings) choose it by mapping
+//! domain objects to variable ids; see the `bfl-fault-tree` crate.
 //!
 //! ## Example
 //!
@@ -72,7 +66,6 @@ mod manager;
 mod memo;
 mod ops;
 mod prob;
-mod reorder;
 mod rollback;
 mod sat;
 mod subset;
@@ -83,7 +76,6 @@ pub use gc::{Gc, GcStats};
 pub use hash::{WordHasher, WordMap};
 pub use manager::{Bdd, Manager, Node, Var};
 pub use memo::{NodeMemo, WatermarkMemo};
-pub use reorder::{SiftOptions, SiftStats};
 pub use rollback::Watermark;
 pub use sat::{SatPath, SatPaths, SatVectors};
 pub use zdd::{Zdd, ZddManager};

@@ -6,14 +6,12 @@ use std::fmt;
 use crate::hash::WordMap;
 use crate::memo::ScratchCell;
 
-/// A BDD variable, identified by a stable numeric id.
+/// A BDD variable, identified by its numeric id.
 ///
-/// A fresh [`Manager`] places `Var(k)` at *level* `k` of the variable
-/// order (`Var(0)` top-most, closest to the root). Dynamic reordering
-/// ([`Manager::sift`]) moves variables between levels, but a `Var` keeps
-/// its identity: handles, caches and client-side maps from domain objects
-/// to variables stay valid across reorders. Use [`Manager::level_of`] and
-/// [`Manager::var_at_level`] to inspect the current order.
+/// A variable is its own *level*: `Var(k)` sits at level `k` of the
+/// variable order (`Var(0)` top-most, closest to the root), in every
+/// manager and for its whole life. Clients choose an order by choosing
+/// which domain object gets which id.
 ///
 /// # Example
 ///
@@ -103,15 +101,15 @@ pub(crate) enum Op {
 /// created at most once, which makes equality of [`Bdd`] handles equivalent
 /// to semantic equality of the represented functions.
 ///
-/// Two dynamic-maintenance services keep long-lived managers small:
+/// Nodes are only ever appended, after their children, so the arena is
+/// topologically sorted (a child's index is below its parent's). Two
+/// services keep long-lived managers small and keep that order:
 ///
 /// * [`Manager::collect_garbage`] — mark-and-sweep over caller-supplied
 ///   roots with arena compaction (handles are remapped through the
 ///   returned [`Gc`](crate::Gc));
-/// * [`Manager::sift`] — Rudell-style dynamic variable reordering built
-///   on the adjacent-level [`swap`](Manager::swap_adjacent_levels)
-///   primitive (which never invalidates handles; the sift remaps its
-///   root list in place when it compacts swap debris).
+/// * [`Manager::rollback`] — truncates the arena back to a
+///   [`Watermark`](crate::Watermark).
 ///
 /// [`Manager::clear_caches`] can be used to drop memoisation tables (but
 /// not nodes) between phases.
@@ -143,14 +141,10 @@ pub struct Manager {
     pub(crate) ite_cache: WordMap<(u32, u32, u32), u32>,
     pub(crate) not_cache: WordMap<u32, u32>,
     /// Bumped by every change a [`Watermark`](crate::Watermark) cannot
-    /// roll back across: collections, level swaps and cache clears.
+    /// roll back across: collections and cache clears.
     pub(crate) epoch: u64,
     num_vars: u32,
     node_limit: usize,
-    /// variable id -> current level (index by `Var::index`).
-    pub(crate) var2level: Vec<u32>,
-    /// current level -> variable id (inverse of `var2level`).
-    pub(crate) level2var: Vec<u32>,
     /// Node-indexed scratch of the walks, reused from call to call.
     pub(crate) scratch: ScratchCell,
 }
@@ -161,9 +155,7 @@ impl Manager {
 
     /// Creates a manager over `num_vars` variables `Var(0) .. Var(num_vars)`.
     ///
-    /// Initially `Var(k)` sits at level `k` of the variable order; more
-    /// variables can be added later with [`Manager::add_vars`], and the
-    /// order can be changed dynamically with [`Manager::sift`].
+    /// `Var(k)` sits at level `k` of the variable order.
     ///
     /// # Example
     ///
@@ -191,8 +183,6 @@ impl Manager {
             epoch: 0,
             num_vars,
             node_limit: Self::DEFAULT_NODE_LIMIT,
-            var2level: (0..num_vars).collect(),
-            level2var: (0..num_vars).collect(),
             scratch: ScratchCell::default(),
         }
     }
@@ -219,57 +209,6 @@ impl Manager {
     /// Number of declared variables.
     pub fn num_vars(&self) -> u32 {
         self.num_vars
-    }
-
-    /// Declares `extra` additional variables at the bottom of the order and
-    /// returns the first newly created variable.
-    pub fn add_vars(&mut self, extra: u32) -> Var {
-        let first = self.num_vars;
-        self.num_vars += extra;
-        for id in first..self.num_vars {
-            self.var2level.push(self.level2var.len() as u32);
-            self.level2var.push(id);
-        }
-        Var(first)
-    }
-
-    /// The current level of variable `v` (`0` = top of the order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not a declared variable of this manager.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use bfl_bdd::{Manager, Var};
-    /// let m = Manager::new(3);
-    /// assert_eq!(m.level_of(Var(2)), 2); // fresh managers use the identity order
-    /// ```
-    pub fn level_of(&self, v: Var) -> u32 {
-        self.var2level[v.0 as usize]
-    }
-
-    /// The variable currently sitting at `level`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level >= num_vars`.
-    pub fn var_at_level(&self, level: u32) -> Var {
-        Var(self.level2var[level as usize])
-    }
-
-    /// The current variable order, top level first.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use bfl_bdd::{Manager, Var};
-    /// let m = Manager::new(3);
-    /// assert_eq!(m.current_order(), vec![Var(0), Var(1), Var(2)]);
-    /// ```
-    pub fn current_order(&self) -> Vec<Var> {
-        self.level2var.iter().map(|&id| Var(id)).collect()
     }
 
     /// Total number of nodes allocated in the arena (including terminals).
@@ -303,14 +242,10 @@ impl Manager {
         self.nodes[f.0 as usize]
     }
 
-    /// The decision level of the root of `f` (`u32::MAX` for terminals).
+    /// The decision level of the root of `f`, which is its variable's id
+    /// (`u32::MAX` for terminals).
     pub(crate) fn level(&self, f: Bdd) -> u32 {
-        let id = self.nodes[f.0 as usize].var.0;
-        if id == TERMINAL_LEVEL {
-            TERMINAL_LEVEL
-        } else {
-            self.var2level[id as usize]
-        }
+        self.nodes[f.0 as usize].var.0
     }
 
     /// Returns the single-node BDD for the positive literal `v`.
@@ -355,7 +290,7 @@ impl Manager {
             return low;
         }
         debug_assert!(
-            self.level_of(var) < self.level(low) && self.level_of(var) < self.level(high),
+            var.0 < self.level(low) && var.0 < self.level(high),
             "variable order violated: {} above children",
             var
         );
@@ -402,8 +337,7 @@ impl Manager {
 
     /// Number of nodes reachable from `f` (including the terminals reached).
     ///
-    /// This is the conventional "BDD size" reported in the literature,
-    /// and the quantity [`Manager::sift`] minimises.
+    /// This is the conventional "BDD size" reported in the literature.
     ///
     /// # Example
     ///
@@ -502,14 +436,5 @@ mod tests {
         let f = m.or(a, b);
         // root (x0), node for x1, two terminals
         assert_eq!(m.node_count(f), 4);
-    }
-
-    #[test]
-    fn add_vars_extends_order() {
-        let mut m = Manager::new(1);
-        let first = m.add_vars(2);
-        assert_eq!(first, Var(1));
-        assert_eq!(m.num_vars(), 3);
-        let _ = m.var(Var(2));
     }
 }

@@ -164,7 +164,7 @@ impl<V: Copy> WatermarkMemo<V> {
     }
 
     /// Drops every entry, keeping the allocations: after a garbage
-    /// collection or sifting pass, which move node ids.
+    /// collection, which moves node ids.
     pub fn clear(&mut self) {
         self.kept.clear();
         self.fresh.clear();

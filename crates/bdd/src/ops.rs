@@ -28,7 +28,7 @@ impl Manager {
         }
         let top = self.level(f).min(self.level(g)).min(self.level(h));
         debug_assert_ne!(top, TERMINAL_LEVEL);
-        let v = self.var_at_level(top);
+        let v = Var(top);
         let (f0, f1) = self.cofactors(f, v);
         let (g0, g1) = self.cofactors(g, v);
         let (h0, h1) = self.cofactors(h, v);
@@ -81,8 +81,7 @@ impl Manager {
         if let Some(r) = self.op_cache_get(op, f, g) {
             return r;
         }
-        let top = self.level(f).min(self.level(g));
-        let v = self.var_at_level(top);
+        let v = Var(self.level(f).min(self.level(g)));
         let (f0, f1) = self.cofactors(f, v);
         let (g0, g1) = self.cofactors(g, v);
         let low = self.apply(op, f0, g0);
@@ -292,7 +291,7 @@ impl Manager {
         for &(v, b) in assignments.iter().rev() {
             if v.0 < self.num_vars() {
                 s.binding[v.0 as usize] = Some(b);
-                deepest = deepest.max(Some(self.level_of(v)));
+                deepest = deepest.max(Some(v.0));
             }
         }
         let r = match deepest {
@@ -408,8 +407,7 @@ impl Manager {
         if let Some(&r) = memo.get(&key) {
             return r;
         }
-        let top = self.level(f).min(self.level(g));
-        let v = self.var_at_level(top);
+        let v = Var(self.level(f).min(self.level(g)));
         let (f0, f1) = self.cofactors(f, v);
         let (g0, g1) = self.cofactors(g, v);
         let r = if mask[v.0 as usize] {

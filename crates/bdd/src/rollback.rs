@@ -17,10 +17,10 @@ use crate::manager::Manager;
 
 /// A point in a manager's history that [`Manager::rollback`] returns to.
 ///
-/// Valid until the next garbage collection, level swap or
-/// [`Manager::clear_caches`]: those renumber or rewrite nodes below the
-/// mark, so a rollback across one panics instead of corrupting the
-/// arena.
+/// Valid until the next garbage collection or
+/// [`Manager::clear_caches`]: a collection renumbers the nodes below the
+/// mark and a clear forgets the cache sizes it recorded, so a rollback
+/// across one panics instead of corrupting the arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Watermark {
     nodes: usize,
@@ -57,12 +57,12 @@ impl Manager {
     /// Each dropped node's unique-table entry goes with it. A cache that
     /// gained entries since the mark loses those naming a dropped node,
     /// as operand or result. Entries made before the mark cannot name
-    /// one, so a cache that did not grow is left alone.
+    /// one: nodes are appended after their children, so nothing below
+    /// the mark points past it. A cache that did not grow is left alone.
     ///
     /// # Panics
     ///
-    /// Panics if a garbage collection, level swap or cache clear ran
-    /// since the mark.
+    /// Panics if a garbage collection or cache clear ran since the mark.
     ///
     /// # Example
     ///
@@ -82,7 +82,7 @@ impl Manager {
     pub fn rollback(&mut self, mark: Watermark) -> usize {
         assert_eq!(
             mark.epoch, self.epoch,
-            "rollback across a garbage collection, level swap or cache clear"
+            "rollback across a garbage collection or cache clear"
         );
         let keep = mark.nodes;
         let dropped = self.nodes.len() - keep;

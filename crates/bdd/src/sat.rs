@@ -92,10 +92,6 @@ impl Manager {
     /// Number of satisfying assignments of `f` over the variable universe
     /// `Var(0) .. Var(num_vars)`, or `None` when it exceeds `u128::MAX`.
     ///
-    /// The count is a property of the represented *function*: it does not
-    /// change when the variable order does (e.g. after
-    /// [`Manager::sift`]).
-    ///
     /// # Panics
     ///
     /// Panics if `num_vars` is smaller than a variable in the support of
@@ -112,10 +108,9 @@ impl Manager {
     /// auxiliary (e.g. primed) variables can count over just their
     /// primary variables.
     ///
-    /// The walk follows the *current* variable order internally, so the
-    /// count stays correct after dynamic reordering. It keeps one count
-    /// per node, over the universe variables from the node's own level
-    /// down, and scales a child's count by `2^gap` for the universe
+    /// The walk keeps one count per node, over the universe variables
+    /// from the node's own variable down, and scales a child's count by
+    /// `2^gap` for the universe
     /// variables a low or high edge skips. Each such product counts
     /// assignments that also satisfy the root, so no intermediate value
     /// overflows unless the root's count does.
@@ -129,24 +124,21 @@ impl Manager {
             universe.windows(2).all(|w| w[0] < w[1]),
             "universe must be strictly ascending"
         );
-        // A node's position is the number of universe variables placed
-        // above its own level: a search in the sorted universe levels.
-        let mut levels: Vec<u32> = universe.iter().map(|&v| self.level_of(v)).collect();
-        levels.sort_unstable();
         let mut s = self.scratch.take();
         s.seen.clear();
         s.counts.clear();
         let total = self
-            .count_below(f, &levels, &mut s)
+            .count_below(f, universe, &mut s)
             .and_then(|(count, pos)| scale(count, pos));
         self.scratch.put(s);
         total
     }
 
     /// The models of `f` over the universe variables from its own level
-    /// down, and its position in `levels` (`levels.len()` for terminals).
-    fn count_below(&self, f: Bdd, levels: &[u32], s: &mut Scratch) -> Option<(u128, u32)> {
-        let end = levels.len() as u32;
+    /// down, and its position in `universe` (`universe.len()` for
+    /// terminals): the number of universe variables above it.
+    fn count_below(&self, f: Bdd, universe: &[Var], s: &mut Scratch) -> Option<(u128, u32)> {
+        let end = universe.len() as u32;
         if f.is_terminal() {
             return Some((u128::from(f.is_true()), end));
         }
@@ -154,16 +146,15 @@ impl Manager {
             return Some(s.counts[p]);
         }
         let node = self.node(f);
-        let level = self.level(f);
-        let pos = levels.partition_point(|&l| l < level);
+        let pos = universe.partition_point(|&v| v < node.var);
         assert!(
-            levels.get(pos) == Some(&level),
+            universe.get(pos) == Some(&node.var),
             "support {} outside universe",
             node.var
         );
         let pos = pos as u32;
-        let (lo, lo_pos) = self.count_below(node.low, levels, s)?;
-        let (hi, hi_pos) = self.count_below(node.high, levels, s)?;
+        let (lo, lo_pos) = self.count_below(node.low, universe, s)?;
+        let (hi, hi_pos) = self.count_below(node.high, universe, s)?;
         let count = scale(lo, lo_pos - pos - 1)?.checked_add(scale(hi, hi_pos - pos - 1)?)?;
         s.seen.push(f.0);
         s.counts.push((count, pos));

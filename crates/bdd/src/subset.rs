@@ -44,11 +44,10 @@ impl Manager {
     /// `primed_smaller = true`: primed ⊊ unprimed; otherwise primed ⊋
     /// unprimed.
     fn strict_inclusion(&mut self, pairs: &[(Var, Var)], primed_smaller: bool) -> Bdd {
-        // Build bottom-up (reverse *current* level order, so the
-        // construction stays linear after dynamic reordering) when pairs
-        // are interleaved.
+        // Build bottom-up (deepest unprimed variable first), so the
+        // construction stays linear when pairs are interleaved.
         let mut sorted: Vec<(Var, Var)> = pairs.to_vec();
-        sorted.sort_by_key(|&(v, _)| std::cmp::Reverse(self.level_of(v)));
+        sorted.sort_by_key(|&(v, _)| std::cmp::Reverse(v));
         let mut all_leq = self.top();
         let mut strict = self.bot();
         for &(unprimed, primed) in &sorted {

@@ -4,13 +4,11 @@
 //! ```text
 //! cargo run -p bfl-bench --bin reproduce             # everything
 //! cargo run -p bfl-bench --bin reproduce -- fig1     # one artifact
-//! cargo run -p bfl-bench --bin reproduce -- reorder --smoke  # tiny trees
+//! cargo run -p bfl-bench --bin reproduce -- scale --smoke    # small sizes
 //! ```
 //!
-//! Artifacts: `fig1 fig2 fig3 ex2 ex3 table1 covid scaling sweep reorder
-//! quant serve mc cause scale`. The `reorder` artifact additionally writes
-//! `BENCH_reorder.json` (node counts and timings of dynamic sifting + GC
-//! vs the static DFS order), the `quant` artifact writes
+//! Artifacts: `fig1 fig2 fig3 ex2 ex3 table1 covid scaling sweep quant
+//! serve mc cause scale`. The `quant` artifact writes
 //! `BENCH_quant.json` (warm prepared probability sweeps vs naive
 //! recompute-per-scenario), the `serve` artifact boots an in-process
 //! sharded `bfl-server`, replays a mixed check/eval/sweep/prob workload
@@ -28,12 +26,14 @@
 //! per-event what-if scenarios and writes `BENCH_cause.json` (causes/sec
 //! cold vs warm plan via the scenario memo, and witness counts vs tree
 //! size), and the `scale` artifact compiles the industrial-scale corpus
-//! (1k–10k basic events) sequentially, cross-checks the top-event
-//! diagram against the tree's structure function on 20 seeded status
-//! vectors, and writes `BENCH_scale.json` (min and median compile time
-//! over 3 compiles, live and allocated arena nodes, `P(top)`, and the
-//! min and median time to parse the model's Galileo text per size);
-//! `--smoke` restricts all six to small configurations for CI.
+//! (1k–10k basic events) sequentially under each variable ordering,
+//! cross-checks the top-event diagram against the tree's structure
+//! function on 20 seeded status vectors, and writes `BENCH_scale.json`
+//! (per size and ordering: min and median compile time over 3 compiles,
+//! top-event and live nodes; for the default DFS order also the
+//! allocated arena nodes, `P(top)`, and the min and median time to parse
+//! the model's Galileo text); `--smoke` restricts all five to small
+//! configurations for CI.
 
 // A reproduction harness, not a library: every `expect` is an assertion
 // that the paper's artifact can be rebuilt — failing loudly with the
@@ -80,9 +80,6 @@ fn main() {
     }
     if want("sweep") {
         sweep();
-    }
-    if want("reorder") {
-        reorder(args.iter().any(|a| a == "--smoke"));
     }
     if want("quant") {
         quant_bench(args.iter().any(|a| a == "--smoke"));
@@ -1308,135 +1305,13 @@ fn cause_bench(smoke: bool) {
     }
 }
 
-/// REORDER: dynamic sifting + garbage collection vs the static DFS
-/// order, on the paper trees plus (full mode) a randomized series.
-/// Writes the `BENCH_reorder.json` artifact.
-fn reorder(smoke: bool) {
-    use bfl_fault_tree::FaultTree;
-
-    banner("REORDER — sifting + GC vs the static DfsPreorder order");
-    let mut trees: Vec<(String, FaultTree)> = vec![
-        ("or2".into(), corpus::or2()),
-        ("fig1".into(), corpus::fig1()),
-        ("table1".into(), corpus::table1_tree()),
-    ];
-    if !smoke {
-        trees.push(("covid".into(), corpus::covid()));
-        trees.push(("pressure_tank".into(), corpus::pressure_tank()));
-        trees.push(("attack_tree".into(), corpus::attack_tree()));
-        trees.push(("chain6".into(), corpus::chain(6)));
-        for &(nb, ng, seed) in &[
-            (20, 12, 1u64),
-            (40, 25, 7),
-            (50, 30, 5),
-            (60, 40, 13),
-            (80, 50, 42),
-            (100, 60, 99),
-        ] {
-            let tree = random_tree(&RandomTreeConfig {
-                num_basic: nb,
-                num_gates: ng,
-                max_children: 4,
-                vot_probability: 0.1,
-                seed,
-            });
-            trees.push((format!("rand-{nb}x{ng}-s{seed}"), tree));
-        }
-    }
-
-    println!(
-        "{:<18} {:>6} {:>10} {:>10} {:>8} {:>8} {:>9} {:>9} {:>10}",
-        "tree", "basic", "dfs nodes", "sifted", "Δ%", "swaps", "sift ms", "gc freed", "mcs Δms"
-    );
-    let mut rows = String::new();
-    let mut improved = 0usize;
-    for (name, tree) in &trees {
-        let mut tb = TreeBdd::new(tree, VariableOrdering::DfsPreorder);
-        let top = tb.element_bdd(tree, tree.top());
-        let nodes_dfs = tb.manager().node_count(top);
-        let universe = tb.unprimed_vars();
-        let pairs = tb.var_pairs();
-        // MCS counting (the primed construction + model count) before
-        // sifting…
-        let t = std::time::Instant::now();
-        let ms_static = analysis::mcs_bdd_paper(&mut tb, top, &pairs);
-        let count_static = tb
-            .manager()
-            .sat_count_over(ms_static, &universe)
-            .expect("MCS count fits u128");
-        let mcs_ms_static = t.elapsed().as_secs_f64() * 1000.0;
-        // …then sift + collect and measure the same query again. Only the
-        // top cone stays rooted: it is the "live BDD" the artifact tracks.
-        tb.retain_elements(&[tree.top()]);
-        let t = std::time::Instant::now();
-        let stats = tb.sift();
-        let sift_ms = t.elapsed().as_secs_f64() * 1000.0;
-        let gc = tb.collect_garbage();
-        let top = tb.element_bdd(tree, tree.top()); // remapped handle
-        let nodes_sifted = tb.manager().node_count(top);
-        let t = std::time::Instant::now();
-        let ms_sifted = analysis::mcs_bdd_paper(&mut tb, top, &pairs);
-        let count_sifted = tb
-            .manager()
-            .sat_count_over(ms_sifted, &universe)
-            .expect("MCS count fits u128");
-        let mcs_ms_sifted = t.elapsed().as_secs_f64() * 1000.0;
-        assert_eq!(
-            count_static, count_sifted,
-            "{name}: MCS count diverged after maintenance"
-        );
-        let reduction = 100.0 * (1.0 - nodes_sifted as f64 / nodes_dfs as f64);
-        if reduction >= 20.0 {
-            improved += 1;
-        }
-        println!(
-            "{:<18} {:>6} {:>10} {:>10} {:>7.1}% {:>8} {:>9.2} {:>9} {:>10.2}",
-            name,
-            tree.num_basic_events(),
-            nodes_dfs,
-            nodes_sifted,
-            reduction,
-            stats.swaps,
-            sift_ms,
-            gc.collected,
-            mcs_ms_static - mcs_ms_sifted,
-        );
-        if !rows.is_empty() {
-            rows.push(',');
-        }
-        rows.push_str(&format!(
-            "{{\"tree\":\"{name}\",\"basic_events\":{},\"nodes_dfs\":{nodes_dfs},\
-             \"nodes_sifted\":{nodes_sifted},\"reduction_pct\":{reduction:.2},\
-             \"swaps\":{},\"sift_ms\":{sift_ms:.3},\"gc_collected\":{},\
-             \"arena_after\":{},\"mcs_count\":{count_static},\
-             \"mcs_ms_static\":{mcs_ms_static:.3},\"mcs_ms_sifted\":{mcs_ms_sifted:.3}}}",
-            tree.num_basic_events(),
-            stats.swaps,
-            gc.collected,
-            tb.manager().arena_size(),
-        ));
-    }
-    let json = format!(
-        "{{\"artifact\":\"reorder\",\"mode\":\"{}\",\"baseline\":\"DfsPreorder\",\
-         \"trees_with_20pct_reduction\":{improved},\"trees\":[{rows}]}}\n",
-        if smoke { "smoke" } else { "full" }
-    );
-    let path = "BENCH_reorder.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!(
-            "\nwrote {path} ({improved}/{} trees ≥ 20% smaller)",
-            trees.len()
-        ),
-        Err(e) => println!("\ncould not write {path}: {e}"),
-    }
-}
-
 /// SCALE: the industrial corpus (1k–10k basic events) compiled by the
-/// sequential `element_bdd` translation, timed over `COMPILES` fresh
-/// compiles (min and median). Next to the live diagram it reports the
-/// arena the compile allocated: a live count alone hides the garbage
-/// that intermediate results leave behind. The top-event diagram is
-/// cross-checked against the tree's own structure function
+/// sequential `element_bdd` translation under each variable ordering,
+/// timed over `COMPILES` fresh compiles (min and median), with the
+/// top-event and live diagram sizes. For the default DFS order it also
+/// reports the arena the compile allocated: a live count alone hides the
+/// garbage that intermediate results leave behind. Every top-event
+/// diagram is cross-checked against the tree's own structure function
 /// (`FaultTree::evaluate`) on 20 seeded status vectors. Each model's
 /// Galileo text with probabilities, what a served `load` carries, is
 /// parsed `COMPILES` times (min and median), and the reparsed tree must
@@ -1456,9 +1331,10 @@ fn scale_bench(smoke: bool) {
     const VECTORS: u64 = 20;
     const COMPILES: usize = 3;
     println!(
-        "\n{:<12} {:>9} {:>11} {:>11} {:>10} {:>9} {:>9} {:>9} {:>9} {:>13}",
+        "\n{:<12} {:<11} {:>9} {:>11} {:>11} {:>10} {:>9} {:>9} {:>9} {:>9} {:>13}",
         "tree",
-        "elements",
+        "ordering",
+        "top nodes",
         "live nodes",
         "arena nodes",
         "alloc/live",
@@ -1474,40 +1350,45 @@ fn scale_bench(smoke: bool) {
         let tree = &model.tree;
         let probs: Vec<f64> = model.probabilities.iter().map(|p| p.unwrap()).collect();
 
-        let mut times_ms = Vec::with_capacity(COMPILES);
-        let mut compiled = None;
-        for _ in 0..COMPILES {
-            let t0 = std::time::Instant::now();
-            let mut tb = TreeBdd::new(tree, VariableOrdering::DfsPreorder);
-            let top = tb.element_bdd(tree, tree.top());
-            times_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-            compiled = Some((tb, top));
-        }
-        let (tb, top) = compiled.expect("at least one compile");
-        times_ms.sort_by(f64::total_cmp);
-        let (min_ms, median_ms) = (times_ms[0], times_ms[COMPILES / 2]);
+        // Per ordering: the last compile and its min and median time.
+        let compile = |ordering: VariableOrdering| {
+            let mut times_ms = Vec::with_capacity(COMPILES);
+            let mut compiled = None;
+            for _ in 0..COMPILES {
+                let t0 = std::time::Instant::now();
+                let mut tb = TreeBdd::new(tree, ordering);
+                let top = tb.element_bdd(tree, tree.top());
+                times_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+                compiled = Some((tb, top));
+            }
+            let (tb, top) = compiled.expect("at least one compile");
+            times_ms.sort_by(f64::total_cmp);
+            // The compiled top event agrees with the structure function.
+            for seed in 0..VECTORS {
+                let bits: Vec<bool> = (0..n)
+                    .map(|i| {
+                        (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                            ^ (i as u64).wrapping_mul(0xD134_2543_DE82_EF95))
+                        .count_ones()
+                        .is_multiple_of(2)
+                    })
+                    .collect();
+                let b = StatusVector::from_bits(bits);
+                assert_eq!(
+                    tb.eval_vector(tree, top, &b),
+                    tree.evaluate(&b, tree.top()),
+                    "scaled-{n} ({ordering:?}): BDD verdict differs from the structure function"
+                );
+            }
+            (tb, top, times_ms[0], times_ms[COMPILES / 2])
+        };
+        // The default order first, timed as the artifact always has.
+        let (tb, top, min_ms, median_ms) = compile(VariableOrdering::DfsPreorder);
+        let top_nodes = tb.manager().node_count(top);
         let live = tb.live_node_count(&[]);
         let arena = tb.manager().arena_size();
         let alloc_per_live = arena as f64 / live as f64;
         let p_top = prob::bdd_probability(tree, &tb, top, &probs).expect("probability");
-
-        // The compiled top event agrees with the structure function.
-        for seed in 0..VECTORS {
-            let bits: Vec<bool> = (0..n)
-                .map(|i| {
-                    (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        ^ (i as u64).wrapping_mul(0xD134_2543_DE82_EF95))
-                    .count_ones()
-                    .is_multiple_of(2)
-                })
-                .collect();
-            let b = StatusVector::from_bits(bits);
-            assert_eq!(
-                tb.eval_vector(tree, top, &b),
-                tree.evaluate(&b, tree.top()),
-                "scaled-{n}: BDD verdict differs from the structure function"
-            );
-        }
 
         let text = galileo::to_galileo(tree, Some(&model.probabilities));
         let mut parse_ms = Vec::with_capacity(COMPILES);
@@ -1533,9 +1414,10 @@ fn scale_bench(smoke: bool) {
         );
 
         println!(
-            "{:<12} {:>9} {:>11} {:>11} {:>10.2} {:>9.1} {:>9.1} {:>9.2} {:>9.2} {:>13.6e}",
+            "{:<12} {:<11} {:>9} {:>11} {:>11} {:>10.2} {:>9.1} {:>9.1} {:>9.2} {:>9.2} {:>13.6e}",
             format!("scaled-{n}"),
-            tree.len(),
+            "dfs",
+            top_nodes,
             live,
             arena,
             alloc_per_live,
@@ -1545,17 +1427,37 @@ fn scale_bench(smoke: bool) {
             parse_median,
             p_top
         );
+        let mut others = String::new();
+        for ordering in VariableOrdering::all() {
+            let name = match ordering {
+                VariableOrdering::DfsPreorder => continue,
+                VariableOrdering::Declaration => "declaration",
+                other => unreachable!("unnamed ordering {other:?}"),
+            };
+            let (tb, top, min_ms, median_ms) = compile(ordering);
+            let top_nodes = tb.manager().node_count(top);
+            let live = tb.live_node_count(&[]);
+            println!(
+                "{:<12} {name:<11} {top_nodes:>9} {live:>11} {:>11} {:>10} {min_ms:>9.1} \
+                 {median_ms:>9.1}",
+                "", "", ""
+            );
+            others.push_str(&format!(
+                ",\"{name}\":{{\"top_nodes\":{top_nodes},\"live_nodes\":{live},\
+                 \"seq_ms_min\":{min_ms:.3},\"seq_ms_median\":{median_ms:.3}}}"
+            ));
+        }
         if !rows.is_empty() {
             rows.push(',');
         }
         rows.push_str(&format!(
             "{{\"tree\":\"scaled-{n}\",\"basic_events\":{n},\"elements\":{},\
-             \"live_nodes\":{live},\"arena_nodes\":{arena},\
+             \"top_nodes\":{top_nodes},\"live_nodes\":{live},\"arena_nodes\":{arena},\
              \"alloc_per_live\":{alloc_per_live:.3},\"probability\":{p_top:e},\
              \"compiles\":{COMPILES},\"seq_ms_min\":{min_ms:.3},\"seq_ms_median\":{median_ms:.3},\
              \"model_bytes\":{},\"parse_ms_min\":{parse_min:.3},\"parse_ms_median\":{parse_median:.3},\
              \"reparsed_probability_matches\":true,\
-             \"vectors_checked\":{VECTORS},\"verdicts_match_evaluate\":true}}",
+             \"vectors_checked\":{VECTORS},\"verdicts_match_evaluate\":true{others}}}",
             tree.len(),
             text.len(),
         ));

@@ -12,7 +12,7 @@
 
 use std::fmt::Write as _;
 
-use bfl_core::engine::{AnalysisSession, ReorderPolicy};
+use bfl_core::engine::AnalysisSession;
 use bfl_core::parser::{parse_formula, parse_spec};
 use bfl_core::report::{json_estimate, json_interval, json_name_sets, Spec, SpecItem};
 use bfl_core::scenario::ScenarioSet;
@@ -69,14 +69,9 @@ OPTIONS:
     --ft <FILE>        fault tree in Galileo format (required)
     --failed <A,B,C>   comma-separated failed basic events (default: none)
     --support-scope    use support-relative MCS/MPS minimality (Table I reading)
-    --ordering <ORD>   BDD variable ordering: dfs (default), declaration,
-                       sifted (dfs start + dynamic sifting, implies
-                       --reorder auto)
-    --reorder <POL>    dynamic reordering policy: none (default), prepare
-                       (sift after every query compile), auto[:FACTOR]
-                       (sift when the BDD arena grows FACTOR-fold, default 2)
-    --gc               mark-and-sweep BDD garbage collection at maintenance
-                       points (on by default whenever --reorder is active)
+    --ordering <ORD>   BDD variable ordering: dfs (default) or declaration
+    --gc               mark-and-sweep BDD garbage collection whenever the
+                       arena doubles (default off)
     --json             structured JSON output (check, run, sweep, explain,
                        sat, count, mcs, mps, ibe, prob, importance)
 
@@ -151,8 +146,8 @@ SCENARIO FILES (sweep):
 
 EXAMPLES:
     bfl mcs --ft covid.dft
-    bfl explain --ft covid.dft --ordering sifted 'exists MCS(IWoS)'
-    bfl sweep --ft covid.dft --reorder prepare --gc 'exists IWoS' whatif.scenarios
+    bfl explain --ft covid.dft --ordering declaration 'exists MCS(IWoS)'
+    bfl sweep --ft covid.dft --gc 'exists IWoS' whatif.scenarios
     bfl check --ft covid.dft 'forall IS => MoT'
     bfl check --ft covid.dft --failed IW,H3 'MCS(\"CP/R\")'
     bfl run --ft covid.dft properties.bfl --json
@@ -231,8 +226,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut support_scope = false;
     let mut ordering = VariableOrdering::DfsPreorder;
     let mut json = false;
-    let mut reorder: Option<ReorderPolicy> = None;
-    let mut gc: Option<bool> = None;
+    let mut gc = false;
     let mut method_name: Option<String> = None;
     let mut samples: Option<u64> = None;
     let mut seed: Option<u64> = None;
@@ -262,17 +256,10 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 ordering = match name.as_str() {
                     "dfs" => VariableOrdering::DfsPreorder,
                     "declaration" => VariableOrdering::Declaration,
-                    "sifted" => VariableOrdering::Sifted,
                     other => return Err(format!("unknown ordering `{other}`")),
                 };
             }
-            "--reorder" => {
-                i += 1;
-                let name = args.get(i).ok_or("--reorder requires an argument")?;
-                reorder = Some(parse_reorder(name)?);
-            }
-            "--gc" => gc = Some(true),
-            "--no-gc" => gc = Some(false),
+            "--gc" => gc = true,
             "--method" => {
                 i += 1;
                 let name = args.get(i).ok_or("--method requires an argument")?;
@@ -317,18 +304,13 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut builder = AnalysisSession::builder()
         .ordering(ordering)
         .minimality_scope(scope)
+        .gc(gc)
         .probabilities(model.probabilities);
     if has_intervals {
         builder = builder.intervals(model.intervals);
     }
     if let Some(method) = method {
         builder = builder.method(method);
-    }
-    if let Some(policy) = reorder {
-        builder = builder.reorder(policy);
-    }
-    if let Some(enabled) = gc {
-        builder = builder.gc(enabled);
     }
     let session = builder.build(model.tree);
     Ok(Options {
@@ -365,31 +347,6 @@ fn resolve_method(
             "--samples/--seed/--confidence apply to --method mc, not `{other}`"
         )),
         other => Ok(other),
-    }
-}
-
-/// Parses a `--reorder` policy: `none`, `prepare`, `auto` or
-/// `auto:<factor>` with factor > 1.
-fn parse_reorder(name: &str) -> Result<ReorderPolicy, String> {
-    match name {
-        "none" => Ok(ReorderPolicy::None),
-        "prepare" => Ok(ReorderPolicy::OnPrepare),
-        "auto" => Ok(ReorderPolicy::auto()),
-        other => {
-            if let Some(factor) = other.strip_prefix("auto:") {
-                let growth_factor: f64 = factor
-                    .parse()
-                    .map_err(|_| format!("invalid growth factor `{factor}`"))?;
-                if growth_factor <= 1.0 {
-                    return Err(format!("growth factor must exceed 1, got `{factor}`"));
-                }
-                Ok(ReorderPolicy::Auto { growth_factor })
-            } else {
-                Err(format!(
-                    "unknown reorder policy `{other}` (use none, prepare, auto or auto:<factor>)"
-                ))
-            }
-        }
     }
 }
 
@@ -1388,17 +1345,15 @@ mod tests {
         let f = write_model();
         for cmd in ["mcs", "mps"] {
             let base = run_ok(&[cmd, "--ft", &f.arg(), "--support-scope"]);
-            for ordering in ["declaration", "sifted"] {
-                let out = run_ok(&[
-                    cmd,
-                    "--ft",
-                    &f.arg(),
-                    "--support-scope",
-                    "--ordering",
-                    ordering,
-                ]);
-                assert_eq!(out, base, "{cmd} {ordering}");
-            }
+            let out = run_ok(&[
+                cmd,
+                "--ft",
+                &f.arg(),
+                "--support-scope",
+                "--ordering",
+                "declaration",
+            ]);
+            assert_eq!(out, base, "{cmd}");
         }
     }
 
@@ -1705,27 +1660,18 @@ mod tests {
         assert_eq!(out, base_mcs);
         let out = run_ok(&["mps", "--ft", &f.arg(), "--support-scope"]);
         assert_eq!(out, base_mps);
-        for ordering in ["dfs", "declaration", "sifted"] {
+        for ordering in ["dfs", "declaration"] {
             let out = run_ok(&["mcs", "--ft", &f.arg(), "--ordering", ordering]);
             assert_eq!(out, base_mcs, "{ordering}");
         }
     }
 
     #[test]
-    fn reorder_and_gc_flags_are_accepted_and_answers_agree() {
+    fn gc_flag_is_accepted_and_answers_agree() {
         let f = write_model();
         let ft = f.arg();
         let base = run_ok(&["check", "--ft", &ft, "forall A & B => T"]);
-        for extra in [
-            vec!["--reorder", "none"],
-            vec!["--reorder", "prepare"],
-            vec!["--reorder", "auto"],
-            vec!["--reorder", "auto:3.5"],
-            vec!["--reorder", "prepare", "--gc"],
-            vec!["--reorder", "auto", "--no-gc"],
-            vec!["--gc"],
-            vec!["--ordering", "sifted"],
-        ] {
+        for extra in [vec!["--gc"], vec!["--ordering", "declaration", "--gc"]] {
             let mut args = vec!["check", "--ft", ft.as_str()];
             args.extend(extra.iter().copied());
             args.push("forall A & B => T");
@@ -1783,43 +1729,27 @@ mod tests {
     }
 
     #[test]
-    fn bad_reorder_policies_are_rejected() {
-        let f = write_model();
-        for bad in ["bogus", "auto:0.5", "auto:x"] {
-            let args: Vec<String> = ["check", "--ft", &f.arg(), "--reorder", bad, "exists T"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-            let err = run(&args).unwrap_err();
-            assert!(err.contains(bad.split(':').next_back().unwrap()), "{err}");
-        }
-    }
-
-    #[test]
     fn explain_reports_prepare_time_maintenance() {
-        let f = write_model();
-        let out = run_ok(&[
-            "explain",
-            "--ft",
-            &f.arg(),
-            "--reorder",
-            "prepare",
-            "exists MCS(T)",
-        ]);
-        assert!(out.contains("maintenance:"), "{out}");
-        let out = run_ok(&[
-            "explain",
-            "--ft",
-            &f.arg(),
-            "--reorder",
-            "prepare",
-            "--json",
-            "exists MCS(T)",
-        ]);
-        assert!(out.contains("\"maintenance\":{"), "{out}");
-        assert!(out.contains("\"sift\""), "{out}");
-        // Without a policy the field is null.
-        let out = run_ok(&["explain", "--ft", &f.arg(), "--json", "exists MCS(T)"]);
+        // Compiling `top` doubles industrial-400's arena past the growth
+        // trigger, so a `--gc` session collects right after the compile.
+        let ft = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../examples/models/industrial-400.dft"
+        );
+        let out = run_ok(&["explain", "--ft", ft, "--gc", "exists top"]);
+        assert!(
+            out.contains("maintenance: gc 5633 -> 3420 arena nodes · reclaimed 2213"),
+            "{out}"
+        );
+        let out = run_ok(&["explain", "--ft", ft, "--gc", "--json", "exists top"]);
+        assert!(
+            out.contains(
+                "\"maintenance\":{\"arena_before\":5633,\"arena_after\":3420,\"collected\":2213}"
+            ),
+            "{out}"
+        );
+        // Without `--gc` the field is null.
+        let out = run_ok(&["explain", "--ft", ft, "--json", "exists top"]);
         assert!(out.contains("\"maintenance\":null"), "{out}");
     }
 
@@ -1957,13 +1887,33 @@ mod tests {
     }
 
     #[test]
+    fn bad_reorder_policies_are_rejected() {
+        let f = write_model();
+        // Dynamic reordering is gone: the flag is refused as an unknown
+        // option whatever policy follows it, formerly valid or not.
+        let flag = "--reorder";
+        for policy in ["bogus", "auto:0.5", "auto:x", "prepare", "never"] {
+            let args: Vec<String> = ["check", "--ft", &f.arg(), flag, policy, "exists T"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            let err = run(&args).unwrap_err();
+            assert_eq!(err, format!("unknown option `{flag}`"));
+        }
+    }
+
+    #[test]
     fn unknown_option_rejected() {
         let f = write_model();
-        let args: Vec<String> = ["mcs", "--ft", &f.arg(), "--bogus"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(run(&args).unwrap_err().contains("--bogus"));
+        // A removed flag answers like any other unknown option.
+        for flag in ["--bogus", "--no-gc"] {
+            let args: Vec<String> = ["mcs", "--ft", &f.arg(), flag]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            let err = run(&args).unwrap_err();
+            assert_eq!(err, format!("unknown option `{flag}`"));
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bfl_bdd::{Bdd, GcStats, Manager, SiftStats, Var, Watermark};
+use bfl_bdd::{Bdd, GcStats, Manager, Var, Watermark};
 use bfl_fault_tree::analysis::{mcs_bdd_paper, mps_bdd_paper};
 use bfl_fault_tree::bdd::{vot_threshold, TreeBdd};
 use bfl_fault_tree::{FaultTree, StatusVector, VariableOrdering};
@@ -150,36 +150,6 @@ impl ModelChecker {
         self.tb.manager()
     }
 
-    /// Dynamic variable reordering: Rudell sifting over glued
-    /// *(event, primed)* pairs, steered by every diagram the checker
-    /// keeps alive (element translations *and* compiled formulae). Both
-    /// caches are remapped through any interleaved compaction, so every
-    /// handle the checker hands out afterwards stays valid.
-    ///
-    /// Follow with [`ModelChecker::collect_garbage`] to reclaim the final
-    /// round of swap debris.
-    pub fn sift(&mut self) -> SiftStats {
-        let mut none: Vec<Bdd> = Vec::new();
-        self.sift_with_extra(&mut none)
-    }
-
-    /// [`ModelChecker::sift`] with additional caller-owned roots included
-    /// in the live-size metric and rewritten in place (e.g.
-    /// prepared-query roots).
-    pub(crate) fn sift_with_extra(&mut self, extra: &mut Vec<Bdd>) -> SiftStats {
-        let entries: Vec<((Formula, MinimalityScope), Bdd)> = self.cache.drain().collect();
-        let offset = extra.len();
-        extra.extend(entries.iter().map(|&(_, b)| b));
-        let stats = self.tb.sift_with_extra_roots(extra);
-        self.cache = entries
-            .into_iter()
-            .zip(extra[offset..].iter())
-            .map(|((key, _), &new)| (key, new))
-            .collect();
-        extra.truncate(offset);
-        stats
-    }
-
     /// Mark-and-sweep garbage collection with arena compaction.
     ///
     /// Roots are the element-translation cache and the formula-translation
@@ -207,13 +177,6 @@ impl ModelChecker {
             .collect();
         extra.truncate(offset);
         stats
-    }
-
-    /// Live nodes reachable from the checker's caches plus `extra`.
-    pub(crate) fn live_node_count(&self, extra: &[Bdd]) -> usize {
-        let mut roots: Vec<Bdd> = self.cache.values().copied().collect();
-        roots.extend_from_slice(extra);
-        self.tb.live_node_count(&roots)
     }
 
     /// Rolls the arena back to `mark` (see [`Manager::rollback`]) and

@@ -64,7 +64,7 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::time::Instant;
 
-use bfl_bdd::{GcStats, SiftStats};
+use bfl_bdd::GcStats;
 use bfl_fault_tree::{prob, FaultTree, StatusVector, VariableOrdering};
 
 use crate::ast::{Formula, Query};
@@ -77,72 +77,13 @@ use crate::quant;
 use crate::report::{EvalStats, Outcome, Report, Spec, SpecItem, SpecKind};
 use crate::uncertainty::{self, Method, ProbInterval, ProbValue};
 
-/// When the session runs dynamic BDD maintenance (sifting reordering and
-/// garbage collection) over the shared manager.
-///
-/// Whatever the policy, maintenance only ever runs *between* operations
-/// — never inside one — and every retained handle (element and formula
-/// caches, prepared-query roots) is remapped through each collection, so
-/// results are bit-identical to the static path (asserted by
-/// `tests/reorder_gc.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum ReorderPolicy {
-    /// Never reorder; the static [`VariableOrdering`] is final. Garbage
-    /// collection may still run if enabled via [`SessionBuilder::gc`].
-    #[default]
-    None,
-    /// Sift once after every [`AnalysisSession::prepare`] (recorded in
-    /// the prepared query's [`Plan`](crate::plan::Plan)), and whenever
-    /// the arena-growth trigger of [`ReorderPolicy::auto`] fires.
-    OnPrepare,
-    /// Sift (and collect, when GC is enabled) whenever the arena has
-    /// grown by `growth_factor` (> 1) since the last maintenance.
-    Auto {
-        /// Arena growth factor that triggers maintenance (e.g. `2.0` =
-        /// maintain when the arena doubles).
-        growth_factor: f64,
-    },
-}
-
-impl ReorderPolicy {
-    /// The default automatic policy: maintain when the arena doubles.
-    pub const fn auto() -> Self {
-        ReorderPolicy::Auto { growth_factor: 2.0 }
-    }
-
-    /// `true` unless the policy is [`ReorderPolicy::None`].
-    pub fn is_active(self) -> bool {
-        !matches!(self, ReorderPolicy::None)
-    }
-}
-
-/// The outcome of one maintenance run ([`AnalysisSession::maintain`] or
-/// an automatic trigger): live sizes around the run plus the individual
-/// GC/sift statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct MaintenanceReport {
-    /// Live nodes (reachable from every cache and prepared root) before.
-    pub live_before: usize,
-    /// Live nodes after.
-    pub live_after: usize,
-    /// Merged statistics of the collections run (pre- and post-sift),
-    /// `None` when GC was off for this run.
-    pub gc: Option<GcStats>,
-    /// Sifting statistics, `None` when reordering was off for this run.
-    pub sift: Option<SiftStats>,
-}
-
 /// Cumulative maintenance counters of one session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MaintenanceStats {
     /// Garbage collections run.
     pub gc_runs: u64,
-    /// Sifting passes run.
-    pub sift_runs: u64,
     /// Total nodes reclaimed by GC.
     pub nodes_collected: u64,
-    /// Total adjacent-level swaps performed by sifting.
-    pub swaps: u64,
     /// Arena audits run (one per maintenance cycle; see
     /// [`bfl_bdd::Manager::audit`]).
     pub audits_run: u64,
@@ -226,10 +167,7 @@ pub struct SessionBuilder {
     probabilities: Option<Vec<Option<f64>>>,
     intervals: Option<Vec<Option<ProbInterval>>>,
     method: Method,
-    /// `None` = derive from the ordering (`Sifted` ⇒ [`ReorderPolicy::auto`]).
-    reorder: Option<ReorderPolicy>,
-    /// `None` = enable GC exactly when the reorder policy is active.
-    gc: Option<bool>,
+    gc: bool,
 }
 
 impl Default for SessionBuilder {
@@ -241,8 +179,7 @@ impl Default for SessionBuilder {
             probabilities: None,
             intervals: None,
             method: Method::Exact,
-            reorder: None,
-            gc: None,
+            gc: false,
         }
     }
 }
@@ -314,31 +251,24 @@ impl SessionBuilder {
         self
     }
 
-    /// The dynamic-reordering policy (default: [`ReorderPolicy::None`],
-    /// unless the ordering is [`VariableOrdering::Sifted`], which implies
-    /// [`ReorderPolicy::auto`]).
+    /// Enables mark-and-sweep garbage collection whenever the arena has
+    /// doubled since the last collection (default: off).
+    ///
+    /// Collections only ever run *between* operations — never inside
+    /// one — and every retained handle (element and formula caches,
+    /// prepared-query roots) is remapped through each of them, so
+    /// results are bit-identical to a session without GC (asserted by
+    /// `tests/maintenance.rs`).
     ///
     /// ```
-    /// use bfl_core::engine::{AnalysisSession, ReorderPolicy};
+    /// use bfl_core::engine::AnalysisSession;
     /// use bfl_fault_tree::corpus;
     ///
-    /// let session = AnalysisSession::builder()
-    ///     .reorder(ReorderPolicy::OnPrepare)
-    ///     .gc(true)
-    ///     .build(corpus::covid());
-    /// assert_eq!(session.reorder_policy(), ReorderPolicy::OnPrepare);
+    /// let session = AnalysisSession::builder().gc(true).build(corpus::covid());
     /// assert!(session.gc_enabled());
     /// ```
-    pub fn reorder(mut self, policy: ReorderPolicy) -> Self {
-        self.reorder = Some(policy);
-        self
-    }
-
-    /// Enables or disables mark-and-sweep garbage collection at
-    /// maintenance points (default: enabled exactly when the reorder
-    /// policy is active).
     pub fn gc(mut self, enabled: bool) -> Self {
-        self.gc = Some(enabled);
+        self.gc = enabled;
         self
     }
 
@@ -367,12 +297,6 @@ impl SessionBuilder {
         }
         let mut checker = ModelChecker::from_arc(Arc::clone(&tree), self.ordering);
         checker.set_minimality_scope(self.scope);
-        let reorder = self.reorder.unwrap_or(if self.ordering.is_dynamic() {
-            ReorderPolicy::auto()
-        } else {
-            ReorderPolicy::None
-        });
-        let gc = self.gc.unwrap_or(reorder.is_active());
         let last_arena = checker.manager().arena_size();
         AnalysisSession {
             inner: Arc::new(SessionInner {
@@ -383,8 +307,7 @@ impl SessionBuilder {
                 probabilities: self.probabilities,
                 intervals: self.intervals,
                 method: self.method,
-                reorder,
-                gc,
+                gc: self.gc,
                 sampler: SamplerCounters::default(),
                 checker: Mutex::new(checker),
                 maintenance: Mutex::new(MaintenanceState {
@@ -410,7 +333,6 @@ pub(crate) struct SessionInner {
     pub(crate) probabilities: Option<Vec<Option<f64>>>,
     pub(crate) intervals: Option<Vec<Option<ProbInterval>>>,
     pub(crate) method: Method,
-    pub(crate) reorder: ReorderPolicy,
     pub(crate) gc: bool,
     /// Cumulative Monte Carlo counters (lock-free: estimation runs
     /// outside the checker lock).
@@ -446,15 +368,9 @@ impl SessionInner {
         plans.iter().filter_map(Weak::upgrade).collect()
     }
 
-    /// Runs maintenance now: GC (if `do_gc`) around sifting (if
-    /// `do_sift`), over every root the session tracks. Caller holds the
-    /// checker lock.
-    pub(crate) fn maintain_locked(
-        &self,
-        mc: &mut ModelChecker,
-        do_gc: bool,
-        do_sift: bool,
-    ) -> MaintenanceReport {
+    /// Collects garbage now over every root the session tracks.
+    /// Caller holds the checker lock.
+    pub(crate) fn maintain_locked(&self, mc: &mut ModelChecker) -> GcStats {
         let plans = self.plan_roots();
         // Read every prepared root out (checker lock is held, so no eval
         // can race the remap).
@@ -465,106 +381,39 @@ impl SessionInner {
             p.extend_roots(&mut handles);
             spans.push((start, handles.len()));
         }
-        let mut report = MaintenanceReport {
-            live_before: mc.live_node_count(&handles),
-            ..MaintenanceReport::default()
-        };
-        report.live_after = report.live_before;
-        let mut gc_stats: Option<GcStats> = None;
-        let mut run_gc = |mc: &mut ModelChecker, handles: &mut Vec<bfl_bdd::Bdd>| {
-            let stats = mc.collect_garbage_with(handles);
-            match &mut gc_stats {
-                Some(acc) => acc.absorb(&stats),
-                None => gc_stats = Some(stats),
-            }
-        };
-        if do_gc {
-            // Pre-sift collection: sifting rewrites dead nodes too, so a
-            // lean arena makes the sweep phase cheaper.
-            run_gc(mc, &mut handles);
-        }
-        if do_sift {
-            report.sift = Some(mc.sift_with_extra(&mut handles));
-            if do_gc {
-                // Post-sift collection reclaims the swap debris.
-                run_gc(mc, &mut handles);
-            }
-        }
-        report.gc = gc_stats;
-        // Write the (possibly remapped) roots back.
+        let gc = mc.collect_garbage_with(&mut handles);
+        // Write the remapped roots back.
         for (p, &(start, end)) in plans.iter().zip(&spans) {
             p.set_roots(&handles[start..end]);
         }
-        report.live_after = mc.live_node_count(&handles);
         // Every maintenance cycle ends with an arena audit — release
         // builds included (debug builds additionally assert inside the
-        // GC/sift primitives themselves). Violations are surfaced
-        // through the cumulative counters rather than a panic so a
-        // serving process can observe corruption in `stats`.
+        // collection itself). Violations are surfaced through the
+        // cumulative counters rather than a panic so a serving process
+        // can observe corruption in `stats`.
         let audit = mc.manager().audit();
         let mut state = self.maintenance.lock().unwrap_or_else(|e| e.into_inner());
-        state.last_arena = mc.manager().arena_size();
+        state.last_arena = gc.arena_after;
         state.totals.audits_run += 1;
         state.totals.audit_violations += audit.violation_count as u64;
-        if let Some(gc) = report.gc {
-            state.totals.gc_runs += 1;
-            state.totals.nodes_collected += gc.collected as u64;
-        }
-        if let Some(sift) = report.sift {
-            state.totals.sift_runs += 1;
-            state.totals.swaps += sift.swaps as u64;
-        }
-        report
+        state.totals.gc_runs += 1;
+        state.totals.nodes_collected += gc.collected as u64;
+        gc
     }
 
-    /// The growth factor governing automatic triggers, `None` when no
-    /// automatic maintenance applies.
-    fn auto_factor(&self) -> Option<f64> {
-        match (self.reorder, self.gc) {
-            (ReorderPolicy::Auto { growth_factor }, _) => Some(growth_factor.max(1.0)),
-            // OnPrepare promises the default growth trigger between
-            // prepares (with or without GC), and GC alone compacts on
-            // the same doubling trigger.
-            (ReorderPolicy::OnPrepare, _) | (ReorderPolicy::None, true) => Some(2.0),
-            (ReorderPolicy::None, false) => None,
+    /// Automatic trigger, called between operations while the checker
+    /// lock is held: on GC sessions, collects when the arena has doubled
+    /// since the last collection, and returns that collection.
+    pub(crate) fn maybe_maintain(&self, mc: &mut ModelChecker) -> Option<GcStats> {
+        if !self.gc {
+            return None;
         }
-    }
-
-    /// Whether the arena has outgrown the policy's growth factor since
-    /// the last maintenance.
-    fn growth_due(&self, mc: &ModelChecker) -> bool {
-        let Some(factor) = self.auto_factor() else {
-            return false;
-        };
         let arena = mc.manager().arena_size();
         let last = {
             let state = self.maintenance.lock().unwrap_or_else(|e| e.into_inner());
             state.last_arena
         };
-        arena >= AUTO_MIN_ARENA && (arena as f64) >= factor * last.max(1) as f64
-    }
-
-    /// Automatic trigger, called between operations while the checker
-    /// lock is held: maintains when the arena outgrew the policy's
-    /// factor.
-    pub(crate) fn maybe_maintain(&self, mc: &mut ModelChecker) {
-        if self.growth_due(mc) {
-            let _ = self.maintain_locked(mc, self.gc, self.reorder.is_active());
-        }
-    }
-
-    /// Prepare-time maintenance: an active reorder policy sifts after
-    /// every compile (that is the point of
-    /// [`VariableOrdering::Sifted`]); GC-only sessions compact on the
-    /// growth trigger.
-    pub(crate) fn maintain_at_prepare(&self, mc: &mut ModelChecker) -> Option<MaintenanceReport> {
-        if self.reorder.is_active() {
-            Some(self.maintain_locked(mc, self.gc, true))
-        } else if self.gc && self.growth_due(mc) {
-            Some(self.maintain_locked(mc, true, false))
-        } else {
-            None
-        }
+        (arena >= AUTO_MIN_ARENA && arena >= 2 * last.max(1)).then(|| self.maintain_locked(mc))
     }
 
     /// Cumulative maintenance counters.
@@ -781,26 +630,20 @@ impl AnalysisSession {
         self.inner.sampler.snapshot()
     }
 
-    /// The configured dynamic-reordering policy.
-    pub fn reorder_policy(&self) -> ReorderPolicy {
-        self.inner.reorder
-    }
-
-    /// Whether garbage collection runs at maintenance points.
+    /// Whether garbage collection runs when the arena doubles.
     pub fn gc_enabled(&self) -> bool {
         self.inner.gc
     }
 
-    /// Runs maintenance **now** — garbage collection and sifting over
-    /// every root the session tracks (element/formula caches and live
-    /// prepared queries) — regardless of the configured policy.
+    /// Runs maintenance **now**: one garbage collection over every root
+    /// the session tracks (element/formula caches and live prepared
+    /// queries), whether or not [`SessionBuilder::gc`] is on.
     ///
     /// All retained handles are remapped; subsequent queries return
-    /// identical results (only faster/smaller). See
-    /// [`ReorderPolicy`] for the automatic triggers.
-    pub fn maintain(&self) -> MaintenanceReport {
+    /// identical results.
+    pub fn maintain(&self) -> GcStats {
         let mut mc = self.lock();
-        self.inner.maintain_locked(&mut mc, true, true)
+        self.inner.maintain_locked(&mut mc)
     }
 
     /// Cumulative maintenance counters since the session was built.
@@ -1645,13 +1488,11 @@ mod tests {
     }
 
     #[test]
-    fn sifted_session_agrees_with_static_session() {
+    fn gc_session_agrees_with_static_session() {
         let tree = Arc::new(corpus::covid());
         let stat = AnalysisSession::new(Arc::clone(&tree));
-        let dyn_ = AnalysisSession::builder()
-            .ordering(VariableOrdering::Sifted)
-            .build(Arc::clone(&tree));
-        assert_eq!(dyn_.reorder_policy(), ReorderPolicy::auto());
+        assert!(!stat.gc_enabled());
+        let dyn_ = AnalysisSession::builder().gc(true).build(Arc::clone(&tree));
         assert!(dyn_.gc_enabled());
         for src in [
             "forall IS => MoT",
@@ -1666,8 +1507,9 @@ mod tests {
                 dyn_.check_query(&q).unwrap().holds,
                 "{src}"
             );
+            dyn_.maintain();
         }
-        // Full satisfaction sets are order-independent and must agree.
+        // Full satisfaction sets survive the collections and must agree.
         let phi = parse_formula("MCS(IWoS)").unwrap();
         assert_eq!(
             stat.satisfying_vectors(&phi).unwrap(),
@@ -1687,13 +1529,13 @@ mod tests {
         let count = session.count_satisfying(&phi).unwrap();
         let arena_before = session.stats().arena_nodes;
         let report = session.maintain();
-        assert!(report.gc.is_some());
-        assert!(report.sift.is_some());
-        assert!(report.live_after <= report.live_before);
-        assert!(session.stats().arena_nodes <= arena_before);
+        assert_eq!(report.arena_before, arena_before);
+        assert_eq!(report.arena_after, session.stats().arena_nodes);
+        assert_eq!(report.collected, arena_before - report.arena_after);
         let stats = session.maintenance_stats();
-        assert!(stats.gc_runs >= 1);
-        assert_eq!(stats.sift_runs, 1);
+        assert_eq!(stats.gc_runs, 1);
+        assert_eq!(stats.nodes_collected, report.collected as u64);
+        assert_eq!(stats.audit_violations, 0);
         // Cached formulae were remapped: identical answers, no recompile.
         assert_eq!(session.satisfying_vectors(&phi).unwrap(), before);
         assert_eq!(session.count_satisfying(&phi).unwrap(), count);
@@ -1709,18 +1551,13 @@ mod tests {
 
     #[test]
     fn prepared_queries_survive_maintenance() {
-        let session = AnalysisSession::builder()
-            .reorder(ReorderPolicy::OnPrepare)
-            .gc(true)
-            .build(corpus::covid());
+        let session = AnalysisSession::builder().gc(true).build(corpus::covid());
         let prepared = session
             .prepare(&parse_query("exists MCS(IWoS) & H4").unwrap())
             .unwrap();
-        // OnPrepare: the plan records the maintenance that ran.
-        let plan = prepared.explain();
-        let m = plan.maintenance.expect("OnPrepare maintains at compile");
-        assert!(m.sift.is_some());
-        assert!(m.gc.is_some());
+        // COVID's arena stays below the growth trigger: no collection at
+        // compile time.
+        assert_eq!(prepared.explain().maintenance, None);
         let baseline = prepared.eval(&crate::scenario::Scenario::new()).unwrap();
         // Explicit maintenance between evals remaps the prepared roots.
         session.maintain();

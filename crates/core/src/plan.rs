@@ -77,16 +77,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use bfl_bdd::{Bdd, Var, Watermark, WatermarkMemo};
+use bfl_bdd::{Bdd, GcStats, Var, Watermark, WatermarkMemo};
 use bfl_fault_tree::{FaultTree, StatusVector};
 
 use crate::ast::{CmpOp, Formula, Query};
 use crate::checker::ModelChecker;
-use crate::engine::{default_mc_threads, MaintenanceReport, SessionInner};
+use crate::engine::{default_mc_threads, SessionInner};
 use crate::error::BflError;
 use crate::quant;
 use crate::report::{
-    json_estimate, json_interval, json_outcome, json_stats, json_str, EvalStats, Outcome,
+    json_estimate, json_gc, json_interval, json_outcome, json_stats, json_str, EvalStats, Outcome,
 };
 use crate::rewrite::{desugar, simplify, to_nnf};
 use crate::scenario::{Scenario, ScenarioSet};
@@ -154,11 +154,10 @@ pub struct Plan {
     /// Cost of the one-time compile: duration, translation-cache
     /// hits/misses and arena size after the build.
     pub prepare: EvalStats,
-    /// Dynamic maintenance run right after the compile (per the session's
-    /// [`ReorderPolicy`](crate::engine::ReorderPolicy)): live node counts
-    /// before/after plus the GC and sifting statistics. `None` when no
-    /// maintenance was due.
-    pub maintenance: Option<MaintenanceReport>,
+    /// The garbage collection run right after the compile, on a session
+    /// with [`gc`](crate::engine::SessionBuilder::gc) on whose arena had
+    /// doubled. `None` when no collection was due.
+    pub maintenance: Option<GcStats>,
 }
 
 impl Plan {
@@ -203,27 +202,7 @@ impl Plan {
         out.push_str(&format!("],\"prepare\":{}", json_stats(&self.prepare)));
         match &self.maintenance {
             None => out.push_str(",\"maintenance\":null"),
-            Some(m) => {
-                out.push_str(&format!(
-                    ",\"maintenance\":{{\"live_before\":{},\"live_after\":{}",
-                    m.live_before, m.live_after
-                ));
-                match m.gc {
-                    Some(gc) => out.push_str(&format!(
-                        ",\"gc\":{{\"arena_before\":{},\"arena_after\":{},\"collected\":{}}}",
-                        gc.arena_before, gc.arena_after, gc.collected
-                    )),
-                    None => out.push_str(",\"gc\":null"),
-                }
-                match m.sift {
-                    Some(s) => out.push_str(&format!(
-                        ",\"sift\":{{\"live_before\":{},\"live_after\":{},\"swaps\":{},\"blocks_sifted\":{}}}",
-                        s.live_before, s.live_after, s.swaps, s.blocks_sifted
-                    )),
-                    None => out.push_str(",\"sift\":null"),
-                }
-                out.push('}');
-            }
+            Some(gc) => out.push_str(&format!(",\"maintenance\":{}", json_gc(gc))),
         }
         out.push('}');
         out
@@ -269,19 +248,12 @@ impl fmt::Display for Plan {
             self.prepare.cache_misses,
             self.prepare.arena_nodes
         )?;
-        if let Some(m) = &self.maintenance {
-            write!(
+        if let Some(gc) = &self.maintenance {
+            writeln!(
                 f,
-                "  maintenance: {} -> {} live nodes",
-                m.live_before, m.live_after
+                "  maintenance: gc {} -> {} arena nodes · reclaimed {}",
+                gc.arena_before, gc.arena_after, gc.collected
             )?;
-            if let Some(s) = m.sift {
-                write!(f, " · sift {} swaps", s.swaps)?;
-            }
-            if let Some(gc) = m.gc {
-                write!(f, " · gc reclaimed {}", gc.collected)?;
-            }
-            writeln!(f)?;
         }
         Ok(())
     }
@@ -330,9 +302,8 @@ pub(crate) struct PlanRoots {
     compiled: Mutex<Compiled>,
     /// Bumped by every [`PlanRoots::set_roots`], i.e. every maintenance
     /// pass over this plan. Node-keyed caches (the probability memo)
-    /// compare against it and drop stale entries: both GC (which
-    /// renumbers nodes) and sifting (which rewrites them in place)
-    /// invalidate node-id keys.
+    /// compare against it and drop stale entries: GC renumbers nodes,
+    /// which invalidates node-id keys.
     generation: AtomicU64,
 }
 
@@ -427,7 +398,7 @@ impl CachedEval {
 
 /// One scenario's probability evaluation, memoised under the resolved
 /// bindings. The values are semantic (maintenance never changes them),
-/// so — unlike the node-keyed memo — this cache survives GC/reorder.
+/// so — unlike the node-keyed memo — this cache survives GC.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct ProbEval {
     /// The probability; `None` for conditionals whose condition has
@@ -620,7 +591,7 @@ impl PreparedQuery {
         // prepare-time maintenance: a collection remaps them in place.
         let roots = PlanRoots::new(compiled);
         inner.register_plan(&roots);
-        let maintenance = inner.maintain_at_prepare(&mut mc);
+        let maintenance = inner.maybe_maintain(&mut mc);
         let plan = Plan {
             query: source.clone(),
             kind,
@@ -955,7 +926,10 @@ impl PreparedQuery {
                     _ => limit,
                 };
                 let report = crate::causality::causes_from_bdd(mc, root, &b, cap)?;
-                let mut c = CachedEval::bare(report.holds(), mc.bdd_size(root), arena_nodes);
+                // A collection renumbers the root but never reshapes it,
+                // so its size is the one prepare measured.
+                let bdd_nodes = self.plan.operands[0].bdd_nodes;
+                let mut c = CachedEval::bare(report.holds(), bdd_nodes, arena_nodes);
                 c.causes = Some(report);
                 c
             }
@@ -1212,7 +1186,7 @@ impl PreparedQuery {
     /// plans this is the probability of the (restricted) operand.
     ///
     /// The memo is keyed on BDD node ids and remapped plans drop it: the
-    /// session's GC/reorder registry bumps this plan's generation
+    /// session's GC registry bumps this plan's generation
     /// whenever maintenance rewrites its roots, and the next walk starts
     /// fresh (results are identical — only the cache is rebuilt).
     ///

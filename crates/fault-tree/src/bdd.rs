@@ -2,23 +2,21 @@
 //!
 //! [`TreeBdd`] owns a [`Manager`] whose variables interleave each basic
 //! event with a *primed* copy: the basic event at ordering position `p`
-//! gets variable id `2p`, its primed copy id `2p + 1` (and a fresh
-//! manager places ids at the matching levels). The primed variables
-//! implement the `V ↷ V′` renaming of the paper's `MCS`/`MPS`
+//! gets variable id `2p`, its primed copy id `2p + 1`, and a variable is
+//! its own level. So the order is fixed here, once, by the ordering's
+//! permutation, and each primed variable sits immediately below its
+//! event, which keeps the `V ↷ V′` renaming order-preserving. The primed
+//! variables implement that renaming for the paper's `MCS`/`MPS`
 //! translations; ordinary gate translation only touches unprimed
 //! variables.
 //!
-//! Dynamic maintenance: [`TreeBdd::sift`] improves the variable order in
-//! place with Rudell sifting — always in glued *(event, primed)* blocks,
-//! so each primed variable stays immediately below its event and the
-//! `V ↷ V′` renaming remains order-preserving — and
 //! [`TreeBdd::collect_garbage`] compacts the arena, remapping the
 //! element-translation cache (plus any caller-owned handles) through the
 //! sweep.
 
 use std::collections::HashMap;
 
-use bfl_bdd::{Bdd, GcStats, Manager, SiftOptions, SiftStats, Var};
+use bfl_bdd::{Bdd, GcStats, Manager, Var};
 
 use crate::model::{ElementId, FaultTree, GateType};
 use crate::order::VariableOrdering;
@@ -272,56 +270,6 @@ impl TreeBdd {
         gc.stats()
     }
 
-    /// Rudell sifting over glued *(event, primed)* variable pairs,
-    /// steered by the cached element translations.
-    ///
-    /// Pairs move as blocks, so the interleaving invariant (each primed
-    /// variable immediately below its event) survives and `MCS`/`MPS`
-    /// renaming stays order-preserving. The element cache is remapped
-    /// through any interleaved compaction; handles obtained *before* the
-    /// sift (outside the cache) must be passed through
-    /// [`TreeBdd::sift_with_extra_roots`] or re-fetched via
-    /// [`TreeBdd::element_bdd`]. Run [`TreeBdd::collect_garbage`]
-    /// afterwards to reclaim the final round of swap debris.
-    pub fn sift(&mut self) -> SiftStats {
-        self.sift_with_extra_roots(&mut [])
-    }
-
-    /// Like [`TreeBdd::sift`], with additional caller-owned roots that
-    /// steer the live-size metric and are rewritten in place when the
-    /// sift compacts the arena (e.g. formula-translation caches of the
-    /// layer above).
-    pub fn sift_with_extra_roots(&mut self, extra: &mut [Bdd]) -> SiftStats {
-        let mut entries: Vec<(u32, Bdd)> = self.cache.drain().collect();
-        let mut roots: Vec<Bdd> = entries.iter().map(|&(_, b)| b).collect();
-        roots.extend_from_slice(extra);
-        let stats = self.manager.sift_with(
-            &mut roots,
-            SiftOptions {
-                group: 2,
-                ..SiftOptions::default()
-            },
-        );
-        for (entry, &new) in entries.iter_mut().zip(&roots) {
-            entry.1 = new;
-        }
-        for (slot, &new) in extra.iter_mut().zip(&roots[entries.len()..]) {
-            *slot = new;
-        }
-        self.cache = entries.into_iter().collect();
-        stats
-    }
-
-    /// Drops every cached element translation except `keep` (and their
-    /// handles with them) — typically called before maintenance so dead
-    /// cones neither anchor the garbage collection nor steer the sifting
-    /// metric. Dropped elements recompile on the next
-    /// [`TreeBdd::element_bdd`] call.
-    pub fn retain_elements(&mut self, keep: &[ElementId]) {
-        let keep: std::collections::HashSet<u32> = keep.iter().map(|e| e.index() as u32).collect();
-        self.cache.retain(|k, _| keep.contains(k));
-    }
-
     /// Converts a full assignment over the *unprimed* variables (aligned
     /// with [`TreeBdd::unprimed_vars`]) into a status vector aligned with
     /// basic indices.
@@ -497,39 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn sift_preserves_semantics_and_pairing() {
-        let tree = corpus::covid();
-        let mut tb = TreeBdd::new(&tree, VariableOrdering::DfsPreorder);
-        let _ = tb.element_bdd(&tree, tree.top());
-        let stats = tb.sift();
-        // Re-fetch through the (remapped) cache: a sift may compact.
-        let top = tb.element_bdd(&tree, tree.top());
-        assert!(stats.live_after <= stats.live_before);
-        // Pairs stay glued: primed immediately below its event.
-        for bi in 0..tree.num_basic_events() {
-            let v = tb.var_of_basic(bi);
-            let p = tb.primed_var_of_basic(bi);
-            assert_eq!(
-                tb.manager().level_of(v) + 1,
-                tb.manager().level_of(p),
-                "pair for basic {bi} split"
-            );
-        }
-        // The handle survived and still computes the structure function.
-        for seed in 0..50u64 {
-            let bits: Vec<bool> = (0..tree.num_basic_events())
-                .map(|i| (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (i % 61)) & 1 == 1)
-                .collect();
-            let b = StatusVector::from_bits(bits);
-            assert_eq!(
-                tb.eval_vector(&tree, top, &b),
-                tree.evaluate(&b, tree.top()),
-                "{b}"
-            );
-        }
-    }
-
-    #[test]
     fn gc_remaps_the_element_cache() {
         let tree = corpus::covid();
         let mut tb = TreeBdd::new(&tree, VariableOrdering::DfsPreorder);
@@ -558,13 +473,18 @@ mod tests {
     }
 
     #[test]
-    fn sift_then_gc_shrinks_the_arena_to_live() {
+    fn gc_shrinks_the_arena_to_live() {
         let tree = corpus::covid();
         let mut tb = TreeBdd::new(&tree, VariableOrdering::DfsPreorder);
         let _ = tb.element_bdd(&tree, tree.top());
-        let stats = tb.sift();
+        let m = tb.manager_mut();
+        let x = m.var(Var(0));
+        let y = m.var(Var(2));
+        let _scratch = m.xor(x, y);
+        let live = tb.live_node_count(&[]);
+        assert!(live < tb.manager().arena_size());
         tb.collect_garbage();
-        assert_eq!(tb.manager().arena_size(), stats.live_after);
+        assert_eq!(tb.manager().arena_size(), live);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Variable-ordering heuristics for the fault-tree → BDD translation.
 //!
 //! BDD sizes are notoriously sensitive to the variable order (Section V-A
-//! of the paper). This module provides the orderings compared in the
-//! `reproduce -- reorder` artifact: two *static* heuristics,
+//! of the paper). This module provides two static heuristics,
 //! [`Declaration`](VariableOrdering::Declaration) and
-//! [`DfsPreorder`](VariableOrdering::DfsPreorder), plus the *dynamic*
-//! [`Sifted`](VariableOrdering::Sifted), which starts from the DFS order
-//! and improves it after translation with Rudell sifting
-//! (`TreeBdd::sift`, backed by `bfl_bdd::Manager::sift`).
+//! [`DfsPreorder`](VariableOrdering::DfsPreorder). The order is fixed
+//! once, when [`TreeBdd`](crate::bdd::TreeBdd) numbers the variables, and
+//! never changes afterwards: `reproduce scale` reports the BDD size and
+//! construction time of both.
 //!
 //! A breadth-first and a Bouissou-style depth-weighted ordering were
 //! tried and deleted: neither beat the DFS order on any model of the
@@ -27,16 +26,6 @@ pub enum VariableOrdering {
     /// element — the classical FTA ordering, and the default.
     #[default]
     DfsPreorder,
-    /// Dynamic ordering: translation starts from the
-    /// [`DfsPreorder`](VariableOrdering::DfsPreorder) order and the
-    /// manager is then improved in place by Rudell sifting
-    /// ([`TreeBdd::sift`](crate::bdd::TreeBdd::sift)). The [`order`]
-    /// method returns the *initial* (DFS) permutation; the dynamic
-    /// improvement is driven by the layer that owns the `TreeBdd` (the
-    /// `bfl-core` engine's `ReorderPolicy`, or an explicit `sift` call).
-    ///
-    /// [`order`]: VariableOrdering::order
-    Sifted,
 }
 
 impl VariableOrdering {
@@ -48,24 +37,13 @@ impl VariableOrdering {
     pub fn order(self, tree: &FaultTree) -> Vec<ElementId> {
         match self {
             VariableOrdering::Declaration => tree.basic_events().to_vec(),
-            VariableOrdering::DfsPreorder | VariableOrdering::Sifted => dfs_order(tree),
+            VariableOrdering::DfsPreorder => dfs_order(tree),
         }
     }
 
-    /// The static orderings, for sweeps and benchmarks ([`Sifted`] is
-    /// excluded: its starting permutation is [`DfsPreorder`]'s, so static
-    /// comparisons would double-count it).
-    ///
-    /// [`Sifted`]: VariableOrdering::Sifted
-    /// [`DfsPreorder`]: VariableOrdering::DfsPreorder
+    /// Every ordering, for sweeps and benchmarks.
     pub fn all() -> [VariableOrdering; 2] {
         [VariableOrdering::Declaration, VariableOrdering::DfsPreorder]
-    }
-
-    /// `true` for orderings that expect dynamic improvement after
-    /// translation (currently only [`Sifted`](VariableOrdering::Sifted)).
-    pub fn is_dynamic(self) -> bool {
-        self == VariableOrdering::Sifted
     }
 }
 
@@ -138,18 +116,5 @@ mod tests {
     #[test]
     fn default_is_dfs() {
         assert_eq!(VariableOrdering::default(), VariableOrdering::DfsPreorder);
-    }
-
-    #[test]
-    fn sifted_starts_from_the_dfs_permutation() {
-        let t = sample();
-        assert_eq!(
-            VariableOrdering::Sifted.order(&t),
-            VariableOrdering::DfsPreorder.order(&t)
-        );
-        assert!(VariableOrdering::Sifted.is_dynamic());
-        assert!(!VariableOrdering::DfsPreorder.is_dynamic());
-        // The static sweep list stays sift-free.
-        assert!(!VariableOrdering::all().contains(&VariableOrdering::Sifted));
     }
 }

@@ -34,7 +34,6 @@
 
 use std::fmt;
 
-use bfl_core::engine::ReorderPolicy;
 use bfl_core::report::json_str;
 use bfl_core::uncertainty::{Method, DEFAULT_MC_CONFIDENCE, DEFAULT_MC_SAMPLES, DEFAULT_MC_SEED};
 use bfl_core::MinimalityScope;
@@ -143,15 +142,13 @@ pub type RequestError = (Option<u64>, ErrorCode, String);
 /// [`SessionBuilder`]: bfl_core::engine::SessionBuilder
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SessionOptions {
-    /// BDD variable ordering: `dfs` `declaration` `sifted`.
+    /// BDD variable ordering: `dfs` or `declaration`.
     pub ordering: Option<VariableOrdering>,
     /// Minimality scope: `global` or `support`.
     pub scope: Option<MinimalityScope>,
     /// Witness/counterexample cap per outcome.
     pub witness_limit: Option<u64>,
-    /// Dynamic reordering policy: `none` `prepare` `auto` `auto:F`.
-    pub reorder: Option<ReorderPolicy>,
-    /// Garbage collection at maintenance points.
+    /// Garbage collection whenever the arena doubles.
     pub gc: Option<bool>,
 }
 
@@ -317,7 +314,7 @@ pub enum Op {
         /// Session id; absent = server-wide.
         session: Option<String>,
     },
-    /// Run GC + sifting maintenance over the session now.
+    /// Run one garbage collection over the session now.
     Maintain {
         /// Session id.
         session: String,
@@ -420,9 +417,6 @@ impl Request {
                 }
                 if let Some(w) = options.witness_limit {
                     out.push_str(&format!(",\"witness_limit\":{w}"));
-                }
-                if let Some(r) = options.reorder {
-                    field(&mut out, "reorder", &reorder_name(r));
                 }
                 if let Some(gc) = options.gc {
                     out.push_str(&format!(",\"gc\":{gc}"));
@@ -616,13 +610,6 @@ impl Request {
                             )
                         })?),
                     },
-                    reorder: optional("reorder")?
-                        .map(|s| {
-                            parse_reorder(&s).ok_or_else(|| {
-                                fail(ErrorCode::BadField, format!("unknown reorder policy `{s}`"))
-                            })
-                        })
-                        .transpose()?,
                     gc: match doc.get("gc") {
                         None | Some(Json::Null) => None,
                         Some(Json::Bool(b)) => Some(*b),
@@ -909,7 +896,6 @@ pub(crate) fn ordering_name(o: VariableOrdering) -> &'static str {
     match o {
         VariableOrdering::DfsPreorder => "dfs",
         VariableOrdering::Declaration => "declaration",
-        VariableOrdering::Sifted => "sifted",
         // `VariableOrdering` is non_exhaustive; new orderings must be
         // added to the wire tables before the protocol can carry them.
         _ => "dfs",
@@ -920,7 +906,6 @@ pub(crate) fn parse_ordering(name: &str) -> Option<VariableOrdering> {
     Some(match name {
         "dfs" => VariableOrdering::DfsPreorder,
         "declaration" => VariableOrdering::Declaration,
-        "sifted" => VariableOrdering::Sifted,
         _ => return None,
     })
 }
@@ -938,31 +923,6 @@ pub(crate) fn parse_scope(name: &str) -> Option<MinimalityScope> {
         "support" => MinimalityScope::FormulaSupport,
         _ => return None,
     })
-}
-
-pub(crate) fn reorder_name(r: ReorderPolicy) -> String {
-    match r {
-        ReorderPolicy::None => "none".to_string(),
-        ReorderPolicy::OnPrepare => "prepare".to_string(),
-        ReorderPolicy::Auto { growth_factor } => format!("auto:{growth_factor}"),
-    }
-}
-
-pub(crate) fn parse_reorder(name: &str) -> Option<ReorderPolicy> {
-    match name {
-        "none" => Some(ReorderPolicy::None),
-        "prepare" => Some(ReorderPolicy::OnPrepare),
-        "auto" => Some(ReorderPolicy::auto()),
-        other => {
-            let factor = other.strip_prefix("auto:")?;
-            let growth_factor: f64 = factor.parse().ok()?;
-            if growth_factor > 1.0 && growth_factor.is_finite() {
-                Some(ReorderPolicy::Auto { growth_factor })
-            } else {
-                None
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1008,23 +968,23 @@ mod tests {
 
     #[test]
     fn load_options_round_trip_typed() {
-        let line = r#"{"op":"load","model":"toplevel T;","ordering":"sifted","scope":"support","witness_limit":5,"reorder":"auto:2.5","gc":false}"#;
+        let line = r#"{"op":"load","model":"toplevel T;","ordering":"declaration","scope":"support","witness_limit":5,"gc":false}"#;
         let req = Request::parse(line).unwrap();
         let Op::Load { options, .. } = &req.op else {
             panic!("{req:?}");
         };
-        assert_eq!(options.ordering, Some(VariableOrdering::Sifted));
+        assert_eq!(options.ordering, Some(VariableOrdering::Declaration));
         assert_eq!(options.scope, Some(MinimalityScope::FormulaSupport));
         assert_eq!(options.witness_limit, Some(5));
-        assert_eq!(
-            options.reorder,
-            Some(ReorderPolicy::Auto { growth_factor: 2.5 })
-        );
         assert_eq!(options.gc, Some(false));
         assert_eq!(req.to_json_line(), line);
-        // A key `load` does not read, such as `backend`, is ignored.
-        let req = Request::parse(r#"{"op":"load","model":"m","backend":"zdd"}"#).unwrap();
-        assert_eq!(req.to_json_line(), r#"{"op":"load","model":"m"}"#);
+        // A key `load` does not read, such as `backend` or `reorder`, is
+        // ignored.
+        for key in ["backend", "reorder"] {
+            let line = format!(r#"{{"op":"load","model":"m","{key}":"auto"}}"#);
+            let req = Request::parse(&line).unwrap();
+            assert_eq!(req.to_json_line(), r#"{"op":"load","model":"m"}"#);
+        }
     }
 
     #[test]
@@ -1032,7 +992,6 @@ mod tests {
         for line in [
             r#"{"op":"load","model":"m","ordering":"alphabetical"}"#,
             r#"{"op":"load","model":"m","scope":"galactic"}"#,
-            r#"{"op":"load","model":"m","reorder":"auto:0.5"}"#,
             r#"{"op":"load","model":"m","gc":"yes"}"#,
             r#"{"op":"load","model":"m","witness_limit":-1}"#,
         ] {

@@ -55,10 +55,11 @@ use std::sync::{Arc, OnceLock};
 use std::thread::{JoinHandle, Thread};
 use std::time::Duration;
 
-use bfl_core::engine::{AnalysisSession, MaintenanceReport};
+use bfl_core::engine::{AnalysisSession, MaintenanceStats};
 use bfl_core::error::BflError;
 use bfl_core::report::{
-    json_estimate, json_importance, json_interval, json_outcome, json_stats, json_str, Spec,
+    json_estimate, json_gc, json_importance, json_interval, json_outcome, json_stats, json_str,
+    Spec,
 };
 use bfl_core::scenario::{Scenario, ScenarioSet};
 use bfl_core::uncertainty::{Method, ProbValue};
@@ -743,17 +744,11 @@ fn handle_op(shared: &Shared, op: &Op) -> Result<String, OpError> {
         Op::Maintain { session } => {
             let entry = session_entry(shared, session)?;
             let report = entry.session.maintain();
-            let totals = entry.session.maintenance_stats();
             Ok(format!(
-                "{{\"session\":{},\"report\":{},\"totals\":{{\"gc_runs\":{},\"sift_runs\":{},\"nodes_collected\":{},\"swaps\":{},\"audits_run\":{},\"audit_violations\":{}}}}}",
+                "{{\"session\":{},\"report\":{},\"totals\":{}}}",
                 json_str(&entry.id),
-                maintenance_json(&report),
-                totals.gc_runs,
-                totals.sift_runs,
-                totals.nodes_collected,
-                totals.swaps,
-                totals.audits_run,
-                totals.audit_violations
+                json_gc(&report),
+                maintenance_json(&entry.session.maintenance_stats())
             ))
         }
         Op::Lint { session, spec } => {
@@ -834,9 +829,6 @@ fn handle_load(shared: &Shared, model: &str, options: &SessionOptions) -> Result
     }
     if let Some(limit) = options.witness_limit {
         builder = builder.witness_limit(limit as usize);
-    }
-    if let Some(reorder) = options.reorder {
-        builder = builder.reorder(reorder);
     }
     if let Some(gc) = options.gc {
         builder = builder.gc(gc);
@@ -983,39 +975,20 @@ fn session_stats(entry: &SessionEntry) -> String {
     let tree_name = entry.session.tree().name(entry.session.tree().top());
     let sampler = entry.session.sampler_stats();
     format!(
-        "{{\"session\":{},\"tree\":{},\"stats\":{},\"maintenance\":{{\"gc_runs\":{},\"sift_runs\":{},\"nodes_collected\":{},\"swaps\":{},\"audits_run\":{},\"audit_violations\":{}}},\"sampler\":{{\"runs\":{},\"samples\":{}}},\"plans\":{{{plans}}}}}",
+        "{{\"session\":{},\"tree\":{},\"stats\":{},\"maintenance\":{},\"sampler\":{{\"runs\":{},\"samples\":{}}},\"plans\":{{{plans}}}}}",
         json_str(&entry.id),
         json_str(tree_name),
         json_stats(&stats),
-        m.gc_runs,
-        m.sift_runs,
-        m.nodes_collected,
-        m.swaps,
-        m.audits_run,
-        m.audit_violations,
+        maintenance_json(&m),
         sampler.runs,
         sampler.samples
     )
 }
 
-fn maintenance_json(m: &MaintenanceReport) -> String {
-    let gc = match m.gc {
-        Some(gc) => format!(
-            "{{\"arena_before\":{},\"arena_after\":{},\"collected\":{}}}",
-            gc.arena_before, gc.arena_after, gc.collected
-        ),
-        None => "null".to_string(),
-    };
-    let sift = match m.sift {
-        Some(s) => format!(
-            "{{\"live_before\":{},\"live_after\":{},\"swaps\":{},\"blocks_sifted\":{}}}",
-            s.live_before, s.live_after, s.swaps, s.blocks_sifted
-        ),
-        None => "null".to_string(),
-    };
+fn maintenance_json(m: &MaintenanceStats) -> String {
     format!(
-        "{{\"live_before\":{},\"live_after\":{},\"gc\":{gc},\"sift\":{sift}}}",
-        m.live_before, m.live_after
+        "{{\"gc_runs\":{},\"nodes_collected\":{},\"audits_run\":{},\"audit_violations\":{}}}",
+        m.gc_runs, m.nodes_collected, m.audits_run, m.audit_violations
     )
 }
 

@@ -10,7 +10,6 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
-use bfl_core::engine::ReorderPolicy;
 use bfl_core::MinimalityScope;
 use bfl_fault_tree::generator::{industrial_model, IndustrialConfig};
 use bfl_fault_tree::rng::Prng;
@@ -24,10 +23,9 @@ use bfl_server::{
 /// A corpus of requests covering every operation and option shape.
 fn request_corpus() -> Vec<Request> {
     let full_options = SessionOptions {
-        ordering: Some(VariableOrdering::Sifted),
+        ordering: Some(VariableOrdering::Declaration),
         scope: Some(MinimalityScope::FormulaSupport),
         witness_limit: Some(5),
-        reorder: Some(ReorderPolicy::Auto { growth_factor: 2.5 }),
         gc: Some(false),
     };
     vec![
@@ -498,9 +496,9 @@ fn malformed_lines_get_structured_errors_and_the_connection_survives() {
 
 #[test]
 fn deleted_orderings_are_bad_fields_and_the_server_keeps_serving() {
-    // `bfs` and `bouissou` were removed: on scaled models they asked
-    // for multi-gigabyte tables. Their names now answer like any other
-    // unknown ordering, and nothing is loaded.
+    // Removed orderings (`bfs` and `bouissou` asked for multi-gigabyte
+    // tables on scaled models) answer like any other unknown ordering,
+    // and nothing is loaded.
     let handle = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 1,
@@ -510,7 +508,7 @@ fn deleted_orderings_are_bad_fields_and_the_server_keeps_serving() {
     let mut stream = TcpStream::connect(handle.addr()).expect("connects");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let model = r#""toplevel T;\nT and A B;\nA prob=0.1;\nB prob=0.2;\n""#;
-    for name in ["bfs", "bouissou"] {
+    for name in ["bfs", "bouissou", "sifted"] {
         let line = format!("{{\"op\":\"load\",\"model\":{model},\"ordering\":\"{name}\"}}\n");
         let raw = raw_round_trip(&mut stream, &mut reader, line.as_bytes());
         match Response::parse(&raw).expect("parses").body {
@@ -529,8 +527,11 @@ fn deleted_orderings_are_bad_fields_and_the_server_keeps_serving() {
         .and_then(|s| s.as_array())
         .expect("sessions");
     assert!(sessions.is_empty(), "{stats}");
-    // The same connection, and a new one, still serve.
-    let line = format!("{{\"op\":\"load\",\"model\":{model},\"ordering\":\"dfs\"}}\n");
+    // The same connection, and a new one, still serve. `reorder` is no
+    // longer a `load` key: it is ignored like any other unknown key.
+    let line = format!(
+        "{{\"op\":\"load\",\"model\":{model},\"ordering\":\"dfs\",\"reorder\":\"prepare\"}}\n"
+    );
     let raw = raw_round_trip(&mut stream, &mut reader, line.as_bytes());
     assert!(Response::parse(&raw).expect("parses").is_ok(), "{raw}");
     let session = client.load("toplevel T;\nT and A B;\n").expect("loads");

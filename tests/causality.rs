@@ -221,6 +221,30 @@ fn prepared_causes_agree_with_specialised_query_path() {
     }
 }
 
+/// A cause plan reports its compiled root's size as prepare measured
+/// it: a collection renumbers the root but never reshapes it, so cold
+/// cause requests with explicit maintenance between them all report the
+/// plan's own `bdd_nodes`.
+#[test]
+fn cold_causes_report_the_prepared_bdd_nodes_across_maintenance() {
+    let session = AnalysisSession::new(bfl::ft::corpus::covid());
+    let q = parse_query("cause(IWoS, IW := 1, H3 := 1, PP := 1, H1 := 1, VW := 1)").unwrap();
+    let prepared = session.prepare(&q).unwrap();
+    let nodes = prepared.explain().operands[0].bdd_nodes;
+    assert!(nodes > 2, "a non-constant root");
+    let mut collected = 0;
+    for name in ["IT", "H2", "UT", "MV"] {
+        for value in [true, false] {
+            let scenario = Scenario::new().bind(name, value);
+            let outcome = prepared.cause(&scenario).unwrap();
+            assert_eq!(outcome.stats.bdd_nodes, nodes, "under {scenario}");
+            collected += session.maintain().collected;
+        }
+    }
+    assert!(collected > 0, "maintenance reclaimed the compile's garbage");
+    assert_eq!(prepared.stats().memo_hits, 0, "every request ran cold");
+}
+
 /// `sweep_causes` shares the plan's scenario memo: re-sweeping the same
 /// set answers every evaluation from the memo and agrees outcome-for-
 /// outcome with the first pass.

@@ -1,7 +1,8 @@
-//! Property tests for dynamic BDD maintenance: random builds interleaved
-//! with `sift()` / `collect_garbage()` must stay semantically equivalent
-//! to an untouched manager — SAT counts, evaluations and witness sets
-//! agree, and handles remapped by a collection evaluate identically.
+//! Property tests for BDD maintenance: random builds interleaved with
+//! `collect_garbage()` must stay semantically equivalent to an untouched
+//! manager — SAT counts, evaluations and witness sets agree, and handles
+//! remapped by a collection evaluate identically. Sessions with
+//! collections answer as sessions without them.
 
 // Test-support helpers outside `#[test]` fns: panicking is the
 // correct failure mode here, same as in the tests themselves.
@@ -80,7 +81,7 @@ fn assert_equivalent(
 }
 
 #[test]
-fn random_builds_with_interleaved_sift_and_gc_stay_equivalent() {
+fn random_builds_with_interleaved_gc_stay_equivalent() {
     let mut rng = Prng::seed_from_u64(0xD15EA5E);
     for round in 0..12u64 {
         let num_vars = 6 + (round % 5) as u32; // 6..=10
@@ -98,29 +99,15 @@ fn random_builds_with_interleaved_sift_and_gc_stay_equivalent() {
                 &mut fa,
                 &mut fb,
             );
-            // Interleave maintenance on the touched manager only.
-            match rng.gen_range(0..3) {
-                0 => {
-                    let stats = touched.sift(&mut fa);
-                    assert!(stats.live_after <= stats.live_before);
-                }
-                1 => {
-                    let gc = touched.collect_garbage(&fa);
-                    for f in fa.iter_mut() {
-                        *f = gc.remap(*f).expect("rooted handle survives");
-                    }
-                }
-                _ => {
-                    // Both, the way the engine composes them.
-                    let _ = touched.sift(&mut fa);
-                    let gc = touched.collect_garbage(&fa);
-                    for f in fa.iter_mut() {
-                        *f = gc.remap(*f).expect("rooted handle survives");
-                    }
-                }
+            // Interleave collections on the touched manager only.
+            let live = touched.live_size(&fa);
+            let gc = touched.collect_garbage(&fa);
+            assert_eq!(gc.stats().arena_after, live);
+            for f in fa.iter_mut() {
+                *f = gc.remap(*f).expect("rooted handle survives");
             }
-            // Every maintenance primitive leaves a fully auditable
-            // arena behind — canonical, sound caches, ordered edges.
+            // Every collection leaves a fully auditable arena behind —
+            // canonical, sound caches, ordered and sorted edges.
             let report = touched.audit();
             assert!(report.is_ok(), "touched arena after maintenance: {report}");
             assert_equivalent(&mut rng, &touched, untouched, num_vars, &fa, &fb);
@@ -140,8 +127,8 @@ fn random_builds_with_interleaved_sift_and_gc_stay_equivalent() {
 }
 
 #[test]
-fn sift_keeps_canonicity_with_fresh_operations() {
-    // After maintenance, rebuilding a function from scratch must land on
+fn gc_keeps_canonicity_with_fresh_operations() {
+    // After a collection, rebuilding a function from scratch must land on
     // the same node as its maintained handle (hash-consing stays sound).
     let mut rng = Prng::seed_from_u64(0xCAFE);
     for _ in 0..8 {
@@ -159,13 +146,12 @@ fn sift_keeps_canonicity_with_fresh_operations() {
             &mut fs,
             &mut gs,
         );
-        let _ = m.sift(&mut fs);
         let gc = m.collect_garbage(&fs);
         for f in fs.iter_mut() {
             *f = gc.remap(*f).expect("rooted");
         }
         let report = m.audit();
-        assert!(report.is_ok(), "arena after sift + gc: {report}");
+        assert!(report.is_ok(), "arena after gc: {report}");
         // x ∧ y rebuilt twice gives the same handle; double negation is
         // the identity on every maintained handle.
         for &f in fs.iter().take(8) {
@@ -189,16 +175,15 @@ fn tree_bdd_maintenance_matches_untouched_translation() {
             seed: 0xFEED + seed,
         });
         let mut plain = bfl_fault_tree::bdd::TreeBdd::new(&tree, VariableOrdering::DfsPreorder);
-        let mut maintained = bfl_fault_tree::bdd::TreeBdd::new(&tree, VariableOrdering::Sifted);
+        let mut maintained =
+            bfl_fault_tree::bdd::TreeBdd::new(&tree, VariableOrdering::DfsPreorder);
         for e in tree.iter() {
             let _ = plain.element_bdd(&tree, e);
             let _ = maintained.element_bdd(&tree, e);
             if rng.gen_bool(0.3) {
-                let _ = maintained.sift();
                 let _ = maintained.collect_garbage();
             }
         }
-        let _ = maintained.sift();
         let _ = maintained.collect_garbage();
         let report = maintained.manager().audit();
         assert!(report.is_ok(), "maintained arena: {report}");
@@ -239,23 +224,19 @@ fn sessions_with_maintenance_agree_with_static_sessions() {
             .map(|s| s.to_string())
             .collect();
         let stat = AnalysisSession::new(tree.clone());
-        let dynamic = AnalysisSession::builder()
-            .ordering(VariableOrdering::Sifted)
-            .reorder(ReorderPolicy::OnPrepare)
-            .gc(true)
-            .build(tree);
+        let with_gc = AnalysisSession::builder().gc(true).build(tree);
         for _ in 0..6 {
             let phi = random_formula(&mut rng, &names, &basics, 3);
-            // Full satisfaction sets and counts are order-independent.
+            // Full satisfaction sets and counts survive collections.
             match (
                 stat.satisfying_vectors(&phi),
-                dynamic.satisfying_vectors(&phi),
+                with_gc.satisfying_vectors(&phi),
             ) {
                 (Ok(a), Ok(b)) => assert_eq!(a, b, "{phi}"),
                 (Err(a), Err(b)) => assert_eq!(a, b, "{phi}"),
                 (a, b) => panic!("paths disagree on {phi}: {a:?} vs {b:?}"),
             }
-            if let (Ok(a), Ok(b)) = (stat.count_satisfying(&phi), dynamic.count_satisfying(&phi)) {
+            if let (Ok(a), Ok(b)) = (stat.count_satisfying(&phi), with_gc.count_satisfying(&phi)) {
                 assert_eq!(a, b, "{phi}");
             }
             let q = if rng.gen_bool(0.5) {
@@ -263,12 +244,13 @@ fn sessions_with_maintenance_agree_with_static_sessions() {
             } else {
                 Query::forall(phi)
             };
-            // Prepared path on the maintained session: every prepare
-            // sifts + collects, every eval restricts remapped roots.
-            if let Ok(prepared) = dynamic.prepare(&q) {
+            // Prepared path on the maintained session: a collection
+            // follows every prepare, every eval restricts remapped roots.
+            if let Ok(prepared) = with_gc.prepare(&q) {
+                with_gc.maintain();
                 for _ in 0..3 {
                     let scenario = random_scenario(&mut rng, &basics);
-                    let top = dynamic.tree().name(dynamic.tree().top()).to_string();
+                    let top = with_gc.tree().name(with_gc.tree().top()).to_string();
                     let fast = prepared.eval(&scenario).expect("eval");
                     let slow = stat
                         .check_query(&scenario.specialise_query(&q, &top))
@@ -278,18 +260,20 @@ fn sessions_with_maintenance_agree_with_static_sessions() {
             }
         }
         // The maintained session's books balance.
-        let stats = dynamic.maintenance_stats();
-        assert!(stats.sift_runs >= 1, "OnPrepare must have sifted");
-        assert!(stats.gc_runs >= 1, "GC was enabled");
+        let stats = with_gc.maintenance_stats();
+        assert!(
+            stats.gc_runs >= 1,
+            "every prepare was followed by a collection"
+        );
         assert!(stats.audits_run >= 1, "every maintenance cycle audits");
         assert_eq!(stats.audit_violations, 0, "arena must audit clean");
     }
 }
 
 #[test]
-fn prepared_probabilities_survive_interleaved_sift_and_gc() {
+fn prepared_probabilities_survive_interleaved_gc() {
     // The plan's node-keyed Shannon memo is invalidated through the
-    // GC/reorder plan registry: every maintenance pass bumps the plan
+    // GC plan registry: every maintenance pass bumps the plan
     // generation and the next walk starts fresh. Interleaving explicit
     // maintain() calls with probability evaluations must never change a
     // value — cross-checked against a static session and the naive
@@ -315,9 +299,7 @@ fn prepared_probabilities_survive_interleaved_sift_and_gc() {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let dynamic = AnalysisSession::builder()
-            .ordering(VariableOrdering::Sifted)
-            .reorder(ReorderPolicy::OnPrepare)
+        let with_gc = AnalysisSession::builder()
             .gc(true)
             .probabilities(probs.iter().map(|&p| Some(p)).collect())
             .build(tree.clone());
@@ -326,7 +308,7 @@ fn prepared_probabilities_survive_interleaved_sift_and_gc() {
             let Ok(expected) = quant::probability_naive(&tree, &phi, &probs) else {
                 continue;
             };
-            let prepared = match dynamic.prepare(&Query::exists(phi.clone())) {
+            let prepared = match with_gc.prepare(&Query::exists(phi.clone())) {
                 Ok(p) => p,
                 Err(_) => continue,
             };
@@ -334,7 +316,7 @@ fn prepared_probabilities_survive_interleaved_sift_and_gc() {
             assert!((before - expected).abs() < 1e-9, "{phi}");
             // Maintenance remaps the compiled roots and drops the memo;
             // values are bit-identical afterwards.
-            dynamic.maintain();
+            with_gc.maintain();
             let after = prepared.probability(&Scenario::new()).unwrap();
             assert!(
                 (after - expected).abs() < 1e-12,
@@ -344,14 +326,14 @@ fn prepared_probabilities_survive_interleaved_sift_and_gc() {
             // recompute path across another maintenance.
             let scenario = random_scenario(&mut rng, &basics);
             let p1 = prepared.probability(&scenario).unwrap();
-            dynamic.maintain();
+            with_gc.maintain();
             let p2 = prepared.probability(&scenario).unwrap();
             assert!((p1 - p2).abs() < 1e-12, "{phi} under {scenario}");
             let wrapped = scenario.specialise(&phi);
             let naive = quant::probability_naive(&tree, &wrapped, &probs).unwrap();
             assert!((p1 - naive).abs() < 1e-9, "{phi} under {scenario}");
         }
-        let stats = dynamic.maintenance_stats();
+        let stats = with_gc.maintenance_stats();
         assert!(stats.audits_run >= 1, "explicit maintain() cycles audit");
         assert_eq!(stats.audit_violations, 0, "arena must audit clean");
     }
@@ -365,15 +347,15 @@ fn importance_ranks_survive_maintenance() {
     let stat = AnalysisSession::builder()
         .probabilities(probs.clone())
         .build(tree.clone());
-    let dynamic = AnalysisSession::builder()
-        .ordering(VariableOrdering::Sifted)
+    let with_gc = AnalysisSession::builder()
+        .gc(true)
         .probabilities(probs)
         .build(tree);
     let phi = parse_formula("IWoS").unwrap();
     let reference = stat.rank_events(&phi).unwrap();
-    dynamic.maintain();
-    assert_eq!(dynamic.maintenance_stats().audit_violations, 0);
-    let maintained = dynamic.rank_events(&phi).unwrap();
+    with_gc.maintain();
+    assert_eq!(with_gc.maintenance_stats().audit_violations, 0);
+    let maintained = with_gc.rank_events(&phi).unwrap();
     assert_eq!(reference.len(), maintained.len());
     for (a, b) in reference.iter().zip(&maintained) {
         assert_eq!(a.event, b.event);
@@ -396,21 +378,21 @@ fn probabilities_survive_maintenance() {
     let stat = AnalysisSession::builder()
         .probabilities(probs.clone())
         .build(tree.clone());
-    let dynamic = AnalysisSession::builder()
-        .ordering(VariableOrdering::Sifted)
+    let with_gc = AnalysisSession::builder()
+        .gc(true)
         .probabilities(probs)
         .build(tree);
     for src in ["IWoS", "MCS(IWoS)", "MoT & !H1", "CP/R | SH"] {
         let phi = parse_formula(src).unwrap();
         let a = stat.formula_probability(&phi).unwrap();
-        dynamic.maintain();
-        let b = dynamic.formula_probability(&phi).unwrap();
+        with_gc.maintain();
+        let b = with_gc.formula_probability(&phi).unwrap();
         assert!((a - b).abs() < 1e-12, "{src}: {a} vs {b}");
     }
     let a = stat
         .birnbaum(&parse_formula("IWoS").unwrap(), "IW")
         .unwrap();
-    let b = dynamic
+    let b = with_gc
         .birnbaum(&parse_formula("IWoS").unwrap(), "IW")
         .unwrap();
     assert!((a - b).abs() < 1e-12);
