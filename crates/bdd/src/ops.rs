@@ -1,6 +1,8 @@
 //! Boolean operations: `ite`, the binary `apply` family, negation,
 //! cofactoring, quantification, renaming and composition.
 
+use std::cmp::Reverse;
+
 use crate::hash::WordMap;
 use crate::manager::{Bdd, Manager, Op, Var, TERMINAL_LEVEL};
 use crate::memo::Scratch;
@@ -180,21 +182,25 @@ impl Manager {
     }
 
     /// Conjunction of all operands (`⊤` for an empty iterator), combined
-    /// pairwise as described at [`Manager::or_all`].
+    /// deepest operand first as described at [`Manager::or_all`].
     pub fn and_all<I: IntoIterator<Item = Bdd>>(&mut self, fs: I) -> Bdd {
         let top = self.top();
-        self.apply_balanced(Op::And, fs.into_iter().collect(), top)
+        self.apply_deepest_first(Op::And, fs.into_iter().collect(), top)
     }
 
     /// Disjunction of all operands (`⊥` for an empty iterator).
     ///
-    /// Adjacent operands are combined pairwise, level by level, in a
-    /// balanced tree. A left fold would apply every operand against an
-    /// accumulator that grows with each step and leave each intermediate
-    /// accumulator behind as garbage. Operand order is kept, so
-    /// neighbours (siblings whose events sit next to each other in the
-    /// variable order) meet first. Canonicity makes the result the same
-    /// node as the left fold's.
+    /// The operands are sorted by root level, deepest first (a stable
+    /// sort, so operands rooted at one level keep their order), and each
+    /// is folded into an accumulator that sits at or below its root.
+    /// `apply(f, acc)` then copies only `f`'s nodes: it meets `acc` at
+    /// `f`'s terminals, where the terminal cases answer at once. When
+    /// the operands occupy disjoint level ranges, as a gate's children
+    /// largely do under the DFS order, each operand is built once and
+    /// the recursion is one operand deep, however wide the gate. A
+    /// balanced pairwise reduction would rebuild an operand in each of
+    /// its `log₂ k` rounds. Canonicity makes the result the same node
+    /// as any other reduction's; only the garbage differs.
     ///
     /// # Example
     ///
@@ -206,28 +212,25 @@ impl Manager {
     /// let left_fold = m.or(ab, xs[2]);
     /// assert_eq!(m.or_all(xs), left_fold);
     /// assert_eq!(m.or_all([]), m.bot());
+    /// // Deepest first: x1 ∨ x2 is one new node and x0 on top of it is
+    /// // another. Both are live, so the fold leaves no garbage.
+    /// let mut fresh = Manager::new(3);
+    /// let ys: Vec<_> = (0..3).map(|i| fresh.var(Var(i))).collect();
+    /// let before = fresh.arena_size();
+    /// let any = fresh.or_all(ys);
+    /// assert_eq!(fresh.arena_size() - before, 2);
+    /// assert_eq!(fresh.node_count(any), 5); // three decisions, two terminals
     /// ```
     pub fn or_all<I: IntoIterator<Item = Bdd>>(&mut self, fs: I) -> Bdd {
         let bot = self.bot();
-        self.apply_balanced(Op::Or, fs.into_iter().collect(), bot)
+        self.apply_deepest_first(Op::Or, fs.into_iter().collect(), bot)
     }
 
-    /// Reduces `fs` with `op` by halving rounds over adjacent pairs, in
-    /// place; `unit` answers an empty list.
-    fn apply_balanced(&mut self, op: Op, mut fs: Vec<Bdd>, unit: Bdd) -> Bdd {
-        let mut n = fs.len();
-        while n > 1 {
-            // Slot i takes pair (2i, 2i+1): every read is at or ahead of
-            // the write, so one buffer suffices.
-            for i in 0..n / 2 {
-                fs[i] = self.apply(op, fs[2 * i], fs[2 * i + 1]);
-            }
-            if n % 2 == 1 {
-                fs[n / 2] = fs[n - 1];
-            }
-            n = n.div_ceil(2);
-        }
-        fs.first().copied().unwrap_or(unit)
+    /// Reduces `fs` with `op`, deepest root first, into an accumulator
+    /// that starts at `unit`.
+    fn apply_deepest_first(&mut self, op: Op, mut fs: Vec<Bdd>, unit: Bdd) -> Bdd {
+        fs.sort_by_key(|&f| Reverse(self.level(f)));
+        fs.into_iter().fold(unit, |acc, f| self.apply(op, f, acc))
     }
 
     /// Restriction (cofactor) `f[v ↦ value]`: Algorithm 5.20 of Ben-Ari.

@@ -178,7 +178,12 @@ impl Manager {
     ///
     /// # Panics
     ///
-    /// Panics if the support of `f` is not contained in `vars`.
+    /// The iterator panics when it places a decided variable that `vars`
+    /// does not hold, so every yielded vector is checked for every
+    /// variable it fixes, at no cost up front. Every support variable of
+    /// a reduced diagram lies on some satisfying path, so a full
+    /// enumeration panics exactly when the support of `f` is not
+    /// contained in `vars`.
     pub fn sat_vectors<'a>(&'a self, f: Bdd, vars: &[Var]) -> SatVectors<'a> {
         // Variable id -> position in `vars`, so placing a decided
         // variable costs O(1) instead of a scan of the universe.
@@ -186,12 +191,6 @@ impl Manager {
         let mut slot = vec![None; width.unwrap_or(0)];
         for (i, v) in vars.iter().enumerate() {
             slot[v.index() as usize] = Some(i);
-        }
-        for v in self.support(f) {
-            assert!(
-                slot.get(v.index() as usize).is_some_and(Option::is_some),
-                "support variable {v} missing from universe"
-            );
         }
         SatVectors {
             paths: SatPaths::new(self, f),
@@ -336,10 +335,11 @@ impl<'a> Iterator for SatVectors<'a> {
             let mut template = vec![false; self.len];
             let mut fixed = vec![false; self.len];
             for (v, val) in path {
-                if let Some(&Some(idx)) = self.slot.get(v.index() as usize) {
-                    template[idx] = val;
-                    fixed[idx] = true;
-                }
+                let Some(&Some(idx)) = self.slot.get(v.index() as usize) else {
+                    panic!("support variable {v} missing from universe");
+                };
+                template[idx] = val;
+                fixed[idx] = true;
             }
             let free: Vec<usize> = (0..self.len).filter(|&i| !fixed[i]).collect();
             self.current = Some(Expansion {
@@ -499,5 +499,25 @@ mod tests {
         let mut m = Manager::new(2);
         let b = m.var(Var(1));
         let _ = m.sat_vectors(b, &[Var(0)]).count();
+    }
+
+    #[test]
+    fn sat_vectors_panics_at_the_first_path_outside_the_universe() {
+        // ¬x0 ∨ (x0 ∧ x1 ∧ x2): the low path x0 = 0 comes first and lies
+        // inside the universe; only the last path decides x2.
+        let mut m = Manager::new(3);
+        let x: Vec<Bdd> = (0..3).map(|i| m.var(Var(i))).collect();
+        let n0 = m.not(x[0]);
+        let all = m.and_all(x);
+        let f = m.or(n0, all);
+        let mut vecs = m.sat_vectors(f, &[Var(0), Var(1)]);
+        assert_eq!(vecs.next(), Some(vec![false, false]));
+        assert_eq!(vecs.next(), Some(vec![false, true]));
+        let last = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| vecs.next()));
+        let message = last.expect_err("x2 lies outside the universe");
+        assert_eq!(
+            message.downcast_ref::<String>().map(String::as_str),
+            Some("support variable x2 missing from universe")
+        );
     }
 }

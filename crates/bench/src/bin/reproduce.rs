@@ -1437,14 +1437,16 @@ fn scale_bench(smoke: bool) {
             let (tb, top, min_ms, median_ms) = compile(ordering);
             let top_nodes = tb.manager().node_count(top);
             let live = tb.live_node_count(&[]);
+            let arena = tb.manager().arena_size();
             println!(
-                "{:<12} {name:<11} {top_nodes:>9} {live:>11} {:>11} {:>10} {min_ms:>9.1} \
+                "{:<12} {name:<11} {top_nodes:>9} {live:>11} {arena:>11} {:>10.2} {min_ms:>9.1} \
                  {median_ms:>9.1}",
-                "", "", ""
+                "",
+                arena as f64 / live as f64
             );
             others.push_str(&format!(
                 ",\"{name}\":{{\"top_nodes\":{top_nodes},\"live_nodes\":{live},\
-                 \"seq_ms_min\":{min_ms:.3},\"seq_ms_median\":{median_ms:.3}}}"
+                 \"arena_nodes\":{arena},\"seq_ms_min\":{min_ms:.3},\"seq_ms_median\":{median_ms:.3}}}"
             ));
         }
         if !rows.is_empty() {

@@ -1730,26 +1730,27 @@ mod tests {
 
     #[test]
     fn explain_reports_prepare_time_maintenance() {
-        // Compiling `top` doubles industrial-400's arena past the growth
-        // trigger, so a `--gc` session collects right after the compile.
+        // Compiling `MCS(top)` (the primed construction) grows
+        // industrial-400's arena past the growth trigger, so a `--gc`
+        // session collects right after the compile.
         let ft = concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../examples/models/industrial-400.dft"
         );
-        let out = run_ok(&["explain", "--ft", ft, "--gc", "exists top"]);
+        let out = run_ok(&["explain", "--ft", ft, "--gc", "exists MCS(top)"]);
         assert!(
-            out.contains("maintenance: gc 5633 -> 3420 arena nodes · reclaimed 2213"),
+            out.contains("maintenance: gc 19905 -> 5481 arena nodes · reclaimed 14424"),
             "{out}"
         );
-        let out = run_ok(&["explain", "--ft", ft, "--gc", "--json", "exists top"]);
+        let out = run_ok(&["explain", "--ft", ft, "--gc", "--json", "exists MCS(top)"]);
         assert!(
             out.contains(
-                "\"maintenance\":{\"arena_before\":5633,\"arena_after\":3420,\"collected\":2213}"
+                "\"maintenance\":{\"arena_before\":19905,\"arena_after\":5481,\"collected\":14424}"
             ),
             "{out}"
         );
         // Without `--gc` the field is null.
-        let out = run_ok(&["explain", "--ft", ft, "--json", "exists top"]);
+        let out = run_ok(&["explain", "--ft", ft, "--json", "exists MCS(top)"]);
         assert!(out.contains("\"maintenance\":null"), "{out}");
     }
 

@@ -1,14 +1,19 @@
 //! End-to-end runs of the `bfl` binary: a reader that closes the pipe
 //! early and counts past the 128-bit range end in a quiet exit or a
-//! one-line error, never in a panic.
+//! one-line error, never in a panic, and gates of a few hundred
+//! thousand children compile without overflowing a stack. Each run is
+//! its own process, so an abort fails an assertion instead of the test
+//! harness.
 
 // Test-support helpers outside `#[test]` fns: panicking is the
 // correct failure mode here, same as in the tests themselves.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
-use std::process::{Command, Output, Stdio};
+use std::process::{Child, Command, Output, Stdio};
+use std::time::Duration;
 
 fn bfl() -> Command {
     Command::new(env!("CARGO_BIN_EXE_bfl"))
@@ -82,4 +87,95 @@ fn cause_count_past_u128_is_an_error() {
         .unwrap();
     let _ = std::fs::remove_file(&path);
     assert_error(&out, "too many minimal causes");
+}
+
+/// A Galileo model whose top event `T` is one OR gate over `n` basic
+/// events `e0 … e(n-1)`, on one line.
+fn wide_or_gate(n: usize) -> String {
+    let mut model = String::from("toplevel T; T or");
+    for i in 0..n {
+        model.push_str(&format!(" e{i}"));
+    }
+    model.push_str(";\n");
+    model
+}
+
+#[test]
+fn wide_or_gate_checks_without_overflowing_the_stack() {
+    let mut path = std::env::temp_dir();
+    path.push(format!("bfl-cli-wide-{}.dft", std::process::id()));
+    std::fs::write(&path, wide_or_gate(200_000)).unwrap();
+    let out = bfl()
+        .args(["check", "--ft", &path.to_string_lossy(), "exists T"])
+        .output()
+        .unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "true\n");
+}
+
+/// A `bfl serve` child, killed if the test fails before its shutdown.
+struct Server(Child);
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn server_prepares_a_wide_or_gate_and_keeps_serving() {
+    let mut server = Server(
+        bfl()
+            .args(["serve", "--addr", "127.0.0.1:0", "--workers", "1"])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap(),
+    );
+    let mut banner = String::new();
+    BufReader::new(server.0.stderr.take().unwrap())
+        .read_line(&mut banner)
+        .unwrap();
+    let addr = banner
+        .split("listening on ")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no address in {banner:?}"));
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    // The model has no quote or backslash, and its one newline is the
+    // only character JSON needs escaped.
+    let model = wide_or_gate(40_000).replace('\n', "\\n");
+    for (op, request) in [
+        ("load", format!(r#"{{"op":"load","model":"{model}"}}"#)),
+        (
+            "prepare",
+            r#"{"op":"prepare","session":"s1","query":"exists T"}"#.into(),
+        ),
+        (
+            "eval",
+            r#"{"op":"eval","session":"s1","plan":"p1","scenario":"e5 = 0"}"#.into(),
+        ),
+        ("stats", r#"{"op":"stats"}"#.into()),
+        ("shutdown", r#"{"op":"shutdown"}"#.into()),
+    ] {
+        writer.write_all(request.as_bytes()).unwrap();
+        writer.write_all(b"\n").unwrap();
+        let mut answer = String::new();
+        reader.read_line(&mut answer).unwrap();
+        assert!(
+            answer.starts_with(r#"{"ok":true"#),
+            "{op}: {:?}",
+            answer.chars().take(300).collect::<String>()
+        );
+    }
+    let status = server.0.wait().unwrap();
+    assert!(status.success(), "{status:?}");
 }

@@ -14,6 +14,7 @@
 //! element-translation cache (plus any caller-owned handles) through the
 //! sweep.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 use bfl_bdd::{Bdd, GcStats, Manager, Var};
@@ -286,6 +287,12 @@ impl TreeBdd {
 /// "At least `k` of `children` hold", built by dynamic programming over
 /// Shannon expansions — size `O(k · Σ|child|)` instead of the exponential
 /// subset expansion of Definition 6.
+///
+/// The children are taken deepest root first, as
+/// [`Manager::or_all`] takes its operands: each `ite` then places a
+/// child above the rows built so far and copies only that child's
+/// nodes. The threshold is symmetric in its children, so canonicity
+/// gives the same node as any other order.
 pub fn vot_threshold(m: &mut Manager, children: &[Bdd], k: u32) -> Bdd {
     let k = k as usize;
     if k == 0 {
@@ -294,10 +301,12 @@ pub fn vot_threshold(m: &mut Manager, children: &[Bdd], k: u32) -> Bdd {
     if k > children.len() {
         return m.bot();
     }
+    let mut children = children.to_vec();
+    children.sort_by_key(|&c| Reverse(m.node(c).var));
     // row[j] = "at least j of the children seen so far" (j in 0..=k).
     let mut row = vec![m.bot(); k + 1];
     row[0] = m.top();
-    for &c in children {
+    for c in children {
         for j in (1..=k).rev() {
             let take = m.ite(c, row[j - 1], row[j]);
             row[j] = take;
