@@ -6,9 +6,8 @@
 //! verify the whole arena on every operation. [`Manager::audit`] is the
 //! offline verifier: one linear pass over the arena plus a sampled
 //! semantic check of the operation caches, producing an [`AuditReport`]
-//! that lists every violation found. Under `debug_assertions` the audit
-//! runs automatically after every [`Manager::collect_garbage`], so the
-//! property suites exercise it on every maintenance cycle.
+//! that lists every violation found. The test suites run it after
+//! builds and rollbacks as their oracle of arena health.
 //!
 //! The checks:
 //!
@@ -24,10 +23,9 @@
 //!    diagram acyclic and every child slot in bounds (no live edge into
 //!    a freed/out-of-range slot);
 //! 5. **topological order** — every child's index is below its
-//!    parent's. Nodes are appended after their children, compacted in
-//!    post-order by a collection and truncated by a rollback, and
-//!    rollback relies on the order: nothing below a watermark may name a
-//!    node above it;
+//!    parent's. Nodes are appended after their children and truncated
+//!    by a rollback, and rollback relies on the order: nothing below a
+//!    watermark may name a node above it;
 //! 6. **cache soundness** — sampled entries of the and/or/xor, ite and
 //!    not caches are re-checked *semantically*: the cached result must
 //!    agree with the operands under pseudo-random assignments.
@@ -325,20 +323,20 @@ mod tests {
     use super::*;
     use crate::manager::Node;
 
-    fn sample_manager() -> (Manager, Vec<Bdd>) {
+    fn sample_manager() -> Manager {
         let mut m = Manager::new(6);
         let vars: Vec<Bdd> = (0..6).map(|i| m.var(Var(i))).collect();
         let ab = m.and(vars[0], vars[1]);
         let cd = m.or(vars[2], vars[3]);
         let ef = m.xor(vars[4], vars[5]);
         let t = m.ite(ab, cd, ef);
-        let nt = m.not(t);
-        (m, vec![ab, cd, ef, t, nt])
+        m.not(t);
+        m
     }
 
     #[test]
     fn clean_manager_audits_ok() {
-        let (m, _) = sample_manager();
+        let m = sample_manager();
         let report = m.audit_with(usize::MAX);
         assert!(report.is_ok(), "{report}");
         assert!(report.cache_entries_checked > 0);
@@ -346,17 +344,8 @@ mod tests {
     }
 
     #[test]
-    fn audit_survives_gc() {
-        let (mut m, roots) = sample_manager();
-        let gc = m.collect_garbage(&roots[3..]);
-        assert!(gc.stats().collected > 0);
-        let report = m.audit_with(usize::MAX);
-        assert!(report.is_ok(), "{report}");
-    }
-
-    #[test]
     fn audit_detects_injected_duplicate_node() {
-        let (mut m, _) = sample_manager();
+        let mut m = sample_manager();
         // Clone an interior node verbatim: two nodes now share a triple.
         let node = m.nodes[2];
         m.nodes.push(node);
@@ -373,7 +362,7 @@ mod tests {
 
     #[test]
     fn audit_detects_redundant_node() {
-        let (mut m, _) = sample_manager();
+        let mut m = sample_manager();
         let bot = m.bot();
         m.nodes.push(Node {
             var: Var(0),
@@ -389,7 +378,7 @@ mod tests {
 
     #[test]
     fn audit_detects_order_violation() {
-        let (mut m, _) = sample_manager();
+        let mut m = sample_manager();
         // A Var(5) node whose child tests Var(0): upside-down in the
         // identity order.
         let above = m.nodes.len() as u32;
@@ -480,7 +469,7 @@ mod tests {
 
     #[test]
     fn audit_detects_unique_table_strays_and_gaps() {
-        let (mut m, _) = sample_manager();
+        let mut m = sample_manager();
         // A stray entry naming no node.
         m.unique.insert((0, 7, 8), 9999);
         let report = m.audit();
@@ -492,7 +481,7 @@ mod tests {
             "{report}"
         );
         // Remove a legitimate entry: node side now flags the gap.
-        let (mut m, _) = sample_manager();
+        let mut m = sample_manager();
         let node = m.nodes[2];
         m.unique.remove(&(node.var.0, node.low.0, node.high.0));
         let report = m.audit();
@@ -507,7 +496,7 @@ mod tests {
 
     #[test]
     fn audit_detects_out_of_bounds_children() {
-        let (mut m, _) = sample_manager();
+        let mut m = sample_manager();
         let bogus = m.nodes.len() as u32 + 100;
         m.nodes.push(Node {
             var: Var(0),
@@ -526,7 +515,7 @@ mod tests {
 
     #[test]
     fn violation_count_keeps_counting_past_the_report_cap() {
-        let (mut m, _) = sample_manager();
+        let mut m = sample_manager();
         let node = m.nodes[2];
         for _ in 0..(MAX_REPORTED * 3) {
             m.nodes.push(node);
@@ -541,7 +530,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "audit failed")]
     fn assert_audit_panics_on_corruption() {
-        let (mut m, _) = sample_manager();
+        let mut m = sample_manager();
         let node = m.nodes[2];
         m.nodes.push(node);
         m.assert_audit();

@@ -23,18 +23,16 @@
 //! * the subset/superset vector relations of the paper's Algorithm 1
 //!   ([`strict_subset`](Manager::strict_subset),
 //!   [`strict_superset`](Manager::strict_superset));
-//! * mark-and-sweep garbage collection with arena compaction
-//!   ([`collect_garbage`](Manager::collect_garbage));
 //! * Graphviz export ([`to_dot`](Manager::to_dot)) used to reproduce the
 //!   BDD figures of the paper;
 //! * **arena rollback**: [`Manager::watermark`] and
 //!   [`Manager::rollback`] drop every node a request built, with the
 //!   unique-table and cache entries that name them, so scratch work
-//!   leaves the arena as it found it;
+//!   leaves the arena as it found it. It is the one way the arena
+//!   shrinks;
 //! * **self-auditing**: [`Manager::audit`] verifies the whole arena
 //!   (unique-table canonicity, reduction, order, topological sortedness,
-//!   sampled cache soundness) and returns an [`AuditReport`]; debug
-//!   builds run it automatically after every collection.
+//!   sampled cache soundness) and returns an [`AuditReport`].
 //!
 //! A variable is its own level: [`Var(k)`](Var) sits at level `k` of the
 //! order for the manager's whole life. Clients that need a
@@ -60,7 +58,6 @@
 
 mod audit;
 mod dot;
-mod gc;
 mod hash;
 mod manager;
 mod memo;
@@ -72,7 +69,6 @@ mod subset;
 pub mod zdd;
 
 pub use audit::AuditReport;
-pub use gc::{Gc, GcStats};
 pub use hash::{WordHasher, WordMap};
 pub use manager::{Bdd, Manager, Node, Var};
 pub use memo::{NodeMemo, WatermarkMemo};

@@ -102,17 +102,11 @@ pub(crate) enum Op {
 /// to semantic equality of the represented functions.
 ///
 /// Nodes are only ever appended, after their children, so the arena is
-/// topologically sorted (a child's index is below its parent's). Two
-/// services keep long-lived managers small and keep that order:
-///
-/// * [`Manager::collect_garbage`] — mark-and-sweep over caller-supplied
-///   roots with arena compaction (handles are remapped through the
-///   returned [`Gc`](crate::Gc));
-/// * [`Manager::rollback`] — truncates the arena back to a
-///   [`Watermark`](crate::Watermark).
-///
-/// [`Manager::clear_caches`] can be used to drop memoisation tables (but
-/// not nodes) between phases.
+/// topologically sorted (a child's index is below its parent's), and a
+/// handle stays valid until a [`Manager::rollback`] to a
+/// [`Watermark`](crate::Watermark) taken before it was made. Rollback,
+/// which truncates the arena back to the mark, is the only way nodes
+/// are freed.
 ///
 /// # Panics
 ///
@@ -140,9 +134,6 @@ pub struct Manager {
     pub(crate) op_cache: WordMap<(Op, u32, u32), u32>,
     pub(crate) ite_cache: WordMap<(u32, u32, u32), u32>,
     pub(crate) not_cache: WordMap<u32, u32>,
-    /// Bumped by every change a [`Watermark`](crate::Watermark) cannot
-    /// roll back across: collections and cache clears.
-    pub(crate) epoch: u64,
     num_vars: u32,
     node_limit: usize,
     /// Node-indexed scratch of the walks, reused from call to call.
@@ -180,7 +171,6 @@ impl Manager {
             op_cache: WordMap::default(),
             ite_cache: WordMap::default(),
             not_cache: WordMap::default(),
-            epoch: 0,
             num_vars,
             node_limit: Self::DEFAULT_NODE_LIMIT,
             scratch: ScratchCell::default(),
@@ -223,14 +213,6 @@ impl Manager {
     /// Subsequent operations panic when the limit would be exceeded.
     pub fn set_node_limit(&mut self, limit: usize) {
         self.node_limit = limit;
-    }
-
-    /// Drops all memoisation caches (unique table and nodes are kept).
-    pub fn clear_caches(&mut self) {
-        self.epoch += 1;
-        self.op_cache.clear();
-        self.ite_cache.clear();
-        self.not_cache.clear();
     }
 
     /// Read access to a node. Terminals report a sentinel variable level.
@@ -353,6 +335,17 @@ impl Manager {
     pub fn node_count(&self, f: Bdd) -> usize {
         let mut count = 0;
         self.for_each_reachable(&[f], |_, _| count += 1);
+        count
+    }
+
+    /// Number of nodes (terminals included) reachable from `roots`, the
+    /// two terminals always counted: what the arena would hold if it
+    /// kept only these diagrams.
+    pub fn live_size(&self, roots: &[Bdd]) -> usize {
+        let mut all = vec![self.bot(), self.top()];
+        all.extend_from_slice(roots);
+        let mut count = 0;
+        self.for_each_reachable(&all, |_, _| count += 1);
         count
     }
 

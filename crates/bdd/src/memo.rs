@@ -163,13 +163,6 @@ impl<V: Copy> WatermarkMemo<V> {
         self.len() == 0
     }
 
-    /// Drops every entry, keeping the allocations: after a garbage
-    /// collection, which moves node ids.
-    pub fn clear(&mut self) {
-        self.kept.clear();
-        self.fresh.clear();
-    }
-
     /// Starts, or continues, the request that took `mark`: from here on,
     /// node ids at or past its arena size are the request's own. Entries
     /// of another mark's own nodes are dropped.

@@ -54,24 +54,48 @@ impl Manager {
     }
 
     /// Logical negation `¬f`.
+    ///
+    /// Walks an explicit stack, not the call stack, so negating a long
+    /// chain (one wide OR gate) cannot overflow it. The walk is the
+    /// recursive post-order: the low subtree, then the high subtree, then
+    /// the node, so it allocates the same nodes in the same order.
     pub fn not(&mut self, f: Bdd) -> Bdd {
-        if f.is_true() {
-            return self.bot();
-        }
-        if f.is_false() {
-            return self.top();
-        }
-        if let Some(r) = self.not_cache_get(f) {
+        if let Some(r) = self.not_known(f) {
             return r;
         }
-        let node = self.node(f);
-        let low = self.not(node.low);
-        let high = self.not(node.high);
-        let r = self.mk(node.var, low, high);
-        self.not_cache_put(f, r);
-        // Negation is an involution; prime the cache in both directions.
-        self.not_cache_put(r, f);
-        r
+        // `(g, false)` asks for ¬g; `(g, true)` combines g's two negated
+        // children, which sit on top of `done`, high above low.
+        let mut todo = vec![(f, false)];
+        let mut done: Vec<Bdd> = Vec::new();
+        while let Some((g, children_done)) = todo.pop() {
+            let node = self.node(g);
+            if children_done {
+                let (Some(high), Some(low)) = (done.pop(), done.pop()) else {
+                    unreachable!("both children are negated before their parent")
+                };
+                let r = self.mk(node.var, low, high);
+                self.not_cache_put(g, r);
+                // Negation is an involution; prime the cache in both
+                // directions.
+                self.not_cache_put(r, g);
+                done.push(r);
+            } else if let Some(r) = self.not_known(g) {
+                done.push(r);
+            } else {
+                todo.push((g, true));
+                todo.push((node.high, false));
+                todo.push((node.low, false));
+            }
+        }
+        done.pop().unwrap_or_else(|| unreachable!("negated root"))
+    }
+
+    /// `¬f` when it needs no walk: for a terminal, or from the cache.
+    fn not_known(&self, f: Bdd) -> Option<Bdd> {
+        if f.is_terminal() {
+            return Some(Bdd(1 - f.0));
+        }
+        self.not_cache_get(f)
     }
 
     fn apply(&mut self, op: Op, f: Bdd, g: Bdd) -> Bdd {

@@ -8,17 +8,14 @@
 //! the BDD crate, because everything above (fault-tree unreliability,
 //! formula probabilities, prepared-plan probability sweeps) is the same
 //! recursion with a different variable-weight map — and because the memo
-//! key is the arena node id, whose lifecycle (garbage collection,
-//! rollback) is owned by this crate.
+//! key is the arena node id, whose lifecycle (rollback) is owned by this
+//! crate.
 //!
 //! Memo lifetime: entries are keyed on [`Bdd::id`], which is stable
-//! under pure construction but **invalidated** by
-//! [`Manager::collect_garbage`](crate::Manager::collect_garbage) (ids
-//! are compacted) and, for the ids it drops, by
-//! [`Manager::rollback`](crate::Manager::rollback) (the next nodes reuse
-//! them). Callers that cache a memo across operations must clear it
-//! after a collection and forget the dropped ids after a rollback; the
-//! session layer does both.
+//! under construction; only [`Manager::rollback`](crate::Manager::rollback)
+//! invalidates the ids it drops, which the next nodes reuse. Callers
+//! that cache a memo across operations must forget the dropped ids after
+//! a rollback; the session layer does.
 //!
 //! The memo is any [`NodeMemo`]: a [`WatermarkMemo`](crate::WatermarkMemo),
 //! which a caller keeps across requests that each roll back, or a
@@ -56,8 +53,7 @@ impl Manager {
     /// restriction per scenario of a sweep) pay only for the nodes they
     /// see first.
     ///
-    /// The caller owns the memo's lifetime: it must be cleared after any
-    /// garbage collection, must forget the ids a
+    /// The caller owns the memo's lifetime: it must forget the ids a
     /// rollback drops, and must only ever be used with one fixed
     /// `weight` map.
     pub fn probability_with_memo<W: Fn(Var) -> f64, M: NodeMemo<f64>>(
@@ -109,8 +105,7 @@ impl Manager {
 
     /// [`Manager::probability_interval`] with a caller-owned node-keyed
     /// memo (same lifetime rules as [`Manager::probability_with_memo`]:
-    /// clear after garbage collection, forget what a rollback
-    /// drops, one fixed weight map per memo).
+    /// forget what a rollback drops, one fixed weight map per memo).
     pub fn probability_interval_with_memo<W: Fn(Var) -> (f64, f64), M: NodeMemo<(f64, f64)>>(
         &self,
         f: Bdd,

@@ -51,17 +51,6 @@ fn quantifying_missing_variables_is_identity() {
 }
 
 #[test]
-fn clear_caches_preserves_canonicity() {
-    let mut m = Manager::new(2);
-    let a = m.var(Var(0));
-    let b = m.var(Var(1));
-    let f1 = m.and(a, b);
-    m.clear_caches();
-    let f2 = m.and(a, b);
-    assert_eq!(f1, f2, "unique table survives cache clears");
-}
-
-#[test]
 #[should_panic(expected = "node limit exceeded")]
 fn node_limit_enforced() {
     let mut m = Manager::new(16);

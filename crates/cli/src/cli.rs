@@ -70,8 +70,6 @@ OPTIONS:
     --failed <A,B,C>   comma-separated failed basic events (default: none)
     --support-scope    use support-relative MCS/MPS minimality (Table I reading)
     --ordering <ORD>   BDD variable ordering: dfs (default) or declaration
-    --gc               mark-and-sweep BDD garbage collection whenever the
-                       arena doubles (default off)
     --json             structured JSON output (check, run, sweep, explain,
                        sat, count, mcs, mps, ibe, prob, importance)
 
@@ -147,7 +145,6 @@ SCENARIO FILES (sweep):
 EXAMPLES:
     bfl mcs --ft covid.dft
     bfl explain --ft covid.dft --ordering declaration 'exists MCS(IWoS)'
-    bfl sweep --ft covid.dft --gc 'exists IWoS' whatif.scenarios
     bfl check --ft covid.dft 'forall IS => MoT'
     bfl check --ft covid.dft --failed IW,H3 'MCS(\"CP/R\")'
     bfl run --ft covid.dft properties.bfl --json
@@ -226,7 +223,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut support_scope = false;
     let mut ordering = VariableOrdering::DfsPreorder;
     let mut json = false;
-    let mut gc = false;
     let mut method_name: Option<String> = None;
     let mut samples: Option<u64> = None;
     let mut seed: Option<u64> = None;
@@ -259,7 +255,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     other => return Err(format!("unknown ordering `{other}`")),
                 };
             }
-            "--gc" => gc = true,
             "--method" => {
                 i += 1;
                 let name = args.get(i).ok_or("--method requires an argument")?;
@@ -304,7 +299,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut builder = AnalysisSession::builder()
         .ordering(ordering)
         .minimality_scope(scope)
-        .gc(gc)
         .probabilities(model.probabilities);
     if has_intervals {
         builder = builder.intervals(model.intervals);
@@ -1667,19 +1661,6 @@ mod tests {
     }
 
     #[test]
-    fn gc_flag_is_accepted_and_answers_agree() {
-        let f = write_model();
-        let ft = f.arg();
-        let base = run_ok(&["check", "--ft", &ft, "forall A & B => T"]);
-        for extra in [vec!["--gc"], vec!["--ordering", "declaration", "--gc"]] {
-            let mut args = vec!["check", "--ft", ft.as_str()];
-            args.extend(extra.iter().copied());
-            args.push("forall A & B => T");
-            assert_eq!(run_ok(&args), base, "{extra:?}");
-        }
-    }
-
-    #[test]
     fn generate_emits_a_parseable_deterministic_model() {
         let args = [
             "generate",
@@ -1726,32 +1707,6 @@ mod tests {
             let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
             assert!(run(&args).is_err(), "{bad:?} accepted");
         }
-    }
-
-    #[test]
-    fn explain_reports_prepare_time_maintenance() {
-        // Compiling `MCS(top)` (the primed construction) grows
-        // industrial-400's arena past the growth trigger, so a `--gc`
-        // session collects right after the compile.
-        let ft = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../examples/models/industrial-400.dft"
-        );
-        let out = run_ok(&["explain", "--ft", ft, "--gc", "exists MCS(top)"]);
-        assert!(
-            out.contains("maintenance: gc 19905 -> 5481 arena nodes · reclaimed 14424"),
-            "{out}"
-        );
-        let out = run_ok(&["explain", "--ft", ft, "--gc", "--json", "exists MCS(top)"]);
-        assert!(
-            out.contains(
-                "\"maintenance\":{\"arena_before\":19905,\"arena_after\":5481,\"collected\":14424}"
-            ),
-            "{out}"
-        );
-        // Without `--gc` the field is null.
-        let out = run_ok(&["explain", "--ft", ft, "--json", "exists MCS(top)"]);
-        assert!(out.contains("\"maintenance\":null"), "{out}");
     }
 
     #[test]
@@ -1907,7 +1862,7 @@ mod tests {
     fn unknown_option_rejected() {
         let f = write_model();
         // A removed flag answers like any other unknown option.
-        for flag in ["--bogus", "--no-gc"] {
+        for flag in ["--bogus", "--no-gc", "--gc"] {
             let args: Vec<String> = ["mcs", "--ft", &f.arg(), flag]
                 .iter()
                 .map(|s| s.to_string())

@@ -105,14 +105,25 @@ fn wide_or_gate_checks_without_overflowing_the_stack() {
     let mut path = std::env::temp_dir();
     path.push(format!("bfl-cli-wide-{}.dft", std::process::id()));
     std::fs::write(&path, wide_or_gate(200_000)).unwrap();
-    let out = bfl()
-        .args(["check", "--ft", &path.to_string_lossy(), "exists T"])
-        .output()
-        .unwrap();
+    // `forall T` and `exists !T` negate the gate's 200,000-node chain.
+    let runs = [
+        ("exists T", "true\n"),
+        ("forall T", "false\n"),
+        ("exists !T", "true\n"),
+    ]
+    .map(|(query, expected)| {
+        let out = bfl()
+            .args(["check", "--ft", &path.to_string_lossy(), query])
+            .output()
+            .unwrap();
+        (query, expected, out)
+    });
     std::fs::remove_file(&path).unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "{:?}: {stderr}", out.status);
-    assert_eq!(String::from_utf8_lossy(&out.stdout), "true\n");
+    for (query, expected, out) in runs {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{query}: {:?}: {stderr}", out.status);
+        assert_eq!(String::from_utf8_lossy(&out.stdout), expected, "{query}");
+    }
 }
 
 /// A `bfl serve` child, killed if the test fails before its shutdown.
@@ -153,28 +164,49 @@ fn server_prepares_a_wide_or_gate_and_keeps_serving() {
     // The model has no quote or backslash, and its one newline is the
     // only character JSON needs escaped.
     let model = wide_or_gate(40_000).replace('\n', "\\n");
-    for (op, request) in [
-        ("load", format!(r#"{{"op":"load","model":"{model}"}}"#)),
+    // `forall T` negates the restricted gate for its counterexamples. The
+    // binding is shallow: a deep one still overflows `restrict_many`.
+    for (op, request, holds) in [
+        (
+            "load",
+            format!(r#"{{"op":"load","model":"{model}"}}"#),
+            None,
+        ),
         (
             "prepare",
             r#"{"op":"prepare","session":"s1","query":"exists T"}"#.into(),
+            None,
         ),
         (
             "eval",
             r#"{"op":"eval","session":"s1","plan":"p1","scenario":"e5 = 0"}"#.into(),
+            Some(true),
         ),
-        ("stats", r#"{"op":"stats"}"#.into()),
-        ("shutdown", r#"{"op":"shutdown"}"#.into()),
+        (
+            "prepare",
+            r#"{"op":"prepare","session":"s1","query":"forall T"}"#.into(),
+            None,
+        ),
+        (
+            "eval",
+            r#"{"op":"eval","session":"s1","plan":"p2","scenario":"e5 = 0"}"#.into(),
+            Some(false),
+        ),
+        ("stats", r#"{"op":"stats"}"#.into(), None),
+        ("shutdown", r#"{"op":"shutdown"}"#.into(), None),
     ] {
         writer.write_all(request.as_bytes()).unwrap();
         writer.write_all(b"\n").unwrap();
         let mut answer = String::new();
         reader.read_line(&mut answer).unwrap();
-        assert!(
-            answer.starts_with(r#"{"ok":true"#),
-            "{op}: {:?}",
-            answer.chars().take(300).collect::<String>()
-        );
+        let head = answer.chars().take(300).collect::<String>();
+        assert!(answer.starts_with(r#"{"ok":true"#), "{op}: {head:?}");
+        if let Some(holds) = holds {
+            assert!(
+                answer.contains(&format!("\"holds\":{holds}")),
+                "{op}: {head:?}"
+            );
+        }
     }
     let status = server.0.wait().unwrap();
     assert!(status.success(), "{status:?}");

@@ -98,6 +98,8 @@ impl CauseReport {
 /// Computes the minimal actual causes of `ϕ` under `evidence`, reporting
 /// at most `limit` witnesses (the exact count is always reported).
 ///
+/// Of what it builds, only the translation of `ϕ` stays in the arena.
+///
 /// # Errors
 ///
 /// * [`BflError::UnknownElement`] if an atom or bound name is not in the
@@ -114,7 +116,12 @@ pub fn actual_causes(
 ) -> Result<CauseReport, BflError> {
     let b = observation_vector(mc.tree(), evidence)?;
     let root = mc.formula_bdd(phi)?;
-    causes_from_bdd(mc, root, &b, limit)
+    // The cofactor and the maximality relation are scratch: the report
+    // leaves as plain data and the arena rolls back, on errors too.
+    let mark = mc.manager().watermark();
+    let report = causes_from_bdd(mc, root, &b, limit);
+    mc.rollback(mark);
+    report
 }
 
 /// The handle-level core shared with the prepared-query evaluator: causes

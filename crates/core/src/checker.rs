@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bfl_bdd::{Bdd, GcStats, Manager, Var, Watermark};
+use bfl_bdd::{Bdd, Manager, Var, Watermark};
 use bfl_fault_tree::analysis::{mcs_bdd_paper, mps_bdd_paper};
 use bfl_fault_tree::bdd::{vot_threshold, TreeBdd};
 use bfl_fault_tree::{FaultTree, StatusVector, VariableOrdering};
@@ -148,35 +148,6 @@ impl ModelChecker {
     /// The underlying BDD manager (for statistics and rendering).
     pub fn manager(&self) -> &Manager {
         self.tb.manager()
-    }
-
-    /// Mark-and-sweep garbage collection with arena compaction.
-    ///
-    /// Roots are the element-translation cache and the formula-translation
-    /// cache; both are remapped through the sweep, so every handle the
-    /// checker hands out afterwards is valid. Handles obtained *before*
-    /// the collection (outside those caches) are invalidated — the
-    /// session layer keeps prepared-query roots registered so its
-    /// maintenance can pass them through the sweep and remap them.
-    pub fn collect_garbage(&mut self) -> GcStats {
-        let mut none: Vec<Bdd> = Vec::new();
-        self.collect_garbage_with(&mut none)
-    }
-
-    /// [`ModelChecker::collect_garbage`] with extra caller-owned roots,
-    /// rewritten in place to their remapped values.
-    pub(crate) fn collect_garbage_with(&mut self, extra: &mut Vec<Bdd>) -> GcStats {
-        let entries: Vec<((Formula, MinimalityScope), Bdd)> = self.cache.drain().collect();
-        let offset = extra.len();
-        extra.extend(entries.iter().map(|&(_, b)| b));
-        let stats = self.tb.collect_garbage_with(extra);
-        self.cache = entries
-            .into_iter()
-            .zip(extra[offset..].iter())
-            .map(|((key, _), &new)| (key, new))
-            .collect();
-        extra.truncate(offset);
-        stats
     }
 
     /// Rolls the arena back to `mark` (see [`Manager::rollback`]) and

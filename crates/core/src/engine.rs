@@ -61,10 +61,9 @@
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, MutexGuard, Weak};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use bfl_bdd::GcStats;
 use bfl_fault_tree::{prob, FaultTree, StatusVector, VariableOrdering};
 
 use crate::ast::{Formula, Query};
@@ -72,26 +71,10 @@ use crate::checker::{MinimalityScope, ModelChecker};
 use crate::counterexample::{counterexample, Counterexample, CounterexampleSet};
 use crate::error::BflError;
 use crate::lint;
-use crate::plan::{PlanRoots, PreparedQuery};
+use crate::plan::PreparedQuery;
 use crate::quant;
 use crate::report::{EvalStats, Outcome, Report, Spec, SpecItem, SpecKind};
 use crate::uncertainty::{self, Method, ProbInterval, ProbValue};
-
-/// Cumulative maintenance counters of one session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MaintenanceStats {
-    /// Garbage collections run.
-    pub gc_runs: u64,
-    /// Total nodes reclaimed by GC.
-    pub nodes_collected: u64,
-    /// Arena audits run (one per maintenance cycle; see
-    /// [`bfl_bdd::Manager::audit`]).
-    pub audits_run: u64,
-    /// Total invariant violations the audits found (always `0` for a
-    /// healthy engine; debug builds panic inside the maintenance
-    /// primitives before this counter could move).
-    pub audit_violations: u64,
-}
 
 /// Cumulative Monte Carlo sampler counters of one session (see
 /// [`AnalysisSession::sampler_stats`]).
@@ -125,18 +108,6 @@ impl SamplerCounters {
     }
 }
 
-/// Growth bookkeeping behind the automatic triggers.
-#[derive(Debug)]
-struct MaintenanceState {
-    /// Arena size right after the last maintenance (or at build time).
-    last_arena: usize,
-    totals: MaintenanceStats,
-}
-
-/// Arenas smaller than this never auto-trigger (the fixed cost would
-/// dwarf the gain).
-const AUTO_MIN_ARENA: usize = 1 << 12;
-
 /// Worker threads for Monte Carlo estimation: one per available core.
 /// Estimates are byte-identical at any thread count.
 pub(crate) fn default_mc_threads() -> usize {
@@ -167,7 +138,6 @@ pub struct SessionBuilder {
     probabilities: Option<Vec<Option<f64>>>,
     intervals: Option<Vec<Option<ProbInterval>>>,
     method: Method,
-    gc: bool,
 }
 
 impl Default for SessionBuilder {
@@ -179,7 +149,6 @@ impl Default for SessionBuilder {
             probabilities: None,
             intervals: None,
             method: Method::Exact,
-            gc: false,
         }
     }
 }
@@ -251,27 +220,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Enables mark-and-sweep garbage collection whenever the arena has
-    /// doubled since the last collection (default: off).
-    ///
-    /// Collections only ever run *between* operations — never inside
-    /// one — and every retained handle (element and formula caches,
-    /// prepared-query roots) is remapped through each of them, so
-    /// results are bit-identical to a session without GC (asserted by
-    /// `tests/maintenance.rs`).
-    ///
-    /// ```
-    /// use bfl_core::engine::AnalysisSession;
-    /// use bfl_fault_tree::corpus;
-    ///
-    /// let session = AnalysisSession::builder().gc(true).build(corpus::covid());
-    /// assert!(session.gc_enabled());
-    /// ```
-    pub fn gc(mut self, enabled: bool) -> Self {
-        self.gc = enabled;
-        self
-    }
-
     /// Builds the session. Accepts a `FaultTree` by value or an existing
     /// `Arc<FaultTree>`.
     ///
@@ -297,7 +245,6 @@ impl SessionBuilder {
         }
         let mut checker = ModelChecker::from_arc(Arc::clone(&tree), self.ordering);
         checker.set_minimality_scope(self.scope);
-        let last_arena = checker.manager().arena_size();
         AnalysisSession {
             inner: Arc::new(SessionInner {
                 tree,
@@ -307,14 +254,8 @@ impl SessionBuilder {
                 probabilities: self.probabilities,
                 intervals: self.intervals,
                 method: self.method,
-                gc: self.gc,
                 sampler: SamplerCounters::default(),
                 checker: Mutex::new(checker),
-                maintenance: Mutex::new(MaintenanceState {
-                    last_arena,
-                    totals: MaintenanceStats::default(),
-                }),
-                plans: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -333,17 +274,10 @@ pub(crate) struct SessionInner {
     pub(crate) probabilities: Option<Vec<Option<f64>>>,
     pub(crate) intervals: Option<Vec<Option<ProbInterval>>>,
     pub(crate) method: Method,
-    pub(crate) gc: bool,
     /// Cumulative Monte Carlo counters (lock-free: estimation runs
     /// outside the checker lock).
     pub(crate) sampler: SamplerCounters,
     pub(crate) checker: Mutex<ModelChecker>,
-    maintenance: Mutex<MaintenanceState>,
-    /// Every live prepared query registers its compiled roots here so a
-    /// collection can remap them (dead weak refs are pruned lazily).
-    /// Lock order: `checker` first, then `plans`/`PlanRoots`, never the
-    /// reverse.
-    pub(crate) plans: Mutex<Vec<Weak<PlanRoots>>>,
 }
 
 impl SessionInner {
@@ -351,77 +285,6 @@ impl SessionInner {
         // A poisoned lock only means another query panicked; the checker's
         // caches are append-only and remain valid.
         self.checker.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Registers the compiled roots of a freshly prepared query.
-    pub(crate) fn register_plan(&self, roots: &Arc<PlanRoots>) {
-        let mut plans = self.plans.lock().unwrap_or_else(|e| e.into_inner());
-        plans.retain(|w| w.strong_count() > 0);
-        plans.push(Arc::downgrade(roots));
-    }
-
-    /// Snapshot of every live prepared query's roots (the `Arc`s keep
-    /// them pinned between read-out and write-back).
-    fn plan_roots(&self) -> Vec<Arc<PlanRoots>> {
-        let mut plans = self.plans.lock().unwrap_or_else(|e| e.into_inner());
-        plans.retain(|w| w.strong_count() > 0);
-        plans.iter().filter_map(Weak::upgrade).collect()
-    }
-
-    /// Collects garbage now over every root the session tracks.
-    /// Caller holds the checker lock.
-    pub(crate) fn maintain_locked(&self, mc: &mut ModelChecker) -> GcStats {
-        let plans = self.plan_roots();
-        // Read every prepared root out (checker lock is held, so no eval
-        // can race the remap).
-        let mut handles = Vec::new();
-        let mut spans = Vec::with_capacity(plans.len());
-        for p in &plans {
-            let start = handles.len();
-            p.extend_roots(&mut handles);
-            spans.push((start, handles.len()));
-        }
-        let gc = mc.collect_garbage_with(&mut handles);
-        // Write the remapped roots back.
-        for (p, &(start, end)) in plans.iter().zip(&spans) {
-            p.set_roots(&handles[start..end]);
-        }
-        // Every maintenance cycle ends with an arena audit — release
-        // builds included (debug builds additionally assert inside the
-        // collection itself). Violations are surfaced through the
-        // cumulative counters rather than a panic so a serving process
-        // can observe corruption in `stats`.
-        let audit = mc.manager().audit();
-        let mut state = self.maintenance.lock().unwrap_or_else(|e| e.into_inner());
-        state.last_arena = gc.arena_after;
-        state.totals.audits_run += 1;
-        state.totals.audit_violations += audit.violation_count as u64;
-        state.totals.gc_runs += 1;
-        state.totals.nodes_collected += gc.collected as u64;
-        gc
-    }
-
-    /// Automatic trigger, called between operations while the checker
-    /// lock is held: on GC sessions, collects when the arena has doubled
-    /// since the last collection, and returns that collection.
-    pub(crate) fn maybe_maintain(&self, mc: &mut ModelChecker) -> Option<GcStats> {
-        if !self.gc {
-            return None;
-        }
-        let arena = mc.manager().arena_size();
-        let last = {
-            let state = self.maintenance.lock().unwrap_or_else(|e| e.into_inner());
-            state.last_arena
-        };
-        (arena >= AUTO_MIN_ARENA && arena >= 2 * last.max(1)).then(|| self.maintain_locked(mc))
-    }
-
-    /// Cumulative maintenance counters.
-    pub(crate) fn maintenance_stats(&self) -> MaintenanceStats {
-        self.maintenance
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .totals
     }
 
     /// The complete, validated probability vector — the gate every
@@ -630,27 +493,6 @@ impl AnalysisSession {
         self.inner.sampler.snapshot()
     }
 
-    /// Whether garbage collection runs when the arena doubles.
-    pub fn gc_enabled(&self) -> bool {
-        self.inner.gc
-    }
-
-    /// Runs maintenance **now**: one garbage collection over every root
-    /// the session tracks (element/formula caches and live prepared
-    /// queries), whether or not [`SessionBuilder::gc`] is on.
-    ///
-    /// All retained handles are remapped; subsequent queries return
-    /// identical results.
-    pub fn maintain(&self) -> GcStats {
-        let mut mc = self.lock();
-        self.inner.maintain_locked(&mut mc)
-    }
-
-    /// Cumulative maintenance counters since the session was built.
-    pub fn maintenance_stats(&self) -> MaintenanceStats {
-        self.inner.maintenance_stats()
-    }
-
     fn lock(&self) -> MutexGuard<'_, ModelChecker> {
         self.inner.lock()
     }
@@ -737,9 +579,7 @@ impl AnalysisSession {
     /// As [`ModelChecker::check_query`].
     pub fn check_query(&self, psi: &Query) -> Result<Outcome, BflError> {
         let mut mc = self.lock();
-        let outcome = self.query_outcome(&mut mc, None, psi.to_string(), psi);
-        self.inner.maybe_maintain(&mut mc);
-        outcome
+        self.query_outcome(&mut mc, None, psi.to_string(), psi)
     }
 
     /// Checks `b, T ⊨ χ` (Algorithm 2) into a structured [`Outcome`];
@@ -755,9 +595,7 @@ impl AnalysisSession {
     /// Panics if `b` does not cover the tree's basic events.
     pub fn check_vector(&self, b: &StatusVector, phi: &Formula) -> Result<Outcome, BflError> {
         let mut mc = self.lock();
-        let outcome = self.vector_outcome(&mut mc, None, phi.to_string(), b, phi);
-        self.inner.maybe_maintain(&mut mc);
-        outcome
+        self.vector_outcome(&mut mc, None, phi.to_string(), b, phi)
     }
 
     /// The **actual-causality judgement**: which minimal sets of failed
@@ -803,9 +641,7 @@ impl AnalysisSession {
     /// vector item surface as [`BflError::UnknownElement`].
     pub fn eval(&self, item: &SpecItem) -> Result<Outcome, BflError> {
         let mut mc = self.lock();
-        let outcome = self.item_outcome(&mut mc, item);
-        self.inner.maybe_maintain(&mut mc);
-        outcome
+        self.item_outcome(&mut mc, item)
     }
 
     /// **Batch evaluation**: runs every item of `spec` in one pass over
@@ -824,7 +660,6 @@ impl AnalysisSession {
         for item in &spec.items {
             let outcome = self.item_outcome(&mut mc, item)?;
             report.push(outcome);
-            self.inner.maybe_maintain(&mut mc);
         }
         Ok(report)
     }
@@ -1099,10 +934,7 @@ impl AnalysisSession {
     /// checker's errors.
     pub fn rank_events(&self, phi: &Formula) -> Result<Vec<quant::EventImportance>, BflError> {
         let probs = self.full_probabilities()?;
-        let mut mc = self.lock();
-        let rows = quant::rank_events(&mut mc, phi, &probs);
-        self.inner.maybe_maintain(&mut mc);
-        rows
+        quant::rank_events(&mut self.lock(), phi, &probs)
     }
 
     // ------------------------------------------------------------------
@@ -1485,90 +1317,6 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.holds, direct.holds);
         assert_eq!(outcome.counterexamples, direct.counterexamples);
-    }
-
-    #[test]
-    fn gc_session_agrees_with_static_session() {
-        let tree = Arc::new(corpus::covid());
-        let stat = AnalysisSession::new(Arc::clone(&tree));
-        assert!(!stat.gc_enabled());
-        let dyn_ = AnalysisSession::builder().gc(true).build(Arc::clone(&tree));
-        assert!(dyn_.gc_enabled());
-        for src in [
-            "forall IS => MoT",
-            "exists MCS(IWoS) & H4",
-            "IDP(CIO, CIS)",
-            "SUP(PP)",
-            "exists MPS(IWoS)",
-        ] {
-            let q = parse_query(src).unwrap();
-            assert_eq!(
-                stat.check_query(&q).unwrap().holds,
-                dyn_.check_query(&q).unwrap().holds,
-                "{src}"
-            );
-            dyn_.maintain();
-        }
-        // Full satisfaction sets survive the collections and must agree.
-        let phi = parse_formula("MCS(IWoS)").unwrap();
-        assert_eq!(
-            stat.satisfying_vectors(&phi).unwrap(),
-            dyn_.satisfying_vectors(&phi).unwrap()
-        );
-        assert_eq!(
-            stat.count_satisfying(&phi).unwrap(),
-            dyn_.count_satisfying(&phi).unwrap()
-        );
-    }
-
-    #[test]
-    fn explicit_maintain_shrinks_and_preserves_results() {
-        let session = AnalysisSession::new(corpus::covid());
-        let phi = parse_formula("MCS(IWoS)").unwrap();
-        let before = session.satisfying_vectors(&phi).unwrap();
-        let count = session.count_satisfying(&phi).unwrap();
-        let arena_before = session.stats().arena_nodes;
-        let report = session.maintain();
-        assert_eq!(report.arena_before, arena_before);
-        assert_eq!(report.arena_after, session.stats().arena_nodes);
-        assert_eq!(report.collected, arena_before - report.arena_after);
-        let stats = session.maintenance_stats();
-        assert_eq!(stats.gc_runs, 1);
-        assert_eq!(stats.nodes_collected, report.collected as u64);
-        assert_eq!(stats.audit_violations, 0);
-        // Cached formulae were remapped: identical answers, no recompile.
-        assert_eq!(session.satisfying_vectors(&phi).unwrap(), before);
-        assert_eq!(session.count_satisfying(&phi).unwrap(), count);
-        // And probabilities computed on remapped diagrams agree.
-        let with = AnalysisSession::builder()
-            .probabilities(vec![Some(0.1), Some(0.2)])
-            .build(corpus::or2());
-        let p0 = with.formula_probability(&Formula::atom("Top")).unwrap();
-        with.maintain();
-        let p1 = with.formula_probability(&Formula::atom("Top")).unwrap();
-        assert!((p0 - p1).abs() < 1e-15);
-    }
-
-    #[test]
-    fn prepared_queries_survive_maintenance() {
-        let session = AnalysisSession::builder().gc(true).build(corpus::covid());
-        let prepared = session
-            .prepare(&parse_query("exists MCS(IWoS) & H4").unwrap())
-            .unwrap();
-        // COVID's arena stays below the growth trigger: no collection at
-        // compile time.
-        assert_eq!(prepared.explain().maintenance, None);
-        let baseline = prepared.eval(&crate::scenario::Scenario::new()).unwrap();
-        // Explicit maintenance between evals remaps the prepared roots.
-        session.maintain();
-        let after = prepared.eval(&crate::scenario::Scenario::new()).unwrap();
-        assert_eq!(baseline.holds, after.holds);
-        assert_eq!(baseline.witnesses, after.witnesses);
-        // A fresh scenario restriction also works on the remapped root.
-        let o = prepared
-            .eval(&crate::scenario::Scenario::new().bind("H4", false))
-            .unwrap();
-        assert!(!o.holds);
     }
 
     #[test]

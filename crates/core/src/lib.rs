@@ -128,7 +128,7 @@ pub use counterexample::{
     counterexample, is_valid_counterexample, some_counterexamples, Counterexample,
     CounterexampleSet,
 };
-pub use engine::{AnalysisSession, MaintenanceStats, SamplerStats, SessionBuilder};
+pub use engine::{AnalysisSession, SamplerStats, SessionBuilder};
 pub use error::BflError;
 pub use lint::{Diagnostic, Severity};
 pub use patterns::{Pattern, Table1Row};

@@ -74,10 +74,10 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use bfl_bdd::{Bdd, GcStats, Var, Watermark, WatermarkMemo};
+use bfl_bdd::{Bdd, Var, Watermark, WatermarkMemo};
 use bfl_fault_tree::{FaultTree, StatusVector};
 
 use crate::ast::{CmpOp, Formula, Query};
@@ -86,7 +86,7 @@ use crate::engine::{default_mc_threads, SessionInner};
 use crate::error::BflError;
 use crate::quant;
 use crate::report::{
-    json_estimate, json_gc, json_interval, json_outcome, json_stats, json_str, EvalStats, Outcome,
+    json_estimate, json_interval, json_outcome, json_stats, json_str, EvalStats, Outcome,
 };
 use crate::rewrite::{desugar, simplify, to_nnf};
 use crate::scenario::{Scenario, ScenarioSet};
@@ -154,10 +154,6 @@ pub struct Plan {
     /// Cost of the one-time compile: duration, translation-cache
     /// hits/misses and arena size after the build.
     pub prepare: EvalStats,
-    /// The garbage collection run right after the compile, on a session
-    /// with [`gc`](crate::engine::SessionBuilder::gc) on whose arena had
-    /// doubled. `None` when no collection was due.
-    pub maintenance: Option<GcStats>,
 }
 
 impl Plan {
@@ -200,10 +196,6 @@ impl Plan {
             out.push('}');
         }
         out.push_str(&format!("],\"prepare\":{}", json_stats(&self.prepare)));
-        match &self.maintenance {
-            None => out.push_str(",\"maintenance\":null"),
-            Some(gc) => out.push_str(&format!(",\"maintenance\":{}", json_gc(gc))),
-        }
         out.push('}');
         out
     }
@@ -247,15 +239,7 @@ impl fmt::Display for Plan {
             self.prepare.cache_hits,
             self.prepare.cache_misses,
             self.prepare.arena_nodes
-        )?;
-        if let Some(gc) = &self.maintenance {
-            writeln!(
-                f,
-                "  maintenance: gc {} -> {} arena nodes · reclaimed {}",
-                gc.arena_before, gc.arena_after, gc.collected
-            )?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -289,83 +273,6 @@ enum Compiled {
     Cause { root: Bdd },
 }
 
-/// The remappable root slots of one prepared query.
-///
-/// Garbage collection compacts the arena and rewrites handles; prepared
-/// queries outlive collections, so their roots live behind a mutex that
-/// the session's maintenance (which registers a weak reference per
-/// prepared query) rewrites in place. All reads and writes happen while
-/// the session's checker lock is held, which serialises evaluation
-/// against remapping.
-#[derive(Debug)]
-pub(crate) struct PlanRoots {
-    compiled: Mutex<Compiled>,
-    /// Bumped by every [`PlanRoots::set_roots`], i.e. every maintenance
-    /// pass over this plan. Node-keyed caches (the probability memo)
-    /// compare against it and drop stale entries: GC renumbers nodes,
-    /// which invalidates node-id keys.
-    generation: AtomicU64,
-}
-
-impl PlanRoots {
-    fn new(compiled: Compiled) -> Arc<Self> {
-        Arc::new(PlanRoots {
-            compiled: Mutex::new(compiled),
-            generation: AtomicU64::new(0),
-        })
-    }
-
-    fn snapshot(&self) -> Compiled {
-        *self.compiled.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The current maintenance generation (see the field docs).
-    fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
-    }
-
-    /// Appends this query's root handles (in slot order) to `out`.
-    pub(crate) fn extend_roots(&self, out: &mut Vec<Bdd>) {
-        match self.snapshot() {
-            Compiled::Quantifier { root, .. }
-            | Compiled::Importance { root }
-            | Compiled::Cause { root } => out.push(root),
-            Compiled::Independence { left, right } => {
-                out.push(left);
-                out.push(right);
-            }
-            Compiled::Prob { joint, given, .. } => {
-                out.push(joint);
-                if let Some(g) = given {
-                    out.push(g);
-                }
-            }
-        }
-    }
-
-    /// Writes remapped handles back, in the order produced by
-    /// [`PlanRoots::extend_roots`].
-    pub(crate) fn set_roots(&self, roots: &[Bdd]) {
-        let mut c = self.compiled.lock().unwrap_or_else(|e| e.into_inner());
-        match &mut *c {
-            Compiled::Quantifier { root, .. }
-            | Compiled::Importance { root }
-            | Compiled::Cause { root } => *root = roots[0],
-            Compiled::Independence { left, right } => {
-                *left = roots[0];
-                *right = roots[1];
-            }
-            Compiled::Prob { joint, given, .. } => {
-                *joint = roots[0];
-                if let Some(g) = given {
-                    *g = roots[1];
-                }
-            }
-        }
-        self.generation.fetch_add(1, Ordering::Release);
-    }
-}
-
 /// A scenario evaluation, memoised under the resolved bindings.
 #[derive(Debug, Clone)]
 struct CachedEval {
@@ -397,8 +304,7 @@ impl CachedEval {
 }
 
 /// One scenario's probability evaluation, memoised under the resolved
-/// bindings. The values are semantic (maintenance never changes them),
-/// so — unlike the node-keyed memo — this cache survives GC.
+/// bindings.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct ProbEval {
     /// The probability; `None` for conditionals whose condition has
@@ -409,17 +315,14 @@ struct ProbEval {
     holds: Option<bool>,
 }
 
-/// The node-keyed Shannon memos of one prepared query, tagged with the
-/// plan-registry generation they were built against. Point and interval
-/// walks cache separately (they memoise different value types) but
-/// share the generation-invalidation discipline. Between requests they
-/// hold only nodes that stay in the arena: a node's value does not depend
-/// on the scenario that first reached it. Each is a [`WatermarkMemo`]:
-/// it costs its own entries, not the session's arena, and forgetting a
-/// request's nodes is a truncation.
+/// The node-keyed Shannon memos of one prepared query. Point and
+/// interval walks cache separately (they memoise different value types).
+/// Between requests they hold only nodes that stay in the arena: a
+/// node's value does not depend on the scenario that first reached it.
+/// Each is a [`WatermarkMemo`]: it costs its own entries, not the
+/// session's arena, and forgetting a request's nodes is a truncation.
 #[derive(Debug, Default)]
 struct ProbMemo {
-    generation: u64,
     nodes: WatermarkMemo<f64>,
     interval_nodes: WatermarkMemo<(f64, f64)>,
 }
@@ -447,19 +350,17 @@ pub struct PreparedQuery {
     inner: Arc<SessionInner>,
     query: Query,
     source: String,
-    /// Compiled roots, shared with the session's maintenance so garbage
-    /// collection can remap them (see [`PlanRoots`]).
-    roots: Arc<PlanRoots>,
+    /// The compiled root(s), fixed at prepare. They sit below every
+    /// later request's watermark, so no rollback drops them.
+    compiled: Compiled,
     plan: Plan,
     memo: Mutex<HashMap<Vec<(usize, bool)>, CachedEval>>,
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
     /// Node-keyed Shannon memo shared by every probability evaluation of
     /// this plan (restrictions of one diagram share almost all nodes).
-    /// Invalidated by generation whenever maintenance remaps the roots.
     prob_memo: Mutex<ProbMemo>,
-    /// Scenario-keyed probability results (semantic — survive
-    /// maintenance).
+    /// Scenario-keyed probability results.
     prob_scenarios: Mutex<HashMap<Vec<(usize, bool)>, ProbEval>>,
     prob_hits: AtomicU64,
     prob_misses: AtomicU64,
@@ -578,8 +479,6 @@ impl PreparedQuery {
                 )
             }
         };
-        // The `prepare` stats describe the compile alone: snapshot them
-        // before the prepare-time maintenance, which reports separately.
         let prepare = EvalStats {
             bdd_nodes: 0,
             arena_nodes: mc.manager().arena_size(),
@@ -587,25 +486,19 @@ impl PreparedQuery {
             cache_misses: mc.cache_misses() - misses0,
             duration_micros: start.elapsed().as_micros(),
         };
-        // Register the compiled roots with the session *before* the
-        // prepare-time maintenance: a collection remaps them in place.
-        let roots = PlanRoots::new(compiled);
-        inner.register_plan(&roots);
-        let maintenance = inner.maybe_maintain(&mut mc);
         let plan = Plan {
             query: source.clone(),
             kind,
             minimality_fast_path: fast_path,
             operands,
             prepare,
-            maintenance,
         };
         drop(mc);
         Ok(PreparedQuery {
             inner,
             query: psi.clone(),
             source,
-            roots,
+            compiled,
             plan,
             memo: Mutex::new(HashMap::new()),
             memo_hits: AtomicU64::new(0),
@@ -711,13 +604,13 @@ impl PreparedQuery {
     ///
     /// [`sweep_probabilities`]: PreparedQuery::sweep_probabilities
     pub fn is_probability_judgement(&self) -> bool {
-        matches!(self.roots.snapshot(), Compiled::Prob { .. })
+        matches!(self.compiled, Compiled::Prob { .. })
     }
 
     /// Whether the compiled shape needs probability annotations.
     fn needs_probabilities(&self) -> bool {
         matches!(
-            self.roots.snapshot(),
+            self.compiled,
             Compiled::Prob { .. } | Compiled::Importance { .. }
         )
     }
@@ -811,7 +704,6 @@ impl PreparedQuery {
         let mark = mc.manager().watermark();
         let judged = self.judge_locked(&mut mc, key, probs, mark);
         self.roll_back(&mut mc, mark);
-        self.inner.maybe_maintain(&mut mc);
         judged
     }
 
@@ -826,11 +718,8 @@ impl PreparedQuery {
     ) -> Result<CachedEval, BflError> {
         let arena_nodes = mark.arena_size();
         let limit = self.inner.witness_limit;
-        // Snapshot the roots only while holding the checker lock: the
-        // session's maintenance (which may remap them) also runs under it.
-        let compiled = self.roots.snapshot();
         let assignments = to_vars(mc, key);
-        let cached = match compiled {
+        let cached = match self.compiled {
             Compiled::Quantifier { root, exists } => {
                 let r = mc
                     .tree_bdd_mut()
@@ -926,8 +815,8 @@ impl PreparedQuery {
                     _ => limit,
                 };
                 let report = crate::causality::causes_from_bdd(mc, root, &b, cap)?;
-                // A collection renumbers the root but never reshapes it,
-                // so its size is the one prepare measured.
+                // The root never changes: its size is the one prepare
+                // measured.
                 let bdd_nodes = self.plan.operands[0].bdd_nodes;
                 let mut c = CachedEval::bare(report.holds(), bdd_nodes, arena_nodes);
                 c.causes = Some(report);
@@ -959,8 +848,7 @@ impl PreparedQuery {
 
     /// Ends a request that took `mark` right after the checker lock: rolls
     /// the arena back to it and drops the plan-memo entries of the nodes
-    /// that went. No handle past the mark may outlive this call, and no
-    /// maintenance may run between the mark and it.
+    /// that went. No handle past the mark may outlive this call.
     fn roll_back(&self, mc: &mut ModelChecker, mark: Watermark) {
         let dropped = mc.rollback(mark);
         if dropped > 0 {
@@ -972,43 +860,28 @@ impl PreparedQuery {
     }
 
     /// Runs `f` over the node-keyed probability memo of the request that
-    /// took `mark`, clearing the memo first if maintenance has remapped
-    /// this plan's roots since it was filled. Must be called with the
-    /// checker lock held (maintenance also runs under it, so generation
-    /// and node ids cannot move while `f` walks).
+    /// took `mark`. Must be called with the checker lock held, so node
+    /// ids cannot move while `f` walks.
     fn with_prob_memo<R>(
         &self,
         mark: Watermark,
         f: impl FnOnce(&mut WatermarkMemo<f64>) -> R,
     ) -> R {
-        let mut memo = self.locked_prob_memo();
+        let mut memo = self.prob_memo.lock().unwrap_or_else(|e| e.into_inner());
         memo.nodes.begin_request(mark);
         f(&mut memo.nodes)
     }
 
     /// The interval twin of [`PreparedQuery::with_prob_memo`] — same
-    /// locking and generation discipline, separate node-keyed cache.
+    /// locking, separate node-keyed cache.
     fn with_interval_memo<R>(
         &self,
         mark: Watermark,
         f: impl FnOnce(&mut WatermarkMemo<(f64, f64)>) -> R,
     ) -> R {
-        let mut memo = self.locked_prob_memo();
+        let mut memo = self.prob_memo.lock().unwrap_or_else(|e| e.into_inner());
         memo.interval_nodes.begin_request(mark);
         f(&mut memo.interval_nodes)
-    }
-
-    /// The plan's Shannon memos, emptied if maintenance has remapped the
-    /// roots since they were filled.
-    fn locked_prob_memo(&self) -> MutexGuard<'_, ProbMemo> {
-        let generation = self.roots.generation();
-        let mut memo = self.prob_memo.lock().unwrap_or_else(|e| e.into_inner());
-        if memo.generation != generation {
-            memo.nodes.clear();
-            memo.interval_nodes.clear();
-            memo.generation = generation;
-        }
-        memo
     }
 
     /// The probability core shared by Boolean `eval` on `P(…)`-shaped
@@ -1129,7 +1002,7 @@ impl PreparedQuery {
     /// the shape [`PreparedQuery::cause`] and
     /// [`PreparedQuery::sweep_causes`] operate on.
     pub fn is_cause_plan(&self) -> bool {
-        matches!(self.roots.snapshot(), Compiled::Cause { .. })
+        matches!(self.compiled, Compiled::Cause { .. })
     }
 
     /// Evaluates a `cause(…)` plan under one scenario: the scenario's
@@ -1185,11 +1058,6 @@ impl PreparedQuery {
     /// conditional form is honoured; for `exists`/`forall`/`importance`
     /// plans this is the probability of the (restricted) operand.
     ///
-    /// The memo is keyed on BDD node ids and remapped plans drop it: the
-    /// session's GC registry bumps this plan's generation
-    /// whenever maintenance rewrites its roots, and the next walk starts
-    /// fresh (results are identical — only the cache is rebuilt).
-    ///
     /// # Errors
     ///
     /// [`BflError::UnsupportedProbability`] for `IDP`/`SUP` plans;
@@ -1200,7 +1068,7 @@ impl PreparedQuery {
     /// resolution errors as for [`PreparedQuery::eval`].
     pub fn probability(&self, scenario: &Scenario) -> Result<f64, BflError> {
         if matches!(
-            self.roots.snapshot(),
+            self.compiled,
             Compiled::Independence { .. } | Compiled::Cause { .. }
         ) {
             return Err(BflError::UnsupportedProbability {
@@ -1229,8 +1097,7 @@ impl PreparedQuery {
     ///   [`PreparedQuery::probability`] (but zero-probability conditions
     ///   return `Ok(None)` instead of erroring);
     /// * [`Method::Interval`] — the same restriction, walked with the
-    ///   plan's node-keyed **interval** memo (same generation
-    ///   invalidation as the point memo);
+    ///   plan's node-keyed **interval** memo;
     /// * [`Method::Mc`] — deterministic sampling of the prepared
     ///   query's formula; the scenario's bindings **pin the sampled
     ///   bits**, the Monte Carlo analogue of BDD restriction. No
@@ -1247,7 +1114,7 @@ impl PreparedQuery {
         method: Option<Method>,
     ) -> Result<Option<ProbValue>, BflError> {
         if matches!(
-            self.roots.snapshot(),
+            self.compiled,
             Compiled::Independence { .. } | Compiled::Cause { .. }
         ) {
             return Err(BflError::UnsupportedProbability {
@@ -1293,9 +1160,8 @@ impl PreparedQuery {
                 let intervals = self.inner.full_intervals()?;
                 let mut mc = self.inner.lock();
                 let mark = mc.manager().watermark();
-                let compiled = self.roots.snapshot();
                 let assignments = to_vars(&mc, key);
-                let value = match compiled {
+                let value = match self.compiled {
                     Compiled::Quantifier { root, .. } | Compiled::Importance { root } => {
                         let r = mc
                             .tree_bdd_mut()
@@ -1336,7 +1202,6 @@ impl PreparedQuery {
                     Compiled::Independence { .. } | Compiled::Cause { .. } => None,
                 };
                 self.roll_back(&mut mc, mark);
-                self.inner.maybe_maintain(&mut mc);
                 drop(mc);
                 self.prob_misses.fetch_add(1, Ordering::Relaxed);
                 Ok(value.map(ProbValue::Interval))
@@ -1394,9 +1259,8 @@ impl PreparedQuery {
         }
         // On `P(…)`-shaped plans the Boolean evaluator shares the
         // computation: a scenario it has already judged carries the
-        // probability and verdict (the shape — unlike the handles — is
-        // stable across maintenance, so an unlocked snapshot suffices).
-        if matches!(self.roots.snapshot(), Compiled::Prob { .. }) {
+        // probability and verdict.
+        if self.is_probability_judgement() {
             if let Some(c) = self.lookup(key) {
                 let pe = ProbEval {
                     probability: c.probability,
@@ -1409,9 +1273,8 @@ impl PreparedQuery {
         }
         let mut mc = self.inner.lock();
         let mark = mc.manager().watermark();
-        let compiled = self.roots.snapshot();
         let assignments = to_vars(&mc, key);
-        let pe = match compiled {
+        let pe = match self.compiled {
             Compiled::Quantifier { root, .. } | Compiled::Importance { root } => {
                 let r = mc
                     .tree_bdd_mut()
@@ -1442,7 +1305,6 @@ impl PreparedQuery {
             },
         };
         self.roll_back(&mut mc, mark);
-        self.inner.maybe_maintain(&mut mc);
         drop(mc);
         self.prob_misses.fetch_add(1, Ordering::Relaxed);
         self.prob_scenario_insert(key, pe);
@@ -1482,7 +1344,7 @@ impl PreparedQuery {
         method: Option<Method>,
     ) -> Result<ProbSweepReport, BflError> {
         if matches!(
-            self.roots.snapshot(),
+            self.compiled,
             Compiled::Independence { .. } | Compiled::Cause { .. }
         ) {
             return Err(BflError::UnsupportedProbability {
@@ -1509,7 +1371,7 @@ impl PreparedQuery {
             }
         }
         // The threshold to judge, for `P(…) ▷◁ p`-shaped plans.
-        let judgement = match self.roots.snapshot() {
+        let judgement = match self.compiled {
             Compiled::Prob { op, bound, .. } => Some((op, bound)),
             _ => None,
         };

@@ -371,7 +371,8 @@ pub struct EventImportance {
 /// Fussell-Vesely, RAW and RRW computed from the same three cofactor
 /// probabilities per event — all on one compiled BDD with a shared
 /// node-keyed memo, so the whole table costs little more than one
-/// probability evaluation.
+/// probability evaluation. Of what it builds, only the translation of
+/// `ϕ` stays in the arena.
 ///
 /// # Errors
 ///
@@ -386,8 +387,13 @@ pub fn rank_events(
 ) -> Result<Vec<EventImportance>, BflError> {
     validate(mc, probs)?;
     let f = mc.formula_bdd(phi)?;
+    // The cofactors are scratch: the rows leave as plain data and the
+    // arena rolls back, on errors too.
+    let mark = mc.manager().watermark();
     let mut memo = WordMap::default();
-    rank_events_bdd(mc, f, probs, &mut memo)
+    let rows = rank_events_bdd(mc, f, probs, &mut memo);
+    mc.rollback(mark);
+    rows
 }
 
 /// Handle-level core of [`rank_events`], shared with the prepared-plan

@@ -27,7 +27,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use bfl_bdd::GcStats;
 use bfl_fault_tree::{FaultTree, StatusVector};
 
 use crate::ast::{Formula, Query};
@@ -623,16 +622,6 @@ pub fn json_stats(s: &EvalStats) -> String {
     format!(
         "{{\"bdd_nodes\":{},\"arena_nodes\":{},\"cache_hits\":{},\"cache_misses\":{},\"duration_micros\":{}}}",
         s.bdd_nodes, s.arena_nodes, s.cache_hits, s.cache_misses, s.duration_micros
-    )
-}
-
-/// Serialises one garbage collection's [`GcStats`] as a JSON object —
-/// the `maintenance` schema of plans and of the `bfl-server` `maintain`
-/// report.
-pub fn json_gc(gc: &GcStats) -> String {
-    format!(
-        "{{\"arena_before\":{},\"arena_after\":{},\"collected\":{}}}",
-        gc.arena_before, gc.arena_after, gc.collected
     )
 }
 

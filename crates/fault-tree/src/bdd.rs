@@ -9,15 +9,11 @@
 //! variables implement that renaming for the paper's `MCS`/`MPS`
 //! translations; ordinary gate translation only touches unprimed
 //! variables.
-//!
-//! [`TreeBdd::collect_garbage`] compacts the arena, remapping the
-//! element-translation cache (plus any caller-owned handles) through the
-//! sweep.
 
 use std::cmp::Reverse;
 use std::collections::HashMap;
 
-use bfl_bdd::{Bdd, GcStats, Manager, Var};
+use bfl_bdd::{Bdd, Manager, Var};
 
 use crate::model::{ElementId, FaultTree, GateType};
 use crate::order::VariableOrdering;
@@ -225,8 +221,8 @@ impl TreeBdd {
         })
     }
 
-    /// Bdd handles of every cached element translation — the root set a
-    /// garbage collection must keep alive (plus whatever the caller owns).
+    /// Bdd handles of every cached element translation, sorted and
+    /// without repeats.
     pub fn roots(&self) -> Vec<Bdd> {
         let mut roots: Vec<Bdd> = self.cache.values().copied().collect();
         roots.sort_unstable();
@@ -235,40 +231,12 @@ impl TreeBdd {
     }
 
     /// Live nodes reachable from the cached element translations and
-    /// `extra` (terminals included) — the arena size a collection with the
-    /// same roots would reach.
+    /// `extra` (terminals included): the arena a compile would need if it
+    /// left no garbage.
     pub fn live_node_count(&self, extra: &[Bdd]) -> usize {
         let mut roots = self.roots();
         roots.extend_from_slice(extra);
         self.manager.live_size(&roots)
-    }
-
-    /// Mark-and-sweep garbage collection: keeps every cached element
-    /// translation (remapping the cache through the compaction) and
-    /// reclaims everything else. See
-    /// [`Manager::collect_garbage`].
-    pub fn collect_garbage(&mut self) -> GcStats {
-        self.collect_garbage_with(&mut [])
-    }
-
-    /// Like [`TreeBdd::collect_garbage`], additionally rooting the
-    /// handles in `extra` and rewriting them in place to their remapped
-    /// values.
-    pub fn collect_garbage_with(&mut self, extra: &mut [Bdd]) -> GcStats {
-        let mut roots = self.roots();
-        roots.extend_from_slice(extra);
-        let gc = self.manager.collect_garbage(&roots);
-        for b in self.cache.values_mut() {
-            *b = gc
-                .remap(*b)
-                .unwrap_or_else(|| unreachable!("rooted translation survives the sweep"));
-        }
-        for b in extra.iter_mut() {
-            *b = gc
-                .remap(*b)
-                .unwrap_or_else(|| unreachable!("rooted handle survives the sweep"));
-        }
-        gc.stats()
     }
 
     /// Converts a full assignment over the *unprimed* variables (aligned
@@ -451,49 +419,6 @@ mod tests {
         assert_eq!(tb.basic_of_var(Var(1)), None);
         let past_end = 2 * tree.num_basic_events() as u32;
         assert_eq!(tb.basic_of_var(Var(past_end)), None);
-    }
-
-    #[test]
-    fn gc_remaps_the_element_cache() {
-        let tree = corpus::covid();
-        let mut tb = TreeBdd::new(&tree, VariableOrdering::DfsPreorder);
-        let _ = tb.element_bdd(&tree, tree.top());
-        // Build scratch diagrams that become garbage.
-        let m = tb.manager_mut();
-        let x = m.var(Var(0));
-        let y = m.var(Var(2));
-        let _scratch = m.xor(x, y);
-        let before = tb.manager().arena_size();
-        let stats = tb.collect_garbage();
-        assert_eq!(stats.arena_before, before);
-        assert!(tb.manager().arena_size() <= before);
-        // Cached translations were remapped and still evaluate correctly.
-        let top = tb.element_bdd(&tree, tree.top());
-        for v in [
-            StatusVector::from_failed_names(&tree, &["IW", "H3", "PP", "H1", "VW"]),
-            StatusVector::all_operational(tree.num_basic_events()),
-        ] {
-            assert_eq!(
-                tb.eval_vector(&tree, top, &v),
-                tree.evaluate(&v, tree.top()),
-                "{v}"
-            );
-        }
-    }
-
-    #[test]
-    fn gc_shrinks_the_arena_to_live() {
-        let tree = corpus::covid();
-        let mut tb = TreeBdd::new(&tree, VariableOrdering::DfsPreorder);
-        let _ = tb.element_bdd(&tree, tree.top());
-        let m = tb.manager_mut();
-        let x = m.var(Var(0));
-        let y = m.var(Var(2));
-        let _scratch = m.xor(x, y);
-        let live = tb.live_node_count(&[]);
-        assert!(live < tb.manager().arena_size());
-        tb.collect_garbage();
-        assert_eq!(tb.manager().arena_size(), live);
     }
 
     #[test]

@@ -495,17 +495,6 @@ impl Client {
         })
     }
 
-    /// Runs maintenance on a session now.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::request`].
-    pub fn maintain(&mut self, session: &str) -> Result<Json, ClientError> {
-        self.request(Op::Maintain {
-            session: session.to_string(),
-        })
-    }
-
     /// Lints a session's model — and, when `spec` is given, the spec
     /// against the model — returning typed diagnostics.
     ///

@@ -10,7 +10,7 @@
 //! The wire protocol is line-oriented JSON ([`protocol`]; full reference
 //! in `docs/server.md`): `load` a Galileo model into a session,
 //! `prepare` a query into a shared plan, then `check`/`eval`/`sweep`/
-//! `prob`/`importance`/`explain`/`stats`/`maintain`/`unload` against it,
+//! `prob`/`importance`/`explain`/`stats`/`unload` against it,
 //! and `shutdown` to drain gracefully. Connections are multiplexed over
 //! a **fixed** number of nonblocking shard threads ([`server`]), so
 //! hundreds of concurrent clients never grow the thread count.

@@ -19,9 +19,8 @@
 //! {"id":7,"op":"importance","session":"s1","formula":"IWoS"}
 //! {"id":8,"op":"explain","session":"s1","plan":"p1"}
 //! {"id":9,"op":"stats","session":"s1"}   (session optional)
-//! {"id":10,"op":"maintain","session":"s1"}
-//! {"id":11,"op":"unload","session":"s1"}
-//! {"id":12,"op":"shutdown"}
+//! {"id":10,"op":"unload","session":"s1"}
+//! {"id":11,"op":"shutdown"}
 //! ```
 //!
 //! Responses are `{"id":N,"ok":true,"result":…}` or
@@ -148,8 +147,6 @@ pub struct SessionOptions {
     pub scope: Option<MinimalityScope>,
     /// Witness/counterexample cap per outcome.
     pub witness_limit: Option<u64>,
-    /// Garbage collection whenever the arena doubles.
-    pub gc: Option<bool>,
 }
 
 /// The probability target of a `prob` request: a compiled plan under a
@@ -314,11 +311,6 @@ pub enum Op {
         /// Session id; absent = server-wide.
         session: Option<String>,
     },
-    /// Run one garbage collection over the session now.
-    Maintain {
-        /// Session id.
-        session: String,
-    },
     /// Lint the session's model (and optionally a spec) for defects.
     Lint {
         /// Session id.
@@ -349,7 +341,6 @@ impl Op {
             | Op::Prob { session, .. }
             | Op::Importance { session, .. }
             | Op::Explain { session, .. }
-            | Op::Maintain { session }
             | Op::Lint { session, .. }
             | Op::Unload { session } => Some(session),
         }
@@ -368,7 +359,6 @@ impl Op {
             Op::Importance { .. } => "importance",
             Op::Explain { .. } => "explain",
             Op::Stats { .. } => "stats",
-            Op::Maintain { .. } => "maintain",
             Op::Lint { .. } => "lint",
             Op::Unload { .. } => "unload",
             Op::Shutdown => "shutdown",
@@ -417,9 +407,6 @@ impl Request {
                 }
                 if let Some(w) = options.witness_limit {
                     out.push_str(&format!(",\"witness_limit\":{w}"));
-                }
-                if let Some(gc) = options.gc {
-                    out.push_str(&format!(",\"gc\":{gc}"));
                 }
             }
             Op::Prepare { session, query } | Op::Check { session, query } => {
@@ -509,7 +496,7 @@ impl Request {
                     field(&mut out, "session", s);
                 }
             }
-            Op::Maintain { session } | Op::Unload { session } => {
+            Op::Unload { session } => {
                 field(&mut out, "session", session);
             }
             Op::Lint { session, spec } => {
@@ -609,16 +596,6 @@ impl Request {
                                 "`witness_limit` must be a non-negative integer".to_string(),
                             )
                         })?),
-                    },
-                    gc: match doc.get("gc") {
-                        None | Some(Json::Null) => None,
-                        Some(Json::Bool(b)) => Some(*b),
-                        Some(_) => {
-                            return Err(fail(
-                                ErrorCode::BadField,
-                                "`gc` must be a Boolean".to_string(),
-                            ))
-                        }
                     },
                 };
                 Op::Load { model, options }
@@ -728,9 +705,6 @@ impl Request {
             },
             "stats" => Op::Stats {
                 session: optional("session")?,
-            },
-            "maintain" => Op::Maintain {
-                session: required("session")?,
             },
             "lint" => Op::Lint {
                 session: required("session")?,
@@ -945,7 +919,7 @@ mod tests {
         assert_eq!(err.1, ErrorCode::BadField);
         // `load` moves its model out of the document; a missing or
         // non-string model still gets the field's own error.
-        let err = Request::parse(r#"{"op":"load","gc":true}"#).unwrap_err();
+        let err = Request::parse(r#"{"op":"load","witness_limit":3}"#).unwrap_err();
         assert_eq!(
             (err.1, err.2.as_str()),
             (ErrorCode::MissingField, "`load` requires a `model` field")
@@ -968,7 +942,7 @@ mod tests {
 
     #[test]
     fn load_options_round_trip_typed() {
-        let line = r#"{"op":"load","model":"toplevel T;","ordering":"declaration","scope":"support","witness_limit":5,"gc":false}"#;
+        let line = r#"{"op":"load","model":"toplevel T;","ordering":"declaration","scope":"support","witness_limit":5}"#;
         let req = Request::parse(line).unwrap();
         let Op::Load { options, .. } = &req.op else {
             panic!("{req:?}");
@@ -976,11 +950,10 @@ mod tests {
         assert_eq!(options.ordering, Some(VariableOrdering::Declaration));
         assert_eq!(options.scope, Some(MinimalityScope::FormulaSupport));
         assert_eq!(options.witness_limit, Some(5));
-        assert_eq!(options.gc, Some(false));
         assert_eq!(req.to_json_line(), line);
-        // A key `load` does not read, such as `backend` or `reorder`, is
-        // ignored.
-        for key in ["backend", "reorder"] {
+        // A key `load` does not read, such as `backend`, `reorder` or
+        // `gc`, is ignored.
+        for key in ["backend", "reorder", "gc"] {
             let line = format!(r#"{{"op":"load","model":"m","{key}":"auto"}}"#);
             let req = Request::parse(&line).unwrap();
             assert_eq!(req.to_json_line(), r#"{"op":"load","model":"m"}"#);
@@ -992,7 +965,6 @@ mod tests {
         for line in [
             r#"{"op":"load","model":"m","ordering":"alphabetical"}"#,
             r#"{"op":"load","model":"m","scope":"galactic"}"#,
-            r#"{"op":"load","model":"m","gc":"yes"}"#,
             r#"{"op":"load","model":"m","witness_limit":-1}"#,
         ] {
             let err = Request::parse(line).unwrap_err();

@@ -55,11 +55,10 @@ use std::sync::{Arc, OnceLock};
 use std::thread::{JoinHandle, Thread};
 use std::time::Duration;
 
-use bfl_core::engine::{AnalysisSession, MaintenanceStats};
+use bfl_core::engine::AnalysisSession;
 use bfl_core::error::BflError;
 use bfl_core::report::{
-    json_estimate, json_gc, json_importance, json_interval, json_outcome, json_stats, json_str,
-    Spec,
+    json_estimate, json_importance, json_interval, json_outcome, json_stats, json_str, Spec,
 };
 use bfl_core::scenario::{Scenario, ScenarioSet};
 use bfl_core::uncertainty::{Method, ProbValue};
@@ -533,9 +532,10 @@ fn worker_loop(shared: &Arc<Shared>) {
         // A handler panic must never take the worker (and with it the
         // whole pool's capacity) down; every shared lock recovers from
         // poisoning via `into_inner`. The panicking request's *session*,
-        // however, may have been left half-mutated (e.g. mid-maintenance
-        // arena remap), so it is quarantined: unloaded from the registry
-        // so later requests fail loudly instead of serving corrupt state.
+        // however, may have been left half-mutated (e.g. scratch nodes a
+        // request built before it panicked, never rolled back), so it is
+        // quarantined: unloaded from the registry so later requests fail
+        // loudly instead of serving corrupt state.
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| handle_op(shared, &job.op)))
             .unwrap_or_else(|panic| {
                 let what = panic
@@ -741,16 +741,6 @@ fn handle_op(shared: &Shared, op: &Op) -> Result<String, OpError> {
                 Ok(session_stats(&entry))
             }
         },
-        Op::Maintain { session } => {
-            let entry = session_entry(shared, session)?;
-            let report = entry.session.maintain();
-            Ok(format!(
-                "{{\"session\":{},\"report\":{},\"totals\":{}}}",
-                json_str(&entry.id),
-                json_gc(&report),
-                maintenance_json(&entry.session.maintenance_stats())
-            ))
-        }
         Op::Lint { session, spec } => {
             let entry = session_entry(shared, session)?;
             let diagnostics = match spec {
@@ -829,9 +819,6 @@ fn handle_load(shared: &Shared, model: &str, options: &SessionOptions) -> Result
     }
     if let Some(limit) = options.witness_limit {
         builder = builder.witness_limit(limit as usize);
-    }
-    if let Some(gc) = options.gc {
-        builder = builder.gc(gc);
     }
     let session = builder.build(parsed.tree);
     let tree_name = session.tree().name(session.tree().top()).to_string();
@@ -955,7 +942,6 @@ fn global_stats(shared: &Shared) -> String {
 
 fn session_stats(entry: &SessionEntry) -> String {
     let stats = entry.session.stats();
-    let m = entry.session.maintenance_stats();
     let mut plans = String::new();
     for (id, plan) in entry.plans() {
         if !plans.is_empty() {
@@ -975,20 +961,12 @@ fn session_stats(entry: &SessionEntry) -> String {
     let tree_name = entry.session.tree().name(entry.session.tree().top());
     let sampler = entry.session.sampler_stats();
     format!(
-        "{{\"session\":{},\"tree\":{},\"stats\":{},\"maintenance\":{},\"sampler\":{{\"runs\":{},\"samples\":{}}},\"plans\":{{{plans}}}}}",
+        "{{\"session\":{},\"tree\":{},\"stats\":{},\"sampler\":{{\"runs\":{},\"samples\":{}}},\"plans\":{{{plans}}}}}",
         json_str(&entry.id),
         json_str(tree_name),
         json_stats(&stats),
-        maintenance_json(&m),
         sampler.runs,
         sampler.samples
-    )
-}
-
-fn maintenance_json(m: &MaintenanceStats) -> String {
-    format!(
-        "{{\"gc_runs\":{},\"nodes_collected\":{},\"audits_run\":{},\"audit_violations\":{}}}",
-        m.gc_runs, m.nodes_collected, m.audits_run, m.audit_violations
     )
 }
 

@@ -26,7 +26,6 @@ fn request_corpus() -> Vec<Request> {
         ordering: Some(VariableOrdering::Declaration),
         scope: Some(MinimalityScope::FormulaSupport),
         witness_limit: Some(5),
-        gc: Some(false),
     };
     vec![
         Request::new(Op::Load {
@@ -167,12 +166,6 @@ fn request_corpus() -> Vec<Request> {
             },
         ),
         Request::with_id(
-            13,
-            Op::Maintain {
-                session: "s1".to_string(),
-            },
-        ),
-        Request::with_id(
             14,
             Op::Lint {
                 session: "s1".to_string(),
@@ -258,7 +251,6 @@ fn live_responses_reparse_to_the_same_bytes() {
         "{\"id\":8,\"op\":\"importance\",\"session\":\"s1\",\"formula\":\"T\"}".to_string(),
         "{\"id\":9,\"op\":\"explain\",\"session\":\"s1\",\"plan\":\"p1\"}".to_string(),
         "{\"id\":10,\"op\":\"stats\",\"session\":\"s1\"}".to_string(),
-        "{\"id\":11,\"op\":\"maintain\",\"session\":\"s1\"}".to_string(),
         "{\"id\":90,\"op\":\"lint\",\"session\":\"s1\"}".to_string(),
         "{\"id\":91,\"op\":\"lint\",\"session\":\"s1\",\"spec\":\"P: exists T | !T\"}".to_string(),
         "{\"id\":12,\"op\":\"stats\"}".to_string(),
@@ -527,11 +519,31 @@ fn deleted_orderings_are_bad_fields_and_the_server_keeps_serving() {
         .and_then(|s| s.as_array())
         .expect("sessions");
     assert!(sessions.is_empty(), "{stats}");
-    // The same connection, and a new one, still serve. `reorder` is no
-    // longer a `load` key: it is ignored like any other unknown key.
+    // The same connection, and a new one, still serve. `reorder` and
+    // `gc` are no longer `load` keys: they are ignored like any other
+    // unknown key.
     let line = format!(
-        "{{\"op\":\"load\",\"model\":{model},\"ordering\":\"dfs\",\"reorder\":\"prepare\"}}\n"
+        "{{\"op\":\"load\",\"model\":{model},\"ordering\":\"dfs\",\"reorder\":\"prepare\",\"gc\":true}}\n"
     );
+    let raw = raw_round_trip(&mut stream, &mut reader, line.as_bytes());
+    let loaded = match Response::parse(&raw).expect("parses").body {
+        bfl_server::ResponseBody::Result(doc) => Json::parse(&doc).expect("json"),
+        other => panic!("expected a session, got {other:?}"),
+    };
+    let session = loaded
+        .get("session")
+        .and_then(Json::as_str)
+        .expect("session id");
+    // `maintain` is no longer an op, even on a live session.
+    let line = format!("{{\"op\":\"maintain\",\"session\":\"{session}\"}}\n");
+    let raw = raw_round_trip(&mut stream, &mut reader, line.as_bytes());
+    match Response::parse(&raw).expect("parses").body {
+        bfl_server::ResponseBody::Error { code, .. } => {
+            assert_eq!(code, ErrorCode::UnknownOp, "{raw}")
+        }
+        other => panic!("expected unknown_op for `maintain`, got {other:?}"),
+    }
+    let line = format!("{{\"op\":\"stats\",\"session\":\"{session}\"}}\n");
     let raw = raw_round_trip(&mut stream, &mut reader, line.as_bytes());
     assert!(Response::parse(&raw).expect("parses").is_ok(), "{raw}");
     let session = client.load("toplevel T;\nT and A B;\n").expect("loads");

@@ -69,7 +69,7 @@ pub use bfl_fault_tree as ft;
 
 /// One-stop imports for applications using the suite.
 pub mod prelude {
-    pub use bfl_core::engine::{AnalysisSession, MaintenanceStats, SessionBuilder};
+    pub use bfl_core::engine::{AnalysisSession, SessionBuilder};
     pub use bfl_core::parser::{parse_formula, parse_query, parse_spec};
     pub use bfl_core::plan::{
         Plan, PreparedQuery, PreparedStats, ProbOutcome, ProbSweepReport, ProbSweepStats,

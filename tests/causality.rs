@@ -222,27 +222,71 @@ fn prepared_causes_agree_with_specialised_query_path() {
 }
 
 /// A cause plan reports its compiled root's size as prepare measured
-/// it: a collection renumbers the root but never reshapes it, so cold
-/// cause requests with explicit maintenance between them all report the
-/// plan's own `bdd_nodes`.
+/// it, on every cold request.
 #[test]
-fn cold_causes_report_the_prepared_bdd_nodes_across_maintenance() {
+fn cold_causes_report_the_prepared_bdd_nodes() {
     let session = AnalysisSession::new(bfl::ft::corpus::covid());
     let q = parse_query("cause(IWoS, IW := 1, H3 := 1, PP := 1, H1 := 1, VW := 1)").unwrap();
     let prepared = session.prepare(&q).unwrap();
     let nodes = prepared.explain().operands[0].bdd_nodes;
     assert!(nodes > 2, "a non-constant root");
-    let mut collected = 0;
     for name in ["IT", "H2", "UT", "MV"] {
         for value in [true, false] {
             let scenario = Scenario::new().bind(name, value);
             let outcome = prepared.cause(&scenario).unwrap();
             assert_eq!(outcome.stats.bdd_nodes, nodes, "under {scenario}");
-            collected += session.maintain().collected;
         }
     }
-    assert!(collected > 0, "maintenance reclaimed the compile's garbage");
     assert_eq!(prepared.stats().memo_hits, 0, "every request ran cold");
+}
+
+/// Session causes roll their scratch back like plan requests do: once
+/// `top` is compiled, 200 cold `cause(top, E)` calls on scaled-1000 leave
+/// the arena where they found it, and each report equals the one a
+/// prepared `cause(top)` plan gives under the same observation.
+#[test]
+fn session_causes_leave_the_arena_as_they_found_it() {
+    let tree = bfl::ft::corpus::scaled(1000);
+    let n = tree.num_basic_events();
+    let names: Vec<String> = tree
+        .basic_event_names()
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    let top = Formula::atom(tree.name(tree.top()));
+    let session = AnalysisSession::new(tree);
+    let plan = session
+        .prepare(&Query::cause(top.clone(), Vec::<(String, bool)>::new()))
+        .unwrap();
+    let arena = session.stats().arena_nodes;
+
+    // Every third event failed, as the served cold what-ifs observe, then
+    // eight seeded bindings of other events.
+    let mut rng = Prng::seed_from_u64(0xA7E4_CA05);
+    let mut failing = 0;
+    for round in 0..200 {
+        let mut evidence: Vec<(String, bool)> =
+            names.iter().step_by(3).map(|e| (e.clone(), true)).collect();
+        while evidence.len() < n.div_ceil(3) + 8 {
+            let e = &names[rng.gen_range(0..n)];
+            if !evidence.iter().any(|(b, _)| b == e) {
+                evidence.push((e.clone(), rng.gen_bool(0.5)));
+            }
+        }
+        let report = session.cause(&top, &evidence).unwrap().causes.unwrap();
+        assert_eq!(
+            session.stats().arena_nodes,
+            arena,
+            "session cause {round} grew the arena"
+        );
+        let scenario = Scenario::from_pairs(evidence.iter().map(|(e, v)| (e.as_str(), *v)));
+        let planned = plan.cause(&scenario).unwrap().causes.unwrap();
+        assert_eq!(report, planned, "round {round}");
+        if report.failing {
+            failing += 1;
+        }
+    }
+    assert!(failing >= 100, "too few failing observations: {failing}");
 }
 
 /// `sweep_causes` shares the plan's scenario memo: re-sweeping the same

@@ -231,26 +231,6 @@ fn galileo_roundtrip() {
     }
 }
 
-/// With mark-and-sweep GC interleaved between queries, the checker
-/// still agrees with the reference semantics on every vector and
-/// satisfaction set.
-#[test]
-fn checker_with_gc_matches_reference() {
-    for Case { tree, phi, b, .. } in cases(11) {
-        let mut mc = ModelChecker::new(&tree);
-        // Warm the caches, collect, then ask everything again.
-        let _ = mc.holds(&b, &phi).unwrap();
-        let _ = mc.collect_garbage();
-        let fast = mc.holds(&b, &phi).unwrap();
-        let slow = semantics::eval(&tree, &b, &phi).unwrap();
-        assert_eq!(fast, slow, "{phi} at {b}");
-        let sats = mc.satisfying_vectors(&phi).unwrap();
-        let mut reference = semantics::satisfying_vectors(&tree, &phi).unwrap();
-        reference.sort();
-        assert_eq!(sats, reference, "{phi}");
-    }
-}
-
 /// Probability via BDD equals the exhaustive sum on random trees.
 #[test]
 fn probability_matches_reference() {

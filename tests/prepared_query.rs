@@ -131,68 +131,6 @@ fn randomized_trees_and_formulas_agree_with_evidence_path() {
 }
 
 #[test]
-fn covid_scenarios_agree_with_gc_enabled() {
-    // Same cross-check as above, on a GC session that collects after
-    // every prepare: verdicts, witnesses and counterexamples must be
-    // identical to the static path (handles are remapped, never stale).
-    let session = AnalysisSession::builder()
-        .gc(true)
-        .build(bfl::ft::corpus::covid());
-    let queries = [
-        "exists IWoS",
-        "forall IS => MoT",
-        "exists MCS(IWoS) & H4",
-        "exists MPS(IWoS)",
-        "IDP(CIO, CIS)",
-        "SUP(PP)",
-    ];
-    let mut scenarios = vec![Scenario::new()];
-    for name in ["IW", "H1", "H4", "VW", "UT", "PP"] {
-        scenarios.push(Scenario::new().bind(name, true));
-        scenarios.push(Scenario::new().bind(name, false));
-    }
-    scenarios.push(Scenario::from_pairs([("IW", true), ("H5", false)]));
-    scenarios.push(Scenario::from_pairs([
-        ("VW", false),
-        ("H1", true),
-        ("H2", true),
-    ]));
-    for src in queries {
-        let q = parse_query(src).unwrap();
-        for scenario in &scenarios {
-            assert_paths_agree(&session, &q, scenario);
-            session.maintain();
-        }
-    }
-    assert!(session.maintenance_stats().gc_runs > 0);
-    assert_eq!(session.maintenance_stats().audit_violations, 0);
-}
-
-#[test]
-fn sweep_survives_explicit_maintenance_between_runs() {
-    let session = AnalysisSession::new(bfl::ft::corpus::covid());
-    let prepared = session
-        .prepare(&parse_query("exists MCS(IWoS) & H4").unwrap())
-        .unwrap();
-    let names: Vec<&str> = session.tree().basic_event_names();
-    let set = ScenarioSet::singletons(names, true);
-    let first = prepared.sweep(&set).unwrap();
-    // Compact the whole shared manager, then sweep again: the prepared
-    // roots were remapped, the memo still answers, and the verdicts are
-    // unchanged.
-    let report = session.maintain();
-    assert!(report.arena_after <= report.arena_before);
-    let second = prepared.sweep(&set).unwrap();
-    assert_eq!(second.stats.memo_misses, 0, "memo survives maintenance");
-    let v1: Vec<bool> = first.outcomes.iter().map(|o| o.holds).collect();
-    let v2: Vec<bool> = second.outcomes.iter().map(|o| o.holds).collect();
-    assert_eq!(v1, v2);
-    // A brand-new scenario after maintenance restricts the remapped root.
-    let fresh = prepared.eval(&Scenario::new().bind("H4", false)).unwrap();
-    assert!(!fresh.holds);
-}
-
-#[test]
 fn sweep_rebuilds_zero_bdds_after_prepare() {
     let session = AnalysisSession::new(bfl::ft::corpus::covid());
     let prepared = session

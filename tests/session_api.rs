@@ -342,3 +342,83 @@ fn errors_surface_not_panic() {
     assert!(session.run(&spec).is_err());
     assert!(session.top_event_probability().is_err());
 }
+
+// ---------------------------------------------------------------------
+// Arena growth.
+// ---------------------------------------------------------------------
+
+/// A scaled industrial model of `events` basic events, with its
+/// probability annotations.
+fn scaled(events: usize) -> AnalysisSession {
+    let model = bfl::ft::corpus::scaled_model(events);
+    AnalysisSession::builder()
+        .probabilities(model.probabilities)
+        .build(model.tree)
+}
+
+/// A session ranking rolls its cofactors back: once `top` is compiled,
+/// ranking scaled-1000's events leaves the arena where it found it, with
+/// the rows a prepared `importance(top)` plan gives.
+#[test]
+fn importance_leaves_the_arena_as_it_found_it() {
+    let session = scaled(1000);
+    let top = Formula::atom(session.tree().name(session.tree().top()));
+    let plan = session.prepare(&Query::Importance(top.clone())).unwrap();
+    let arena = session.stats().arena_nodes;
+    let rows = session.rank_events(&top).unwrap();
+    assert_eq!(session.stats().arena_nodes, arena);
+    assert_eq!(rows.len(), session.tree().num_basic_events());
+    assert_eq!(rows, plan.eval(&Scenario::new()).unwrap().importance);
+}
+
+/// A repeated session request finds everything it builds already there:
+/// plan requests, causes and rankings roll their scratch back, and every
+/// other request keeps only translations a repeat looks up again.
+#[test]
+fn repeated_session_requests_leave_the_arena_unchanged() {
+    let session = scaled(300);
+    let tree = session.tree_arc();
+    let top = tree.name(tree.top()).to_string();
+    let basics = tree.basic_event_names();
+    let (b0, b1) = (basics[0], basics[1]);
+    let gates = tree.children(tree.top());
+    let (g0, g1) = (tree.name(gates[0]), tree.name(gates[1]));
+    let observed: Vec<String> = basics
+        .iter()
+        .step_by(3)
+        .map(|e| format!("{e} := 1"))
+        .collect();
+    let queries = [
+        format!("exists {top}"),
+        format!("forall {top}"),
+        format!("exists MCS({top})"),
+        format!("IDP({g0}, {g1})"),
+        format!("P({top} | {b0}) >= 0.5"),
+        format!("importance({top})"),
+        format!("exists {top}[{b0} := 1, {b1} := 0]"),
+        format!("causes({top}, {}, 2)", observed.join(", ")),
+    ];
+    let spec = Spec::parse(&format!(
+        "L1: exists {top} & !{b0}\nL2: forall {g0} | {g1}\n"
+    ))
+    .unwrap();
+    let twice = |name: &str, request: &dyn Fn()| {
+        request();
+        let arena = session.stats().arena_nodes;
+        request();
+        assert_eq!(session.stats().arena_nodes, arena, "a repeated {name}");
+    };
+    for src in &queries {
+        let q = parse_query(src).unwrap();
+        twice(src, &|| {
+            session.check_query(&q).unwrap();
+        });
+    }
+    let phi = Formula::atom(top.as_str());
+    twice("rank_events", &|| {
+        session.rank_events(&phi).unwrap();
+    });
+    twice("lint_spec", &|| {
+        session.lint_spec(&spec);
+    });
+}
