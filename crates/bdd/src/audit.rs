@@ -5,7 +5,7 @@
 //! topological order, cache soundness — but none of them can afford to
 //! verify the whole arena on every operation. [`Manager::audit`] is the
 //! offline verifier: one linear pass over the arena plus a sampled
-//! semantic check of the operation caches, producing an [`AuditReport`]
+//! semantic check of the computed table, producing an [`AuditReport`]
 //! that lists every violation found. The test suites run it after
 //! builds and rollbacks as their oracle of arena health.
 //!
@@ -13,9 +13,12 @@
 //!
 //! 1. **terminal integrity** — the two terminals sit at indices 0/1 with
 //!    the sentinel level;
-//! 2. **unique-table canonicity** — every interior node is interned
-//!    exactly once under exactly its `(var, low, high)` triple, the
-//!    table holds no stray entries, and no two nodes share a triple;
+//! 2. **unique-table canonicity** — every interior node is found under
+//!    exactly its `(var, low, high)` triple, and no two nodes share a
+//!    triple. The chains link every interior node exactly once: each
+//!    linked id sits in its own key's bucket, each chain's ids descend
+//!    (newest first, which rollback's unlinking relies on), and the link
+//!    count equals the interior node count;
 //! 3. **reduction** — no node tests a variable with identical children
 //!    (redundant-test elimination held);
 //! 4. **order** — every node's variable sits strictly above both
@@ -26,19 +29,21 @@
 //!    parent's. Nodes are appended after their children and truncated
 //!    by a rollback, and rollback relies on the order: nothing below a
 //!    watermark may name a node above it;
-//! 6. **cache soundness** — sampled entries of the and/or/xor, ite and
-//!    not caches are re-checked *semantically*: the cached result must
-//!    agree with the operands under pseudo-random assignments.
+//! 6. **cache soundness** — sampled entries of the computed table that
+//!    may still hit (see the `computed` module) are re-checked
+//!    *semantically*: the cached result of the and/or/xor, ite or not
+//!    must agree with the operands under pseudo-random assignments.
 
 use std::fmt;
 
+use crate::computed::Cached;
 use crate::manager::{Bdd, Manager, Op, Var, TERMINAL_LEVEL};
 
 /// Violations reported before the audit stops collecting (the count
 /// keeps incrementing; a corrupt arena can fail almost everywhere).
 const MAX_REPORTED: usize = 16;
 
-/// Default number of entries sampled per operation cache.
+/// Default number of computed-table entries sampled.
 const DEFAULT_CACHE_SAMPLES: usize = 64;
 
 /// Pseudo-random assignments evaluated per sampled cache entry.
@@ -49,9 +54,9 @@ const ASSIGNMENTS_PER_ENTRY: u64 = 4;
 pub struct AuditReport {
     /// Arena size at audit time (terminals included).
     pub nodes: usize,
-    /// Unique-table entries inspected.
+    /// Unique-table links walked.
     pub unique_entries: usize,
-    /// Operation-cache entries semantically re-checked (sampled).
+    /// Computed-table entries semantically re-checked (sampled).
     pub cache_entries_checked: usize,
     /// Total violations found (may exceed `violations.len()`).
     pub violation_count: usize,
@@ -112,7 +117,7 @@ fn assignment_bit(sample: u64, v: Var) -> bool {
 
 impl Manager {
     /// Verifies the arena invariants (see the module docs above),
-    /// sampling `DEFAULT_CACHE_SAMPLES` entries per operation cache.
+    /// sampling `DEFAULT_CACHE_SAMPLES` computed-table entries.
     ///
     /// The audit never mutates the manager and never panics on a corrupt
     /// arena — every violation is collected into the report (use
@@ -133,8 +138,8 @@ impl Manager {
         self.audit_with(DEFAULT_CACHE_SAMPLES)
     }
 
-    /// [`Manager::audit`] with an explicit per-cache sample budget
-    /// (`usize::MAX` re-checks every cache entry).
+    /// [`Manager::audit`] with an explicit sample budget (`usize::MAX`
+    /// re-checks every computed-table entry that may hit).
     pub fn audit_with(&self, cache_samples: usize) -> AuditReport {
         let mut report = AuditReport {
             nodes: self.nodes.len(),
@@ -202,10 +207,10 @@ impl Manager {
             // Unique-table canonicity, node side: this exact triple must
             // resolve back to this index. A duplicate triple can only
             // resolve to one of its nodes, so duplicates are caught here
-            // without a second hash pass.
-            match self.unique.get(&(node.var.0, lo, hi)) {
-                Some(&id) if id == i32u => {}
-                Some(&id) => report.push(format!(
+            // without a second pass.
+            match self.find(node) {
+                Some(id) if id == i32u => {}
+                Some(id) => report.push(format!(
                     "nodes {i} and {id} share the triple ({}, {lo}, {hi}) — \
                      hash-consing violated",
                     node.var
@@ -217,23 +222,41 @@ impl Manager {
             }
         }
 
-        // Unique-table canonicity, table side: no stray entries.
-        report.unique_entries = self.unique.len();
-        if self.unique.len() != n.saturating_sub(2) {
+        // Unique-table canonicity, table side: every chain descends
+        // through interior nodes of its own bucket, and links each once.
+        let mut linked = 0usize;
+        for (bucket, &head) in self.heads.iter().enumerate() {
+            let (mut id, mut above) = (head, u32::MAX);
+            while id != 0 {
+                if id >= above {
+                    report.push(format!(
+                        "bucket {bucket} links {id} after {above}: chain ids do not descend"
+                    ));
+                    break;
+                }
+                let Some(node) = self.nodes.get(id as usize).filter(|_| id >= 2) else {
+                    report.push(format!(
+                        "bucket {bucket} links {id}, which names no interior node"
+                    ));
+                    break;
+                };
+                let own = self.bucket(node);
+                if own != bucket {
+                    report.push(format!(
+                        "node {id} is linked in bucket {bucket}, not in its key's bucket {own}"
+                    ));
+                }
+                linked += 1;
+                above = id;
+                id = self.next.get(id as usize).copied().unwrap_or(0);
+            }
+        }
+        report.unique_entries = linked;
+        if linked != n - 2 {
             report.push(format!(
-                "unique table holds {} entries for {} interior nodes",
-                self.unique.len(),
+                "unique table links {linked} nodes for {} interior nodes",
                 n - 2
             ));
-        }
-        for (&(var, lo, hi), &id) in &self.unique {
-            match self.nodes.get(id as usize) {
-                Some(node) if id >= 2 && (node.var.0, node.low.0, node.high.0) == (var, lo, hi) => {
-                }
-                _ => report.push(format!(
-                    "unique entry ({var}, {lo}, {hi}) -> {id} names no matching node"
-                )),
-            }
         }
 
         // 6. Sampled semantic cache soundness. A cached entry whose
@@ -270,37 +293,42 @@ impl Manager {
                 }
             }
         };
-        for (&(op, f, g), &r) in self.op_cache.iter().take(cache_samples) {
-            let semantics: fn(&[bool]) -> bool = match op {
-                Op::And => |x| x[0] && x[1],
-                Op::Or => |x| x[0] || x[1],
-                Op::Xor => |x| x[0] ^ x[1],
-            };
-            check(
-                &mut report,
-                format!("op cache {op:?}({f}, {g}) -> {r}"),
-                &[f, g],
-                r,
-                &semantics,
-            );
-        }
-        for (&(f, g, h), &r) in self.ite_cache.iter().take(cache_samples) {
-            check(
-                &mut report,
-                format!("ite cache ({f}, {g}, {h}) -> {r}"),
-                &[f, g, h],
-                r,
-                &|x| if x[0] { x[1] } else { x[2] },
-            );
-        }
-        for (&f, &r) in self.not_cache.iter().take(cache_samples) {
-            check(
-                &mut report,
-                format!("not cache {f} -> {r}"),
-                &[f],
-                r,
-                &|x| !x[0],
-            );
+        for slot in self.computed.valid_entries().take(cache_samples) {
+            let r = slot.result;
+            match slot.key.decode() {
+                Some(Cached::Apply(op, f, g)) => {
+                    let semantics: fn(&[bool]) -> bool = match op {
+                        Op::And => |x| x[0] && x[1],
+                        Op::Or => |x| x[0] || x[1],
+                        Op::Xor => |x| x[0] ^ x[1],
+                    };
+                    check(
+                        &mut report,
+                        format!("computed {op:?}({f}, {g}) -> {r}"),
+                        &[f, g],
+                        r,
+                        &semantics,
+                    );
+                }
+                Some(Cached::Ite(f, g, h)) => check(
+                    &mut report,
+                    format!("computed ite({f}, {g}, {h}) -> {r}"),
+                    &[f, g, h],
+                    r,
+                    &|x| if x[0] { x[1] } else { x[2] },
+                ),
+                Some(Cached::Not(f)) => check(
+                    &mut report,
+                    format!("computed not({f}) -> {r}"),
+                    &[f],
+                    r,
+                    &|x| !x[0],
+                ),
+                None => report.push(format!(
+                    "computed entry {:?} -> {r} names no operation",
+                    slot.key.0
+                )),
+            }
         }
         report.cache_entries_checked = checked;
         report
@@ -321,6 +349,7 @@ impl Manager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::computed::Key;
     use crate::manager::Node;
 
     fn sample_manager() -> Manager {
@@ -376,26 +405,36 @@ mod tests {
         );
     }
 
+    /// Appends `node` to the arena and links it at the head of its chain,
+    /// as `mk` does, but without `mk`'s reduction and order checks.
+    fn push_linked(m: &mut Manager, node: Node) -> u32 {
+        let id = m.nodes.len() as u32;
+        m.nodes.push(node);
+        let bucket = m.bucket(&node);
+        m.next.push(m.heads[bucket]);
+        m.heads[bucket] = id;
+        id
+    }
+
     #[test]
     fn audit_detects_order_violation() {
         let mut m = sample_manager();
         // A Var(5) node whose child tests Var(0): upside-down in the
         // identity order.
-        let above = m.nodes.len() as u32;
         let child = Node {
             var: Var(0),
             low: Bdd(0),
             high: Bdd(1),
         };
-        m.nodes.push(child);
-        m.unique.insert((0, 0, 1), above);
-        let parent = Node {
-            var: Var(5),
-            low: Bdd(above),
-            high: Bdd(1),
-        };
-        m.nodes.push(parent);
-        m.unique.insert((5, above, 1), above + 1);
+        let child = m.find(&child).unwrap_or_else(|| push_linked(&mut m, child));
+        push_linked(
+            &mut m,
+            Node {
+                var: Var(5),
+                low: Bdd(child),
+                high: Bdd(1),
+            },
+        );
         let report = m.audit();
         assert!(
             report
@@ -412,11 +451,12 @@ mod tests {
         let a = m.var(Var(0));
         let b = m.var(Var(1));
         let _ = m.and(a, b);
-        // Poison the cache: claim a ∧ b is ⊤.
-        m.op_cache.insert((Op::And, a.0, b.0), 1);
+        assert!(m.audit_with(usize::MAX).is_ok());
+        // Poison the slot: claim a ∧ b is ⊤.
+        m.computed.put(Key::apply(Op::And, a, b), m.top());
         let report = m.audit_with(usize::MAX);
         assert!(
-            report.violations.iter().any(|v| v.contains("op cache")),
+            report.violations.iter().any(|v| v.contains("computed And")),
             "{report}"
         );
     }
@@ -429,15 +469,15 @@ mod tests {
         let c = m.var(Var(2));
         let _ = m.ite(a, b, c);
         let _ = m.not(a);
-        m.ite_cache.insert((a.0, b.0, c.0), 0);
-        m.not_cache.insert(a.0, a.0);
+        m.computed.put(Key::ite(a, b, c), m.bot());
+        m.computed.put(Key::not(a), a);
         let report = m.audit_with(usize::MAX);
         assert!(
-            report.violations.iter().any(|v| v.contains("ite cache")),
+            report.violations.iter().any(|v| v.contains("computed ite")),
             "{report}"
         );
         assert!(
-            report.violations.iter().any(|v| v.contains("not cache")),
+            report.violations.iter().any(|v| v.contains("computed not")),
             "{report}"
         );
     }
@@ -447,18 +487,22 @@ mod tests {
         // x0 ? x1 : ⊤ with the x1 node stored after its parent: ordered,
         // reduced and interned, but not topologically sorted.
         let mut m = Manager::new(2);
-        m.nodes.push(Node {
-            var: Var(0),
-            low: Bdd(3),
-            high: Bdd(1),
-        });
-        m.unique.insert((0, 3, 1), 2);
-        m.nodes.push(Node {
-            var: Var(1),
-            low: Bdd(0),
-            high: Bdd(1),
-        });
-        m.unique.insert((1, 0, 1), 3);
+        push_linked(
+            &mut m,
+            Node {
+                var: Var(0),
+                low: Bdd(3),
+                high: Bdd(1),
+            },
+        );
+        push_linked(
+            &mut m,
+            Node {
+                var: Var(1),
+                low: Bdd(0),
+                high: Bdd(1),
+            },
+        );
         let report = m.audit_with(usize::MAX);
         assert_eq!(report.violation_count, 1, "{report}");
         assert!(
@@ -467,31 +511,75 @@ mod tests {
         );
     }
 
+    /// A manager of several hundred nodes in 4,096 buckets: dozens of
+    /// chains link two or more.
+    fn crowded_manager() -> Manager {
+        let mut m = Manager::new(16);
+        let vars: Vec<Bdd> = (0..16).map(|i| m.var(Var(i))).collect();
+        for (i, &x) in vars.iter().enumerate() {
+            for &y in &vars[i + 1..] {
+                let _ = m.and(x, y);
+                let _ = m.or(x, y);
+                let _ = m.xor(x, y);
+            }
+        }
+        assert_eq!(m.heads.len(), 4_096, "{} nodes", m.arena_size());
+        assert!(m.audit_with(usize::MAX).is_ok());
+        m
+    }
+
+    fn assert_flags(m: &Manager, needle: &str) {
+        let report = m.audit();
+        assert!(
+            report.violations.iter().any(|v| v.contains(needle)),
+            "{needle}: {report}"
+        );
+    }
+
     #[test]
     fn audit_detects_unique_table_strays_and_gaps() {
-        let mut m = sample_manager();
-        // A stray entry naming no node.
-        m.unique.insert((0, 7, 8), 9999);
-        let report = m.audit();
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("no matching node")),
-            "{report}"
-        );
-        // Remove a legitimate entry: node side now flags the gap.
-        let mut m = sample_manager();
-        let node = m.nodes[2];
-        m.unique.remove(&(node.var.0, node.low.0, node.high.0));
-        let report = m.audit();
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("missing from the unique table")),
-            "{report}"
-        );
+        // Unlink the newest node, the head of its chain.
+        let mut m = crowded_manager();
+        let newest = m.nodes.len() - 1;
+        let bucket = m.bucket(&m.nodes[newest]);
+        m.heads[bucket] = m.next[newest];
+        assert_flags(&m, "missing from the unique table");
+        assert_flags(&m, "links");
+        // A stray link naming no node.
+        let mut m = crowded_manager();
+        let empty = m.heads.iter().position(|&h| h == 0).unwrap();
+        m.heads[empty] = 9999;
+        assert_flags(&m, "names no interior node");
+    }
+
+    #[test]
+    fn audit_detects_chain_links_out_of_order() {
+        // Swap the first two links of a chain: older above newer.
+        let mut m = crowded_manager();
+        let bucket = (0..m.heads.len())
+            .find(|&b| m.heads[b] != 0 && m.next[m.heads[b] as usize] != 0)
+            .expect("a chain of two");
+        let newer = m.heads[bucket];
+        let older = m.next[newer as usize];
+        m.next[newer as usize] = m.next[older as usize];
+        m.next[older as usize] = newer;
+        m.heads[bucket] = older;
+        assert_flags(&m, "do not descend");
+    }
+
+    #[test]
+    fn audit_detects_a_node_linked_in_the_wrong_bucket() {
+        // Move the newest node to the head of another chain: the chain
+        // still descends, but the node is not where `mk` looks for it.
+        let mut m = crowded_manager();
+        let newest = m.nodes.len() - 1;
+        let own = m.bucket(&m.nodes[newest]);
+        m.heads[own] = m.next[newest];
+        let other = (own + 1) % m.heads.len();
+        m.next[newest] = m.heads[other];
+        m.heads[other] = newest as u32;
+        assert_flags(&m, "not in its key's bucket");
+        assert_flags(&m, "missing from the unique table");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The hasher of every table keyed by arena indices.
+//! The hash of every table keyed by arena indices.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -6,14 +6,15 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// Odd multiplier of rustc-hash 2 (64-bit).
 const K: u64 = 0xf135_7aea_2e62_a9c5;
 
-/// One multiply-add per hashed word: the hasher of the manager's unique
-/// table and operation caches, of the per-call memos of its
-/// quantification, renaming and one-shot probability walks, and of the
-/// entries a [`WatermarkMemo`](crate::WatermarkMemo) keeps across
-/// requests. The manager's request-path walks memoise by node index
+/// One multiply-add per hashed word: the hasher of the per-call memos of
+/// the manager's quantification, renaming and one-shot probability
+/// walks, and of the entries a [`WatermarkMemo`](crate::WatermarkMemo)
+/// keeps across requests. The manager's own tables (its unique table and
+/// computed table) pick their bucket and slot with the same hash of a
+/// key's three words, and its request-path walks memoise by node index
 /// instead.
 ///
-/// Their keys are small tuples of arena indices the manager hands out
+/// The keys are small tuples of arena indices the manager hands out
 /// itself, never outside input, so SipHash's defence against crafted
 /// collisions buys nothing while its per-lookup cost shows in every
 /// `apply` step and every memoised walk. This is the multiply-add word
@@ -53,3 +54,13 @@ impl Hasher for WordHasher {
 
 /// A `HashMap` hashed with [`WordHasher`].
 pub type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// [`WordHasher`]'s hash of three words, as it hashes a `(u32, u32, u32)`.
+#[inline]
+pub(crate) fn hash3(a: u32, b: u32, c: u32) -> u64 {
+    let mut h = WordHasher::default();
+    h.write_u32(a);
+    h.write_u32(b);
+    h.write_u32(c);
+    h.finish()
+}

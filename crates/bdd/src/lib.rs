@@ -8,8 +8,8 @@
 //!
 //! * hash-consed node storage with a unique table, so every Boolean function
 //!   has exactly one reduced representation per [`Manager`];
-//! * memoised [`ite`](Manager::ite)-based `apply` operations
-//!   (`∧ ∨ ⊕ ⇒ ≡ ¬`);
+//! * [`ite`](Manager::ite)-based `apply` operations (`∧ ∨ ⊕ ⇒ ≡ ¬`),
+//!   memoised in one lossy computed table;
 //! * [`restrict`](Manager::restrict) (cofactor), existential/universal
 //!   quantification, the combined *relational product*
 //!   [`and_exists`](Manager::and_exists), variable
@@ -26,13 +26,14 @@
 //! * Graphviz export ([`to_dot`](Manager::to_dot)) used to reproduce the
 //!   BDD figures of the paper;
 //! * **arena rollback**: [`Manager::watermark`] and
-//!   [`Manager::rollback`] drop every node a request built, with the
-//!   unique-table and cache entries that name them, so scratch work
-//!   leaves the arena as it found it. It is the one way the arena
-//!   shrinks;
+//!   [`Manager::rollback`] drop every node a request built and unlink
+//!   it from the unique table, so scratch work leaves the arena as it
+//!   found it; no computed-table entry that names a dropped node hits
+//!   again. It is the one way the arena shrinks;
 //! * **self-auditing**: [`Manager::audit`] verifies the whole arena
-//!   (unique-table canonicity, reduction, order, topological sortedness,
-//!   sampled cache soundness) and returns an [`AuditReport`].
+//!   (unique-table canonicity and chains, reduction, order, topological
+//!   sortedness, sampled computed-table soundness) and returns an
+//!   [`AuditReport`].
 //!
 //! A variable is its own level: [`Var(k)`](Var) sits at level `k` of the
 //! order for the manager's whole life. Clients that need a
@@ -57,6 +58,7 @@
 #![warn(missing_docs)]
 
 mod audit;
+mod computed;
 mod dot;
 mod hash;
 mod manager;

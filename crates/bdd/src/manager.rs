@@ -1,9 +1,9 @@
-//! The BDD manager: node arena, unique table and operation caches.
+//! The BDD manager: node arena, unique table and computed table.
 
-use std::collections::hash_map::Entry;
 use std::fmt;
 
-use crate::hash::WordMap;
+use crate::computed::{ComputedTable, INITIAL_SLOTS, OP_TAG};
+use crate::hash::hash3;
 use crate::memo::ScratchCell;
 
 /// A BDD variable, identified by its numeric id.
@@ -82,12 +82,19 @@ pub struct Node {
     pub high: Bdd,
 }
 
+/// The unique table keeps at least this many buckets per node. Chains
+/// then average under a quarter of a link, so most lookups of a new node
+/// read one empty bucket head: with one bucket per node instead,
+/// restricting a compiled diagram (whose nodes are mostly new) was slower
+/// than with the hash map this table replaced.
+const BUCKETS_PER_NODE: usize = 4;
+
 /// Sentinel level assigned to the two terminal nodes: compares greater than
 /// every real variable so terminals sort below all interior nodes.
 pub(crate) const TERMINAL_LEVEL: u32 = u32::MAX;
 
-/// Binary operation identifiers for the operation cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Binary operation identifiers for the computed table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Op {
     And,
     Or,
@@ -108,12 +115,21 @@ pub(crate) enum Op {
 /// which truncates the arena back to the mark, is the only way nodes
 /// are freed.
 ///
+/// Two tables sit beside the arena. The unique table chains the nodes
+/// by the hash of their `(var, low, high)`: one bucket head per
+/// power-of-two bucket, at least four buckets per node, and one `next` id
+/// per node, newest first in every chain. The computed table is one lossy
+/// memo of `apply`, `ite` and `not` with a quarter as many 20-byte slots
+/// as the unique table has buckets, up to 2^22 (see the `computed`
+/// module). So a node costs 12 B in the arena, 4 B of `next` and 16–32 B
+/// of bucket heads, plus 20–40 B of computed table below its cap.
+///
 /// # Panics
 ///
 /// All operations panic if the arena would exceed the configured node limit
-/// (default: 64 Mi nodes, whose arena alone takes 64 Mi × 12 B = 768 MiB;
-/// the unique table and the operation caches come on top); see
-/// [`Manager::set_node_limit`].
+/// (default: 64 Mi nodes, whose arena alone takes 64 Mi × 12 B = 768 MiB,
+/// and its unique table 1.25–2.25 GiB more; the computed table stops at
+/// 80 MiB); see [`Manager::set_node_limit`].
 ///
 /// # Example
 ///
@@ -130,10 +146,13 @@ pub(crate) enum Op {
 #[derive(Debug, Clone)]
 pub struct Manager {
     pub(crate) nodes: Vec<Node>,
-    pub(crate) unique: WordMap<(u32, u32, u32), u32>,
-    pub(crate) op_cache: WordMap<(Op, u32, u32), u32>,
-    pub(crate) ite_cache: WordMap<(u32, u32, u32), u32>,
-    pub(crate) not_cache: WordMap<u32, u32>,
+    /// Unique table: bucket → the newest node id of its chain, 0 for an
+    /// empty chain (the terminals are never interned).
+    pub(crate) heads: Vec<u32>,
+    /// Unique table: node id → the next older id of its chain, 0 ending
+    /// it. Parallel to `nodes`.
+    pub(crate) next: Vec<u32>,
+    pub(crate) computed: ComputedTable,
     num_vars: u32,
     node_limit: usize,
     /// Node-indexed scratch of the walks, reused from call to call.
@@ -167,10 +186,9 @@ impl Manager {
         };
         Manager {
             nodes: vec![terminal(0), terminal(1)],
-            unique: WordMap::default(),
-            op_cache: WordMap::default(),
-            ite_cache: WordMap::default(),
-            not_cache: WordMap::default(),
+            heads: vec![0; BUCKETS_PER_NODE * INITIAL_SLOTS],
+            next: vec![0, 0],
+            computed: ComputedTable::new(INITIAL_SLOTS),
             num_vars,
             node_limit: Self::DEFAULT_NODE_LIMIT,
             scratch: ScratchCell::default(),
@@ -206,13 +224,14 @@ impl Manager {
         self.nodes.len()
     }
 
-    /// Sets the maximum number of nodes the arena may hold.
+    /// Sets the maximum number of nodes the arena may hold, capped at
+    /// 2^31: node ids stay below the computed table's operation tag.
     ///
     /// # Panics
     ///
     /// Subsequent operations panic when the limit would be exceeded.
     pub fn set_node_limit(&mut self, limit: usize) {
-        self.node_limit = limit;
+        self.node_limit = limit.min(OP_TAG as usize);
     }
 
     /// Read access to a node. Terminals report a sentinel variable level.
@@ -276,45 +295,66 @@ impl Manager {
             "variable order violated: {} above children",
             var
         );
-        // One probe: the entry either holds the node or takes the new one.
-        match self.unique.entry((var.0, low.0, high.0)) {
-            Entry::Occupied(e) => Bdd(*e.get()),
-            Entry::Vacant(e) => {
-                assert!(
-                    self.nodes.len() < self.node_limit,
-                    "BDD node limit exceeded ({} nodes)",
-                    self.node_limit
-                );
-                let id = self.nodes.len() as u32;
-                self.nodes.push(Node { var, low, high });
-                e.insert(id);
-                Bdd(id)
+        let node = Node { var, low, high };
+        let bucket = self.bucket(&node);
+        let mut id = self.heads[bucket];
+        while id != 0 {
+            if self.nodes[id as usize] == node {
+                return Bdd(id);
             }
+            id = self.next[id as usize];
         }
+        assert!(
+            self.nodes.len() < self.node_limit,
+            "BDD node limit exceeded ({} nodes)",
+            self.node_limit
+        );
+        let id = self.nodes.len() as u32;
+        self.nodes.push(node);
+        self.next.push(self.heads[bucket]);
+        self.heads[bucket] = id;
+        if BUCKETS_PER_NODE * self.nodes.len() > self.heads.len() {
+            self.grow_tables();
+        }
+        Bdd(id)
     }
 
-    pub(crate) fn op_cache_get(&self, op: Op, f: Bdd, g: Bdd) -> Option<Bdd> {
-        self.op_cache.get(&(op, f.0, g.0)).map(|&id| Bdd(id))
+    /// The unique-table bucket of `node`'s chain.
+    #[inline]
+    pub(crate) fn bucket(&self, node: &Node) -> usize {
+        hash3(node.var.0, node.low.0, node.high.0) as usize & (self.heads.len() - 1)
     }
 
-    pub(crate) fn op_cache_put(&mut self, op: Op, f: Bdd, g: Bdd, r: Bdd) {
-        self.op_cache.insert((op, f.0, g.0), r.0);
+    /// The id interning `node`, found by walking its chain. Stops at a
+    /// link that does not descend or leaves the arena, so it ends on a
+    /// corrupt table too.
+    pub(crate) fn find(&self, node: &Node) -> Option<u32> {
+        let mut id = self.heads[self.bucket(node)];
+        let mut above = u32::MAX;
+        while id != 0 && id < above {
+            if self.nodes.get(id as usize)? == node {
+                return Some(id);
+            }
+            above = id;
+            id = *self.next.get(id as usize)?;
+        }
+        None
     }
 
-    pub(crate) fn ite_cache_get(&self, f: Bdd, g: Bdd, h: Bdd) -> Option<Bdd> {
-        self.ite_cache.get(&(f.0, g.0, h.0)).map(|&id| Bdd(id))
-    }
-
-    pub(crate) fn ite_cache_put(&mut self, f: Bdd, g: Bdd, h: Bdd, r: Bdd) {
-        self.ite_cache.insert((f.0, g.0, h.0), r.0);
-    }
-
-    pub(crate) fn not_cache_get(&self, f: Bdd) -> Option<Bdd> {
-        self.not_cache.get(&f.0).map(|&id| Bdd(id))
-    }
-
-    pub(crate) fn not_cache_put(&mut self, f: Bdd, r: Bdd) {
-        self.not_cache.insert(f.0, r.0);
+    /// Doubles the unique table once the arena outgrows a quarter of its
+    /// buckets, and the computed table with it. Relinking in id order
+    /// keeps every chain newest first.
+    #[cold]
+    fn grow_tables(&mut self) {
+        let buckets = 2 * self.heads.len();
+        self.heads.clear();
+        self.heads.resize(buckets, 0);
+        for id in 2..self.nodes.len() {
+            let bucket = self.bucket(&self.nodes[id]);
+            self.next[id] = self.heads[bucket];
+            self.heads[bucket] = id as u32;
+        }
+        self.computed.grow_to(buckets / BUCKETS_PER_NODE);
     }
 
     /// Number of nodes reachable from `f` (including the terminals reached).

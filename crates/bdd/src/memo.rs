@@ -226,12 +226,27 @@ pub(crate) struct Scratch {
     pub(crate) counts: Vec<(u128, u32)>,
     /// Depth-first stack of the reachability walks.
     pub(crate) stack: Vec<Bdd>,
+    /// `restrict_many`'s stack: the nodes whose restriction waits for a
+    /// child's.
+    pub(crate) frames: Vec<Frame>,
     /// Variable id → the value a restriction binds it to. All `None`
     /// between calls.
     pub(crate) binding: Vec<Option<bool>>,
     /// Variable id → whether `support` has met it. All `false` between
     /// calls.
     pub(crate) in_support: Vec<bool>,
+}
+
+/// A node on `restrict_many`'s stack, and what its restriction waits for.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Frame {
+    /// A bound node: its kept child's restriction is its own.
+    Bound(Bdd),
+    /// A free node, waiting for its low child's restriction.
+    Low(Bdd),
+    /// A free node with its low child's restriction, waiting for its high
+    /// child's.
+    High(Bdd, Bdd),
 }
 
 /// The manager's [`Scratch`], lent out for the length of one walk so

@@ -3,9 +3,10 @@
 
 use std::cmp::Reverse;
 
+use crate::computed::Key;
 use crate::hash::WordMap;
 use crate::manager::{Bdd, Manager, Op, Var, TERMINAL_LEVEL};
-use crate::memo::Scratch;
+use crate::memo::{Frame, Scratch};
 
 impl Manager {
     /// If-then-else: computes `(f ∧ g) ∨ (¬f ∧ h)`.
@@ -25,7 +26,7 @@ impl Manager {
         if g.is_true() && h.is_false() {
             return f;
         }
-        if let Some(r) = self.ite_cache_get(f, g, h) {
+        if let Some(r) = self.computed.get(Key::ite(f, g, h)) {
             return r;
         }
         let top = self.level(f).min(self.level(g)).min(self.level(h));
@@ -37,7 +38,7 @@ impl Manager {
         let low = self.ite(f0, g0, h0);
         let high = self.ite(f1, g1, h1);
         let r = self.mk(v, low, high);
-        self.ite_cache_put(f, g, h, r);
+        self.computed.put(Key::ite(f, g, h), r);
         r
     }
 
@@ -74,10 +75,10 @@ impl Manager {
                     unreachable!("both children are negated before their parent")
                 };
                 let r = self.mk(node.var, low, high);
-                self.not_cache_put(g, r);
+                self.computed.put(Key::not(g), r);
                 // Negation is an involution; prime the cache in both
                 // directions.
-                self.not_cache_put(r, g);
+                self.computed.put(Key::not(r), g);
                 done.push(r);
             } else if let Some(r) = self.not_known(g) {
                 done.push(r);
@@ -95,7 +96,7 @@ impl Manager {
         if f.is_terminal() {
             return Some(Bdd(1 - f.0));
         }
-        self.not_cache_get(f)
+        self.computed.get(Key::not(f))
     }
 
     fn apply(&mut self, op: Op, f: Bdd, g: Bdd) -> Bdd {
@@ -104,7 +105,7 @@ impl Manager {
         }
         // All three cached ops are commutative; normalise the key.
         let (f, g) = if f.0 <= g.0 { (f, g) } else { (g, f) };
-        if let Some(r) = self.op_cache_get(op, f, g) {
+        if let Some(r) = self.computed.get(Key::apply(op, f, g)) {
             return r;
         }
         let v = Var(self.level(f).min(self.level(g)));
@@ -113,7 +114,7 @@ impl Manager {
         let low = self.apply(op, f0, g0);
         let high = self.apply(op, f1, g1);
         let r = self.mk(v, low, high);
-        self.op_cache_put(op, f, g, r);
+        self.computed.put(Key::apply(op, f, g), r);
         r
     }
 
@@ -322,11 +323,7 @@ impl Manager {
             }
         }
         let r = match deepest {
-            Some(deepest) => {
-                s.seen.clear();
-                s.restricted.clear();
-                self.restrict_many_rec(f, deepest, &mut s)
-            }
+            Some(deepest) => self.restrict_walk(f, deepest, &mut s),
             None => f,
         };
         for &(v, _) in assignments {
@@ -341,31 +338,76 @@ impl Manager {
     /// `f` restricted by the bindings in `s`, none of them below level
     /// `deepest`. Memoised by node in `s`; a node whose children come
     /// back unchanged is its own restriction, with no unique-table probe.
-    fn restrict_many_rec(&mut self, f: Bdd, deepest: u32, s: &mut Scratch) -> Bdd {
-        if self.level(f) > deepest {
-            // A terminal, or a sub-diagram below every bound variable.
-            return f;
-        }
-        if let Some(p) = s.seen.position(f.0) {
-            return s.restricted[p];
-        }
-        let node = self.node(f);
-        let r = match s.binding[node.var.0 as usize] {
-            Some(true) => self.restrict_many_rec(node.high, deepest, s),
-            Some(false) => self.restrict_many_rec(node.low, deepest, s),
-            None => {
-                let low = self.restrict_many_rec(node.low, deepest, s);
-                let high = self.restrict_many_rec(node.high, deepest, s);
-                if low == node.low && high == node.high {
-                    f
-                } else {
-                    self.mk(node.var, low, high)
+    ///
+    /// Walks an explicit stack, so a binding deep in a long chain (one
+    /// wide OR gate) cannot overflow the call stack. The walk is the
+    /// recursive post-order: a bound node's kept child, or the low
+    /// subtree, then the high subtree, then the node. So it makes the same
+    /// nodes in the same order.
+    fn restrict_walk(&mut self, f: Bdd, deepest: u32, s: &mut Scratch) -> Bdd {
+        s.seen.clear();
+        s.restricted.clear();
+        let mut todo = std::mem::take(&mut s.frames);
+        todo.clear();
+        let mut g = f;
+        let r = 'walk: loop {
+            // Descend along bound and low edges to a node that needs no walk.
+            let mut r = loop {
+                if let Some(r) = self.restriction_known(g, deepest, s) {
+                    break r;
+                }
+                let node = self.node(g);
+                match s.binding[node.var.0 as usize] {
+                    Some(value) => {
+                        todo.push(Frame::Bound(g));
+                        g = if value { node.high } else { node.low };
+                    }
+                    None => {
+                        todo.push(Frame::Low(g));
+                        g = node.low;
+                    }
+                }
+            };
+            // Ascend, handing each restriction to the frame waiting for it.
+            loop {
+                match todo.pop() {
+                    None => break 'walk r,
+                    Some(Frame::Bound(p)) => {
+                        s.seen.push(p.0);
+                        s.restricted.push(r);
+                    }
+                    Some(Frame::Low(p)) => {
+                        todo.push(Frame::High(p, r));
+                        g = self.node(p).high;
+                        continue 'walk;
+                    }
+                    Some(Frame::High(p, low)) => {
+                        let node = self.node(p);
+                        r = if low == node.low && r == node.high {
+                            p
+                        } else {
+                            self.mk(node.var, low, r)
+                        };
+                        s.seen.push(p.0);
+                        s.restricted.push(r);
+                    }
                 }
             }
         };
-        s.seen.push(f.0);
-        s.restricted.push(r);
+        s.frames = todo;
         r
+    }
+
+    /// The restriction of `g` when it needs no walk: a terminal or a node
+    /// below every bound variable is its own, and a walked node's is
+    /// memoised.
+    #[inline]
+    fn restriction_known(&self, g: Bdd, deepest: u32, s: &Scratch) -> Option<Bdd> {
+        if self.level(g) > deepest {
+            Some(g)
+        } else {
+            s.seen.position(g.0).map(|p| s.restricted[p])
+        }
     }
 
     /// Existential quantification `∃ vars. f`.

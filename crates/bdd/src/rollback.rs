@@ -3,15 +3,13 @@
 //! A request that builds scratch diagrams (a restriction per what-if, a
 //! cause construction) takes a watermark first, extracts its answer as
 //! plain data, and rolls back. Everything made since the mark goes: the
-//! nodes, their unique-table entries, and every cached operation that
-//! names one of them. The arena, the unique table and the caches are
-//! then exactly as a manager that never ran the request would have them,
-//! up to cache entries over surviving nodes, which stay valid.
+//! nodes and their unique-table links. The arena and the unique table are
+//! then exactly as a manager that never ran the request would have them.
 //!
-//! The cost is linear in the nodes dropped, plus one pass over each
-//! operation cache that gained an entry since the mark. Restriction,
-//! evaluation and probability walks touch no cache, so rolling them back
-//! never scans one.
+//! The cost is linear in the nodes dropped and nothing else. The computed
+//! table is not scanned: the rollback bumps its epoch, and an entry
+//! written before it hits only if every node it names lies below every
+//! mark rolled back to (see the `computed` module).
 
 use crate::manager::Manager;
 
@@ -19,9 +17,6 @@ use crate::manager::Manager;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Watermark {
     nodes: usize,
-    op_cache: usize,
-    ite_cache: usize,
-    not_cache: usize,
 }
 
 impl Watermark {
@@ -37,9 +32,6 @@ impl Manager {
     pub fn watermark(&self) -> Watermark {
         Watermark {
             nodes: self.nodes.len(),
-            op_cache: self.op_cache.len(),
-            ite_cache: self.ite_cache.len(),
-            not_cache: self.not_cache.len(),
         }
     }
 
@@ -47,16 +39,11 @@ impl Manager {
     /// were. Handles at or past the mark become invalid, and the next
     /// new node takes index `mark.arena_size()`.
     ///
-    /// Each dropped node's unique-table entry goes with it. A cache that
-    /// gained entries since the mark loses those naming a dropped node,
-    /// as operand or result. Entries made before the mark cannot name
-    /// one: nodes are appended after their children, so nothing below
-    /// the mark points past it. A cache that did not grow is left alone.
-    ///
-    /// That size check holds for nested marks too. Caches only shrink
-    /// inside a rollback, and a rollback removes only entries made since
-    /// its own mark, so a cache no larger than at an outer mark has
-    /// gained nothing since it.
+    /// Each dropped node leaves the unique table: newest first, each is
+    /// the head of its chain, so unlinking it is one store. Nodes are
+    /// appended after their children, so nothing below the mark points
+    /// past it. A computed-table entry that names a dropped node never
+    /// hits again; entries over the nodes below the mark may.
     ///
     /// # Example
     ///
@@ -79,22 +66,14 @@ impl Manager {
         if dropped == 0 {
             return 0;
         }
-        for n in &self.nodes[keep..] {
-            self.unique.remove(&(n.var.0, n.low.0, n.high.0));
+        for id in (keep..self.nodes.len()).rev() {
+            let bucket = self.bucket(&self.nodes[id]);
+            debug_assert_eq!(self.heads[bucket] as usize, id, "chains are newest first");
+            self.heads[bucket] = self.next[id];
         }
         self.nodes.truncate(keep);
-        let live = |id: u32| (id as usize) < keep;
-        if self.op_cache.len() > mark.op_cache {
-            self.op_cache
-                .retain(|&(_, f, g), &mut r| live(f) && live(g) && live(r));
-        }
-        if self.ite_cache.len() > mark.ite_cache {
-            self.ite_cache
-                .retain(|&(f, g, h), &mut r| live(f) && live(g) && live(h) && live(r));
-        }
-        if self.not_cache.len() > mark.not_cache {
-            self.not_cache.retain(|&f, &mut r| live(f) && live(r));
-        }
+        self.next.truncate(keep);
+        self.computed.rolled_back(keep as u32);
         dropped
     }
 }

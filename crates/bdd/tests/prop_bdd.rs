@@ -453,6 +453,77 @@ fn rollback_restores_the_marked_arena() {
     assert!(dropped_any, "no case built anything to roll back");
 }
 
+/// Roots kept by the nested-rollback test: each with its expression and
+/// the arena size once it was built.
+type Kept = Vec<(bfl_bdd::Bdd, Expr, usize)>;
+
+/// Every kept root still has its expression's truth table, and the arena
+/// audits clean, every computed-table entry that may hit included.
+fn check_kept(m: &Manager, kept: &Kept, at: &str) {
+    for (f, e, _) in kept {
+        for bits in 0..(1u32 << NVARS) {
+            let got = m.eval(*f, |v| (bits >> v.index()) & 1 == 1);
+            assert_eq!(got, eval_expr(e, bits), "{at}: {e:?} at bits={bits:b}");
+        }
+    }
+    let audit = m.audit_with(usize::MAX);
+    assert!(audit.is_ok(), "{at}: {audit}");
+}
+
+/// Builds two new expressions, then those a rollback dropped.
+fn build_kept(m: &mut Manager, rng: &mut Rng, kept: &mut Kept, dropped: &mut Vec<Expr>, at: &str) {
+    // New expressions first and the dropped ones in reverse: rebuilt in
+    // their old order, they would take their old ids back.
+    let fresh = [arb_expr(rng), arb_expr(rng)];
+    for e in fresh.into_iter().chain(dropped.drain(..).rev()) {
+        let f = build_bdd(m, &e);
+        kept.push((f, e, m.arena_size()));
+    }
+    check_kept(m, kept, at);
+}
+
+fn roll_back_kept(
+    m: &mut Manager,
+    mark: bfl_bdd::Watermark,
+    kept: &mut Kept,
+    dropped: &mut Vec<Expr>,
+    at: &str,
+) {
+    m.rollback(mark);
+    let (stay, gone): (Kept, Kept) = kept.drain(..).partition(|k| k.2 <= mark.arena_size());
+    *kept = stay;
+    dropped.extend(gone.into_iter().map(|k| k.1));
+    check_kept(m, kept, at);
+}
+
+/// Nested watermarks: roll back to an inner mark, then to the outer mark
+/// below it, then to a mark above that. Between the rollbacks the
+/// dropped expressions are built again, so fresh nodes take the dropped
+/// ids and meet the operand pairs of entries written before: an entry
+/// over a dropped node that still hit would hand back a wrong function.
+#[test]
+fn nested_rollbacks_keep_every_result_and_a_clean_arena() {
+    for (case, mut rng) in cases().enumerate() {
+        let rng = &mut rng;
+        let mut m = Manager::new(NVARS);
+        let (mut kept, mut dropped) = (Kept::new(), Vec::new());
+        let at = |step: &str| format!("case {case}, {step}");
+        build_kept(&mut m, rng, &mut kept, &mut dropped, &at("base"));
+        let outer = m.watermark();
+        build_kept(&mut m, rng, &mut kept, &mut dropped, &at("outer"));
+        let inner = m.watermark();
+        build_kept(&mut m, rng, &mut kept, &mut dropped, &at("inner"));
+        roll_back_kept(&mut m, inner, &mut kept, &mut dropped, &at("back to inner"));
+        build_kept(&mut m, rng, &mut kept, &mut dropped, &at("after inner"));
+        roll_back_kept(&mut m, outer, &mut kept, &mut dropped, &at("back to outer"));
+        build_kept(&mut m, rng, &mut kept, &mut dropped, &at("after outer"));
+        let upper = m.watermark();
+        build_kept(&mut m, rng, &mut kept, &mut dropped, &at("upper"));
+        roll_back_kept(&mut m, upper, &mut kept, &mut dropped, &at("back to upper"));
+        build_kept(&mut m, rng, &mut kept, &mut dropped, &at("after upper"));
+    }
+}
+
 /// `sat_count_over` equals a brute-force count over universes with gaps
 /// and with variables outside the support.
 #[test]

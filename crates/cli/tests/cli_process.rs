@@ -105,11 +105,13 @@ fn wide_or_gate_checks_without_overflowing_the_stack() {
     let mut path = std::env::temp_dir();
     path.push(format!("bfl-cli-wide-{}.dft", std::process::id()));
     std::fs::write(&path, wide_or_gate(200_000)).unwrap();
-    // `forall T` and `exists !T` negate the gate's 200,000-node chain.
+    // `forall T` and `exists !T` negate the gate's 200,000-node chain,
+    // and a binding deep in it restricts all of the chain above.
     let runs = [
         ("exists T", "true\n"),
         ("forall T", "false\n"),
         ("exists !T", "true\n"),
+        ("exists T[e199990 := 0]", "true\n"),
     ]
     .map(|(query, expected)| {
         let out = bfl()
@@ -164,8 +166,7 @@ fn server_prepares_a_wide_or_gate_and_keeps_serving() {
     // The model has no quote or backslash, and its one newline is the
     // only character JSON needs escaped.
     let model = wide_or_gate(40_000).replace('\n', "\\n");
-    // `forall T` negates the restricted gate for its counterexamples. The
-    // binding is shallow: a deep one still overflows `restrict_many`.
+    // `forall T` negates the restricted gate for its counterexamples.
     for (op, request, holds) in [
         (
             "load",
@@ -190,6 +191,16 @@ fn server_prepares_a_wide_or_gate_and_keeps_serving() {
         (
             "eval",
             r#"{"op":"eval","session":"s1","plan":"p2","scenario":"e5 = 0"}"#.into(),
+            Some(false),
+        ),
+        (
+            "eval",
+            r#"{"op":"eval","session":"s1","plan":"p1","scenario":"e39990 = 0"}"#.into(),
+            Some(true),
+        ),
+        (
+            "eval",
+            r#"{"op":"eval","session":"s1","plan":"p2","scenario":"e39990 = 0"}"#.into(),
             Some(false),
         ),
         ("stats", r#"{"op":"stats"}"#.into(), None),

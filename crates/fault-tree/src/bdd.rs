@@ -11,7 +11,6 @@
 //! variables.
 
 use std::cmp::Reverse;
-use std::collections::HashMap;
 
 use bfl_bdd::{Bdd, Manager, Var};
 
@@ -43,7 +42,7 @@ pub struct TreeBdd {
     /// ordering position -> basic index (inverse of `position`).
     basic_of_position: Vec<usize>,
     /// element index -> translated BDD (lazily filled).
-    cache: HashMap<u32, Bdd>,
+    cache: Vec<Option<Bdd>>,
     /// Identity check: number of elements of the tree this was built for.
     tree_len: usize,
 }
@@ -82,7 +81,7 @@ impl TreeBdd {
             order,
             position,
             basic_of_position,
-            cache: HashMap::new(),
+            cache: vec![None; tree.len()],
             tree_len: tree.len(),
         }
     }
@@ -170,19 +169,18 @@ impl TreeBdd {
             self.tree_len,
             "TreeBdd used with a different tree"
         );
-        if let Some(&b) = self.cache.get(&(e.index() as u32)) {
+        if let Some(b) = self.cache[e.index()] {
             return b;
         }
         // Iterative post-order to avoid recursion limits on deep trees.
         let mut stack = vec![(e, false)];
         while let Some((x, expanded)) = stack.pop() {
-            if self.cache.contains_key(&(x.index() as u32)) {
+            if self.cache[x.index()].is_some() {
                 continue;
             }
             if let Some(bi) = tree.basic_index(x) {
                 let v = self.var_of_basic(bi);
-                let b = self.manager.var(v);
-                self.cache.insert(x.index() as u32, b);
+                self.cache[x.index()] = Some(self.manager.var(v));
                 continue;
             }
             if !expanded {
@@ -195,16 +193,16 @@ impl TreeBdd {
             let children: Vec<Bdd> = tree
                 .children(x)
                 .iter()
-                .map(|c| self.cache[&(c.index() as u32)])
+                .map(|c| self.cache[c.index()].unwrap_or_else(|| unreachable!("child first")))
                 .collect();
             let b = match tree.gate_type(x).unwrap_or_else(|| unreachable!("gate")) {
                 GateType::And => self.manager.and_all(children),
                 GateType::Or => self.manager.or_all(children),
                 GateType::Vot { k } => vot_threshold(&mut self.manager, &children, k),
             };
-            self.cache.insert(x.index() as u32, b);
+            self.cache[x.index()] = Some(b);
         }
-        self.cache[&(e.index() as u32)]
+        self.cache[e.index()].unwrap_or_else(|| unreachable!("translated root"))
     }
 
     /// Evaluates a BDD under a status vector (basic-index aligned).
@@ -224,7 +222,7 @@ impl TreeBdd {
     /// Bdd handles of every cached element translation, sorted and
     /// without repeats.
     pub fn roots(&self) -> Vec<Bdd> {
-        let mut roots: Vec<Bdd> = self.cache.values().copied().collect();
+        let mut roots: Vec<Bdd> = self.cache.iter().flatten().copied().collect();
         roots.sort_unstable();
         roots.dedup();
         roots
@@ -396,11 +394,7 @@ mod tests {
         let _ = tb.element_bdd(&tree, tree.top());
         // After translating the top, every element is cached.
         for e in tree.iter() {
-            assert!(
-                tb.cache.contains_key(&(e.index() as u32)),
-                "{}",
-                tree.name(e)
-            );
+            assert!(tb.cache[e.index()].is_some(), "{}", tree.name(e));
         }
     }
 
