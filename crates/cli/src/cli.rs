@@ -857,14 +857,16 @@ fn cmd_lint(args: &[String]) -> Result<String, String> {
     let ft_path = ft_path.ok_or("missing required option --ft <FILE>")?;
     let text =
         std::fs::read_to_string(&ft_path).map_err(|e| format!("cannot read `{ft_path}`: {e}"))?;
-    let model = galileo::parse(&text).map_err(|e| e.to_string())?;
-    let locations = model.locations.clone();
+    let mut model = galileo::parse(&text).map_err(|e| e.to_string())?;
     let has_intervals = model.has_intervals();
-    let mut builder = AnalysisSession::builder().probabilities(model.probabilities);
+    let mut builder =
+        AnalysisSession::builder().probabilities(std::mem::take(&mut model.probabilities));
     if has_intervals {
-        builder = builder.intervals(model.intervals);
+        builder = builder.intervals(std::mem::take(&mut model.intervals));
     }
-    let session = builder.build(model.tree);
+    // The model keeps its tree to resolve diagnostic subjects to source
+    // locations.
+    let session = builder.build(model.tree.clone());
 
     let mut diags = match &spec_path {
         None => session.lint(),
@@ -878,7 +880,7 @@ fn cmd_lint(args: &[String]) -> Result<String, String> {
     for d in &mut diags {
         // Model rules subject the raw element name; point them at the
         // declaration when the source text has one.
-        if let Some(&(line, col)) = locations.get(&d.subject) {
+        if let Some((line, col)) = model.location(&d.subject) {
             d.location = Some(format!("{ft_path}:{line}:{col}"));
         }
     }

@@ -1,9 +1,9 @@
 //! End-to-end runs of the `bfl` binary: a reader that closes the pipe
-//! early and counts past the 128-bit range end in a quiet exit or a
-//! one-line error, never in a panic, and gates of a few hundred
-//! thousand children compile without overflowing a stack. Each run is
-//! its own process, so an abort fails an assertion instead of the test
-//! harness.
+//! early, counts past the 128-bit range and listings of too many cut or
+//! path sets end in a quiet exit or a one-line error, never in a panic,
+//! and gates of a few hundred thousand children compile without
+//! overflowing a stack. Each run is its own process, so an abort fails
+//! an assertion instead of the test harness.
 
 // Test-support helpers outside `#[test]` fns: panicking is the
 // correct failure mode here, same as in the tests themselves.
@@ -13,7 +13,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Output, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn bfl() -> Command {
     Command::new(env!("CARGO_BIN_EXE_bfl"))
@@ -66,6 +66,52 @@ fn count_past_u128_is_an_error() {
         .output()
         .unwrap();
     assert_error(&out, "too many satisfying vectors");
+}
+
+/// Runs `bfl args` under a 2 GiB address-space cap, killed if it has not
+/// exited after `limit`: a listing that is not refused dies on the cap
+/// or the clock, not on the host's memory. Returns the output and the
+/// time to exit.
+fn bfl_capped(args: &[&str], limit: Duration) -> (Output, Duration) {
+    let mut child = Command::new("sh")
+        .args(["-c", r#"ulimit -v 2097152; exec "$0" "$@""#])
+        .arg(env!("CARGO_BIN_EXE_bfl"))
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let start = Instant::now();
+    while child.try_wait().unwrap().is_none() {
+        if start.elapsed() > limit {
+            child.kill().unwrap();
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    (child.wait_with_output().unwrap(), start.elapsed())
+}
+
+#[test]
+fn listings_of_too_many_sets_are_refused_with_their_count() {
+    // `top` of the 400-event tree has ~10^20 minimal path sets, and under
+    // the support scope ~1.7·10^16 minimal cut sets: the 39 events outside
+    // its cone are free.
+    let model = shipped_model("industrial-400.dft");
+    for (args, needle) in [
+        (
+            vec!["mps", "--ft", &model],
+            "`top` has 105102678385520640000 minimal path sets",
+        ),
+        (
+            vec!["mcs", "--support-scope", "--ft", &model],
+            "`top` has 16999549277044736 minimal cut sets",
+        ),
+    ] {
+        let (out, took) = bfl_capped(&args, Duration::from_secs(60));
+        assert_error(&out, needle);
+        assert!(took < Duration::from_secs(10), "{args:?} took {took:?}");
+    }
 }
 
 #[test]

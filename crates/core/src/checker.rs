@@ -24,6 +24,15 @@ use bfl_fault_tree::{FaultTree, StatusVector, VariableOrdering};
 use crate::ast::{CmpOp, Formula, Query};
 use crate::error::BflError;
 
+/// The most minimal cut or path sets one listing returns
+/// ([`ModelChecker::minimal_cut_sets`],
+/// [`AnalysisSession::minimal_cut_sets`](crate::AnalysisSession::minimal_cut_sets)
+/// and their path-set twins). A larger family is refused with
+/// [`BflError::TooManySets`] after counting it, which is cheap where
+/// listing it would exhaust memory: `industrial-400`'s `top` has
+/// ~10^20 minimal path sets.
+pub const MAX_LISTED_SETS: u128 = 1_000_000;
+
 /// Which variables the `MCS`/`MPS` minimality quantifier ranges over.
 ///
 /// The paper's *formal* semantics (Section III-B) compares whole status
@@ -473,9 +482,10 @@ impl ModelChecker {
     ///
     /// # Errors
     ///
-    /// [`BflError::UnknownElement`] if `e` is not in the tree.
+    /// [`BflError::UnknownElement`] if `e` is not in the tree, and
+    /// [`BflError::TooManySets`] past [`MAX_LISTED_SETS`] sets.
     pub fn minimal_cut_sets(&mut self, e: &str) -> Result<Vec<Vec<String>>, BflError> {
-        let vectors = self.satisfying_vectors(&Formula::atom(e).mcs())?;
+        let vectors = self.listable_sets(e, true)?;
         Ok(self.vectors_to_failed_sets(&vectors))
     }
 
@@ -484,9 +494,9 @@ impl ModelChecker {
     ///
     /// # Errors
     ///
-    /// [`BflError::UnknownElement`] if `e` is not in the tree.
+    /// As [`ModelChecker::minimal_cut_sets`].
     pub fn minimal_path_sets(&mut self, e: &str) -> Result<Vec<Vec<String>>, BflError> {
-        let vectors = self.satisfying_vectors(&Formula::atom(e).mps())?;
+        let vectors = self.listable_sets(e, false)?;
         let mut out: Vec<Vec<String>> = vectors
             .iter()
             .map(|v| {
@@ -500,6 +510,22 @@ impl ModelChecker {
             .collect();
         out.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
         Ok(out)
+    }
+
+    /// The satisfying vectors of `MCS(e)` (`cuts`) or `MPS(e)`, counted
+    /// first, as `bfl count` counts them: a family of more than
+    /// [`MAX_LISTED_SETS`] is refused before a vector is built.
+    fn listable_sets(&mut self, e: &str, cuts: bool) -> Result<Vec<StatusVector>, BflError> {
+        let atom = Formula::atom(e);
+        let f = self.formula_bdd(&if cuts { atom.mcs() } else { atom.mps() })?;
+        match self.count_vectors_of_bdd(f) {
+            Some(n) if n <= MAX_LISTED_SETS => Ok(self.vectors_of_bdd(f, usize::MAX)),
+            count => Err(BflError::TooManySets {
+                element: e.to_string(),
+                cuts,
+                count,
+            }),
+        }
     }
 
     /// Renders vectors as sorted lists of failed-event names.

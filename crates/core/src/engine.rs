@@ -67,7 +67,7 @@ use std::time::Instant;
 use bfl_fault_tree::{prob, FaultTree, StatusVector, VariableOrdering};
 
 use crate::ast::{Formula, Query};
-use crate::checker::{MinimalityScope, ModelChecker};
+use crate::checker::{MinimalityScope, ModelChecker, MAX_LISTED_SETS};
 use crate::counterexample::{counterexample, Counterexample, CounterexampleSet};
 use crate::error::BflError;
 use crate::lint;
@@ -704,7 +704,9 @@ impl AnalysisSession {
     ///
     /// # Errors
     ///
-    /// [`BflError::UnknownElement`] if `element` is not in the tree.
+    /// [`BflError::UnknownElement`] if `element` is not in the tree, and
+    /// [`BflError::TooManySets`] past [`MAX_LISTED_SETS`] sets, which are
+    /// counted before any is listed.
     pub fn minimal_cut_sets(&self, element: &str) -> Result<Vec<Vec<String>>, BflError> {
         self.cut_or_path_sets(element, true)
     }
@@ -715,7 +717,7 @@ impl AnalysisSession {
     ///
     /// # Errors
     ///
-    /// [`BflError::UnknownElement`] if `element` is not in the tree.
+    /// As [`AnalysisSession::minimal_cut_sets`].
     pub fn minimal_path_sets(&self, element: &str) -> Result<Vec<Vec<String>>, BflError> {
         self.cut_or_path_sets(element, false)
     }
@@ -737,10 +739,15 @@ impl AnalysisSession {
             .element(element)
             .ok_or_else(|| BflError::UnknownElement(element.to_string()))?;
         let sets = if cuts {
-            analysis::minimal_cut_sets(tree, e)
+            analysis::minimal_cut_sets_within(tree, e, MAX_LISTED_SETS)
         } else {
-            analysis::minimal_path_sets(tree, e)
-        };
+            analysis::minimal_path_sets_within(tree, e, MAX_LISTED_SETS)
+        }
+        .map_err(|count| BflError::TooManySets {
+            element: element.to_string(),
+            cuts,
+            count,
+        })?;
         Ok(analysis::index_sets_to_names(tree, &sets))
     }
 
@@ -1254,6 +1261,51 @@ mod tests {
             global.minimal_cut_sets("e3").unwrap(),
             support.minimal_cut_sets("e3").unwrap()
         );
+    }
+
+    #[test]
+    fn listings_past_the_cap_are_refused_after_counting() {
+        // An AND of 21 two-event ORs: 2^21 minimal cut sets, one event
+        // from each OR, and 21 minimal path sets, one OR's pair each.
+        let mut b = bfl_fault_tree::FaultTreeBuilder::new();
+        let mut ors = Vec::new();
+        for i in 0..21 {
+            let (l, r, g) = (format!("l{i}"), format!("r{i}"), format!("or{i}"));
+            b.basic_events([&l, &r]).unwrap();
+            b.gate(&g, bfl_fault_tree::GateType::Or, [&l, &r]).unwrap();
+            ors.push(g);
+        }
+        b.gate("top", bfl_fault_tree::GateType::And, &ors).unwrap();
+        let tree = Arc::new(b.build("top").unwrap());
+        for scope in [
+            MinimalityScope::GlobalUniverse,
+            MinimalityScope::FormulaSupport,
+        ] {
+            let session = AnalysisSession::builder()
+                .minimality_scope(scope)
+                .build(Arc::clone(&tree));
+            match session.minimal_cut_sets("top") {
+                Err(BflError::TooManySets {
+                    element,
+                    cuts: true,
+                    count: Some(count),
+                }) => {
+                    assert_eq!((element.as_str(), count), ("top", 1 << 21), "{scope:?}");
+                }
+                other => panic!("{scope:?}: {other:?}"),
+            }
+            assert_eq!(session.minimal_path_sets("top").unwrap().len(), 21);
+            // `or0` has two minimal cut sets; the support scope leaves the
+            // 40 events outside its cone free, 2 · 2^40 vectors.
+            let or0 = session.minimal_cut_sets("or0").map(|sets| sets.len());
+            match scope {
+                MinimalityScope::GlobalUniverse => assert_eq!(or0, Ok(2)),
+                MinimalityScope::FormulaSupport => assert!(
+                    matches!(or0, Err(BflError::TooManySets { count: Some(n), .. }) if n == 2 << 40),
+                    "{or0:?}"
+                ),
+            }
+        }
     }
 
     #[test]

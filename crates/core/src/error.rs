@@ -3,6 +3,9 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::ast::Formula;
+use crate::checker::MAX_LISTED_SETS;
+
 /// Errors raised when interpreting a BFL formula against a fault tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -91,6 +94,18 @@ pub enum BflError {
         /// What was counted, e.g. "satisfying vectors of `top`".
         what: String,
     },
+    /// A listing of minimal cut or path sets was refused: the family has
+    /// more than [`MAX_LISTED_SETS`] members. It is counted before
+    /// anything is listed, so the refusal is cheap; `bfl count` on
+    /// `MCS(element)`/`MPS(element)` gives the number.
+    TooManySets {
+        /// The element whose sets were asked for.
+        element: String,
+        /// Cut sets (`true`) or path sets (`false`).
+        cuts: bool,
+        /// The number of sets, `None` past `u128::MAX`.
+        count: Option<u128>,
+    },
     /// An engine invariant was violated (a worker thread died without
     /// delivering its result, a poisoned lock left shared state
     /// unreadable). Replaces the `expect`/panic paths the sweep
@@ -147,6 +162,26 @@ impl fmt::Display for BflError {
             }
             BflError::CountOverflow { what } => {
                 write!(f, "too many {what} to count: more than 2^128 - 1")
+            }
+            BflError::TooManySets {
+                element,
+                cuts,
+                count,
+            } => {
+                let atom = Formula::atom(element.as_str());
+                let (kind, family) = if *cuts {
+                    ("cut", atom.mcs())
+                } else {
+                    ("path", atom.mps())
+                };
+                let count =
+                    count.map_or_else(|| "more than 2^128 - 1".to_string(), |n| n.to_string());
+                write!(
+                    f,
+                    "`{element}` has {count} minimal {kind} sets, more than the {MAX_LISTED_SETS} \
+                     a listing may hold; count them with `bfl count '{family}'` under the same \
+                     minimality scope"
+                )
             }
             BflError::Internal { context } => {
                 write!(f, "internal engine error: {context}")
@@ -214,6 +249,23 @@ mod tests {
         }
         .to_string()
         .contains("2^128"));
+        assert_eq!(
+            BflError::TooManySets {
+                element: "pump A".into(),
+                cuts: false,
+                count: Some(1_000_001),
+            }
+            .to_string(),
+            "`pump A` has 1000001 minimal path sets, more than the 1000000 a listing may hold; \
+             count them with `bfl count 'MPS(\"pump A\")'` under the same minimality scope"
+        );
+        assert!(BflError::TooManySets {
+            element: "top".into(),
+            cuts: true,
+            count: None,
+        }
+        .to_string()
+        .starts_with("`top` has more than 2^128 - 1 minimal cut sets"));
         assert!(e.to_string().contains("`cause`"));
         let e = BflError::UnsupportedMethod {
             method: "mc".into(),

@@ -226,6 +226,32 @@ pub fn count_minimal_path_sets(tree: &FaultTree, e: ElementId) -> Option<u128> {
     count_minimal_cut_sets(&dual_tree(tree), e)
 }
 
+/// [`minimal_cut_sets`] of `e` if there are at most `limit` of them;
+/// otherwise `Err` with their number (`None` past `u128::MAX`). The ZDD
+/// family is built once and counted before any set is listed, so a
+/// family too large to hold in memory is refused, not enumerated.
+pub fn minimal_cut_sets_within(
+    tree: &FaultTree,
+    e: ElementId,
+    limit: u128,
+) -> Result<Vec<Vec<usize>>, Option<u128>> {
+    let families = zdd_engine::cut_set_families(tree, e);
+    match families.count(e) {
+        Some(n) if n <= limit => Ok(canonicalise(families.sets(tree, e))),
+        count => Err(count),
+    }
+}
+
+/// [`minimal_path_sets`] of `e` within `limit`, as
+/// [`minimal_cut_sets_within`].
+pub fn minimal_path_sets_within(
+    tree: &FaultTree,
+    e: ElementId,
+    limit: u128,
+) -> Result<Vec<Vec<usize>>, Option<u128>> {
+    minimal_cut_sets_within(&dual_tree(tree), e, limit)
+}
+
 /// Exhaustive reference implementation of minimal cut sets (all `2^n`
 /// vectors); used by the test-suite as ground truth.
 ///
@@ -409,5 +435,30 @@ mod tests {
         assert_eq!(count_minimal_path_sets(&tree, tree.top()), Some(130));
         let dual = dual_tree(&tree);
         assert_eq!(count_minimal_path_sets(&dual, dual.top()), None);
+        assert_eq!(
+            minimal_cut_sets_within(&tree, tree.top(), u128::MAX),
+            Err(None)
+        );
+        assert_eq!(
+            minimal_path_sets_within(&tree, tree.top(), 130).map(|sets| sets.len()),
+            Ok(130)
+        );
+    }
+
+    #[test]
+    fn listing_within_a_limit_counts_first() {
+        let tree = corpus::covid();
+        let top = tree.top();
+        let (cuts, paths) = (minimal_cut_sets(&tree, top), minimal_path_sets(&tree, top));
+        assert_eq!(minimal_cut_sets_within(&tree, top, 12), Ok(cuts));
+        assert_eq!(minimal_cut_sets_within(&tree, top, 11), Err(Some(12)));
+        let n = paths.len() as u128;
+        assert_eq!(minimal_path_sets_within(&tree, top, n), Ok(paths));
+        assert_eq!(minimal_path_sets_within(&tree, top, n - 1), Err(Some(n)));
+        let chain = corpus::chain(10);
+        assert_eq!(
+            minimal_cut_sets_within(&chain, chain.top(), 1_000_000),
+            Err(count_minimal_cut_sets(&chain, chain.top()))
+        );
     }
 }

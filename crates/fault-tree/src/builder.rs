@@ -1,11 +1,7 @@
 //! Incremental construction of well-formed fault trees.
 
-use std::collections::HashMap;
-
 use crate::model::{Element, ElementId, ElementKind, FaultTree, FaultTreeError, GateType};
-
-/// A declared element: its name, and for gates the type and child names.
-type Declared = (String, Option<(GateType, Vec<String>)>);
+use crate::names::NameTable;
 
 /// A builder for [`FaultTree`]s.
 ///
@@ -29,8 +25,11 @@ type Declared = (String, Option<(GateType, Vec<String>)>);
 /// ```
 #[derive(Debug, Default)]
 pub struct FaultTreeBuilder {
-    declared: Vec<Declared>,
-    names: HashMap<String, usize>,
+    /// Declared names; a name's id is its declaration index.
+    names: NameTable,
+    /// Per declaration: `None` for a basic event, else the gate type and
+    /// the child names.
+    bodies: Vec<Option<(GateType, Vec<String>)>>,
 }
 
 impl FaultTreeBuilder {
@@ -44,19 +43,22 @@ impl FaultTreeBuilder {
         name: &str,
         body: Option<(GateType, Vec<String>)>,
     ) -> Result<(), FaultTreeError> {
-        if self.names.contains_key(name) {
-            return Err(FaultTreeError::DuplicateName(name.to_string()));
+        match self.names.intern(name) {
+            None => Err(FaultTreeError::NamesTooLong),
+            Some((_, false)) => Err(FaultTreeError::DuplicateName(name.to_string())),
+            Some((_, true)) => {
+                self.bodies.push(body);
+                Ok(())
+            }
         }
-        self.names.insert(name.to_string(), self.declared.len());
-        self.declared.push((name.to_string(), body));
-        Ok(())
     }
 
     /// Declares a basic event.
     ///
     /// # Errors
     ///
-    /// Returns [`FaultTreeError::DuplicateName`] if the name is taken.
+    /// Returns [`FaultTreeError::DuplicateName`] if the name is taken, and
+    /// [`FaultTreeError::NamesTooLong`] past 4 GiB of names.
     pub fn basic_event(&mut self, name: &str) -> Result<&mut Self, FaultTreeError> {
         self.declare(name, None)?;
         Ok(self)
@@ -66,7 +68,7 @@ impl FaultTreeBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`FaultTreeError::DuplicateName`] on the first taken name.
+    /// As [`FaultTreeBuilder::basic_event`], on the first name refused.
     pub fn basic_events<I, S>(&mut self, names: I) -> Result<&mut Self, FaultTreeError>
     where
         I: IntoIterator<Item = S>,
@@ -82,7 +84,7 @@ impl FaultTreeBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`FaultTreeError::DuplicateName`] if the name is taken.
+    /// As [`FaultTreeBuilder::basic_event`].
     pub fn gate<I, S>(
         &mut self,
         name: &str,
@@ -112,11 +114,11 @@ impl FaultTreeBuilder {
         let id = |name: &str| {
             self.names
                 .get(name)
-                .map(|&i| ElementId(i as u32))
+                .map(|i| ElementId(i as u32))
                 .ok_or_else(|| FaultTreeError::UnknownElement(name.to_string()))
         };
-        let mut elements = Vec::with_capacity(self.declared.len());
-        for (name, body) in &self.declared {
+        let mut elements = Vec::with_capacity(self.bodies.len());
+        for body in &self.bodies {
             let (kind, children) = match body {
                 None => (ElementKind::Basic, Vec::new()),
                 Some((t, child_names)) => (
@@ -127,14 +129,10 @@ impl FaultTreeBuilder {
                         .collect::<Result<_, _>>()?,
                 ),
             };
-            elements.push(Element {
-                name: name.clone(),
-                kind,
-                children,
-            });
+            elements.push(Element { kind, children });
         }
         let top = id(top)?;
-        FaultTree::new(elements, top)
+        FaultTree::new(elements, self.names.clone(), top)
     }
 }
 

@@ -22,11 +22,11 @@
 //! declaration order), then implicit ones (in first-reference order),
 //! then gates (in declaration order).
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
 use crate::model::{Element, ElementId, ElementKind, FaultTree, FaultTreeError, GateType};
+use crate::names::NameTable;
 use crate::prob::ProbInterval;
 
 /// A parsed Galileo model: the tree plus any `prob=` annotations.
@@ -45,14 +45,24 @@ pub struct GalileoModel {
     /// Basic-event interval bounds by basic index, `None` where no
     /// `prob=lo..hi` was given.
     pub intervals: Vec<Option<ProbInterval>>,
-    /// Source location of each *explicit* declaration: element name →
-    /// `(line, column)`, both 1-based. Implicitly declared basic events
-    /// (referenced but never defined) have no entry. Lint diagnostics
-    /// and tooling use this to print `file:line:col`.
-    pub locations: HashMap<String, (usize, usize)>,
+    /// Source location of each element's declaration, by
+    /// [`ElementId::index`]: `(line, column)`, both 1-based. Implicitly
+    /// declared basic events (referenced but never defined), and every
+    /// element of a generated model, have `None`. Lint diagnostics and
+    /// tooling use this to print `file:line:col`; [`GalileoModel::location`]
+    /// looks one up by name.
+    pub locations: Vec<Option<(usize, usize)>>,
 }
 
 impl GalileoModel {
+    /// The source location of the declaration of the element `name`, as
+    /// in [`GalileoModel::locations`]; `None` for an implicit or unknown
+    /// element.
+    pub fn location(&self, name: &str) -> Option<(usize, usize)> {
+        let e = self.tree.element(name)?;
+        self.locations.get(e.index()).copied().flatten()
+    }
+
     /// Whether any basic event carries an interval annotation.
     pub fn has_intervals(&self) -> bool {
         self.intervals.iter().any(Option::is_some)
@@ -322,29 +332,30 @@ enum Stmt<'a> {
     Body(Decl),
 }
 
-/// The name table: each name gets a slot the first time it appears, as
-/// a declaration or as a child.
-#[derive(Default)]
-struct Names<'a> {
-    slots: HashMap<&'a str, usize>,
-    /// Per slot: the name, and the line that declared it (0 while it is
-    /// only referenced).
-    entries: Vec<(&'a str, usize)>,
+/// The names read so far: each name gets a slot, its id in the table,
+/// the first time it appears, as a declaration or as a child.
+struct Names {
+    table: NameTable,
+    /// Per slot: the line that declared it, 0 while it is only referenced.
+    declared: Vec<usize>,
 }
 
-impl<'a> Names<'a> {
-    fn slot(&mut self, name: &'a str) -> usize {
-        let next = self.entries.len();
-        *self.slots.entry(name).or_insert_with(|| {
-            self.entries.push((name, 0));
-            next
-        })
+impl Names {
+    /// The slot of the name token at byte `at` of `line`.
+    fn slot(&mut self, name: &str, line: &mut Line<'_>, at: usize) -> Result<usize, GalileoError> {
+        let (slot, new) = self
+            .table
+            .intern(name)
+            .ok_or_else(|| line.error_at(at, FaultTreeError::NamesTooLong.to_string()))?;
+        if new {
+            self.declared.push(0);
+        }
+        Ok(slot)
     }
 }
 
-#[derive(Default)]
 struct Parser<'a> {
-    names: Names<'a>,
+    names: Names,
     /// Explicit declarations in source order.
     decls: Vec<Decl>,
     top: Option<&'a str>,
@@ -352,6 +363,19 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    /// A parser whose name table takes `names` names before it grows.
+    fn new(names: usize) -> Self {
+        Parser {
+            names: Names {
+                table: NameTable::with_capacity(names),
+                declared: Vec::with_capacity(names),
+            },
+            decls: Vec::new(),
+            top: None,
+            stmt: Stmt::Empty,
+        }
+    }
+
     /// Reads one line. Errors come in the order of a reader that lexes a
     /// whole line before parsing it: a lexical error anywhere on the line
     /// wins over a grammar error before it.
@@ -382,8 +406,8 @@ impl<'a> Parser<'a> {
             (Stmt::Empty, Token::Keyword("toplevel")) => Stmt::Toplevel { col: line.col(at) },
             (Stmt::Empty, Token::Name(name)) => {
                 let col = line.col(at);
-                let slot = self.names.slot(name);
-                let declared = &mut self.names.entries[slot].1;
+                let slot = self.names.slot(name, line, at)?;
+                let declared = &mut self.names.declared[slot];
                 if *declared > 0 {
                     return Err(
                         line.error(col, format!("`{name}` already defined on line {declared}"))
@@ -436,7 +460,7 @@ impl<'a> Parser<'a> {
             }
             (Stmt::Body(mut decl), token) => match (&mut decl.body, token) {
                 (Body::Gate { children, .. }, Token::Name(name)) => {
-                    children.push(self.names.slot(name));
+                    children.push(self.names.slot(name, line, at)?);
                     Stmt::Body(decl)
                 }
                 (Body::Gate { .. }, other) => {
@@ -477,7 +501,7 @@ impl<'a> Parser<'a> {
                 } = &decl.body
                 {
                     if children.is_empty() {
-                        let name = self.names.entries[decl.slot].0;
+                        let name = self.names.table.name(decl.slot);
                         return Err(line.error(decl.col, format!("gate `{name}` has no children")));
                     }
                 }
@@ -490,7 +514,8 @@ impl<'a> Parser<'a> {
     /// Checks what needs the whole model and assembles the tree. Element
     /// ids: explicit basic events in declaration order, then implicit
     /// ones (referenced, never declared) in first-reference order, then
-    /// gates in declaration order.
+    /// gates in declaration order. The name table is renumbered into that
+    /// order and becomes the tree's.
     fn finish(self) -> Result<GalileoModel, GalileoError> {
         let Parser {
             names, decls, top, ..
@@ -500,7 +525,10 @@ impl<'a> Parser<'a> {
             col: 0,
             message: "missing `toplevel` declaration".to_string(),
         })?;
-        let name = |slot: usize| names.entries[slot].0;
+        let Names {
+            mut table,
+            declared,
+        } = names;
         for d in &decls {
             if let Body::Gate {
                 children,
@@ -514,7 +542,7 @@ impl<'a> Parser<'a> {
                         col: d.col,
                         message: format!(
                             "gate `{}` declares VOT(_/{n}) but has {} children",
-                            name(d.slot),
+                            table.name(d.slot),
                             children.len()
                         ),
                     });
@@ -522,20 +550,22 @@ impl<'a> Parser<'a> {
             }
         }
 
-        let mut id = vec![ElementId(0); names.entries.len()];
-        let mut elements = Vec::with_capacity(names.entries.len());
+        // `order[k]` is the slot of element `k`; `id` is its inverse.
+        let mut order = Vec::with_capacity(table.len());
+        let mut id = vec![ElementId(0); table.len()];
+        let mut elements = Vec::with_capacity(table.len());
         let (mut probabilities, mut intervals) = (Vec::new(), Vec::new());
         let explicit = decls.iter().filter_map(|d| match d.body {
             Body::Basic { prob, interval } => Some((d.slot, prob, interval)),
             Body::Gate { .. } => None,
         });
-        let implicit = (0..names.entries.len())
-            .filter(|&slot| names.entries[slot].1 == 0)
+        let implicit = (0..table.len())
+            .filter(|&slot| declared[slot] == 0)
             .map(|slot| (slot, None, None));
         for (slot, prob, interval) in explicit.chain(implicit) {
-            id[slot] = ElementId(elements.len() as u32);
+            id[slot] = ElementId(order.len() as u32);
+            order.push(slot);
             elements.push(Element {
-                name: name(slot).to_owned(),
                 kind: ElementKind::Basic,
                 children: Vec::new(),
             });
@@ -552,28 +582,27 @@ impl<'a> Parser<'a> {
                 Body::Basic { .. } => None,
             })
         };
-        let first_gate = elements.len();
-        for (i, (slot, ..)) in gates().enumerate() {
-            id[slot] = ElementId((first_gate + i) as u32);
+        for (slot, ..) in gates() {
+            id[slot] = ElementId(order.len() as u32);
+            order.push(slot);
         }
-        for (slot, gate_type, children) in gates() {
+        for (_, gate_type, children) in gates() {
             elements.push(Element {
-                name: name(slot).to_owned(),
                 kind: ElementKind::Gate(gate_type),
                 children: children.iter().map(|&c| id[c]).collect(),
             });
         }
-        let locations = decls
-            .iter()
-            .map(|d| (name(d.slot).to_owned(), (d.line, d.col)))
-            .collect();
-        let top = names
-            .slots
+        let mut locations = vec![None; order.len()];
+        for d in &decls {
+            locations[id[d.slot].index()] = Some((d.line, d.col));
+        }
+        let top = table
             .get(top)
-            .map(|&slot| id[slot])
+            .map(|slot| id[slot])
             .ok_or_else(|| FaultTreeError::UnknownElement(top.to_owned()))?;
+        table.renumber(&order);
         Ok(GalileoModel {
-            tree: FaultTree::new(elements, top)?,
+            tree: FaultTree::new(elements, table, top)?,
             probabilities,
             intervals,
             locations,
@@ -589,12 +618,11 @@ impl<'a> Parser<'a> {
 /// grammatical problems, a missing/duplicate `toplevel`, duplicate
 /// definitions, or any well-formedness violation of the resulting tree.
 pub fn parse(input: &str) -> Result<GalileoModel, GalileoError> {
-    let mut parser = Parser::default();
     // Models usually declare one element per line: sizing the name table
     // for that spares it rehashing every name as it grows. The byte bound
     // keeps blank lines from inflating the reservation.
     let lines = input.bytes().filter(|&b| b == b'\n').count();
-    parser.names.slots.reserve(lines.min(input.len() / 16));
+    let mut parser = Parser::new(lines.min(input.len() / 16));
     for (i, text) in input.lines().enumerate() {
         parser.line(&mut Line::new(text, i + 1))?;
     }
@@ -1094,12 +1122,12 @@ mod tests {
     fn declaration_locations_recorded_and_round_trip() {
         let model =
             parse("toplevel T;\nT or g1 b;\n  g1 and \"x\" y;\nb prob=0.5;\n\"x\";\n").unwrap();
-        assert_eq!(model.locations.get("T"), Some(&(2, 1)));
-        assert_eq!(model.locations.get("g1"), Some(&(3, 3)));
-        assert_eq!(model.locations.get("b"), Some(&(4, 1)));
-        assert_eq!(model.locations.get("x"), Some(&(5, 1)));
+        assert_eq!(model.location("T"), Some((2, 1)));
+        assert_eq!(model.location("g1"), Some((3, 3)));
+        assert_eq!(model.location("b"), Some((4, 1)));
+        assert_eq!(model.location("x"), Some((5, 1)));
         // `y` is implicit: referenced, never declared, no location.
-        assert_eq!(model.locations.get("y"), None);
+        assert_eq!(model.location("y"), None);
 
         // Serialise and reparse: every element of the emitted text is an
         // explicit declaration, so the reparse locates all of them.
@@ -1107,7 +1135,7 @@ mod tests {
         let model2 = parse(&text).unwrap();
         for e in model2.tree.iter() {
             assert!(
-                model2.locations.contains_key(model2.tree.name(e)),
+                model2.location(model2.tree.name(e)).is_some(),
                 "{} has no location after round-trip",
                 model2.tree.name(e)
             );
@@ -1143,7 +1171,7 @@ mod tests {
         let names: Vec<&str> = model.tree.iter().map(|e| model.tree.name(e)).collect();
         assert_eq!(names, ["a", "x", "z", "y", "T", "G"]);
         assert_eq!(model.probabilities, [None, Some(0.5), None, None]);
-        assert_eq!(model.locations.get("z"), None);
+        assert_eq!(model.location("z"), None);
     }
 
     /// Asserts that two trees agree element for element: names, kinds,
@@ -1229,12 +1257,17 @@ mod tests {
             assert_eq!(interval_bits(model.intervals[new_bi]), interval_bits(iv));
         }
 
-        let mut locations = HashMap::new();
+        let mut locations = std::collections::HashMap::new();
         for (i, line) in text.lines().enumerate().skip(1) {
             let name = line.split('"').nth(1).unwrap();
-            locations.insert(name.to_string(), (i + 1, 1));
+            locations.insert(name, (i + 1, 1));
         }
-        assert_eq!(model.locations, locations);
+        for e in model.tree.iter() {
+            let name = model.tree.name(e);
+            assert_eq!(model.location(name), locations.get(name).copied(), "{name}");
+        }
+        let located = model.locations.iter().filter(|l| l.is_some()).count();
+        assert_eq!(located, locations.len());
     }
 
     #[test]
@@ -1290,10 +1323,11 @@ mod tests {
         for line in text.lines() {
             starts.push(starts.last().unwrap() + line.chars().count() + 1);
         }
-        for (name, &(line, col)) in &lines.locations {
+        for name in lines.tree.iter().map(|e| lines.tree.name(e)) {
+            let (line, col) = lines.location(name).unwrap();
             assert_eq!(
-                one_line.locations[name],
-                (1, starts[line - 1] + col),
+                one_line.location(name),
+                Some((1, starts[line - 1] + col)),
                 "{name}"
             );
         }

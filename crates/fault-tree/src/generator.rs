@@ -256,12 +256,13 @@ pub fn industrial_tree(config: &IndustrialConfig) -> FaultTree {
 pub fn industrial_model(config: &IndustrialConfig) -> GalileoModel {
     let (tree, probabilities) = build_industrial(config);
     let intervals = vec![None; tree.num_basic_events()];
+    // Generated models have no source text to point into.
+    let locations = vec![None; tree.len()];
     GalileoModel {
         tree,
         probabilities,
         intervals,
-        // Generated models have no source text to point into.
-        locations: Default::default(),
+        locations,
     }
 }
 

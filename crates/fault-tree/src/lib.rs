@@ -57,6 +57,7 @@ pub mod galileo;
 pub mod generator;
 pub mod model;
 pub mod modules;
+mod names;
 pub mod order;
 pub mod prob;
 pub mod rng;

@@ -1,9 +1,10 @@
 //! The fault-tree model of Definition 1: elements, gate types,
 //! well-formedness.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+
+use crate::names::NameTable;
 
 /// Identifier of a fault-tree element (basic or intermediate event).
 ///
@@ -62,7 +63,6 @@ pub(crate) enum ElementKind {
 
 #[derive(Debug, Clone)]
 pub(crate) struct Element {
-    pub(crate) name: String,
     pub(crate) kind: ElementKind,
     /// Children in declaration order; empty for basic events.
     pub(crate) children: Vec<ElementId>,
@@ -95,6 +95,9 @@ pub enum FaultTreeError {
     BasicTop(String),
     /// A basic event was given children.
     BasicWithChildren(String),
+    /// The element names total more than 4 GiB, the reach of the name
+    /// table's offsets.
+    NamesTooLong,
 }
 
 impl fmt::Display for FaultTreeError {
@@ -117,6 +120,7 @@ impl fmt::Display for FaultTreeError {
             FaultTreeError::BasicWithChildren(n) => {
                 write!(f, "basic event `{n}` cannot have children")
             }
+            FaultTreeError::NamesTooLong => write!(f, "element names exceed 4 GiB in total"),
         }
     }
 }
@@ -136,7 +140,8 @@ impl Error for FaultTreeError {}
 #[derive(Debug, Clone)]
 pub struct FaultTree {
     pub(crate) elements: Vec<Element>,
-    pub(crate) by_name: HashMap<String, ElementId>,
+    /// Element names; a name's id is its element's index.
+    pub(crate) names: NameTable,
     pub(crate) top: ElementId,
     /// Basic events in declaration order.
     pub(crate) basic: Vec<ElementId>,
@@ -145,19 +150,20 @@ pub struct FaultTree {
 }
 
 impl FaultTree {
-    /// Assembles a tree whose element ids are positions in `elements`,
-    /// derives the name and basic-event indices, and validates it. This is
-    /// the one constructor behind [`FaultTreeBuilder::build`] and
-    /// [`galileo::parse`]; both hand it unique names.
+    /// Assembles a tree whose element ids are positions in `elements` and
+    /// ids in `names`, derives the basic-event indices, and validates it.
+    /// This is the one constructor behind [`FaultTreeBuilder::build`] and
+    /// [`galileo::parse`]; both hand it a table with one name per
+    /// element, in element order.
     ///
     /// [`FaultTreeBuilder::build`]: crate::FaultTreeBuilder::build
     /// [`galileo::parse`]: crate::galileo::parse
-    pub(crate) fn new(elements: Vec<Element>, top: ElementId) -> Result<FaultTree, FaultTreeError> {
-        let by_name = elements
-            .iter()
-            .enumerate()
-            .map(|(i, el)| (el.name.clone(), ElementId(i as u32)))
-            .collect();
+    pub(crate) fn new(
+        elements: Vec<Element>,
+        names: NameTable,
+        top: ElementId,
+    ) -> Result<FaultTree, FaultTreeError> {
+        debug_assert_eq!(names.len(), elements.len(), "one name per element");
         let mut basic = Vec::new();
         let basic_index = elements
             .iter()
@@ -171,7 +177,7 @@ impl FaultTree {
             .collect();
         let tree = FaultTree {
             elements,
-            by_name,
+            names,
             top,
             basic,
             basic_index,
@@ -207,7 +213,7 @@ impl FaultTree {
 
     /// Looks an element up by name.
     pub fn element(&self, name: &str) -> Option<ElementId> {
-        self.by_name.get(name).copied()
+        self.names.get(name).map(|i| ElementId(i as u32))
     }
 
     /// Looks an element up by name, as a `Result`.
@@ -222,7 +228,7 @@ impl FaultTree {
 
     /// The name of an element.
     pub fn name(&self, e: ElementId) -> &str {
-        &self.elements[e.index()].name
+        self.names.name(e.index())
     }
 
     /// Whether `e` is a basic event.
@@ -300,24 +306,21 @@ impl FaultTree {
         }
         for e in self.iter() {
             let el = &self.elements[e.index()];
+            let name = || self.name(e).to_string();
             match el.kind {
                 ElementKind::Basic => {
                     if !el.children.is_empty() {
-                        return Err(FaultTreeError::BasicWithChildren(el.name.clone()));
+                        return Err(FaultTreeError::BasicWithChildren(name()));
                     }
                 }
                 ElementKind::Gate(t) => {
                     if el.children.is_empty() {
-                        return Err(FaultTreeError::EmptyChildren(el.name.clone()));
+                        return Err(FaultTreeError::EmptyChildren(name()));
                     }
                     if let GateType::Vot { k } = t {
                         let n = el.children.len();
                         if k == 0 || k as usize > n {
-                            return Err(FaultTreeError::VotArity {
-                                name: el.name.clone(),
-                                k,
-                                n,
-                            });
+                            return Err(FaultTreeError::VotArity { name: name(), k, n });
                         }
                     }
                 }

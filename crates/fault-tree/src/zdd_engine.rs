@@ -19,8 +19,7 @@
 
 use bfl_bdd::{Var, Zdd, ZddManager};
 
-use crate::builder::FaultTreeBuilder;
-use crate::model::{ElementId, FaultTree, GateType};
+use crate::model::{ElementId, ElementKind, FaultTree, GateType};
 use crate::order::VariableOrdering;
 
 /// The cut-set families of every element in the cone of one element.
@@ -166,29 +165,19 @@ fn vot_family(m: &mut ZddManager, children: &[Zdd], k: u32) -> Zdd {
 /// );
 /// ```
 pub fn dual_tree(tree: &FaultTree) -> FaultTree {
-    let mut b = FaultTreeBuilder::new();
-    for e in tree.iter() {
-        let name = tree.name(e);
-        match tree.gate_type(e) {
-            None => {
-                b.basic_event(name)
-                    .unwrap_or_else(|_| unreachable!("names are unique in a well-formed tree"));
-            }
-            Some(t) => {
-                let n = tree.children(e).len() as u32;
-                let dual_type = match t {
-                    GateType::And => GateType::Or,
-                    GateType::Or => GateType::And,
-                    GateType::Vot { k } => GateType::Vot { k: n - k + 1 },
-                };
-                let children = tree.children(e).iter().map(|&c| tree.name(c));
-                b.gate(name, dual_type, children)
-                    .unwrap_or_else(|_| unreachable!("names are unique"));
-            }
+    let mut dual = tree.clone();
+    for el in &mut dual.elements {
+        if let ElementKind::Gate(t) = &mut el.kind {
+            *t = match *t {
+                GateType::And => GateType::Or,
+                GateType::Or => GateType::And,
+                GateType::Vot { k } => GateType::Vot {
+                    k: el.children.len() as u32 - k + 1,
+                },
+            };
         }
     }
-    b.build(tree.name(tree.top()))
-        .unwrap_or_else(|_| unreachable!("dual of a well-formed tree is well-formed"))
+    dual
 }
 
 #[cfg(test)]
