@@ -115,6 +115,17 @@ fn listings_of_too_many_sets_are_refused_with_their_count() {
 }
 
 #[test]
+fn sat_of_too_many_vectors_is_refused_with_its_count() {
+    // `top` of the 400-event tree has about 2^400 satisfying vectors:
+    // counted first, the listing is refused before a vector is built.
+    let model = shipped_model("industrial-400.dft");
+    let (out, took) = bfl_capped(&["sat", "--ft", &model, "top"], Duration::from_secs(60));
+    assert_error(&out, "`top` has more than 2^128 - 1 satisfying vectors");
+    assert_error(&out, "bfl count 'top'");
+    assert!(took < Duration::from_secs(10), "took {took:?}");
+}
+
+#[test]
 fn cause_count_past_u128_is_an_error() {
     // VOT(67/133) with every event failed: C(133, 67) ≈ 7.5·10³⁸ minimal
     // causes, more than `u128::MAX`.

@@ -27,8 +27,10 @@ use crate::error::BflError;
 /// The most minimal cut or path sets one listing returns
 /// ([`ModelChecker::minimal_cut_sets`],
 /// [`AnalysisSession::minimal_cut_sets`](crate::AnalysisSession::minimal_cut_sets)
-/// and their path-set twins). A larger family is refused with
-/// [`BflError::TooManySets`] after counting it, which is cheap where
+/// and their path-set twins), and the most satisfying vectors
+/// [`ModelChecker::satisfying_vectors`] returns. A larger family is
+/// refused with [`BflError::TooManySets`] or
+/// [`BflError::TooManyVectors`] after counting it, which is cheap where
 /// listing it would exhaust memory: `industrial-400`'s `top` has
 /// ~10^20 minimal path sets.
 pub const MAX_LISTED_SETS: u128 = 1_000_000;
@@ -328,14 +330,23 @@ impl ModelChecker {
     }
 
     /// **Algorithm 3**: the satisfaction set `⟦χ⟧` as explicit status
-    /// vectors, in ascending order.
+    /// vectors, in ascending order. The set is counted first, as
+    /// `bfl count` counts it: one of more than [`MAX_LISTED_SETS`]
+    /// vectors is refused before a vector is built.
     ///
     /// # Errors
     ///
-    /// As for [`ModelChecker::formula_bdd`].
+    /// As for [`ModelChecker::formula_bdd`], plus
+    /// [`BflError::TooManyVectors`] past [`MAX_LISTED_SETS`] vectors.
     pub fn satisfying_vectors(&mut self, phi: &Formula) -> Result<Vec<StatusVector>, BflError> {
         let f = self.formula_bdd(phi)?;
-        Ok(self.vectors_of_bdd(f, usize::MAX))
+        match self.count_vectors_of_bdd(f) {
+            Some(n) if n <= MAX_LISTED_SETS => Ok(self.vectors_of_bdd(f, usize::MAX)),
+            count => Err(BflError::TooManyVectors {
+                formula: phi.to_string(),
+                count,
+            }),
+        }
     }
 
     /// Up to `limit` satisfying vectors of `phi` — Algorithm 3 truncated

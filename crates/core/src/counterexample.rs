@@ -150,7 +150,7 @@ pub fn is_valid_counterexample(
 ///
 /// # Errors
 ///
-/// As for [`ModelChecker::formula_bdd`].
+/// As for [`ModelChecker::satisfying_vectors`].
 pub fn all_counterexamples(
     mc: &mut ModelChecker,
     b: &StatusVector,
@@ -193,7 +193,7 @@ pub struct CounterexampleSet {
 ///
 /// # Errors
 ///
-/// As for [`ModelChecker::formula_bdd`].
+/// As for [`ModelChecker::satisfying_vectors`].
 pub fn some_counterexamples(
     mc: &mut ModelChecker,
     b: &StatusVector,
@@ -217,7 +217,7 @@ pub fn some_counterexamples(
 ///
 /// # Errors
 ///
-/// As for [`ModelChecker::formula_bdd`].
+/// As for [`ModelChecker::satisfying_vectors`].
 pub fn nearest_witnesses(
     mc: &mut ModelChecker,
     b: &StatusVector,

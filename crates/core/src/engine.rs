@@ -1295,6 +1295,14 @@ mod tests {
                 other => panic!("{scope:?}: {other:?}"),
             }
             assert_eq!(session.minimal_path_sets("top").unwrap().len(), 21);
+            // Each OR holds in 3 of its 4 vectors: 3^21 satisfy `top`.
+            match session.satisfying_vectors(&Formula::atom("top")) {
+                Err(BflError::TooManyVectors {
+                    formula,
+                    count: Some(count),
+                }) => assert_eq!((formula.as_str(), count), ("top", 3u128.pow(21))),
+                other => panic!("{scope:?}: {other:?}"),
+            }
             // `or0` has two minimal cut sets; the support scope leaves the
             // 40 events outside its cone free, 2 · 2^40 vectors.
             let or0 = session.minimal_cut_sets("or0").map(|sets| sets.len());

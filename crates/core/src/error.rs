@@ -106,6 +106,16 @@ pub enum BflError {
         /// The number of sets, `None` past `u128::MAX`.
         count: Option<u128>,
     },
+    /// A listing of satisfying vectors was refused: the satisfaction
+    /// set has more than [`MAX_LISTED_SETS`] members. It is counted
+    /// before anything is listed, so the refusal is cheap; `bfl count`
+    /// on the formula gives the number.
+    TooManyVectors {
+        /// Concrete syntax of the formula.
+        formula: String,
+        /// The number of satisfying vectors, `None` past `u128::MAX`.
+        count: Option<u128>,
+    },
     /// An engine invariant was violated (a worker thread died without
     /// delivering its result, a poisoned lock left shared state
     /// unreadable). Replaces the `expect`/panic paths the sweep
@@ -174,13 +184,20 @@ impl fmt::Display for BflError {
                 } else {
                     ("path", atom.mps())
                 };
-                let count =
-                    count.map_or_else(|| "more than 2^128 - 1".to_string(), |n| n.to_string());
+                let count = listing_count(*count);
                 write!(
                     f,
                     "`{element}` has {count} minimal {kind} sets, more than the {MAX_LISTED_SETS} \
                      a listing may hold; count them with `bfl count '{family}'` under the same \
                      minimality scope"
+                )
+            }
+            BflError::TooManyVectors { formula, count } => {
+                let count = listing_count(*count);
+                write!(
+                    f,
+                    "`{formula}` has {count} satisfying vectors, more than the {MAX_LISTED_SETS} \
+                     a listing may hold; count them with `bfl count '{formula}'`"
                 )
             }
             BflError::Internal { context } => {
@@ -191,6 +208,11 @@ impl fmt::Display for BflError {
 }
 
 impl Error for BflError {}
+
+/// The size of a refused listing, `None` being past `u128::MAX`.
+fn listing_count(count: Option<u128>) -> String {
+    count.map_or_else(|| "more than 2^128 - 1".to_string(), |n| n.to_string())
+}
 
 #[cfg(test)]
 mod tests {
@@ -266,6 +288,21 @@ mod tests {
         }
         .to_string()
         .starts_with("`top` has more than 2^128 - 1 minimal cut sets"));
+        assert_eq!(
+            BflError::TooManyVectors {
+                formula: "top & !\"pump A\"".into(),
+                count: Some(1_000_001),
+            }
+            .to_string(),
+            "`top & !\"pump A\"` has 1000001 satisfying vectors, more than the 1000000 a \
+             listing may hold; count them with `bfl count 'top & !\"pump A\"'`"
+        );
+        assert!(BflError::TooManyVectors {
+            formula: "top".into(),
+            count: None,
+        }
+        .to_string()
+        .starts_with("`top` has more than 2^128 - 1 satisfying vectors"));
         assert!(e.to_string().contains("`cause`"));
         let e = BflError::UnsupportedMethod {
             method: "mc".into(),

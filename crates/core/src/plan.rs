@@ -1482,7 +1482,7 @@ fn compile_operand(
     // diagram as the original; compiling the rewritten form keeps the
     // plan honest about what was built.
     let root = mc.formula_bdd(&current)?;
-    let support = mc.support_basic_names(root).len();
+    let support = mc.manager().support(root).len();
     let constant = if root.is_true() {
         Some(true)
     } else if root.is_false() {

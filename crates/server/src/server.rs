@@ -12,11 +12,13 @@
 //! * **shards** — `shards` threads, each owning a bounded set of
 //!   *nonblocking* connections multiplexed by a readiness loop
 //!   (the private `shard` module): read-accumulate lines → parse/admit →
-//!   enqueue → write-drain per-connection output buffers. Thread count
-//!   is fixed regardless of connection count;
+//!   enqueue → drain what is left in per-connection output buffers.
+//!   Thread count is fixed regardless of connection count;
 //! * **workers** — a fixed pool of `workers` threads popping jobs off
 //!   one bounded [`BoundedQueue`]; all analysis runs here, over the
-//!   shared [`Registry`].
+//!   shared [`Registry`], and each worker writes its response to the
+//!   connection's socket itself, leaving to the shard only what the
+//!   socket refuses.
 //!
 //! Backpressure is explicit at every layer: a full queue answers
 //! `busy`, a session past its in-flight cap answers `busy`, a server
@@ -565,7 +567,8 @@ fn worker_loop(shared: &Arc<Shared>) {
             Err((code, message)) => job.out.send(&Response::error(job.id, code, message)),
         }
         // `job` drops here: the ticket marks the connection quiescent
-        // (after the response is buffered) and any admission slot frees.
+        // (after the response is written or buffered), unparks its
+        // shard, and any admission slot frees.
     }
 }
 

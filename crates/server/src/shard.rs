@@ -11,18 +11,26 @@
 //!    with a structured `oversized` error, exactly like the previous
 //!    per-connection reader);
 //! 3. hand complete lines to the server (parse → admission → enqueue);
-//! 4. write-drain every connection's bounded output buffer
-//!    ([`ConnOut`]);
+//! 4. drain what is left in every connection's bounded output buffer
+//!    ([`ConnOut`]): the shard's own error lines, and the bytes a
+//!    worker's write could not place;
 //! 5. reap idle connections and close finished ones.
+//!
+//! Responses leave from the worker that made them. A worker's
+//! [`ConnOut::send`] writes its line to the nonblocking socket itself,
+//! under the lock that orders the connection's output, so a reply to a
+//! reading client reaches it without a thread switch. Only bytes the
+//! socket refuses stay buffered, and only then is the shard unparked to
+//! drain them.
 //!
 //! Thread count is therefore **constant in the connection count**:
 //! hundreds of concurrent connections are multiplexed over a handful of
 //! shard threads with bounded memory per connection. With no readiness
 //! syscall in std, the loop parks briefly when a full pass makes no
-//! progress ([`PARK_INTERVAL`]); workers and the acceptor `unpark` the
-//! shard the moment new output or a new connection is ready, so the
-//! loaded path never sleeps and the idle path costs a few wakeups per
-//! millisecond.
+//! progress ([`PARK_INTERVAL`]); workers `unpark` the shard when output
+//! is left pending or a job completes, and the acceptor when a new
+//! connection is ready, so the loaded path never sleeps and the idle
+//! path costs a few wakeups per millisecond.
 //!
 //! Flow control is explicit in both directions. A worker pushing a
 //! response blocks (with a stall timeout) once the connection's output
@@ -37,7 +45,7 @@
 //! without bound.
 
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::Thread;
@@ -217,33 +225,45 @@ impl OutBuf {
     }
 }
 
-/// The write half of one connection, shared between its shard (which
-/// drains it to the nonblocking socket) and every worker answering its
-/// jobs (which append response lines).
+/// One connection's nonblocking socket and the output buffer in front
+/// of it, shared between its shard (which reads requests and drains
+/// leftovers) and every worker answering its jobs (which write
+/// response lines through).
+///
+/// Every write to the socket happens under the buffer's lock, so bytes
+/// leave in the order they were appended, whichever thread writes
+/// them. A worker's `send` writes its line straight to the socket when
+/// nothing is pending; only what the socket refuses stays buffered,
+/// and only then is the shard unparked to drain it.
 ///
 /// Appends by workers are flow-controlled: past `high_water` pending
-/// bytes the worker blocks on a condvar until the shard drains the
-/// buffer, with [`WRITE_STALL_TIMEOUT`] as the overall deadline after
-/// which the connection is marked dead — a client that stops reading
-/// its socket stalls the workers answering its own requests for at most
-/// that long, and never wedges a shard (shards only ever take the lock
-/// for nonblocking byte shuffling).
+/// bytes the worker blocks on a condvar until the buffer drains, with
+/// [`WRITE_STALL_TIMEOUT`] as the overall deadline after which the
+/// connection is marked dead — a client that stops reading its socket
+/// stalls the workers answering its own requests for at most that long,
+/// and never wedges a shard (the lock is only ever held for nonblocking
+/// byte shuffling).
 #[derive(Debug)]
 pub(crate) struct ConnOut {
+    /// The one handle on the socket: the shard reads through
+    /// `&TcpStream`, and writers write under `state`'s lock.
+    stream: TcpStream,
     state: Mutex<OutBuf>,
     space: Condvar,
     dead: AtomicBool,
     /// Jobs enqueued for this connection and not yet answered.
     in_flight: AtomicUsize,
-    /// The owning shard's thread, unparked whenever output is appended
-    /// or a job completes.
+    /// The owning shard's thread, unparked when a `send` leaves bytes
+    /// the socket refused, when a write fails, and when a job completes.
     shard: Thread,
     high_water: usize,
 }
 
 impl ConnOut {
-    pub(crate) fn new(shard: Thread, high_water: usize) -> ConnOut {
+    /// Wraps a socket already switched to nonblocking mode.
+    pub(crate) fn new(stream: TcpStream, shard: Thread, high_water: usize) -> ConnOut {
         ConnOut {
+            stream,
             state: Mutex::new(OutBuf::default()),
             space: Condvar::new(),
             dead: AtomicBool::new(false),
@@ -261,6 +281,18 @@ impl ConnOut {
         self.dead.store(true, Ordering::Release);
         // Free any worker waiting for buffer space.
         self.space.notify_all();
+    }
+
+    /// Marks the connection dead and shuts its socket down, so the peer
+    /// sees the close now even while a job still holds this `ConnOut`.
+    fn close(&self) {
+        self.mark_dead();
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
+
+    /// Reads request bytes; only the owning shard calls this.
+    fn read(&self, buf: &mut [u8]) -> io::Result<usize> {
+        (&self.stream).read(buf)
     }
 
     pub(crate) fn pending(&self) -> usize {
@@ -283,14 +315,17 @@ impl ConnOut {
         self.shard.unpark();
     }
 
-    /// Appends a response line from a worker, blocking above the
-    /// high-water mark until the shard drains the buffer (or the stall
-    /// timeout declares the connection dead). A line larger than the
-    /// high-water mark on its own is admitted once the buffer is empty
-    /// — waiting for `pending + line` to fit would be unsatisfiable
-    /// and would kill the connection after the stall timeout — so
-    /// memory stays bounded at `max(high_water, one line)` and large
-    /// unstreamed responses drain incrementally.
+    /// Sends a response line from a worker: appends it, then writes
+    /// what the socket takes at once, so a reply to a reading client
+    /// leaves without waking the shard. The shard is unparked only for
+    /// bytes the socket refused or a failed write. Blocks above the
+    /// high-water mark until the buffer drains (or the stall timeout
+    /// declares the connection dead). A line larger than the high-water
+    /// mark on its own is admitted once the buffer is empty — waiting
+    /// for `pending + line` to fit would be unsatisfiable and would kill
+    /// the connection after the stall timeout — so memory stays bounded
+    /// at `max(high_water, one line)` and large unstreamed responses
+    /// drain incrementally.
     pub(crate) fn send(&self, response: &Response) {
         let mut line = response.to_json_line();
         line.push('\n');
@@ -319,9 +354,19 @@ impl ConnOut {
         if self.is_dead() {
             return;
         }
+        let backlog = state.pending() > 0;
         state.bytes.extend_from_slice(line.as_bytes());
+        let progress = self.drain(&mut state);
+        let pending = state.pending();
         drop(state);
-        self.shard.unpark();
+        // Workers wait for space only behind a backlog; draining one
+        // may have made room for them.
+        if backlog && progress && pending < self.high_water {
+            self.space.notify_all();
+        }
+        if pending > 0 || self.is_dead() {
+            self.shard.unpark();
+        }
     }
 
     /// Appends a response line from the shard itself — immediate
@@ -339,19 +384,30 @@ impl ConnOut {
         state.bytes.extend_from_slice(line.as_bytes());
     }
 
-    /// Drains buffered bytes into the nonblocking socket. Returns
-    /// whether any bytes moved; a hard write error marks the connection
-    /// dead.
-    fn write_to(&self, stream: &mut TcpStream) -> bool {
+    /// The shard's drain: writes buffered bytes to the socket and frees
+    /// any worker waiting for the space it made. Returns whether any
+    /// bytes moved.
+    fn write_to(&self) -> bool {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let progress = self.drain(&mut state);
+        let room = progress && state.pending() < self.high_water;
+        drop(state);
+        if room {
+            self.space.notify_all();
+        }
+        progress
+    }
+
+    /// Writes pending bytes into the nonblocking socket until it would
+    /// block, under the caller's hold of the state lock. Returns whether
+    /// any bytes moved; a hard write error marks the connection dead.
+    fn drain(&self, state: &mut OutBuf) -> bool {
         let mut progress = false;
         while state.pending() > 0 {
-            let at = state.written;
-            match stream.write(&state.bytes[at..]) {
+            match (&self.stream).write(&state.bytes[state.written..]) {
                 Ok(0) => {
-                    drop(state);
                     self.mark_dead();
-                    return progress;
+                    break;
                 }
                 Ok(n) => {
                     state.written += n;
@@ -360,18 +416,12 @@ impl ConnOut {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    drop(state);
                     self.mark_dead();
-                    return progress;
+                    break;
                 }
             }
         }
         state.compact(self.high_water);
-        let below_high_water = state.pending() < self.high_water;
-        drop(state);
-        if below_high_water {
-            self.space.notify_all();
-        }
         progress
     }
 }
@@ -422,7 +472,6 @@ pub(crate) struct ShardInbox {
 
 /// One connection owned by a shard.
 struct Conn {
-    stream: TcpStream,
     accum: LineAccumulator,
     out: Arc<ConnOut>,
     last_activity: Instant,
@@ -477,7 +526,11 @@ pub(crate) fn shard_loop<F>(
                     }
                     continue;
                 }
-                let out = Arc::new(ConnOut::new(std::thread::current(), opts.high_water));
+                let out = Arc::new(ConnOut::new(
+                    handoff.stream,
+                    std::thread::current(),
+                    opts.high_water,
+                ));
                 let closing = match &handoff.reject {
                     Some(notice) => {
                         out.push_line(notice);
@@ -486,7 +539,6 @@ pub(crate) fn shard_loop<F>(
                     None => false,
                 };
                 conns.push(Conn {
-                    stream: handoff.stream,
                     accum: LineAccumulator::new(opts.max_line_bytes),
                     out,
                     last_activity: Instant::now(),
@@ -515,7 +567,7 @@ pub(crate) fn shard_loop<F>(
                 && conn.out.pending() < conn.out.high_water
             {
                 for _ in 0..READ_BURST {
-                    match conn.stream.read(&mut scratch) {
+                    match conn.out.read(&mut scratch) {
                         Ok(0) => {
                             conn.eof = true;
                             if let Some(event) = conn.accum.finish() {
@@ -543,9 +595,10 @@ pub(crate) fn shard_loop<F>(
                 }
             }
 
-            // Write-drain the output buffer.
+            // Drain what workers' writes left buffered, and this pass's
+            // own error lines.
             if !conn.out.is_dead() {
-                progress |= conn.out.write_to(&mut conn.stream);
+                progress |= conn.out.write_to();
             }
 
             // Idle reaping: a connection with nothing in flight, nothing
@@ -567,7 +620,7 @@ pub(crate) fn shard_loop<F>(
                             idle.as_millis()
                         ),
                     ));
-                    conn.out.write_to(&mut conn.stream);
+                    conn.out.write_to();
                     conn.closing = true;
                     progress = true;
                 }
@@ -587,7 +640,7 @@ pub(crate) fn shard_loop<F>(
             }
             let overdue = conn.drain_deadline.is_some_and(|d| now >= d);
             if conn.out.is_dead() || (finishing && (conn.quiesced() || overdue)) {
-                conn.out.mark_dead();
+                conn.out.close();
                 if conn.counted {
                     counters.open_connections.fetch_sub(1, Ordering::AcqRel);
                 }
@@ -701,6 +754,25 @@ mod tests {
         assert_eq!(acc.finish(), Some(LineEvent::Oversized));
     }
 
+    /// A connected loopback pair: the client's end, and the served end
+    /// in nonblocking mode, as a shard adopts it.
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (served, _) = listener.accept().unwrap();
+        served.set_nonblocking(true).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        (client, served)
+    }
+
+    fn line_of(response: &Response) -> Vec<u8> {
+        let mut line = response.to_json_line().into_bytes();
+        line.push(b'\n');
+        line
+    }
+
     #[test]
     fn send_admits_a_line_larger_than_high_water_into_an_empty_buffer() {
         // Regression: `send` used to wait for `pending + line` to fit
@@ -710,17 +782,175 @@ mod tests {
         // dropping any unstreamed response bigger than the mark. An
         // oversized line must be admitted immediately when the buffer
         // is empty.
-        let out = ConnOut::new(std::thread::current(), 64);
-        let doc = "x".repeat(4096);
+        let (client, served) = socket_pair();
+        let out = ConnOut::new(served, std::thread::current(), 64);
+        let response = Response::ok(Some(1), "x".repeat(4096));
         let started = Instant::now();
-        out.send(&Response::ok(Some(1), doc));
+        out.send(&response);
         assert!(
             started.elapsed() < Duration::from_secs(1),
             "oversized line stalled: {:?}",
             started.elapsed()
         );
         assert!(!out.is_dead(), "oversized line killed the connection");
-        assert!(out.pending() > 4096, "line was not buffered");
+        let expected = line_of(&response);
+        let mut got = vec![0u8; expected.len()];
+        (&client).read_exact(&mut got).unwrap();
+        assert_eq!(got, expected, "line was not delivered whole");
+    }
+
+    #[test]
+    fn a_response_into_an_empty_buffer_reaches_the_client_without_a_shard() {
+        // No shard loop runs at all: the worker's own write delivers the
+        // line, nothing stays buffered, and the shard is not woken.
+        let (client, served) = socket_pair();
+        let out = ConnOut::new(served, std::thread::current(), 1 << 20);
+        std::thread::park_timeout(Duration::ZERO); // clear any stale token
+        let response = Response::ok(Some(3), "{\"holds\":true}");
+        out.send(&response);
+        assert_eq!(out.pending(), 0);
+        let expected = line_of(&response);
+        let mut got = vec![0u8; expected.len()];
+        (&client).read_exact(&mut got).unwrap();
+        assert_eq!(got, expected);
+        let parked = Instant::now();
+        std::thread::park_timeout(Duration::from_millis(100));
+        assert!(
+            parked.elapsed() >= Duration::from_millis(90),
+            "a fully written send unparked the shard"
+        );
+    }
+
+    #[test]
+    fn a_peer_that_stops_reading_leaves_the_rest_for_the_shard() {
+        // The socket takes what its buffers hold; the rest stays
+        // pending and the shard is unparked. A later line queues behind
+        // that rest even when the socket has room again, and once the
+        // peer reads, the shard's drain delivers both byte for byte.
+        let (client, served) = socket_pair();
+        // A mark above both lines, so the second `send` never waits.
+        let out = Arc::new(ConnOut::new(served, std::thread::current(), 32 << 20));
+        std::thread::park_timeout(Duration::ZERO);
+        let body: String = (0..16 << 20)
+            .map(|i| (b'a' + (i % 26) as u8) as char)
+            .collect();
+        let first = Response::ok(Some(9), format!("\"{body}\""));
+        let second = Response::ok(Some(10), "{\"holds\":false}");
+        let mut expected = line_of(&first);
+        expected.extend_from_slice(&line_of(&second));
+        out.send(&first);
+        let pending = out.pending();
+        assert!(
+            pending > 0 && pending < expected.len(),
+            "{pending} of {} bytes pending",
+            expected.len()
+        );
+        let parked = Instant::now();
+        std::thread::park_timeout(Duration::from_secs(5));
+        assert!(
+            parked.elapsed() < Duration::from_secs(4),
+            "bytes were left pending without unparking the shard"
+        );
+        let mut got = vec![0u8; expected.len()];
+        let head = 1 << 20;
+        (&client).read_exact(&mut got[..head]).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        out.send(&second);
+        let reader = std::thread::spawn(move || {
+            (&client).read_exact(&mut got[head..]).unwrap();
+            got == expected
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while out.pending() > 0 && Instant::now() < deadline {
+            if !out.write_to() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        assert_eq!(out.pending(), 0);
+        assert!(
+            reader.join().unwrap(),
+            "delivered bytes differ from the lines"
+        );
+        assert!(!out.is_dead());
+    }
+
+    #[test]
+    fn a_send_after_the_connection_died_is_dropped() {
+        // A peer that went away: writes fail, the connection is marked
+        // dead, and later sends are dropped without panicking.
+        let (client, served) = socket_pair();
+        let out = ConnOut::new(served, std::thread::current(), 1 << 20);
+        drop(client);
+        let response = Response::ok(Some(1), "{}");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !out.is_dead() && Instant::now() < deadline {
+            out.send(&response);
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(out.is_dead(), "writes to a closed peer never failed");
+        let pending = out.pending();
+        out.send(&response);
+        assert_eq!(out.pending(), pending);
+
+        // A connection the shard closed while a job still holds it: the
+        // peer sees the close at once, and the job's send is dropped.
+        let (client, served) = socket_pair();
+        let out = ConnOut::new(served, std::thread::current(), 1 << 20);
+        out.close();
+        out.send(&response);
+        assert_eq!(out.pending(), 0);
+        let mut buf = [0u8; 16];
+        assert_eq!((&client).read(&mut buf).unwrap(), 0, "peer not closed");
+    }
+
+    #[test]
+    fn concurrent_sends_arrive_as_whole_lines() {
+        // Four workers answer one connection at once with ~8 MB of
+        // lines. The client reads only after a pause, so the socket
+        // fills, a backlog builds, workers wait for space, and then
+        // write-through and the shard's drain race while it empties.
+        // Each line must arrive whole, and each worker's lines in its
+        // order.
+        use std::io::BufRead;
+        const WORKERS: usize = 4;
+        const LINES: usize = 40;
+        let doc = |t: usize, seq: usize| {
+            let pad: String = "0123456789".repeat(1_000 + 700 * ((t * 7 + seq) % 13));
+            format!("{{\"t\":{t},\"seq\":{seq},\"pad\":\"{pad}\"}}")
+        };
+        let (mut client, shutdown, _counters, handle) =
+            one_conn_shard(None, Duration::from_millis(25), move |out, _line| {
+                for t in 0..WORKERS {
+                    out.job_started();
+                    let out = Arc::clone(out);
+                    std::thread::spawn(move || {
+                        for seq in 0..LINES {
+                            out.send(&Response::ok(Some(t as u64), doc(t, seq)));
+                        }
+                        out.job_finished();
+                    });
+                }
+            });
+        client.write_all(b"{\"id\":1}\n").unwrap();
+        std::thread::sleep(Duration::from_millis(200));
+        let mut reader = std::io::BufReader::new(client);
+        let mut next = [0usize; WORKERS];
+        for _ in 0..WORKERS * LINES {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let response = Response::parse(line.trim_end()).expect("a whole line");
+            let t = response.id.unwrap() as usize;
+            let expected = line_of(&Response::ok(Some(t as u64), doc(t, next[t])));
+            assert!(
+                line.as_bytes() == expected,
+                "line of worker {t} out of order or torn"
+            );
+            next[t] += 1;
+        }
+        assert_eq!(next, [LINES; WORKERS]);
+        shutdown.store(true, Ordering::Release);
+        handle.thread().unpark();
+        handle.join().unwrap();
     }
 
     #[test]
@@ -861,8 +1091,10 @@ mod tests {
 
     #[test]
     fn conn_out_appends_and_tracks_in_flight() {
-        let out = ConnOut::new(std::thread::current(), 1 << 20);
+        let (_client, served) = socket_pair();
+        let out = ConnOut::new(served, std::thread::current(), 1 << 20);
         assert_eq!(out.pending(), 0);
+        // The shard's own lines are only appended; its pass drains them.
         out.push_line(&Response::ok(Some(1), "{}"));
         assert!(out.pending() > 0);
         assert_eq!(out.in_flight(), 0);
