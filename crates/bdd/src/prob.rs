@@ -134,6 +134,11 @@ impl Manager {
     /// The Shannon walk behind both probability walks: `leaves` are the
     /// values of `⊥` and `⊤`, and `step(v, low, high)` combines a node's
     /// children. Memoised per node in `memo`.
+    ///
+    /// Walks an explicit stack, so a long chain (one wide OR gate) cannot
+    /// overflow the call stack. The order is the recursive post-order
+    /// (the low subtree, then the high subtree, then the node), so every
+    /// node combines the same two values into the same bits.
     fn shannon<V: Copy, M: NodeMemo<V>>(
         &self,
         f: Bdd,
@@ -141,18 +146,40 @@ impl Manager {
         step: &impl Fn(Var, V, V) -> V,
         memo: &mut M,
     ) -> V {
-        if f.is_terminal() {
-            return leaves[f.id() as usize];
-        }
-        if let Some(p) = memo.get(f.id()) {
+        let known = |g: Bdd, memo: &M| {
+            if g.is_terminal() {
+                Some(leaves[g.id() as usize])
+            } else {
+                memo.get(g.id())
+            }
+        };
+        if let Some(p) = known(f, memo) {
             return p;
         }
-        let node = self.node(f);
-        let lo = self.shannon(node.low, leaves, step, memo);
-        let hi = self.shannon(node.high, leaves, step, memo);
-        let p = step(node.var, lo, hi);
-        memo.insert(f.id(), p);
-        p
+        // `(g, None)` asks for g's value; `(g, Some(v))` combines the
+        // values of g's children, which sit on top of `done`, high above
+        // low.
+        let mut todo = vec![(f, None)];
+        let mut done: Vec<V> = Vec::new();
+        while let Some((g, var)) = todo.pop() {
+            if let Some(var) = var {
+                let (Some(hi), Some(lo)) = (done.pop(), done.pop()) else {
+                    unreachable!("both children are walked before their parent")
+                };
+                let p = step(var, lo, hi);
+                memo.insert(g.id(), p);
+                done.push(p);
+            } else if let Some(p) = known(g, memo) {
+                done.push(p);
+            } else {
+                let node = self.node(g);
+                todo.push((g, Some(node.var)));
+                todo.push((node.high, None));
+                todo.push((node.low, None));
+            }
+        }
+        done.pop()
+            .unwrap_or_else(|| unreachable!("the root's value"))
     }
 }
 

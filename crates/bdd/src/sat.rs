@@ -137,28 +137,53 @@ impl Manager {
     /// The models of `f` over the universe variables from its own level
     /// down, and its position in `universe` (`universe.len()` for
     /// terminals): the number of universe variables above it.
+    ///
+    /// Walks an explicit stack in the recursive post-order (the low
+    /// subtree, then the high subtree, then the node), so a long chain
+    /// (one wide OR gate) cannot overflow the call stack.
     fn count_below(&self, f: Bdd, universe: &[Var], s: &mut Scratch) -> Option<(u128, u32)> {
         let end = universe.len() as u32;
-        if f.is_terminal() {
-            return Some((u128::from(f.is_true()), end));
+        let known = |g: Bdd, s: &Scratch| {
+            if g.is_terminal() {
+                Some((u128::from(g.is_true()), end))
+            } else {
+                s.seen.position(g.0).map(|p| s.counts[p])
+            }
+        };
+        if let Some(c) = known(f, s) {
+            return Some(c);
         }
-        if let Some(p) = s.seen.position(f.0) {
-            return Some(s.counts[p]);
+        // `(g, None)` asks for g's count; `(g, Some(pos))` combines the
+        // counts of g's children, which sit on top of `done`, high above
+        // low.
+        let mut todo = vec![(f, None)];
+        let mut done: Vec<(u128, u32)> = Vec::new();
+        while let Some((g, pos)) = todo.pop() {
+            if let Some(pos) = pos {
+                let (Some((hi, hi_pos)), Some((lo, lo_pos))) = (done.pop(), done.pop()) else {
+                    unreachable!("both children are counted before their parent")
+                };
+                let count =
+                    scale(lo, lo_pos - pos - 1)?.checked_add(scale(hi, hi_pos - pos - 1)?)?;
+                s.seen.push(g.0);
+                s.counts.push((count, pos));
+                done.push((count, pos));
+            } else if let Some(c) = known(g, s) {
+                done.push(c);
+            } else {
+                let node = self.node(g);
+                let pos = universe.partition_point(|&v| v < node.var);
+                assert!(
+                    universe.get(pos) == Some(&node.var),
+                    "support {} outside universe",
+                    node.var
+                );
+                todo.push((g, Some(pos as u32)));
+                todo.push((node.high, None));
+                todo.push((node.low, None));
+            }
         }
-        let node = self.node(f);
-        let pos = universe.partition_point(|&v| v < node.var);
-        assert!(
-            universe.get(pos) == Some(&node.var),
-            "support {} outside universe",
-            node.var
-        );
-        let pos = pos as u32;
-        let (lo, lo_pos) = self.count_below(node.low, universe, s)?;
-        let (hi, hi_pos) = self.count_below(node.high, universe, s)?;
-        let count = scale(lo, lo_pos - pos - 1)?.checked_add(scale(hi, hi_pos - pos - 1)?)?;
-        s.seen.push(f.0);
-        s.counts.push((count, pos));
-        Some((count, pos))
+        done.pop()
     }
 
     /// Iterates over all satisfying *paths* of `f` (the classical `AllSat`).

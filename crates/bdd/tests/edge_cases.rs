@@ -106,6 +106,23 @@ fn deep_chain_is_linear() {
 }
 
 #[test]
+fn a_chain_of_200_000_levels_is_weighed_and_counted_without_overflowing_the_stack() {
+    // One OR gate over 200,000 variables is a chain as deep as the gate
+    // is wide; the probability and the count walk all of it.
+    let n = 200_000;
+    let mut m = Manager::new(n);
+    let vars: Vec<_> = (0..n).map(|i| m.var(Var(i))).collect();
+    let f = m.or_all(vars);
+    let p = m.probability(f, |_| 0.00001);
+    let expected = 1.0 - (1.0_f64 - 0.00001).powi(n as i32);
+    assert!((p - expected).abs() < 1e-9, "{p} vs {expected}");
+    let universe: Vec<Var> = (0..n).map(Var).collect();
+    assert_eq!(m.sat_count_over(f, &universe), None, "2^200,000 - 1 models");
+    let nf = m.not(f);
+    assert_eq!(m.sat_count_over(nf, &universe), Some(1));
+}
+
+#[test]
 fn xor_chain_is_linear_not_exponential() {
     // Parity is the classical linear-BDD function.
     let n = 32;

@@ -13,8 +13,10 @@
 //! recompute-per-scenario), the `serve` artifact boots an in-process
 //! sharded `bfl-server`, replays a mixed check/eval/sweep/prob workload
 //! over 1→250 concurrent connections (multiplexed onto a bounded pool
-//! of driver threads) and writes `BENCH_serve.json` (p50/p99/p999
-//! latency with log-bucketed histograms, connect time kept out of the
+//! of driver threads) three times per connection count and writes
+//! `BENCH_serve.json` (the median and range of the wall time, p50 and
+//! p99 latency, p999 latency with log-bucketed histograms over every
+//! run, connect time kept out of the
 //! timed window and reported on its own, throughput scaling, proof the
 //! server thread count stays fixed as connections grow, warm vs cold
 //! plan hit rates, zero plan rebuilds on the warm path), and the `mc`
@@ -584,13 +586,63 @@ fn server_thread_count() -> Option<usize> {
     None
 }
 
+/// Runs per connection count in the `serve` artifact.
+const SERVE_REPEATS: usize = 3;
+
+/// The value at quantile `q` of ascending `sorted` (nearest rank).
+fn percentile(sorted: &[u64], q: f64) -> u64 {
+    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
+}
+
+/// The median and range of one figure over repeated runs.
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut runs: Vec<f64>) -> Spread {
+        runs.sort_by(f64::total_cmp);
+        Spread {
+            median: runs[runs.len() / 2],
+            min: runs[0],
+            max: runs[runs.len() - 1],
+        }
+    }
+
+    /// `median [min–max]` with `decimals` digits.
+    fn text(&self, decimals: usize) -> String {
+        format!(
+            "{:.d$} [{:.d$}–{:.d$}]",
+            self.median,
+            self.min,
+            self.max,
+            d = decimals
+        )
+    }
+
+    /// `{"median":…,"min":…,"max":…}` with `decimals` digits.
+    fn json(&self, decimals: usize) -> String {
+        format!(
+            "{{\"median\":{:.d$},\"min\":{:.d$},\"max\":{:.d$}}}",
+            self.median,
+            self.min,
+            self.max,
+            d = decimals
+        )
+    }
+}
+
 /// SERVE: the sharded analysis service under a mixed
 /// check/eval/sweep/prob workload replayed over 1→250 concurrent
 /// connections against an in-process `bfl-server`. A bounded pool of
 /// driver threads multiplexes the connections in lock-step rounds, so
 /// hundreds of sockets are genuinely open and in flight at once.
 /// Measures throughput and p50/p99/p999 latency (plus a log-bucketed
-/// latency histogram) per connection count, proves the server thread
+/// latency histogram) per connection count, over [`SERVE_REPEATS`] runs
+/// of each (median and range of the wall time, p50 and p99; p999 and the
+/// histogram over every run's latencies), proves the server thread
 /// count stays fixed while connections scale, and proves the warm path
 /// never rebuilds a plan (zero translation-cache misses across the
 /// measured phases). Writes the `BENCH_serve.json` artifact.
@@ -883,9 +935,12 @@ fn serve_bench(smoke: bool) {
     };
 
     // Measured phases: the same mixed workload over a rising connection
-    // count; every request is warm (scenario memos populated). The
-    // server thread count is sampled at each point — the whole point of
-    // the sharded architecture is that it must not move.
+    // count; every request is warm (scenario memos populated). Each count
+    // runs `SERVE_REPEATS` times, and the artifact keeps the median and
+    // the range of each figure, so one disturbed run shows as spread
+    // instead of as the result. The server thread count is sampled at
+    // each point — the whole point of the sharded architecture is that it
+    // must not move.
     let connection_counts: Vec<usize> = if smoke {
         vec![1, 8, 100]
     } else {
@@ -893,38 +948,53 @@ fn serve_bench(smoke: bool) {
     };
     println!(
         "workload: {total} requests (50% eval, 20% check, 20% prob, 10% sweep) · \
-         {shards} shards · {workers} workers"
+         {shards} shards · {workers} workers · medians [min–max] of {SERVE_REPEATS} runs"
     );
     println!(
-        "{:>12} {:>12} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "{:>12} {:>12} {:>22} {:>10} {:>20} {:>22} {:>10} {:>8}",
         "connections", "connect ms", "total ms", "req/s", "p50 µs", "p99 µs", "p999 µs", "threads"
     );
     let mut scaling_rows = String::new();
     let mut throughputs: Vec<f64> = Vec::new();
     let mut thread_samples: Vec<usize> = Vec::new();
     for &connections in &connection_counts {
-        let (connect_s, wall_s, mut latencies) = drive_phase(connections);
-        let threads = server_thread_count();
-        if let Some(n) = threads {
-            thread_samples.push(n);
+        let mut connect_ms = Vec::new();
+        let mut total_ms = Vec::new();
+        let mut p50s = Vec::new();
+        let mut p99s = Vec::new();
+        let mut pooled: Vec<u64> = Vec::new();
+        for _ in 0..SERVE_REPEATS {
+            let (connect_s, wall_s, mut latencies) = drive_phase(connections);
+            if let Some(n) = server_thread_count() {
+                thread_samples.push(n);
+            }
+            latencies.sort_unstable();
+            connect_ms.push(connect_s * 1000.0);
+            total_ms.push(wall_s * 1000.0);
+            p50s.push(percentile(&latencies, 0.50) as f64);
+            p99s.push(percentile(&latencies, 0.99) as f64);
+            pooled.extend(latencies);
         }
-        latencies.sort_unstable();
-        let percentile = |q: f64| -> u64 {
-            let idx = ((latencies.len() - 1) as f64 * q).round() as usize;
-            latencies[idx]
-        };
-        let (p50, p99, p999) = (percentile(0.50), percentile(0.99), percentile(0.999));
-        let hist = latency_histogram(&latencies);
-        let throughput = total as f64 / wall_s;
+        pooled.sort_unstable();
+        let p999 = percentile(&pooled, 0.999);
+        let hist = latency_histogram(&pooled);
+        let (connect, total_ms, p50, p99) = (
+            Spread::of(connect_ms),
+            Spread::of(total_ms),
+            Spread::of(p50s),
+            Spread::of(p99s),
+        );
+        let throughput = total as f64 / (total_ms.median / 1000.0);
         throughputs.push(throughput);
+        let threads = thread_samples.last().copied();
         println!(
-            "{:>12} {:>12.2} {:>12.2} {:>10.0} {:>10} {:>10} {:>10} {:>10}",
+            "{:>12} {:>12.2} {:>22} {:>10.0} {:>20} {:>22} {:>10} {:>8}",
             connections,
-            connect_s * 1000.0,
-            wall_s * 1000.0,
+            connect.median,
+            total_ms.text(2),
             throughput,
-            p50,
-            p99,
+            p50.text(0),
+            p99.text(0),
             p999,
             threads.map_or("n/a".to_string(), |n| n.to_string()),
         );
@@ -933,12 +1003,15 @@ fn serve_bench(smoke: bool) {
         }
         let hist_json: Vec<String> = hist.iter().map(|c| c.to_string()).collect();
         scaling_rows.push_str(&format!(
-            "{{\"connections\":{connections},\"driver_threads\":{},\"connect_ms\":{:.3},\"total_ms\":{:.3},\
-             \"throughput_rps\":{throughput:.1},\"p50_us\":{p50},\"p99_us\":{p99},\
-             \"p999_us\":{p999},\"server_threads\":{},\"histogram\":[{}]}}",
+            "{{\"connections\":{connections},\"driver_threads\":{},\"repeats\":{SERVE_REPEATS},\
+             \"connect_ms\":{:.3},\"total_ms\":{},\"throughput_rps\":{throughput:.1},\
+             \"p50_us\":{},\"p99_us\":{},\"p999_us\":{p999},\"server_threads\":{},\
+             \"histogram\":[{}]}}",
             connections.min(8),
-            connect_s * 1000.0,
-            wall_s * 1000.0,
+            connect.median,
+            total_ms.json(3),
+            p50.json(0),
+            p99.json(0),
             threads.map_or("null".to_string(), |n| n.to_string()),
             hist_json.join(",")
         ));

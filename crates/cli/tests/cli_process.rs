@@ -157,6 +157,21 @@ fn wide_or_gate(n: usize) -> String {
     model
 }
 
+/// [`wide_or_gate`] with every event failing with probability `p`, one
+/// annotation per line.
+fn wide_or_gate_with_probability(n: usize, p: f64) -> String {
+    let mut model = wide_or_gate(n);
+    for i in 0..n {
+        model.push_str(&format!("e{i} prob={p};\n"));
+    }
+    model
+}
+
+/// `P(T)` of [`wide_or_gate_with_probability`]: `1 − (1 − p)^n`.
+fn wide_or_gate_probability(n: usize, p: f64) -> f64 {
+    1.0 - (1.0 - p).powi(n as i32)
+}
+
 #[test]
 fn wide_or_gate_checks_without_overflowing_the_stack() {
     let mut path = std::env::temp_dir();
@@ -185,6 +200,40 @@ fn wide_or_gate_checks_without_overflowing_the_stack() {
     }
 }
 
+#[test]
+fn wide_or_gate_counts_and_weighs_without_overflowing_the_stack() {
+    // The probability and the model count walk the gate's 200,000-node
+    // chain from its root down to its last event.
+    let (n, p) = (200_000, 0.00001);
+    let mut annotated = std::env::temp_dir();
+    annotated.push(format!("bfl-cli-wide-prob-{}.dft", std::process::id()));
+    std::fs::write(&annotated, wide_or_gate_with_probability(n, p)).unwrap();
+    let mut plain = std::env::temp_dir();
+    plain.push(format!("bfl-cli-wide-count-{}.dft", std::process::id()));
+    std::fs::write(&plain, wide_or_gate(n)).unwrap();
+    let run = |args: &[&str]| bfl().args(args).output().unwrap();
+    let prob = run(&["prob", "--ft", &annotated.to_string_lossy()]);
+    let models_of_not = run(&["count", "--ft", &plain.to_string_lossy(), "!T"]);
+    let models = run(&["count", "--ft", &plain.to_string_lossy(), "T"]);
+    std::fs::remove_file(&annotated).unwrap();
+    std::fs::remove_file(&plain).unwrap();
+
+    let stderr = String::from_utf8_lossy(&prob.stderr);
+    assert!(prob.status.success(), "prob: {:?}: {stderr}", prob.status);
+    let value: f64 = String::from_utf8_lossy(&prob.stdout)
+        .trim()
+        .parse()
+        .unwrap();
+    let expected = wide_or_gate_probability(n, p);
+    assert!((value - expected).abs() < 1e-9, "{value} vs {expected}");
+    // Only the all-operational vector leaves the gate working.
+    let stderr = String::from_utf8_lossy(&models_of_not.stderr);
+    assert!(models_of_not.status.success(), "count: {stderr}");
+    assert_eq!(String::from_utf8_lossy(&models_of_not.stdout), "1\n");
+    // 2^200,000 − 1 vectors fail it: a refusal, counted to the end.
+    assert_error(&models, "too many satisfying vectors");
+}
+
 /// A `bfl serve` child, killed if the test fails before its shutdown.
 struct Server(Child);
 
@@ -195,8 +244,9 @@ impl Drop for Server {
     }
 }
 
-#[test]
-fn server_prepares_a_wide_or_gate_and_keeps_serving() {
+/// Spawns `bfl serve` with one worker and connects to it; returns the
+/// child, a writer and a reader on one connection.
+fn one_worker_server() -> (Server, TcpStream, BufReader<TcpStream>) {
     let mut server = Server(
         bfl()
             .args(["serve", "--addr", "127.0.0.1:0", "--workers", "1"])
@@ -218,8 +268,82 @@ fn server_prepares_a_wide_or_gate_and_keeps_serving() {
     stream
         .set_read_timeout(Some(Duration::from_secs(120)))
         .unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
+    let writer = stream.try_clone().unwrap();
+    (server, writer, BufReader::new(stream))
+}
+
+/// Sends one request line and returns its answer line, which must be ok.
+fn served(
+    writer: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+    op: &str,
+    request: &str,
+) -> String {
+    writer.write_all(request.as_bytes()).unwrap();
+    writer.write_all(b"\n").unwrap();
+    let mut answer = String::new();
+    reader.read_line(&mut answer).unwrap();
+    let head = answer.chars().take(300).collect::<String>();
+    assert!(answer.starts_with(r#"{"ok":true"#), "{op}: {head:?}");
+    answer
+}
+
+#[test]
+fn server_weighs_a_wide_or_gate_and_keeps_serving() {
+    let (mut server, mut writer, mut reader) = one_worker_server();
+    let (n, p) = (40_000, 0.00001);
+    // The model has no quote or backslash; its newlines are the only
+    // characters JSON needs escaped.
+    let model = wide_or_gate_with_probability(n, p).replace('\n', "\\n");
+    served(
+        &mut writer,
+        &mut reader,
+        "load",
+        &format!(r#"{{"op":"load","model":"{model}"}}"#),
+    );
+    served(
+        &mut writer,
+        &mut reader,
+        "prepare",
+        r#"{"op":"prepare","session":"s1","query":"P(T) <= 0.5"}"#,
+    );
+    let answer = served(
+        &mut writer,
+        &mut reader,
+        "prob",
+        r#"{"op":"prob","session":"s1","plan":"p1"}"#,
+    );
+    let value: f64 = answer
+        .split("\"probability\":")
+        .nth(1)
+        .and_then(|rest| rest.split(['}', ',']).next())
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no probability in {answer:?}"));
+    let expected = wide_or_gate_probability(n, p);
+    assert!((value - expected).abs() < 1e-9, "{value} vs {expected}");
+    // The verdict walks the restricted chain again, and the session keeps
+    // serving.
+    let answer = served(
+        &mut writer,
+        &mut reader,
+        "eval",
+        r#"{"op":"eval","session":"s1","plan":"p1","scenario":"e39990 = 0"}"#,
+    );
+    assert!(answer.contains("\"holds\":true"), "{answer}");
+    served(
+        &mut writer,
+        &mut reader,
+        "stats",
+        r#"{"op":"stats","session":"s1"}"#,
+    );
+    served(&mut writer, &mut reader, "shutdown", r#"{"op":"shutdown"}"#);
+    let status = server.0.wait().unwrap();
+    assert!(status.success(), "{status:?}");
+}
+
+#[test]
+fn server_prepares_a_wide_or_gate_and_keeps_serving() {
+    let (mut server, mut writer, mut reader) = one_worker_server();
     // The model has no quote or backslash, and its one newline is the
     // only character JSON needs escaped.
     let model = wide_or_gate(40_000).replace('\n', "\\n");
@@ -263,12 +387,8 @@ fn server_prepares_a_wide_or_gate_and_keeps_serving() {
         ("stats", r#"{"op":"stats"}"#.into(), None),
         ("shutdown", r#"{"op":"shutdown"}"#.into(), None),
     ] {
-        writer.write_all(request.as_bytes()).unwrap();
-        writer.write_all(b"\n").unwrap();
-        let mut answer = String::new();
-        reader.read_line(&mut answer).unwrap();
+        let answer = served(&mut writer, &mut reader, op, &request);
         let head = answer.chars().take(300).collect::<String>();
-        assert!(answer.starts_with(r#"{"ok":true"#), "{op}: {head:?}");
         if let Some(holds) = holds {
             assert!(
                 answer.contains(&format!("\"holds\":{holds}")),

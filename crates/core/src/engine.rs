@@ -61,7 +61,7 @@
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use bfl_fault_tree::{prob, FaultTree, StatusVector, VariableOrdering};
@@ -255,6 +255,8 @@ impl SessionBuilder {
                 intervals: self.intervals,
                 method: self.method,
                 sampler: SamplerCounters::default(),
+                point_vector: OnceLock::new(),
+                interval_vector: OnceLock::new(),
                 checker: Mutex::new(checker),
             }),
         }
@@ -277,6 +279,11 @@ pub(crate) struct SessionInner {
     /// Cumulative Monte Carlo counters (lock-free: estimation runs
     /// outside the checker lock).
     pub(crate) sampler: SamplerCounters,
+    /// [`SessionInner::full_probabilities`]' answer, built on first use:
+    /// the annotations never change after the build.
+    point_vector: OnceLock<Result<Vec<f64>, BflError>>,
+    /// [`SessionInner::full_intervals`]' answer, likewise.
+    interval_vector: OnceLock<Result<Vec<ProbInterval>, BflError>>,
     pub(crate) checker: Mutex<ModelChecker>,
 }
 
@@ -290,7 +297,9 @@ impl SessionInner {
     /// The complete, validated probability vector — the gate every
     /// *exact* probabilistic evaluation (session or prepared-plan)
     /// passes through, including Monte Carlo sampling (which needs a
-    /// point distribution to draw from).
+    /// point distribution to draw from). Built and validated once per
+    /// session, on first use, and lent out from then on; a failed
+    /// validation is kept too, so every call returns the same error.
     ///
     /// # Errors
     ///
@@ -302,7 +311,16 @@ impl SessionInner {
     /// event (or all of them when no annotations were configured);
     /// [`BflError::InvalidProbability`] if an annotation is outside
     /// `[0, 1]` or not finite.
-    pub(crate) fn full_probabilities(&self) -> Result<Vec<f64>, BflError> {
+    pub(crate) fn full_probabilities(&self) -> Result<&[f64], BflError> {
+        self.point_vector
+            .get_or_init(|| self.build_point_vector())
+            .as_deref()
+            .map_err(BflError::clone)
+    }
+
+    /// Builds and validates the vector [`SessionInner::full_probabilities`]
+    /// lends out.
+    fn build_point_vector(&self) -> Result<Vec<f64>, BflError> {
         let ranged = self.interval_event_names();
         if !ranged.is_empty() {
             return Err(BflError::IntervalProbabilities { events: ranged });
@@ -337,14 +355,24 @@ impl SessionInner {
     /// The complete, validated interval vector — the gate of
     /// [`Method::Interval`] evaluations. Point annotations widen to
     /// degenerate `[p, p]` intervals, so interval propagation over a
-    /// point-only model reproduces the exact walk bit for bit.
+    /// point-only model reproduces the exact walk bit for bit. Built once
+    /// per session, like [`SessionInner::full_probabilities`].
     ///
     /// # Errors
     ///
     /// [`BflError::MissingProbabilities`] naming every basic event with
     /// neither a point nor an interval annotation;
     /// [`BflError::InvalidProbability`] if any annotation is malformed.
-    pub(crate) fn full_intervals(&self) -> Result<Vec<ProbInterval>, BflError> {
+    pub(crate) fn full_intervals(&self) -> Result<&[ProbInterval], BflError> {
+        self.interval_vector
+            .get_or_init(|| self.build_interval_vector())
+            .as_deref()
+            .map_err(BflError::clone)
+    }
+
+    /// Builds and validates the vector [`SessionInner::full_intervals`]
+    /// lends out.
+    fn build_interval_vector(&self) -> Result<Vec<ProbInterval>, BflError> {
         let points = self.probabilities.as_deref().unwrap_or(&[]);
         let ranges = self.intervals.as_deref().unwrap_or(&[]);
         let mut missing = Vec::new();
@@ -390,16 +418,16 @@ impl SessionInner {
             Method::Exact => {
                 let probs = self.full_probabilities()?;
                 let p = match given {
-                    None => Some(quant::probability(mc, phi, &probs)?),
-                    Some(g) => quant::conditional_probability(mc, phi, g, &probs)?,
+                    None => Some(quant::probability(mc, phi, probs)?),
+                    Some(g) => quant::conditional_probability(mc, phi, g, probs)?,
                 };
                 Ok(p.map(ProbValue::Exact))
             }
             Method::Interval => {
                 let intervals = self.full_intervals()?;
                 let iv = match given {
-                    None => Some(quant::probability_interval(mc, phi, &intervals)?),
-                    Some(g) => quant::conditional_probability_interval(mc, phi, g, &intervals)?,
+                    None => Some(quant::probability_interval(mc, phi, intervals)?),
+                    Some(g) => quant::conditional_probability_interval(mc, phi, g, intervals)?,
                 };
                 Ok(iv.map(ProbValue::Interval))
             }
@@ -411,7 +439,7 @@ impl SessionInner {
                 let probs = self.full_probabilities()?;
                 let est = uncertainty::estimate_probability(
                     &self.tree,
-                    &probs,
+                    probs,
                     phi,
                     given,
                     pins,
@@ -822,7 +850,7 @@ impl AnalysisSession {
 
     /// The complete, validated probability vector (see
     /// [`SessionInner::full_probabilities`]).
-    fn full_probabilities(&self) -> Result<Vec<f64>, BflError> {
+    fn full_probabilities(&self) -> Result<&[f64], BflError> {
         self.inner.full_probabilities()
     }
 
@@ -833,7 +861,7 @@ impl AnalysisSession {
     /// [`BflError::MissingProbabilities`] if any annotation is absent.
     pub fn top_event_probability(&self) -> Result<f64, BflError> {
         let probs = self.full_probabilities()?;
-        prob::top_event_probability(&self.inner.tree, &probs)
+        prob::top_event_probability(&self.inner.tree, probs)
             .map_err(|reason| BflError::InvalidProbability { reason })
     }
 
@@ -845,7 +873,7 @@ impl AnalysisSession {
     /// [`BflError::MissingProbabilities`] or the checker's errors.
     pub fn formula_probability(&self, phi: &Formula) -> Result<f64, BflError> {
         let probs = self.full_probabilities()?;
-        quant::probability(&mut self.lock(), phi, &probs)
+        quant::probability(&mut self.lock(), phi, probs)
     }
 
     /// Conditional probability `P(ϕ | ψ) = P(ϕ ∧ ψ) / P(ψ)` under the
@@ -860,7 +888,7 @@ impl AnalysisSession {
         given: &Formula,
     ) -> Result<Option<f64>, BflError> {
         let probs = self.full_probabilities()?;
-        quant::conditional_probability(&mut self.lock(), phi, given, &probs)
+        quant::conditional_probability(&mut self.lock(), phi, given, probs)
     }
 
     /// `P(ϕ)` (or `P(ϕ | given)`) under `method` — or the session's
@@ -925,7 +953,7 @@ impl AnalysisSession {
     /// `be` is not a basic event of the tree.
     pub fn birnbaum(&self, phi: &Formula, be: &str) -> Result<f64, BflError> {
         let probs = self.full_probabilities()?;
-        quant::birnbaum(&mut self.lock(), phi, be, &probs)
+        quant::birnbaum(&mut self.lock(), phi, be, probs)
     }
 
     /// The batched importance suite: every basic event ranked by
@@ -941,7 +969,7 @@ impl AnalysisSession {
     /// checker's errors.
     pub fn rank_events(&self, phi: &Formula) -> Result<Vec<quant::EventImportance>, BflError> {
         let probs = self.full_probabilities()?;
-        quant::rank_events(&mut self.lock(), phi, &probs)
+        quant::rank_events(&mut self.lock(), phi, probs)
     }
 
     // ------------------------------------------------------------------
@@ -1054,7 +1082,7 @@ impl AnalysisSession {
                 // A ranking of an (almost surely) false formula is
                 // undefined: "does not hold" with an empty table, the
                 // same policy as the prepared-plan evaluator.
-                let rows = match quant::rank_events(mc, phi, &probs) {
+                let rows = match quant::rank_events(mc, phi, probs) {
                     Ok(rows) => Some(rows),
                     Err(BflError::DivisionByZero { .. }) => None,
                     Err(e) => return Err(e),
@@ -1330,6 +1358,40 @@ mod tests {
             .build(corpus::or2());
         let p = with.top_event_probability().unwrap();
         assert!((p - (1.0 - 0.9 * 0.8)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn annotation_vectors_are_built_once_and_lent_out() {
+        let session = AnalysisSession::builder()
+            .probabilities(vec![Some(0.1), Some(0.2)])
+            .build(corpus::or2());
+        let first = session.inner.full_probabilities().unwrap();
+        let again = session.inner.full_probabilities().unwrap();
+        assert_eq!(first, [0.1, 0.2]);
+        assert!(std::ptr::eq(first, again), "one vector per session");
+        let intervals = session.inner.full_intervals().unwrap();
+        assert!(std::ptr::eq(
+            intervals,
+            session.inner.full_intervals().unwrap()
+        ));
+        assert_eq!(intervals[1], ProbInterval::point(0.2).unwrap());
+        // A failed validation is kept: every call reports the same error.
+        let partial = AnalysisSession::builder()
+            .probabilities(vec![Some(0.1), None])
+            .build(corpus::or2());
+        let missing = BflError::MissingProbabilities {
+            events: vec!["e2".to_string()],
+        };
+        for _ in 0..2 {
+            assert_eq!(partial.inner.full_probabilities(), Err(missing.clone()));
+            assert_eq!(partial.inner.full_intervals(), Err(missing.clone()));
+        }
+        let invalid = AnalysisSession::builder()
+            .probabilities(vec![Some(0.1), Some(1.5)])
+            .build(corpus::or2());
+        let first = invalid.inner.full_probabilities().unwrap_err();
+        assert!(matches!(first, BflError::InvalidProbability { .. }));
+        assert_eq!(invalid.inner.full_probabilities().unwrap_err(), first);
     }
 
     #[test]

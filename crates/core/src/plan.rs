@@ -72,7 +72,7 @@
 //! ```
 
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -86,7 +86,8 @@ use crate::engine::{default_mc_threads, SessionInner};
 use crate::error::BflError;
 use crate::quant;
 use crate::report::{
-    json_estimate, json_interval, json_outcome, json_stats, json_str, EvalStats, Outcome,
+    json_stats, json_str, write_estimate, write_interval, write_json_str, write_or_null,
+    write_outcome, write_stats, EvalStats, Outcome,
 };
 use crate::rewrite::{desugar, simplify, to_nnf};
 use crate::scenario::{Scenario, ScenarioSet};
@@ -353,6 +354,9 @@ pub struct PreparedQuery {
     /// The compiled root(s), fixed at prepare. They sit below every
     /// later request's watermark, so no rollback drops them.
     compiled: Compiled,
+    /// A `cause` plan's own evidence, resolved as [`resolve_bindings`]
+    /// does; empty for other plans.
+    evidence: Vec<(usize, bool)>,
     plan: Plan,
     memo: Mutex<HashMap<Vec<(usize, bool)>, CachedEval>>,
     memo_hits: AtomicU64,
@@ -386,6 +390,14 @@ impl PreparedQuery {
     pub(crate) fn compile(inner: Arc<SessionInner>, psi: &Query) -> Result<Self, BflError> {
         let source = psi.to_string();
         let start = Instant::now();
+        // A cause query's own evidence is resolved once, here, so a bad
+        // binding fails at prepare, not on first eval. The bindings are
+        // applied per scenario (observationally: they do not restrict the
+        // compiled root).
+        let evidence = match psi {
+            Query::Cause { evidence, .. } => resolve_bindings(&inner.tree, evidence, &[])?,
+            _ => Vec::new(),
+        };
         let mut mc = inner.lock();
         let (hits0, misses0) = (mc.cache_hits(), mc.cache_misses());
         let (compiled, kind, operands, fast_path) = match psi {
@@ -462,14 +474,7 @@ impl PreparedQuery {
                     !phi.has_minimality_operator(),
                 )
             }
-            Query::Cause {
-                formula, evidence, ..
-            } => {
-                // Validate the query's own evidence at prepare time so a
-                // bad binding fails here, not on first eval; the bindings
-                // themselves are applied per scenario (observationally —
-                // they do not restrict the compiled root).
-                crate::semantics::observation_vector(&inner.tree, evidence)?;
+            Query::Cause { formula, .. } => {
                 let (op_plan, root) = compile_operand(&mut mc, "operand", formula)?;
                 (
                     Compiled::Cause { root },
@@ -499,6 +504,7 @@ impl PreparedQuery {
             query: psi.clone(),
             source,
             compiled,
+            evidence,
             plan,
             memo: Mutex::new(HashMap::new()),
             memo_hits: AtomicU64::new(0),
@@ -545,31 +551,19 @@ impl PreparedQuery {
     /// Resolves a scenario's bindings against the tree: basic indices,
     /// first-binding-wins for repeated events, sorted for memo keying.
     ///
-    /// `cause` plans carry evidence of their own; it is prepended so it
-    /// wins conflicts with scenario bindings, and so a scenario-extended
+    /// `cause` plans carry evidence of their own, resolved at prepare;
+    /// it wins conflicts with scenario bindings, so a scenario-extended
     /// observation and a query spelling the same evidence inline share
     /// one memo entry.
     fn resolve(&self, scenario: &Scenario) -> Result<Vec<(usize, bool)>, BflError> {
-        let tree = &self.inner.tree;
-        let own: &[(String, bool)] = match &self.query {
-            Query::Cause { evidence, .. } => evidence,
-            _ => &[],
-        };
-        let mut resolved: Vec<(usize, bool)> =
-            Vec::with_capacity(own.len() + scenario.bindings().len());
-        for (name, value) in own.iter().chain(scenario.bindings()) {
-            let e = tree
-                .element(name)
-                .ok_or_else(|| BflError::UnknownElement(name.clone()))?;
-            let bi = tree
-                .basic_index(e)
-                .ok_or_else(|| BflError::EvidenceOnGate(name.clone()))?;
-            if !resolved.iter().any(|&(b, _)| b == bi) {
-                resolved.push((bi, *value));
-            }
+        let mut key = resolve_bindings(&self.inner.tree, scenario.bindings(), &self.evidence)?;
+        if !self.evidence.is_empty() {
+            key.extend_from_slice(&self.evidence);
+            // Two sorted runs over distinct events: the stable sort merges
+            // them.
+            key.sort_by_key(|&(bi, _)| bi);
         }
-        resolved.sort_unstable_by_key(|&(bi, _)| bi);
-        Ok(resolved)
+        Ok(key)
     }
 
     /// Evaluates the prepared query under one scenario — BDD restriction
@@ -594,7 +588,20 @@ impl PreparedQuery {
     pub fn eval(&self, scenario: &Scenario) -> Result<Outcome, BflError> {
         let key = self.resolve(scenario)?;
         let probs = self.probabilities_if_needed()?;
-        self.eval_resolved(scenario, key, probs.as_deref())
+        self.eval_resolved(scenario, key, probs)
+    }
+
+    /// [`PreparedQuery::eval`] answered from the scenario memo alone: the
+    /// outcome `eval` returns when the plan has memoised `scenario`, and
+    /// `None` on a miss or on any error, which only `eval` reports. It
+    /// counts as the same memo hit. It takes only the memo's lock, never
+    /// the session's checker, so a server can answer a repeated what-if
+    /// without queueing it behind computations.
+    pub fn memoised_eval(&self, scenario: &Scenario) -> Option<Outcome> {
+        let start = Instant::now();
+        let key = self.resolve(scenario).ok()?;
+        self.probabilities_if_needed().ok()?;
+        self.memo_hit(scenario, &key, start)
     }
 
     /// Whether the plan compiles a `P(…) ▷◁ p` judgement — the shape
@@ -617,7 +624,7 @@ impl PreparedQuery {
 
     /// The session's validated probability vector, fetched only for
     /// plans that evaluate probabilities.
-    fn probabilities_if_needed(&self) -> Result<Option<Vec<f64>>, BflError> {
+    fn probabilities_if_needed(&self) -> Result<Option<&[f64]>, BflError> {
         if self.needs_probabilities() {
             Ok(Some(self.inner.full_probabilities()?))
         } else {
@@ -638,23 +645,42 @@ impl PreparedQuery {
         probs: Option<&[f64]>,
     ) -> Result<Outcome, BflError> {
         let start = Instant::now();
-        let cached = self.lookup(&key);
-        let (cached, memo_hit) = match cached {
-            Some(c) => {
-                self.memo_hits.fetch_add(1, Ordering::Relaxed);
-                (c, true)
-            }
-            None => {
-                let computed = self.restrict_and_judge(&key, probs)?;
-                self.memo_misses.fetch_add(1, Ordering::Relaxed);
-                self.memo
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .entry(key)
-                    .or_insert_with(|| computed.clone());
-                (computed, false)
-            }
-        };
+        if let Some(outcome) = self.memo_hit(scenario, &key, start) {
+            return Ok(outcome);
+        }
+        let computed = self.restrict_and_judge(&key, probs)?;
+        self.memo_misses.fetch_add(1, Ordering::Relaxed);
+        self.memo
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .entry(key)
+            .or_insert_with(|| computed.clone());
+        Ok(self.outcome(scenario, computed, false, start))
+    }
+
+    /// The hit path of [`PreparedQuery::eval_resolved`], shared with
+    /// [`PreparedQuery::memoised_eval`]: the outcome memoised under
+    /// `key`, counted as a hit.
+    fn memo_hit(
+        &self,
+        scenario: &Scenario,
+        key: &[(usize, bool)],
+        start: Instant,
+    ) -> Option<Outcome> {
+        let cached = self.lookup(key)?;
+        self.memo_hits.fetch_add(1, Ordering::Relaxed);
+        Some(self.outcome(scenario, cached, true, start))
+    }
+
+    /// The outcome of one scenario evaluation; `start` is when the
+    /// request began.
+    fn outcome(
+        &self,
+        scenario: &Scenario,
+        cached: CachedEval,
+        memo_hit: bool,
+        start: Instant,
+    ) -> Outcome {
         let label = scenario.name().map(str::to_string);
         let source = if scenario.is_baseline() {
             self.source.clone()
@@ -675,7 +701,7 @@ impl PreparedQuery {
             cache_misses: u64::from(!memo_hit),
             duration_micros: start.elapsed().as_micros(),
         };
-        Ok(o)
+        o
     }
 
     fn lookup(&self, key: &[(usize, bool)]) -> Option<CachedEval> {
@@ -965,7 +991,7 @@ impl PreparedQuery {
         let mut totals = EvalStats::default();
         let mut outcomes: Vec<Outcome> = Vec::with_capacity(set.len());
         for (scenario, key) in set.iter().zip(keys) {
-            let outcome = self.eval_resolved(scenario, key, probs.as_deref())?;
+            let outcome = self.eval_resolved(scenario, key, probs)?;
             totals.absorb(&outcome.stats);
             outcomes.push(outcome);
         }
@@ -1028,6 +1054,16 @@ impl PreparedQuery {
         self.eval(scenario)
     }
 
+    /// [`PreparedQuery::cause`] answered from the scenario memo alone, as
+    /// [`PreparedQuery::memoised_eval`] answers `eval`: `None` on a miss,
+    /// on any error, and on plans that are not `cause(…)` plans.
+    pub fn memoised_cause(&self, scenario: &Scenario) -> Option<Outcome> {
+        if !self.is_cause_plan() {
+            return None;
+        }
+        self.memoised_eval(scenario)
+    }
+
     /// **Sweeps causes**: [`PreparedQuery::cause`] for every scenario of
     /// the set, sharing the scenario memo exactly as
     /// [`PreparedQuery::sweep`] does — a warm sweep over seen observations
@@ -1077,7 +1113,7 @@ impl PreparedQuery {
         }
         let key = self.resolve(scenario)?;
         let probs = self.inner.full_probabilities()?;
-        match self.prob_eval_resolved(&key, &probs).probability {
+        match self.prob_eval_resolved(&key, probs).probability {
             Some(p) => Ok(p),
             None => Err(BflError::DivisionByZero {
                 context: format!(
@@ -1126,6 +1162,33 @@ impl PreparedQuery {
         self.probability_value_resolved(&key, method)
     }
 
+    /// [`PreparedQuery::probability_value`] answered from the plan's
+    /// memos alone: `Some(value)` where `probability_value` returns
+    /// `Ok(value)` for a scenario the plan has memoised under the exact
+    /// method, and `None` for the interval and Monte Carlo methods, on a
+    /// miss, and on any error. It reads the probability memo, then, on
+    /// `P(…) ▷◁ p` plans, the Boolean one, and counts the same hit. Like
+    /// [`PreparedQuery::memoised_eval`], it never takes the checker lock
+    /// or the node-keyed Shannon memo.
+    pub fn memoised_probability_value(
+        &self,
+        scenario: &Scenario,
+        method: Option<Method>,
+    ) -> Option<Option<ProbValue>> {
+        if !matches!(method.unwrap_or(self.inner.method), Method::Exact)
+            || matches!(
+                self.compiled,
+                Compiled::Independence { .. } | Compiled::Cause { .. }
+            )
+        {
+            return None;
+        }
+        let key = self.resolve(scenario).ok()?;
+        self.inner.full_probabilities().ok()?;
+        let pe = self.prob_memo_hit(&key)?;
+        Some(pe.probability.map(ProbValue::Exact))
+    }
+
     /// The prepared query's operand formulae for per-sample Monte Carlo
     /// evaluation: the target and (for conditional `P` plans) the
     /// condition.
@@ -1152,7 +1215,7 @@ impl PreparedQuery {
             Method::Exact => {
                 let probs = self.inner.full_probabilities()?;
                 Ok(self
-                    .prob_eval_resolved(key, &probs)
+                    .prob_eval_resolved(key, probs)
                     .probability
                     .map(ProbValue::Exact))
             }
@@ -1168,7 +1231,7 @@ impl PreparedQuery {
                             .manager_mut()
                             .restrict_many(root, &assignments);
                         Some(self.with_interval_memo(mark, |memo| {
-                            quant::bdd_probability_interval_with_memo(&mc, r, &intervals, memo)
+                            quant::bdd_probability_interval_with_memo(&mc, r, intervals, memo)
                         }))
                     }
                     Compiled::Prob { joint, given, .. } => {
@@ -1177,9 +1240,7 @@ impl PreparedQuery {
                             .manager_mut()
                             .restrict_many(joint, &assignments);
                         let iv_joint = self.with_interval_memo(mark, |memo| {
-                            quant::bdd_probability_interval_with_memo(
-                                &mc, r_joint, &intervals, memo,
-                            )
+                            quant::bdd_probability_interval_with_memo(&mc, r_joint, intervals, memo)
                         });
                         match given {
                             None => Some(iv_joint),
@@ -1190,7 +1251,7 @@ impl PreparedQuery {
                                     .restrict_many(g, &assignments);
                                 let base = self.with_interval_memo(mark, |memo| {
                                     quant::bdd_probability_interval_with_memo(
-                                        &mc, r_given, &intervals, memo,
+                                        &mc, r_given, intervals, memo,
                                     )
                                 });
                                 quant::interval_conditional(iv_joint, base)
@@ -1215,7 +1276,7 @@ impl PreparedQuery {
                 let (phi, given) = self.mc_operands()?;
                 let est = uncertainty::estimate_probability(
                     &self.inner.tree,
-                    &probs,
+                    probs,
                     phi,
                     given,
                     key,
@@ -1253,23 +1314,8 @@ impl PreparedQuery {
     /// `Independence` shapes are rejected by the callers; `probs` is
     /// validated by them.
     fn prob_eval_resolved(&self, key: &[(usize, bool)], probs: &[f64]) -> ProbEval {
-        if let Some(pe) = self.prob_scenario_lookup(key) {
-            self.prob_hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(pe) = self.prob_memo_hit(key) {
             return pe;
-        }
-        // On `P(…)`-shaped plans the Boolean evaluator shares the
-        // computation: a scenario it has already judged carries the
-        // probability and verdict.
-        if self.is_probability_judgement() {
-            if let Some(c) = self.lookup(key) {
-                let pe = ProbEval {
-                    probability: c.probability,
-                    holds: Some(c.holds),
-                };
-                self.prob_hits.fetch_add(1, Ordering::Relaxed);
-                self.prob_scenario_insert(key, pe);
-                return pe;
-            }
         }
         let mut mc = self.inner.lock();
         let mark = mc.manager().watermark();
@@ -1309,6 +1355,30 @@ impl PreparedQuery {
         self.prob_misses.fetch_add(1, Ordering::Relaxed);
         self.prob_scenario_insert(key, pe);
         pe
+    }
+
+    /// The hit path of [`PreparedQuery::prob_eval_resolved`], shared with
+    /// [`PreparedQuery::memoised_probability_value`]: the memoised
+    /// evaluation of `key`, counted as a hit.
+    fn prob_memo_hit(&self, key: &[(usize, bool)]) -> Option<ProbEval> {
+        let pe = match self.prob_scenario_lookup(key) {
+            Some(pe) => pe,
+            // On `P(…)`-shaped plans the Boolean evaluator shares the
+            // computation: a scenario it has already judged carries the
+            // probability and verdict.
+            None if self.is_probability_judgement() => {
+                let c = self.lookup(key)?;
+                let pe = ProbEval {
+                    probability: c.probability,
+                    holds: Some(c.holds),
+                };
+                self.prob_scenario_insert(key, pe);
+                pe
+            }
+            None => return None,
+        };
+        self.prob_hits.fetch_add(1, Ordering::Relaxed);
+        Some(pe)
     }
 
     /// **Sweeps probabilities**: `P(ϕ | scenario)` for every scenario of
@@ -1426,6 +1496,37 @@ impl PreparedQuery {
             stats,
         })
     }
+}
+
+/// Resolves `bindings` to `(basic index, value)` pairs sorted by basic
+/// index, the first binding of an event winning, and leaves out the
+/// events `bound` (sorted the same way) already binds.
+///
+/// # Errors
+///
+/// [`BflError::UnknownElement`] / [`BflError::EvidenceOnGate`] for the
+/// first binding that does not name a basic event of `tree`.
+fn resolve_bindings(
+    tree: &FaultTree,
+    bindings: &[(String, bool)],
+    bound: &[(usize, bool)],
+) -> Result<Vec<(usize, bool)>, BflError> {
+    let mut resolved = Vec::with_capacity(bindings.len());
+    for (name, value) in bindings {
+        let e = tree
+            .element(name)
+            .ok_or_else(|| BflError::UnknownElement(name.clone()))?;
+        let bi = tree
+            .basic_index(e)
+            .ok_or_else(|| BflError::EvidenceOnGate(name.clone()))?;
+        if bound.binary_search_by_key(&bi, |&(b, _)| b).is_err() {
+            resolved.push((bi, *value));
+        }
+    }
+    // The stable sort keeps an event's first binding ahead of the rest.
+    resolved.sort_by_key(|&(bi, _)| bi);
+    resolved.dedup_by_key(|&mut (bi, _)| bi);
+    Ok(resolved)
 }
 
 /// Maps resolved `(basic index, value)` bindings to BDD variables.
@@ -1591,27 +1692,26 @@ impl SweepReport {
     /// Serialises the report as a self-contained JSON document (the
     /// outcome schema matches [`Report::to_json`](crate::report::Report::to_json)).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"query\":{}", json_str(&self.query)));
-        out.push_str(&format!(
-            ",\"tree\":{}",
-            json_str(self.tree.name(self.tree.top()))
-        ));
+        let mut out = String::from("{\"query\":");
+        write_json_str(&mut out, &self.query);
+        out.push_str(",\"tree\":");
+        write_json_str(&mut out, self.tree.name(self.tree.top()));
         out.push_str(",\"outcomes\":[");
         for (i, o) in self.outcomes.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&json_outcome(&self.tree, o));
+            write_outcome(&mut out, &self.tree, o);
         }
-        out.push_str(&format!("],\"totals\":{}", json_stats(&self.totals)));
+        out.push_str("],\"totals\":");
+        write_stats(&mut out, &self.totals);
         let s = &self.stats;
-        out.push_str(&format!(
-            ",\"sweep\":{{\"scenarios\":{},\"memo_hits\":{},\"memo_misses\":{},\"translation_misses\":{},\"arena_before\":{},\"arena_after\":{}}}",
+        let _ = write!(
+            out,
+            ",\"sweep\":{{\"scenarios\":{},\"memo_hits\":{},\"memo_misses\":{},\"translation_misses\":{},\"arena_before\":{},\"arena_after\":{}}}}}",
             s.scenarios, s.memo_hits, s.memo_misses, s.translation_misses,
             s.arena_before, s.arena_after
-        ));
-        out.push('}');
+        );
         out
     }
 }
@@ -1734,36 +1834,31 @@ pub struct ProbSweepReport {
 impl ProbSweepReport {
     /// Serialises the report as a self-contained JSON document.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"query\":{}", json_str(&self.query)));
-        out.push_str(&format!(",\"method\":{}", json_str(self.method.name())));
+        let mut out = String::from("{\"query\":");
+        write_json_str(&mut out, &self.query);
+        out.push_str(",\"method\":");
+        write_json_str(&mut out, self.method.name());
         out.push_str(",\"outcomes\":[");
         for (i, o) in self.outcomes.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push('{');
-            match &o.label {
-                Some(l) => out.push_str(&format!("\"label\":{}", json_str(l))),
-                None => out.push_str("\"label\":null"),
-            }
-            out.push_str(&format!(",\"bindings\":{}", json_str(&o.bindings)));
-            match o.probability {
-                Some(p) => out.push_str(&format!(",\"probability\":{p}")),
-                None => out.push_str(",\"probability\":null"),
-            }
-            match &o.interval {
-                Some(iv) => out.push_str(&format!(",\"interval\":{}", json_interval(iv))),
-                None => out.push_str(",\"interval\":null"),
-            }
-            match &o.estimate {
-                Some(e) => out.push_str(&format!(",\"estimate\":{}", json_estimate(e))),
-                None => out.push_str(",\"estimate\":null"),
-            }
-            match o.holds {
-                Some(h) => out.push_str(&format!(",\"holds\":{h}")),
-                None => out.push_str(",\"holds\":null"),
-            }
+            out.push_str("{\"label\":");
+            write_or_null(&mut out, o.label.as_deref(), write_json_str);
+            out.push_str(",\"bindings\":");
+            write_json_str(&mut out, &o.bindings);
+            out.push_str(",\"probability\":");
+            write_or_null(&mut out, o.probability, |out, p| {
+                let _ = write!(out, "{p}");
+            });
+            out.push_str(",\"interval\":");
+            write_or_null(&mut out, o.interval.as_ref(), write_interval);
+            out.push_str(",\"estimate\":");
+            write_or_null(&mut out, o.estimate.as_ref(), write_estimate);
+            out.push_str(",\"holds\":");
+            write_or_null(&mut out, o.holds, |out, h| {
+                let _ = write!(out, "{h}");
+            });
             out.push('}');
         }
         let s = &self.stats;
@@ -1864,6 +1959,107 @@ mod tests {
         let stats = prepared.stats();
         assert_eq!(stats.evals, 2);
         assert_eq!(stats.distinct_scenarios, 1);
+    }
+
+    /// `o` with its timing zeroed, the one field two answers may differ in.
+    fn untimed(mut o: Outcome) -> Outcome {
+        o.stats.duration_micros = 0;
+        o
+    }
+
+    #[test]
+    fn memo_lookups_answer_exactly_what_the_evaluators_would() {
+        let tree = corpus::covid();
+        let n = tree.num_basic_events();
+        let session = AnalysisSession::builder()
+            .probabilities((0..n).map(|i| Some(0.05 + 0.03 * i as f64)).collect())
+            .build(tree);
+        let s = Scenario::named("s").bind("IW", true);
+
+        let exists = session
+            .prepare(&parse_query("exists MCS(IWoS) & H4").unwrap())
+            .unwrap();
+        assert_eq!(exists.memoised_eval(&s), None);
+        let computed = exists.eval(&s).unwrap();
+        let hit = exists.memoised_eval(&s).expect("memoised by the eval");
+        assert_eq!(hit.stats.cache_hits, 1);
+        assert_eq!(untimed(hit), untimed(exists.eval(&s).unwrap()));
+        assert_eq!(computed.witnesses, exists.eval(&s).unwrap().witnesses);
+        let stats = exists.stats();
+        assert_eq!((stats.evals, stats.memo_hits), (4, 3));
+        // Errors are left to the evaluator.
+        let unknown = Scenario::new().bind("nope", true);
+        assert_eq!(exists.memoised_eval(&unknown), None);
+        assert!(exists.eval(&unknown).is_err());
+        assert_eq!(exists.memoised_cause(&s), None, "not a cause plan");
+
+        // A probability the exists plan memoised under the exact method.
+        assert_eq!(exists.memoised_probability_value(&s, None), None);
+        let p = exists.probability_value(&s, None).unwrap();
+        assert_eq!(exists.memoised_probability_value(&s, None), Some(p));
+        for method in [Method::Interval, Method::mc()] {
+            assert_eq!(exists.memoised_probability_value(&s, Some(method)), None);
+        }
+
+        // A `P(…) ▷◁ p` plan's eval memoises its probability too.
+        let judged = session
+            .prepare(&parse_query("P(IWoS) <= 0.05").unwrap())
+            .unwrap();
+        judged.eval(&s).unwrap();
+        let p = judged.probability_value(&s, Some(Method::Exact)).unwrap();
+        assert_eq!(judged.memoised_probability_value(&s, None), Some(p));
+        assert_eq!(
+            untimed(judged.memoised_eval(&s).unwrap()),
+            untimed(judged.eval(&s).unwrap())
+        );
+
+        let cause = session
+            .prepare(&parse_query("causes(IWoS, IW := 1, 2)").unwrap())
+            .unwrap();
+        assert_eq!(cause.memoised_cause(&s), None);
+        cause.cause(&s).unwrap();
+        assert_eq!(
+            untimed(cause.memoised_cause(&s).unwrap()),
+            untimed(cause.cause(&s).unwrap())
+        );
+        assert_eq!(cause.memoised_probability_value(&s, None), None);
+
+        // Without annotations there is nothing to look up a probability
+        // with.
+        let bare = AnalysisSession::new(corpus::covid())
+            .prepare(&parse_query("exists IWoS").unwrap())
+            .unwrap();
+        assert!(bare.probability_value(&s, None).is_err());
+        assert_eq!(bare.memoised_probability_value(&s, None), None);
+    }
+
+    #[test]
+    fn a_cause_plans_own_evidence_wins_over_the_scenario() {
+        let session = AnalysisSession::new(corpus::covid());
+        let cause = session
+            .prepare(&parse_query("causes(IWoS, IW := 1, H3 := 0, IW := 0, 3)").unwrap())
+            .unwrap();
+        let tree = cause.tree();
+        let bi = |name: &str| tree.basic_index(tree.element(name).unwrap()).unwrap();
+        let scenario =
+            Scenario::from_pairs([("H3", true), ("PP", true), ("IT", true), ("PP", false)]);
+        let mut expected = vec![
+            (bi("IW"), true),
+            (bi("H3"), false),
+            (bi("PP"), true),
+            (bi("IT"), true),
+        ];
+        expected.sort_unstable();
+        assert_eq!(cause.resolve(&scenario).unwrap(), expected);
+        // Spelling the scenario inline reaches the same memo entry.
+        let inline = session
+            .prepare(&parse_query("causes(IWoS, IW := 1, H3 := 0, PP := 1, IT := 1, 3)").unwrap())
+            .unwrap();
+        assert_eq!(inline.resolve(&Scenario::new()).unwrap(), expected);
+        assert!(matches!(
+            cause.resolve(&Scenario::new().bind("CP", true)),
+            Err(BflError::EvidenceOnGate(name)) if name == "CP"
+        ));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! leading `[A, B, C]` list of failed basic events; without one the
 //! formula is checked against the all-operational vector.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use bfl_fault_tree::{FaultTree, StatusVector};
@@ -408,19 +408,17 @@ impl Report {
     ///  "totals": {...}}
     /// ```
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"tree\":{}",
-            json_str(self.tree.name(self.tree.top()))
-        ));
+        let mut out = String::from("{\"tree\":");
+        write_json_str(&mut out, self.tree.name(self.tree.top()));
         out.push_str(",\"outcomes\":[");
         for (i, o) in self.outcomes.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&json_outcome(&self.tree, o));
+            write_outcome(&mut out, &self.tree, o);
         }
-        out.push_str(&format!("],\"totals\":{}", json_stats(&self.totals)));
+        out.push_str("],\"totals\":");
+        write_stats(&mut out, &self.totals);
         out.push('}');
         out
     }
@@ -431,133 +429,164 @@ impl Report {
 /// sweep reports of the prepared-query layer, and the `bfl-server`
 /// `eval` endpoint.
 pub fn json_outcome(tree: &FaultTree, o: &Outcome) -> String {
-    let failed_names = |v: &StatusVector| -> Vec<&str> { v.failed_names(tree) };
-    let json_vectors = |vectors: &[StatusVector]| -> String {
-        let parts: Vec<String> = vectors
-            .iter()
-            .map(|v| json_names(&failed_names(v)))
-            .collect();
-        format!("[{}]", parts.join(","))
-    };
-    let mut out = String::from("{");
-    match &o.label {
-        Some(l) => out.push_str(&format!("\"label\":{}", json_str(l))),
-        None => out.push_str("\"label\":null"),
-    }
-    out.push_str(&format!(",\"source\":{}", json_str(&o.source)));
-    out.push_str(&format!(",\"holds\":{}", o.holds));
-    out.push_str(&format!(",\"witnesses\":{}", json_vectors(&o.witnesses)));
-    out.push_str(&format!(
-        ",\"counterexamples\":{}",
-        json_vectors(&o.counterexamples)
-    ));
-    out.push_str(",\"counterexample\":");
-    match &o.counterexample {
-        Some(Counterexample::Found(v)) => {
-            out.push_str(&json_names(&failed_names(v)));
-        }
-        Some(Counterexample::Unsatisfiable) => out.push_str("\"unsatisfiable\""),
-        Some(Counterexample::AlreadySatisfies) => {
-            out.push_str("\"already-satisfies\"");
-        }
-        None => out.push_str("null"),
-    }
-    let shared: Vec<&str> = o.shared_events.iter().map(String::as_str).collect();
-    out.push_str(&format!(",\"shared_events\":{}", json_names(&shared)));
-    match o.probability {
-        Some(p) => out.push_str(&format!(",\"probability\":{p}")),
-        None => out.push_str(",\"probability\":null"),
-    }
-    match &o.interval {
-        Some(iv) => out.push_str(&format!(",\"interval\":{}", json_interval(iv))),
-        None => out.push_str(",\"interval\":null"),
-    }
-    match &o.estimate {
-        Some(e) => out.push_str(&format!(",\"estimate\":{}", json_estimate(e))),
-        None => out.push_str(",\"estimate\":null"),
-    }
-    match &o.method {
-        Some(m) => out.push_str(&format!(",\"method\":{}", json_str(m.name()))),
-        None => out.push_str(",\"method\":null"),
-    }
-    out.push_str(&format!(
-        ",\"importance\":{}",
-        json_importance(&o.importance)
-    ));
-    match &o.causes {
-        Some(r) => out.push_str(&format!(",\"causes\":{}", json_causes(tree, r))),
-        None => out.push_str(",\"causes\":null"),
-    }
-    out.push_str(&format!(",\"stats\":{}", json_stats(&o.stats)));
-    out.push('}');
+    let mut out = String::new();
+    write_outcome(&mut out, tree, o);
     out
 }
 
-/// Serialises a [`CauseReport`] as a JSON object (vectors rendered as
-/// failed-event name lists against `tree`) — the `causes` schema shared
-/// by the report writers and the `bfl-server` `cause` endpoint.
-pub fn json_causes(tree: &FaultTree, r: &CauseReport) -> String {
-    let mut out = String::from("{");
-    out.push_str(&format!(
-        "\"observation\":{}",
-        json_names(&r.observation.failed_names(tree))
-    ));
-    out.push_str(&format!(",\"failing\":{}", r.failing));
-    out.push_str(&format!(",\"total\":{}", r.total));
-    out.push_str(&format!(",\"truncated\":{}", r.truncated));
-    out.push_str(",\"sets\":[");
+/// Appends [`json_outcome`]'s object to `out`, so a report renders all
+/// its outcomes into one buffer.
+pub(crate) fn write_outcome(out: &mut String, tree: &FaultTree, o: &Outcome) {
+    out.push_str("{\"label\":");
+    write_or_null(out, o.label.as_deref(), write_json_str);
+    out.push_str(",\"source\":");
+    write_json_str(out, &o.source);
+    let _ = write!(out, ",\"holds\":{}", o.holds);
+    out.push_str(",\"witnesses\":");
+    write_vectors(out, tree, &o.witnesses);
+    out.push_str(",\"counterexamples\":");
+    write_vectors(out, tree, &o.counterexamples);
+    out.push_str(",\"counterexample\":");
+    match &o.counterexample {
+        Some(Counterexample::Found(v)) => write_vector(out, tree, v),
+        Some(Counterexample::Unsatisfiable) => out.push_str("\"unsatisfiable\""),
+        Some(Counterexample::AlreadySatisfies) => out.push_str("\"already-satisfies\""),
+        None => out.push_str("null"),
+    }
+    out.push_str(",\"shared_events\":");
+    write_names(out, o.shared_events.iter().map(String::as_str));
+    out.push_str(",\"probability\":");
+    write_or_null(out, o.probability, |out, p| {
+        let _ = write!(out, "{p}");
+    });
+    out.push_str(",\"interval\":");
+    write_or_null(out, o.interval.as_ref(), write_interval);
+    out.push_str(",\"estimate\":");
+    write_or_null(out, o.estimate.as_ref(), write_estimate);
+    out.push_str(",\"method\":");
+    write_or_null(out, o.method.as_ref(), |out, m| {
+        write_json_str(out, m.name())
+    });
+    out.push_str(",\"importance\":");
+    write_importance(out, &o.importance);
+    out.push_str(",\"causes\":");
+    write_or_null(out, o.causes.as_ref(), |out, r| write_causes(out, tree, r));
+    out.push_str(",\"stats\":");
+    write_stats(out, &o.stats);
+    out.push('}');
+}
+
+/// Appends `value` through `write`, or `null`.
+pub(crate) fn write_or_null<T>(
+    out: &mut String,
+    value: Option<T>,
+    write: impl FnOnce(&mut String, T),
+) {
+    match value {
+        Some(v) => write(out, v),
+        None => out.push_str("null"),
+    }
+}
+
+/// Appends a status vector as the array of its failed events' names.
+fn write_vector(out: &mut String, tree: &FaultTree, v: &StatusVector) {
+    let failed = (0..v.len()).filter(|&i| v.get(i));
+    write_names(out, failed.map(|i| tree.name(tree.basic_events()[i])));
+}
+
+/// Appends an array of status vectors (see [`write_vector`]).
+fn write_vectors(out: &mut String, tree: &FaultTree, vectors: &[StatusVector]) {
+    out.push('[');
+    for (i, v) in vectors.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_vector(out, tree, v);
+    }
+    out.push(']');
+}
+
+/// Appends a [`CauseReport`] as a JSON object (vectors rendered as
+/// failed-event name lists against `tree`): an outcome's `causes`.
+fn write_causes(out: &mut String, tree: &FaultTree, r: &CauseReport) {
+    out.push_str("{\"observation\":");
+    write_vector(out, tree, &r.observation);
+    let _ = write!(
+        out,
+        ",\"failing\":{},\"total\":{},\"truncated\":{},\"sets\":[",
+        r.failing, r.total, r.truncated
+    );
     for (i, c) in r.causes.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let events: Vec<&str> = c.events.iter().map(String::as_str).collect();
-        out.push_str(&format!(
-            "{{\"events\":{},\"witness\":{}}}",
-            json_names(&events),
-            json_names(&c.witness.failed_names(tree))
-        ));
+        out.push_str("{\"events\":");
+        write_names(out, c.events.iter().map(String::as_str));
+        out.push_str(",\"witness\":");
+        write_vector(out, tree, &c.witness);
+        out.push('}');
     }
     out.push_str("]}");
-    out
 }
 
 /// Serialises a [`ProbInterval`] as `{"lo": …, "hi": …}` — the schema
 /// shared by the report writers and the `bfl-server` `prob` endpoint.
 pub fn json_interval(iv: &ProbInterval) -> String {
-    format!("{{\"lo\":{},\"hi\":{}}}", iv.lo, iv.hi)
+    let mut out = String::new();
+    write_interval(&mut out, iv);
+    out
+}
+
+/// Appends [`json_interval`]'s object to `out`.
+pub(crate) fn write_interval(out: &mut String, iv: &ProbInterval) {
+    let _ = write!(out, "{{\"lo\":{},\"hi\":{}}}", iv.lo, iv.hi);
 }
 
 /// Serialises a Monte Carlo [`Estimate`] as a JSON object (same sharing
 /// as [`json_interval`]).
 pub fn json_estimate(e: &Estimate) -> String {
-    format!(
+    let mut out = String::new();
+    write_estimate(&mut out, e);
+    out
+}
+
+/// Appends [`json_estimate`]'s object to `out`.
+pub(crate) fn write_estimate(out: &mut String, e: &Estimate) {
+    let _ = write!(
+        out,
         "{{\"point\":{},\"ci_lo\":{},\"ci_hi\":{},\"confidence\":{},\"samples\":{},\"hits\":{},\"trials\":{}}}",
         e.point, e.ci_lo, e.ci_hi, e.confidence, e.samples, e.hits, e.trials
-    )
+    );
 }
 
 /// Serialises an importance table as a JSON array (rows in rank order).
 /// A diverging RRW renders as `null` (JSON has no infinity).
 pub fn json_importance(rows: &[EventImportance]) -> String {
-    let parts: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"event\":{},\"probability\":{},\"birnbaum\":{},\"criticality\":{},\
-                 \"fussell_vesely\":{},\"raw\":{},\"rrw\":{}}}",
-                json_str(&r.event),
-                r.probability,
-                r.birnbaum,
-                r.criticality,
-                r.fussell_vesely,
-                r.raw,
-                r.rrw
-                    .map(|x| x.to_string())
-                    .unwrap_or_else(|| "null".into())
-            )
-        })
-        .collect();
-    format!("[{}]", parts.join(","))
+    let mut out = String::new();
+    write_importance(&mut out, rows);
+    out
+}
+
+/// Appends [`json_importance`]'s array to `out`.
+fn write_importance(out: &mut String, rows: &[EventImportance]) {
+    out.push('[');
+    for (i, r) in rows.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"event\":");
+        write_json_str(out, &r.event);
+        let _ = write!(
+            out,
+            ",\"probability\":{},\"birnbaum\":{},\"criticality\":{},\"fussell_vesely\":{},\"raw\":{},\"rrw\":",
+            r.probability, r.birnbaum, r.criticality, r.fussell_vesely, r.raw
+        );
+        write_or_null(out, r.rrw, |out, x| {
+            let _ = write!(out, "{x}");
+        });
+        out.push('}');
+    }
+    out.push(']');
 }
 
 /// Serialises a string as a JSON string literal with full escaping —
@@ -565,6 +594,12 @@ pub fn json_importance(rows: &[EventImportance]) -> String {
 /// (e.g. the CLI) emit valid JSON for arbitrary element names.
 pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    write_json_str(&mut out, s);
+    out
+}
+
+/// Appends [`json_str`]'s literal to `out`.
+pub(crate) fn write_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -573,30 +608,38 @@ pub fn json_str(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
-    out
 }
 
-/// Serialises a name list as a JSON array of escaped strings.
-pub fn json_names(names: &[&str]) -> String {
-    let parts: Vec<String> = names.iter().map(|n| json_str(n)).collect();
-    format!("[{}]", parts.join(","))
+/// Appends a JSON array of escaped names to `out`.
+fn write_names<'a>(out: &mut String, names: impl IntoIterator<Item = &'a str>) {
+    out.push('[');
+    for (i, name) in names.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_json_str(out, name);
+    }
+    out.push(']');
 }
 
 /// Serialises a list of name sets as a JSON array of arrays (escaped).
 pub fn json_name_sets(sets: &[Vec<String>]) -> String {
-    let parts: Vec<String> = sets
-        .iter()
-        .map(|s| {
-            let refs: Vec<&str> = s.iter().map(String::as_str).collect();
-            json_names(&refs)
-        })
-        .collect();
-    format!("[{}]", parts.join(","))
+    let mut out = String::from("[");
+    for (i, set) in sets.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_names(&mut out, set.iter().map(String::as_str));
+    }
+    out.push(']');
+    out
 }
 
 /// One human-readable importance-table line, shared by the report and
@@ -619,10 +662,18 @@ pub fn importance_row(r: &EventImportance) -> String {
 /// Serialises [`EvalStats`] as a JSON object — the `stats` schema shared
 /// by every report renderer and the `bfl-server` `stats` endpoint.
 pub fn json_stats(s: &EvalStats) -> String {
-    format!(
+    let mut out = String::new();
+    write_stats(&mut out, s);
+    out
+}
+
+/// Appends [`json_stats`]' object to `out`.
+pub(crate) fn write_stats(out: &mut String, s: &EvalStats) {
+    let _ = write!(
+        out,
         "{{\"bdd_nodes\":{},\"arena_nodes\":{},\"cache_hits\":{},\"cache_misses\":{},\"duration_micros\":{}}}",
         s.bdd_nodes, s.arena_nodes, s.cache_hits, s.cache_misses, s.duration_micros
-    )
+    );
 }
 
 impl fmt::Display for Report {
@@ -776,6 +827,8 @@ mod tests {
     #[test]
     fn json_escaping() {
         assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_names(&["x", "y"]), "[\"x\",\"y\"]");
+        let mut names = String::new();
+        write_names(&mut names, ["x", "y\t"]);
+        assert_eq!(names, "[\"x\",\"y\\t\"]");
     }
 }

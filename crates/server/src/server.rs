@@ -11,14 +11,22 @@
 //!   silent drop);
 //! * **shards** — `shards` threads, each owning a bounded set of
 //!   *nonblocking* connections multiplexed by a readiness loop
-//!   (the private `shard` module): read-accumulate lines → parse/admit →
-//!   enqueue → drain what is left in per-connection output buffers.
-//!   Thread count is fixed regardless of connection count;
+//!   (the private `shard` module): read-accumulate lines → parse →
+//!   answer a memo hit, or admit and enqueue → drain what is left in
+//!   per-connection output buffers. Thread count is fixed regardless of
+//!   connection count;
 //! * **workers** — a fixed pool of `workers` threads popping jobs off
 //!   one bounded [`BoundedQueue`]; all analysis runs here, over the
 //!   shared [`Registry`], and each worker writes its response to the
 //!   connection's socket itself, leaving to the shard only what the
 //!   socket refuses.
+//!
+//! A request whose answer a plan has already memoised (an `eval`, an
+//! unstreamed `cause`, an exact `prob`) is answered by the shard that
+//! read it, when nothing is pending on the connection: it takes only the
+//! plan's memo locks and never waits for a worker. It may therefore
+//! overtake a miss queued earlier on the same connection, and it takes
+//! no queue or session in-flight slot.
 //!
 //! Backpressure is explicit at every layer: a full queue answers
 //! `busy`, a session past its in-flight cap answers `busy`, a server
@@ -64,6 +72,7 @@ use bfl_core::report::{
 };
 use bfl_core::scenario::{Scenario, ScenarioSet};
 use bfl_core::uncertainty::{Method, ProbValue};
+use bfl_core::PreparedQuery;
 use bfl_fault_tree::galileo;
 
 use crate::protocol::{ErrorCode, Op, ProbOptions, ProbTarget, Request, Response, SessionOptions};
@@ -427,28 +436,29 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     }
 }
 
-/// Handles one complete request line on its shard thread: parse,
-/// admission, enqueue. Never blocks — immediate answers (`busy`,
-/// parse errors, `shutting_down`) go straight into the connection's
-/// output buffer.
-fn process_request_line(shared: &Shared, out: &Arc<ConnOut>, bytes: &[u8]) {
+/// Handles one complete request line on its shard thread: parse, then
+/// either the answer a plan has memoised or admission and enqueue.
+/// Never blocks — immediate answers (memo hits, `busy`, parse errors,
+/// `shutting_down`) go straight into the connection's output buffer.
+/// Returns whether the request was answered on the spot.
+fn process_request_line(shared: &Shared, out: &Arc<ConnOut>, bytes: &[u8]) -> bool {
     let Ok(text) = std::str::from_utf8(bytes) else {
         out.push_line(&Response::error(
             None,
             ErrorCode::ParseError,
             "request line is not valid UTF-8",
         ));
-        return;
+        return true;
     };
     let line = text.trim();
     if line.is_empty() {
-        return;
+        return false;
     }
     let request = match Request::parse(line) {
         Ok(request) => request,
         Err((id, code, message)) => {
             out.push_line(&Response::error(id, code, message));
-            return;
+            return true;
         }
     };
     if shared.shutdown.load(Ordering::Acquire) {
@@ -457,13 +467,23 @@ fn process_request_line(shared: &Shared, out: &Arc<ConnOut>, bytes: &[u8]) {
             ErrorCode::ShuttingDown,
             "server is draining",
         ));
-        return;
+        return true;
+    }
+    // A memo hit needs no worker. It is answered here, ahead of any
+    // request of this connection still queued, and takes no queue or
+    // session slot. Behind pending output it goes to a worker, whose
+    // send waits for space; the shard must never wait.
+    if out.pending() == 0 {
+        if let Some(doc) = memoised_answer(shared, &request.op) {
+            out.send_now(&Response::ok(request.id, doc));
+            return true;
+        }
     }
     let admission = match admit(shared, &request) {
         Ok(admission) => admission,
         Err(response) => {
             out.push_line(&response);
-            return;
+            return true;
         }
     };
     let job = Job {
@@ -474,7 +494,7 @@ fn process_request_line(shared: &Shared, out: &Arc<ConnOut>, bytes: &[u8]) {
         _admission: admission,
     };
     match shared.queue.try_push(job) {
-        Ok(()) => {}
+        Ok(()) => return false,
         Err(TryPushError::Full(job)) => job.out.push_line(&Response::error(
             job.id,
             ErrorCode::Busy,
@@ -486,6 +506,51 @@ fn process_request_line(shared: &Shared, out: &Arc<ConnOut>, bytes: &[u8]) {
             "server is draining",
         )),
     }
+    true
+}
+
+/// The answer to `op` when a plan has memoised it: an `eval`, an
+/// unstreamed `cause`, or an exact `prob` of a plan, rendered by the
+/// helpers [`handle_op`] uses. `None` leaves the request to a worker:
+/// misses, errors, every other op, and panics, which the worker then
+/// reproduces and answers by quarantining the session.
+fn memoised_answer(shared: &Shared, op: &Op) -> Option<String> {
+    let lookup = || match op {
+        Op::Eval {
+            session,
+            plan,
+            scenario,
+        }
+        | Op::Cause {
+            session,
+            plan,
+            scenario,
+            stream: false,
+        } => {
+            let prepared = shared.registry.get(session)?.plan(plan)?;
+            let scenario = parse_scenario(scenario).ok()?;
+            let outcome = match op {
+                Op::Cause { .. } => prepared.memoised_cause(&scenario),
+                _ => prepared.memoised_eval(&scenario),
+            }?;
+            Some(json_outcome(prepared.tree(), &outcome))
+        }
+        Op::Prob {
+            session,
+            target: ProbTarget::Plan { plan, scenario },
+            options,
+        } => {
+            let method = options.resolve().ok()?;
+            let prepared = shared.registry.get(session)?.plan(plan)?;
+            let scenario = parse_scenario(scenario.as_deref().unwrap_or("")).ok()?;
+            let value = prepared.memoised_probability_value(&scenario, method)?;
+            Some(plan_prob_json(&prepared, value.as_ref(), Method::Exact))
+        }
+        _ => None,
+    };
+    std::panic::catch_unwind(AssertUnwindSafe(lookup))
+        .ok()
+        .flatten()
 }
 
 /// Per-session admission control: with `--session-inflight` set and the
@@ -791,7 +856,7 @@ fn session_entry(shared: &Shared, id: &str) -> Result<Arc<SessionEntry>, OpError
     })
 }
 
-fn plan_of(entry: &SessionEntry, id: &str) -> Result<Arc<bfl_core::PreparedQuery>, OpError> {
+fn plan_of(entry: &SessionEntry, id: &str) -> Result<Arc<PreparedQuery>, OpError> {
     entry.plan(id).ok_or_else(|| {
         (
             ErrorCode::UnknownPlan,
@@ -864,6 +929,12 @@ fn prob_value_json(head: &str, value: Option<&ProbValue>, method: Method) -> Str
     out
 }
 
+/// The `prob` answer of a plan: its query, then the value fields.
+fn plan_prob_json(prepared: &PreparedQuery, value: Option<&ProbValue>, method: Method) -> String {
+    let head = format!("\"query\":{}", json_str(prepared.source()));
+    prob_value_json(&head, value, method)
+}
+
 fn handle_prob(
     shared: &Shared,
     session: &str,
@@ -879,12 +950,13 @@ fn handle_prob(
         ProbTarget::Plan { plan, scenario } => {
             let prepared = plan_of(&entry, plan)?;
             let scenario = parse_scenario(scenario.as_deref().unwrap_or(""))?;
-            let head = format!("\"query\":{}", json_str(prepared.source()));
             match prepared.probability_value(&scenario, method) {
-                Ok(v) => Ok(prob_value_json(&head, v.as_ref(), effective)),
+                Ok(v) => Ok(plan_prob_json(&prepared, v.as_ref(), effective)),
                 // A zero-probability condition is a well-defined "no
                 // answer", matching the CLI and the sweep outcomes.
-                Err(BflError::DivisionByZero { .. }) => Ok(prob_value_json(&head, None, effective)),
+                Err(BflError::DivisionByZero { .. }) => {
+                    Ok(plan_prob_json(&prepared, None, effective))
+                }
                 Err(e) => Err(eval_error(&e)),
             }
         }

@@ -10,18 +10,20 @@
 //!    ([`LineAccumulator`] — oversized lines are discarded and answered
 //!    with a structured `oversized` error, exactly like the previous
 //!    per-connection reader);
-//! 3. hand complete lines to the server (parse → admission → enqueue);
+//! 3. hand complete lines to the server (parse → a memoised answer, or
+//!    admission → enqueue);
 //! 4. drain what is left in every connection's bounded output buffer
 //!    ([`ConnOut`]): the shard's own error lines, and the bytes a
 //!    worker's write could not place;
 //! 5. reap idle connections and close finished ones.
 //!
-//! Responses leave from the worker that made them. A worker's
+//! Responses leave from the thread that made them. A worker's
 //! [`ConnOut::send`] writes its line to the nonblocking socket itself,
 //! under the lock that orders the connection's output, so a reply to a
 //! reading client reaches it without a thread switch. Only bytes the
 //! socket refuses stay buffered, and only then is the shard unparked to
-//! drain them.
+//! drain them. A request the shard answers itself from a plan's memo
+//! leaves through [`ConnOut::send_now`], which never waits.
 //!
 //! Thread count is therefore **constant in the connection count**:
 //! hundreds of concurrent connections are multiplexed over a handful of
@@ -47,7 +49,7 @@
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
@@ -59,6 +61,13 @@ use crate::protocol::{ErrorCode, Response};
 /// sub-millisecond latency; long enough that an idle shard burns ~0.1%
 /// of a core.
 pub(crate) const PARK_INTERVAL: Duration = Duration::from_micros(250);
+
+/// How long a shard parks after a pass in which it answered a request
+/// itself. A client waiting for each reply sends its next request tens
+/// of microseconds after the reply, and no worker will unpark the shard
+/// for it, as a worker's finished job does: a full [`PARK_INTERVAL`]
+/// would leave that request waiting.
+pub(crate) const REPLY_PARK_INTERVAL: Duration = Duration::from_micros(50);
 
 /// How long a worker may wait for a connection's output buffer to drain
 /// below its high-water mark before the connection is declared dead —
@@ -354,6 +363,28 @@ impl ConnOut {
         if self.is_dead() {
             return;
         }
+        self.write_line(state, &line);
+    }
+
+    /// Sends a response line from the shard itself, for a request it
+    /// answered without a worker: appends and writes through like
+    /// [`ConnOut::send`], but never waits for space, since the shard is
+    /// what drains the buffer. The shard sends only into an empty buffer,
+    /// so the high-water mark holds to within this one line.
+    pub(crate) fn send_now(&self, response: &Response) {
+        let mut line = response.to_json_line();
+        line.push('\n');
+        if self.is_dead() {
+            return;
+        }
+        let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        self.write_line(state, &line);
+    }
+
+    /// Appends `line` under the held state lock and writes what the
+    /// socket takes. Unparks the shard for bytes the socket refused or a
+    /// failed write.
+    fn write_line(&self, mut state: MutexGuard<'_, OutBuf>, line: &str) {
         let backlog = state.pending() > 0;
         state.bytes.extend_from_slice(line.as_bytes());
         let progress = self.drain(&mut state);
@@ -498,8 +529,9 @@ impl Conn {
 }
 
 /// Runs one shard until shutdown completes. `on_line` receives every
-/// complete request line (parse → admission → enqueue lives with the
-/// caller); oversized lines are answered here.
+/// complete request line (parse → a memoised answer, or admission →
+/// enqueue, lives with the caller) and returns whether it answered the
+/// request on the spot; oversized lines are answered here.
 pub(crate) fn shard_loop<F>(
     inbox: &ShardInbox,
     shutdown: &AtomicBool,
@@ -507,10 +539,12 @@ pub(crate) fn shard_loop<F>(
     counters: &ServeCounters,
     mut on_line: F,
 ) where
-    F: FnMut(&Arc<ConnOut>, &[u8]),
+    F: FnMut(&Arc<ConnOut>, &[u8]) -> bool,
 {
     let mut conns: Vec<Conn> = Vec::new();
     let mut scratch = vec![0u8; READ_CHUNK];
+    // Whether a pass since the last park answered a request on the spot.
+    let mut answered = false;
     loop {
         let mut progress = false;
 
@@ -571,7 +605,7 @@ pub(crate) fn shard_loop<F>(
                         Ok(0) => {
                             conn.eof = true;
                             if let Some(event) = conn.accum.finish() {
-                                handle_event(conn, event, opts, &mut on_line);
+                                answered |= handle_event(conn, event, opts, &mut on_line);
                             }
                             progress = true;
                             break;
@@ -582,7 +616,7 @@ pub(crate) fn shard_loop<F>(
                             let mut events = Vec::new();
                             conn.accum.feed(&scratch[..n], |ev| events.push(ev));
                             for event in events {
-                                handle_event(conn, event, opts, &mut on_line);
+                                answered |= handle_event(conn, event, opts, &mut on_line);
                             }
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -656,24 +690,34 @@ pub(crate) fn shard_loop<F>(
         }
 
         if !progress {
-            std::thread::park_timeout(PARK_INTERVAL);
+            std::thread::park_timeout(if answered {
+                REPLY_PARK_INTERVAL
+            } else {
+                PARK_INTERVAL
+            });
+            answered = false;
         }
     }
 }
 
-fn handle_event<F>(conn: &mut Conn, event: LineEvent, opts: &ShardOptions, on_line: &mut F)
+/// Hands one line event on; returns whether the request was answered on
+/// the spot.
+fn handle_event<F>(conn: &mut Conn, event: LineEvent, opts: &ShardOptions, on_line: &mut F) -> bool
 where
-    F: FnMut(&Arc<ConnOut>, &[u8]),
+    F: FnMut(&Arc<ConnOut>, &[u8]) -> bool,
 {
     match event {
-        LineEvent::Oversized => conn.out.push_line(&Response::error(
-            None,
-            ErrorCode::Oversized,
-            format!(
-                "request line exceeds the {} byte limit",
-                opts.max_line_bytes
-            ),
-        )),
+        LineEvent::Oversized => {
+            conn.out.push_line(&Response::error(
+                None,
+                ErrorCode::Oversized,
+                format!(
+                    "request line exceeds the {} byte limit",
+                    opts.max_line_bytes
+                ),
+            ));
+            true
+        }
         LineEvent::Line(bytes) => on_line(&conn.out, &bytes),
     }
 }
@@ -1023,6 +1067,7 @@ mod tests {
             std::thread::spawn(move || {
                 shard_loop(&inbox, &shutdown, &opts, &counters, |out, line| {
                     on_line(out, line);
+                    false
                 });
             })
         };

@@ -255,6 +255,109 @@ fn full_queue_answers_busy_instead_of_buffering() {
 }
 
 #[test]
+fn memo_hits_are_answered_while_the_only_worker_is_held() {
+    // One worker, held by a gate sweep. A memoised eval and a memoised
+    // prob need no worker, so their shard answers them at once; a
+    // scenario never seen before still waits for the worker.
+    let handle = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        write_high_water: 64 << 10,
+        ..ServerConfig::default()
+    })
+    .expect("binds");
+    let addr = handle.addr();
+    let mut setup = Client::connect(addr).expect("connects");
+    let (gate_session, gate_plan) = support::gate_session(&mut setup);
+    let session = setup.load(MODEL).expect("loads");
+    let eval_plan = setup.prepare(&session, "exists T").expect("prepares");
+    let prob_plan = setup.prepare(&session, "P(T) <= 0.5").expect("prepares");
+    // Memoise both answers while the worker is free.
+    let first_eval = setup.eval(&session, &eval_plan, "A = 1").expect("evals");
+    let first_prob = setup
+        .prob_plan(&session, &prob_plan, Some("A = 1"))
+        .expect("prob")
+        .expect("defined");
+    let gate = support::WorkerGate::hold(addr, &gate_session, &gate_plan).expect("gate admitted");
+
+    let stream = TcpStream::connect(addr).expect("connects");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let session_json = bfl_core::report::json_str(&session);
+    let mut ask = |line: String| {
+        writer.write_all(line.as_bytes()).expect("write");
+        writer.write_all(b"\n").expect("write");
+        writer.flush().expect("flush");
+    };
+    let read_response = |reader: &mut BufReader<TcpStream>| {
+        let mut line = String::new();
+        reader
+            .read_line(&mut line)
+            .expect("a memo hit is answered while the worker is held");
+        Response::parse(line.trim_end()).expect("parses")
+    };
+
+    ask(format!(
+        r#"{{"id":1,"op":"eval","session":{session_json},"plan":"{eval_plan}","scenario":"A = 1"}}"#
+    ));
+    let hit = read_response(&mut reader);
+    assert_eq!(hit.id, Some(1));
+    let ResponseBody::Result(doc) = hit.body else {
+        panic!("memoised eval failed: {hit:?}");
+    };
+    let doc = bfl_server::json::Json::parse(&doc).expect("result parses");
+    assert_eq!(doc.get("holds"), first_eval.get("holds"));
+    let stats = doc.get("stats").expect("stats");
+    assert_eq!(stats.get("cache_hits").and_then(|v| v.as_u64()), Some(1));
+
+    ask(format!(
+        r#"{{"id":2,"op":"prob","session":{session_json},"plan":"{prob_plan}","scenario":"A = 1"}}"#
+    ));
+    let hit = read_response(&mut reader);
+    assert_eq!(hit.id, Some(2));
+    let ResponseBody::Result(doc) = hit.body else {
+        panic!("memoised prob failed: {hit:?}");
+    };
+    let doc = bfl_server::json::Json::parse(&doc).expect("result parses");
+    assert_eq!(
+        doc.get("probability").and_then(|v| v.as_f64()),
+        Some(first_prob)
+    );
+
+    // A miss is queued behind the held worker: nothing comes back yet.
+    ask(format!(
+        r#"{{"id":3,"op":"eval","session":{session_json},"plan":"{eval_plan}","scenario":"B = 1"}}"#
+    ));
+    reader
+        .get_ref()
+        .set_read_timeout(Some(std::time::Duration::from_millis(300)))
+        .expect("read timeout");
+    let mut line = String::new();
+    let early = reader.read_line(&mut line);
+    assert!(
+        early.is_err() && line.is_empty(),
+        "a miss was answered while the only worker was held: {line}"
+    );
+    gate.release();
+    reader
+        .get_ref()
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("read timeout");
+    let miss = read_response(&mut reader);
+    assert_eq!(miss.id, Some(3));
+    assert!(miss.is_ok(), "{miss:?}");
+    assert!(
+        matches!(&miss.body, ResponseBody::Result(r) if r.contains("\"cache_misses\":1")),
+        "{miss:?}"
+    );
+    handle.shutdown();
+}
+
+#[test]
 fn scaled_tree_sweeps_reuse_the_compiled_plan_with_bounded_memory() {
     // A 1000-basic-event industrial tree served over the wire: prepare
     // once, sweep the same scenario set twice, and prove through `stats`

@@ -18,7 +18,11 @@ use bfl_fault_tree::galileo;
 use bfl_fault_tree::generator::{random_tree, RandomTreeConfig};
 use bfl_fault_tree::rng::Prng;
 use bfl_fault_tree::FaultTree;
-use bfl_server::{Client, Server, ServerConfig, ServerHandle, SessionOptions};
+use bfl_server::json::Json;
+use bfl_server::{
+    Client, Op, ProbOptions, ProbTarget, Request, Response, ResponseBody, Server, ServerConfig,
+    ServerHandle, SessionOptions,
+};
 
 // ---------------------------------------------------------------------------
 // Random-case generation (seeded, deterministic).
@@ -146,6 +150,62 @@ fn dump_failure(model: &str, detail: &str) -> std::path::PathBuf {
     path
 }
 
+/// `line` with every `"duration_micros":N` removed.
+fn without_durations(line: &str) -> String {
+    let key = "\"duration_micros\":";
+    let mut out = String::with_capacity(line.len());
+    let mut rest = line;
+    while let Some(at) = rest.find(key) {
+        out.push_str(&rest[..at]);
+        rest = rest[at + key.len()..].trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
+}
+
+/// Sends `op` twice on one connection and returns the second answer's
+/// result document. The second is a memo hit, which the connection's
+/// shard answers without a worker. It must repeat the first answer byte
+/// for byte, durations aside, except that an outcome the first answer
+/// computed reports the memo miss its repeat turned into a hit.
+fn served_twice(client: &mut Client, op: Op) -> Json {
+    let line = Request::with_id(1, op).to_json_line();
+    let first = without_durations(&client.round_trip(&line).expect("first answer"));
+    let second = client.round_trip(&line).expect("second answer");
+    let expected = first.replace(
+        "\"cache_hits\":0,\"cache_misses\":1",
+        "\"cache_hits\":1,\"cache_misses\":0",
+    );
+    assert_eq!(
+        without_durations(&second),
+        expected,
+        "a repeated request answered differently"
+    );
+    match Response::parse(&second).expect("parses").body {
+        ResponseBody::Result(doc) => Json::parse(&doc).expect("result parses"),
+        ResponseBody::Error { code, message } => panic!("{line}: {code}: {message}"),
+    }
+}
+
+fn eval_op(session: &str, plan: &str, scenario: &str) -> Op {
+    Op::Eval {
+        session: session.to_string(),
+        plan: plan.to_string(),
+        scenario: scenario.to_string(),
+    }
+}
+
+fn prob_op(session: &str, plan: &str, scenario: &str) -> Op {
+    Op::Prob {
+        session: session.to_string(),
+        target: ProbTarget::Plan {
+            plan: plan.to_string(),
+            scenario: Some(scenario.to_string()),
+        },
+        options: ProbOptions::default(),
+    }
+}
+
 fn start_server() -> ServerHandle {
     Server::bind(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -205,7 +265,7 @@ fn served_check_and_eval_agree_with_reference_semantics() {
                 let specialised = scenario.specialise_query(&query, &top);
                 let expected =
                     semantics::eval_query(&tree, &specialised).expect("reference evaluates");
-                let outcome = client.eval(&session, &plan, &line).expect("eval");
+                let outcome = served_twice(&mut client, eval_op(&session, &plan, &line));
                 let served = outcome.get("holds").and_then(|v| v.as_bool());
                 if served != Some(expected) {
                     let path = dump_failure(
@@ -268,8 +328,18 @@ fn served_prob_agrees_with_probability_naive() {
 
             // Path 2: compiled-plan probability under random scenarios,
             // against the naive probability of the specialised formula.
+            // A `P(…) ▷◁ p` plan answers a prob from the scenario its
+            // Boolean eval judged.
             let plan = client
                 .prepare(&session, &Query::exists(phi.clone()).to_string())
+                .expect("prepares");
+            let judged = client
+                .prepare(
+                    &session,
+                    &Query::prob(phi.clone(), CmpOp::Le, 0.5)
+                        .expect("bound in range")
+                        .to_string(),
+                )
                 .expect("prepares");
             for _ in 0..3 {
                 let line = random_scenario_line(&mut rng, &basics);
@@ -277,20 +347,27 @@ fn served_prob_agrees_with_probability_naive() {
                 let specialised = scenario.specialise(&phi);
                 let expected =
                     quant::probability_naive(&tree, &specialised, &probs).expect("naive");
-                let served = client
-                    .prob_plan(&session, &plan, Some(&line))
-                    .expect("prob")
-                    .expect("unconditional probability is defined");
-                if (served - expected).abs() > 1e-9 {
-                    let path = dump_failure(
-                        &model,
-                        &format!("prob plan formula: {phi_src}\nscenario: [{line}]"),
-                    );
-                    panic!(
-                        "served plan prob diverged from probability_naive under [{line}] \
-                         (served {served}, expected {expected}); repro dumped to {}",
-                        path.display()
-                    );
+                let answers = [
+                    served_twice(&mut client, prob_op(&session, &plan, &line)),
+                    served_twice(&mut client, eval_op(&session, &judged, &line)),
+                    served_twice(&mut client, prob_op(&session, &judged, &line)),
+                ];
+                for answer in answers {
+                    let served = answer
+                        .get("probability")
+                        .and_then(Json::as_f64)
+                        .expect("unconditional probability is defined");
+                    if (served - expected).abs() > 1e-9 {
+                        let path = dump_failure(
+                            &model,
+                            &format!("prob plan formula: {phi_src}\nscenario: [{line}]"),
+                        );
+                        panic!(
+                            "served plan prob diverged from probability_naive under [{line}] \
+                             (served {served}, expected {expected}); repro dumped to {}",
+                            path.display()
+                        );
+                    }
                 }
             }
         }
@@ -361,7 +438,15 @@ fn served_cause_agrees_with_actual_causes_naive() {
                     })
                     .collect();
                 expected.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
-                let outcome = client.cause(&session, &plan, &line).expect("cause");
+                let outcome = served_twice(
+                    &mut client,
+                    Op::Cause {
+                        session: session.clone(),
+                        plan: plan.clone(),
+                        scenario: line.clone(),
+                        stream: false,
+                    },
+                );
                 let report = outcome.get("causes").expect("outcome carries causes");
                 let served: Vec<Vec<String>> = report
                     .get("sets")
